@@ -128,7 +128,7 @@ def _cmd_find_sign(args, config: dict, seed: int) -> int:
         refine_budget=int(config.get("refine_budget", 2**16)),
     )
     report = {
-        "sign": list(res.sign.values),
+        "sign": res.sign.values.tolist(),
         "value": res.value,
         "strategy": res.strategy,
         "space": res.operator.space.to_json(),

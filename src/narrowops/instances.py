@@ -15,13 +15,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import NonDyadic
-from .measure import MeasurableSet, MeasureSpace
+from .measure import MeasurableSet, MeasureSpace, _is_power_of_two
 from .norms import lp_norm, sup_norm
 from .operators import DiscreteOperator
-
-
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
 
 
 @dataclass(frozen=True)

@@ -28,23 +28,42 @@ def _is_power_of_two(n: int) -> bool:
     return n >= 1 and (n & (n - 1)) == 0
 
 
-@dataclass(frozen=True)
+# While the total numerator stays below this limit, every signed sum of
+# atom numerators, and the difference of two such sums, is exact in int64.
+_EXACT_LIMIT = 2**62
+
+
+def _exact_total(nums: np.ndarray) -> int:
+    """Sum of positive int64 numerators, in two halves that cannot wrap."""
+    hi, lo = np.divmod(nums, 2**31)
+    return (int(hi.sum()) << 31) + int(lo.sum())
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
 class RefineMap:
     """Index mapping produced by a refinement.
 
     Old atom ``i`` is replaced by ``counts[i]`` consecutive children starting
-    at ``start(i)``.  Order of atoms is preserved.
+    at ``start(i)``.  Order of atoms is preserved.  ``counts`` is a read-only
+    int64 array.
     """
 
-    counts: tuple[int, ...]
+    counts: np.ndarray
 
     def __post_init__(self):
-        if any(c < 1 for c in self.counts):
+        c = np.array(self.counts, dtype=np.int64)
+        if c.ndim != 1 or (c.size and c.min() < 1):
             raise ValueError("child counts must be >= 1")
+        object.__setattr__(self, "counts", _read_only(c))
 
     @staticmethod
     def identity(n: int) -> "RefineMap":
-        return RefineMap(counts=(1,) * n)
+        return RefineMap(counts=np.ones(n, dtype=np.int64))
 
     @property
     def n_old(self) -> int:
@@ -52,28 +71,25 @@ class RefineMap:
 
     @property
     def n_new(self) -> int:
-        return sum(self.counts)
+        return int(self.counts.sum())
 
     @property
     def is_identity(self) -> bool:
-        return all(c == 1 for c in self.counts)
+        return bool((self.counts == 1).all())
 
     def starts(self) -> np.ndarray:
-        c = np.asarray(self.counts, dtype=np.int64)
-        out = np.zeros(len(c), dtype=np.int64)
-        np.cumsum(c[:-1], out=out[1:])
-        return out
+        return np.cumsum(self.counts) - self.counts
 
     def children(self, old_index: int) -> range:
         s = int(self.starts()[old_index])
-        return range(s, s + self.counts[old_index])
+        return range(s, s + int(self.counts[old_index]))
 
     def map_indices(self, indices: Iterable[int]) -> tuple[int, ...]:
-        starts = self.starts()
-        out: list[int] = []
-        for i in indices:
-            out.extend(range(int(starts[i]), int(starts[i]) + self.counts[i]))
-        return tuple(out)
+        idx = np.fromiter(indices, dtype=np.int64)
+        c = self.counts[idx]
+        # child k of old atom idx[j] sits at starts[idx[j]] + k
+        offsets = np.repeat(self.starts()[idx] - (np.cumsum(c) - c), c)
+        return tuple((offsets + np.arange(offsets.size)).tolist())
 
     def lift_values(self, values: Sequence[int] | np.ndarray) -> np.ndarray:
         """Each child inherits the parent's value (indicator lifting)."""
@@ -87,46 +103,57 @@ class RefineMap:
         m = np.asarray(matrix, dtype=float)
         if m.shape[1] != self.n_old:
             raise InvalidAtom(f"expected {self.n_old} columns, got {m.shape[1]}")
-        c = np.asarray(self.counts, dtype=np.int64)
-        return np.repeat(m / c, c, axis=1)
+        return np.repeat(m / self.counts, self.counts, axis=1)
 
     def compose(self, later: "RefineMap") -> "RefineMap":
         """Map refining self's output further; returns old -> newest mapping."""
         if later.n_old != self.n_new:
             raise InvalidAtom("maps are not composable")
-        lc = np.asarray(later.counts, dtype=np.int64)
-        bounds = np.concatenate([[0], np.cumsum(np.asarray(self.counts))])
-        cum = np.concatenate([[0], np.cumsum(lc)])
-        counts = tuple(int(cum[b] - cum[a]) for a, b in zip(bounds[:-1], bounds[1:]))
-        return RefineMap(counts=counts)
+        return RefineMap(counts=np.add.reduceat(later.counts, self.starts()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasureSpace:
     """Finite measure space as a list of positive dyadic atom weights.
 
-    Atom ``i`` has weight ``numerators[i] / 2**denom_log2``.
+    Atom ``i`` has weight ``numerators[i] / 2**denom_log2``.  ``numerators``
+    is a read-only int64 array whose total stays below 2^62, so integer
+    measure arithmetic on it is exact; larger spaces raise NonDyadic.
     """
 
     denom_log2: int
-    numerators: tuple[int, ...]
+    numerators: np.ndarray
 
     def __post_init__(self):
         if self.denom_log2 < 0:
             raise NonDyadic("denominator exponent must be >= 0")
-        if not self.numerators:
+        try:
+            nums = np.array(self.numerators, dtype=np.int64)
+        except OverflowError:
+            raise NonDyadic("atom numerators exceed the exact int64 range") from None
+        if nums.ndim != 1 or nums.size == 0:
             raise InvalidAtom("a measure space needs at least one atom")
-        if any(int(n) != n or n <= 0 for n in self.numerators):
+        if nums.min() <= 0 or not np.array_equal(nums, self.numerators):
             raise InvalidAtom("atom weights must be positive integers / 2^k")
         # canonical form: lowest dyadic terms, so repeated refinement of
         # disjoint regions does not inflate the shared denominator
-        k, nums = self.denom_log2, self.numerators
-        while k > 0 and all(n % 2 == 0 for n in nums):
-            k -= 1
-            nums = tuple(n // 2 for n in nums)
-        if k != self.denom_log2:
-            object.__setattr__(self, "denom_log2", k)
-            object.__setattr__(self, "numerators", nums)
+        common = int(np.bitwise_or.reduce(nums))
+        shift = min(self.denom_log2, (common & -common).bit_length() - 1)
+        nums >>= shift
+        if _exact_total(nums) >= _EXACT_LIMIT:
+            raise NonDyadic("total atom numerator exceeds the exact int64 range")
+        object.__setattr__(self, "denom_log2", self.denom_log2 - shift)
+        object.__setattr__(self, "numerators", _read_only(nums))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MeasureSpace):
+            return NotImplemented
+        return self.denom_log2 == other.denom_log2 and np.array_equal(
+            self.numerators, other.numerators
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.denom_log2, self.numerators.tobytes()))
 
     @staticmethod
     def from_weights(weights: Sequence[Fraction | int]) -> "MeasureSpace":
@@ -137,7 +164,7 @@ class MeasureSpace:
             if not _is_power_of_two(f.denominator):
                 raise NonDyadic(f"weight {f} is not dyadic")
             k = max(k, f.denominator.bit_length() - 1)
-        nums = tuple(int(f * 2**k) for f in fracs)
+        nums = [int(f * 2**k) for f in fracs]
         return MeasureSpace(denom_log2=k, numerators=nums)
 
     @staticmethod
@@ -154,24 +181,21 @@ class MeasureSpace:
 
     @property
     def total(self) -> Fraction:
-        return Fraction(sum(self.numerators), 2**self.denom_log2)
+        return Fraction(int(self.numerators.sum()), 2**self.denom_log2)
 
     def weight(self, atom: int) -> Fraction:
         self._check_atom(atom)
-        return Fraction(self.numerators[atom], 2**self.denom_log2)
+        return Fraction(int(self.numerators[atom]), 2**self.denom_log2)
 
     def weights_float(self) -> np.ndarray:
-        return np.asarray(self.numerators, dtype=float) / 2.0**self.denom_log2
-
-    def numerator_array(self) -> np.ndarray:
-        return np.asarray(self.numerators, dtype=np.int64)
+        return self.numerators / 2.0**self.denom_log2
 
     def measure(self, indices: Iterable[int]) -> Fraction:
-        total = 0
-        for i in indices:
-            self._check_atom(i)
-            total += self.numerators[i]
-        return Fraction(total, 2**self.denom_log2)
+        idx = np.fromiter(indices, dtype=np.int64)
+        if idx.size:
+            self._check_atom(int(idx.min()))
+            self._check_atom(int(idx.max()))
+        return Fraction(int(self.numerators[idx].sum()), 2**self.denom_log2)
 
     def full_set(self) -> "MeasurableSet":
         return MeasurableSet(space=self, indices=tuple(range(self.n_atoms)))
@@ -194,61 +218,53 @@ class MeasureSpace:
         self, atoms: Iterable[int], parts: int
     ) -> tuple["MeasureSpace", RefineMap]:
         """Split each listed atom into `parts` equal children in one pass."""
-        atoms = sorted(set(atoms))
-        for a in atoms:
-            self._check_atom(a)
+        marked = np.unique(np.fromiter(atoms, dtype=np.int64))
+        if marked.size:
+            self._check_atom(int(marked[0]))
+            self._check_atom(int(marked[-1]))
         if parts < 2:
             raise InvalidAtom("parts must be >= 2")
         if not _is_power_of_two(parts):
             raise NonDyadic(f"parts={parts} is not a power of two")
         t = parts.bit_length() - 1
-        scale = 2**t
-        marked = set(atoms)
-        nums: list[int] = []
-        counts: list[int] = []
-        for i, n in enumerate(self.numerators):
-            if i in marked:
-                nums.extend([n] * parts)
-                counts.append(parts)
-            else:
-                nums.append(n * scale)
-                counts.append(1)
-        space = MeasureSpace(denom_log2=self.denom_log2 + t, numerators=tuple(nums))
-        return space, RefineMap(counts=tuple(counts))
+        if int(self.numerators.sum()) << t >= _EXACT_LIMIT:
+            raise NonDyadic(f"refining into {parts} parts leaves the exact int64 range")
+        counts = np.ones(self.n_atoms, dtype=np.int64)
+        counts[marked] = parts
+        # marked atoms keep their numerator over the finer denominator (each
+        # child is 1/parts of the parent); unmarked ones scale up by parts
+        nums = np.repeat(self.numerators * (parts // counts), counts)
+        space = MeasureSpace(denom_log2=self.denom_log2 + t, numerators=nums)
+        return space, RefineMap(counts=counts)
 
     def uniformize(self) -> tuple["MeasureSpace", RefineMap]:
         """Refine every atom down to the minimum atom weight.
 
         Requires every weight to be a power-of-two multiple of the smallest.
         """
-        min_num = min(self.numerators)
-        counts = []
-        for n in self.numerators:
-            q, r = divmod(n, min_num)
-            if r != 0 or not _is_power_of_two(q):
-                raise NonDyadic(
-                    "weights are not power-of-two multiples of the minimum"
-                )
-            counts.append(q)
-        if all(c == 1 for c in counts):
+        min_num = self.numerators.min()
+        counts, rest = np.divmod(self.numerators, min_num)
+        if rest.any() or (counts & (counts - 1)).any():
+            raise NonDyadic(
+                "weights are not power-of-two multiples of the minimum"
+            )
+        if (counts == 1).all():
             return self, RefineMap.identity(self.n_atoms)
-        nums = []
-        for n, c in zip(self.numerators, counts):
-            nums.extend([min_num] * c)
-        space = MeasureSpace(denom_log2=self.denom_log2, numerators=tuple(nums))
-        return space, RefineMap(counts=tuple(counts))
+        nums = np.full(int(counts.sum()), min_num)
+        space = MeasureSpace(denom_log2=self.denom_log2, numerators=nums)
+        return space, RefineMap(counts=counts)
 
     def to_json(self) -> dict:
         return {
             "denominator_log2": self.denom_log2,
-            "numerators": list(self.numerators),
+            "numerators": self.numerators.tolist(),
         }
 
     @staticmethod
     def from_json(obj: dict) -> "MeasureSpace":
         return MeasureSpace(
             denom_log2=int(obj["denominator_log2"]),
-            numerators=tuple(int(n) for n in obj["numerators"]),
+            numerators=[int(n) for n in obj["numerators"]],
         )
 
 
@@ -260,10 +276,10 @@ class MeasurableSet:
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        idx = self.indices
-        if list(idx) != sorted(set(idx)):
+        idx = np.fromiter(self.indices, dtype=np.int64)
+        if (np.diff(idx) <= 0).any():
             raise InvalidAtom("indices must be sorted and duplicate-free")
-        if idx and (idx[0] < 0 or idx[-1] >= self.space.n_atoms):
+        if idx.size and (idx[0] < 0 or idx[-1] >= self.space.n_atoms):
             raise InvalidAtom("index out of range for the space")
 
     @property
@@ -287,40 +303,46 @@ class MeasurableSet:
         return w[list(self.indices)]
 
     def difference(self, other: "MeasurableSet") -> "MeasurableSet":
-        drop = set(other.indices)
-        return MeasurableSet(
-            space=self.space,
-            indices=tuple(i for i in self.indices if i not in drop),
+        keep = np.setdiff1d(
+            np.fromiter(self.indices, dtype=np.int64),
+            np.fromiter(other.indices, dtype=np.int64),
+            assume_unique=True,
         )
+        return MeasurableSet(space=self.space, indices=tuple(keep.tolist()))
 
     def lift(self, rmap: RefineMap, space: MeasureSpace) -> "MeasurableSet":
         return MeasurableSet(space=space, indices=rmap.map_indices(self.indices))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SignVector:
-    """{-1, 0, +1}-valued vector over the atoms of a space."""
+    """{-1, 0, +1}-valued vector over the atoms of a space.
+
+    ``values`` is a read-only int8 array with one entry per atom.
+    """
 
     space: MeasureSpace
-    values: tuple[int, ...]
+    values: np.ndarray
 
     def __post_init__(self):
-        if len(self.values) != self.space.n_atoms:
+        v = np.asarray(self.values)
+        if v.shape != (self.space.n_atoms,):
             raise InvalidAtom("values length must equal the atom count")
-        if any(v not in (-1, 0, 1) for v in self.values):
+        if not ((v == 1) | (v == 0) | (v == -1)).all():
             raise ValueError("sign values must be in {-1, 0, +1}")
+        object.__setattr__(self, "values", _read_only(v.astype(np.int8)))
 
     @staticmethod
     def from_values(space: MeasureSpace, values: Sequence[int]) -> "SignVector":
-        return SignVector(space=space, values=tuple(int(v) for v in values))
+        return SignVector(space=space, values=values)
 
     @staticmethod
     def zero(space: MeasureSpace) -> "SignVector":
-        return SignVector(space=space, values=(0,) * space.n_atoms)
+        return SignVector(space=space, values=np.zeros(space.n_atoms, dtype=np.int8))
 
     @property
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i, v in enumerate(self.values) if v != 0)
+        return tuple(np.flatnonzero(self.values).tolist())
 
     def support_set(self) -> MeasurableSet:
         return MeasurableSet(space=self.space, indices=self.support)
@@ -331,18 +353,13 @@ class SignVector:
         return self.integral_numerator() == 0
 
     def integral_numerator(self) -> int:
-        return int(
-            np.dot(
-                np.asarray(self.values, dtype=np.int64),
-                self.space.numerator_array(),
-            )
-        )
+        return int(np.dot(self.values.astype(np.int64), self.space.numerators))
 
     def integral(self) -> Fraction:
         return Fraction(self.integral_numerator(), 2**self.space.denom_log2)
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.values, dtype=float)
+        return self.values.astype(float)
 
     def is_sign_on(self, mset: MeasurableSet) -> bool:
         """True iff support equals mset exactly (a 'sign on A' in the classical sense)."""
@@ -351,20 +368,14 @@ class SignVector:
     def pointwise_product(self, other: "SignVector") -> "SignVector":
         if other.space is not self.space and other.space != self.space:
             raise InvalidAtom("signs live on different spaces")
-        return SignVector(
-            space=self.space,
-            values=tuple(a * b for a, b in zip(self.values, other.values)),
-        )
+        return SignVector(space=self.space, values=self.values * other.values)
 
     def add_disjoint(self, other: "SignVector") -> "SignVector":
         """Sum of signs with disjoint supports (stays {-1,0,+1}-valued)."""
-        vals = tuple(a + b for a, b in zip(self.values, other.values))
-        return SignVector(space=self.space, values=vals)
+        return SignVector(space=self.space, values=self.values + other.values)
 
     def lift(self, rmap: RefineMap, space: MeasureSpace) -> "SignVector":
-        return SignVector(
-            space=space, values=tuple(int(v) for v in rmap.lift_values(self.values))
-        )
+        return SignVector(space=space, values=rmap.lift_values(self.values))
 
 
 def rademacher_sign(mset: MeasurableSet, level: int) -> SignVector:
@@ -381,14 +392,14 @@ def rademacher_sign(mset: MeasurableSet, level: int) -> SignVector:
     blocks = 2**level
     if s % blocks != 0:
         raise NotDivisible(f"set size {s} not divisible by 2^{level}")
-    nums = {mset.space.numerators[i] for i in mset.indices}
-    if len(nums) != 1:
+    idx = np.fromiter(mset.indices, dtype=np.int64)
+    nums = mset.space.numerators[idx]
+    if s == 0 or (nums != nums[0]).any():
         raise UnequalWeights("atoms in the set must have equal weight")
     block_size = s // blocks
-    values = [0] * mset.space.n_atoms
-    for pos, atom in enumerate(mset.indices):
-        values[atom] = 1 if (pos // block_size) % 2 == 0 else -1
-    return SignVector(space=mset.space, values=tuple(values))
+    values = np.zeros(mset.space.n_atoms, dtype=np.int8)
+    values[idx] = 1 - 2 * (np.arange(s) // block_size % 2)
+    return SignVector(space=mset.space, values=values)
 
 
 def half_split(mset: MeasurableSet) -> tuple[MeasurableSet, MeasurableSet]:
@@ -400,7 +411,7 @@ def half_split(mset: MeasurableSet) -> tuple[MeasurableSet, MeasurableSet]:
     """
     if mset.is_empty:
         raise Unsplittable("cannot split the empty set")
-    nums = [mset.space.numerators[i] for i in mset.indices]
+    nums = mset.space.numerators[list(mset.indices)].tolist()
     total = sum(nums)
     if total % 2 != 0:
         raise Unsplittable("total numerator is odd; refine first")

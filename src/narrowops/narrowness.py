@@ -9,6 +9,7 @@ exclusive by construction.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,13 @@ from .operators import (
 
 DEFAULT_REFINE_BUDGET = 2**16
 _EXHAUSTIVE_SEARCH_LIMIT = 10
+
+
+def check_budgets(**budgets: float) -> None:
+    """Raise ValueError unless every named budget is finite and positive."""
+    for name, value in budgets.items():
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,6 +142,7 @@ def partition_small_cells(T: DiscreteOperator, epsilon: float) -> Partition:
     sup targets the per-cell certificate is the exact row-absolute-sum value;
     otherwise the column norm sum upper bound is used.
     """
+    check_budgets(epsilon=epsilon)
     bounds = _atom_bounds(T)
     order = sorted(range(T.space.n_atoms), key=lambda i: (-bounds[i], i))
     worst = order[0]
@@ -201,18 +210,21 @@ def _kernel_pairing(
     Returns a full-support mean-zero sign with exactly zero image when every
     atom of the set can be paired, else None.
     """
-    groups: dict[tuple, list[int]] = {}
-    for i in mset.indices:
-        key = (T.space.numerators[i], T.matrix[:, i].tobytes())
-        groups.setdefault(key, []).append(i)
-    values = [0] * T.space.n_atoms
-    for members in groups.values():
-        if len(members) % 2 != 0:
-            return None
-        for j in range(0, len(members), 2):
-            values[members[j]] = 1
-            values[members[j + 1]] = -1
-    return SignVector(space=T.space, values=tuple(values))
+    idx = np.fromiter(mset.indices, dtype=np.int64)
+    # key: the column's bit pattern plus the atom's numerator, so only
+    # bitwise-equal columns of equal-weight atoms share a group
+    cols = np.ascontiguousarray(T.matrix[:, idx].T).view(np.int64)
+    keys = np.column_stack([cols, T.space.numerators[idx]])
+    _, group = np.unique(keys, axis=0, return_inverse=True)
+    group = group.ravel()
+    if (np.bincount(group) % 2).any():
+        return None
+    # members of each group in index order; every group has even size, so
+    # alternating +1/-1 over the concatenation pairs consecutive members
+    order = np.argsort(group, kind="stable")
+    values = np.zeros(T.space.n_atoms, dtype=np.int8)
+    values[idx[order]] = 1 - 2 * (np.arange(idx.size) % 2)
+    return SignVector(space=T.space, values=values)
 
 
 def _rademacher_scan(
@@ -224,8 +236,8 @@ def _rademacher_scan(
     best_val = float("inf")
     if s < 2:
         return None, None, best_val
-    nums = {T.space.numerators[i] for i in mset.indices}
-    if len(nums) != 1:
+    nums = T.space.numerators[np.fromiter(mset.indices, dtype=np.int64)]
+    if (nums != nums[0]).any():
         return None, None, best_val
     level = 1
     while s % (2**level) == 0:
@@ -256,6 +268,7 @@ def find_small_sign(
     """
     if strategy not in ("auto", "exhaustive", "rademacher_scan", "kernel_pairing"):
         raise ValueError(f"unknown strategy {strategy!r}")
+    check_budgets(epsilon=epsilon)
     if mset.is_empty:
         raise NoSignFound("the empty set supports no sign")
 
@@ -362,13 +375,11 @@ def _best_sign_within(
     if T.target.kind == "sup":
         row_abs = np.abs(T.matrix[:, idx]).sum(axis=1) * T.target.weights
         r = int(np.argmax(row_abs))
-        values = [0] * T.space.n_atoms
-        for i in idx:
-            e = T.matrix[r, i]
-            values[i] = int(np.sign(e)) if e != 0.0 else 0
-        if all(v == 0 for v in values):
+        values = np.zeros(T.space.n_atoms, dtype=np.int8)
+        values[idx] = np.sign(T.matrix[r, idx])
+        if not values.any():
             return None, 0.0
-        sign = SignVector(space=T.space, values=tuple(values))
+        sign = SignVector(space=T.space, values=values)
         return sign, T.image_norm(sign)
     if len(idx) <= TERNARY_EXHAUSTIVE_LIMIT:
         try:
@@ -383,10 +394,9 @@ def _best_sign_within(
 
 
 def _kernel_like_greedy(T, idx):
-    values = [0] * T.space.n_atoms
-    for i in idx:
-        values[i] = 1
-    return SignVector(space=T.space, values=tuple(values)), None
+    values = np.zeros(T.space.n_atoms, dtype=np.int8)
+    values[idx] = 1
+    return SignVector(space=T.space, values=values), None
 
 
 def _split_support(
@@ -451,11 +461,9 @@ def _restriction_values(T: DiscreteOperator, sign: SignVector) -> dict[int, floa
 
 
 def _restrict(sign: SignVector, indices: list[int]) -> SignVector:
-    keep = set(indices)
-    return SignVector(
-        space=sign.space,
-        values=tuple(v if i in keep else 0 for i, v in enumerate(sign.values)),
-    )
+    values = np.zeros_like(sign.values)
+    values[indices] = sign.values[indices]
+    return SignVector(space=sign.space, values=values)
 
 
 def adversarial_disjoint_signs(

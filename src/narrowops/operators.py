@@ -38,6 +38,8 @@ class DiscreteOperator:
                 f"matrix is {m.shape}, expected "
                 f"({self.target.dim}, {self.space.n_atoms})"
             )
+        if not np.isfinite(m).all():
+            raise ValueError("operator matrix must be finite")
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -153,7 +155,7 @@ def brute_force_best_sign(
         nonzero = np.any(patterns != 0, axis=1)
         patterns = patterns[nonzero]
     if require_mean_zero:
-        nums = T.space.numerator_array()[idx]
+        nums = T.space.numerators[idx]
         balanced = patterns.astype(np.int64) @ nums == 0
         patterns = patterns[balanced]
         if patterns.shape[0] == 0:
@@ -163,7 +165,6 @@ def brute_force_best_sign(
     images = patterns.astype(float) @ T.matrix[:, idx].T
     norms = fnorm_many(T.target, images)
     best = int(np.argmin(norms) if objective == "min" else np.argmax(norms))
-    values = [0] * T.space.n_atoms
-    for j, atom in enumerate(idx):
-        values[atom] = int(patterns[best, j])
-    return SignVector(space=T.space, values=tuple(values)), float(norms[best])
+    values = np.zeros(T.space.n_atoms, dtype=np.int8)
+    values[idx] = patterns[best]
+    return SignVector(space=T.space, values=values), float(norms[best])

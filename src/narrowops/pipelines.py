@@ -33,9 +33,15 @@ from .measure import (
     MeasureSpace,
     RefineMap,
     SignVector,
+    _is_power_of_two,
     rademacher_sign,
 )
-from .narrowness import find_small_sign, net_cover, partition_small_cells
+from .narrowness import (
+    check_budgets,
+    find_small_sign,
+    net_cover,
+    partition_small_cells,
+)
 from .norms import dual_unit_functional, fnorm, fnorm_many, sup_norm
 from .operators import DiscreteOperator
 from .rounding import sign_round
@@ -59,12 +65,10 @@ class PipelineParams:
     functional_cap: int = 64
 
     def __post_init__(self):
-        if not 0 < self.gamma < self.epsilon:
+        check_budgets(sigma=self.sigma, epsilon=self.epsilon,
+                      gamma=self.gamma, delta=self.delta)
+        if not self.gamma < self.epsilon:
             raise ValueError("need 0 < gamma < epsilon")
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
 
 
 @dataclass(eq=False)
@@ -89,7 +93,7 @@ class PipelineReport:
         return {
             "pipeline": self.pipeline,
             "status": self.status,
-            "sign": list(self.sign.values) if self.sign is not None else None,
+            "sign": self.sign.values.tolist() if self.sign is not None else None,
             "achieved": self.achieved,
             "budgets": self.budgets,
             "stages": self.stages,
@@ -143,10 +147,6 @@ def _uniformized_ctx(ops: dict) -> tuple[_Ctx, RefineMap]:
     return ctx, umap
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 @dataclass(frozen=True, eq=False)
 class AbsContinuityResult:
     """Certified bound on sup ||T 1_A|| over mu(A) <= delta, plus a witness."""
@@ -196,11 +196,10 @@ def check_absolute_continuity(T: DiscreteOperator, delta: float) -> AbsContinuit
     same-sign entries (certified upper bound); the integral greedy set gives
     a witness lower bound.  Other norms use the column norm sum relaxation.
     """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    nums = T.space.numerator_array().astype(np.int64)
+    check_budgets(delta=delta)
+    nums = T.space.numerators
     budget_num = int(Fraction(delta) * 2**T.space.denom_log2)
-    budget_num = min(budget_num, int(sum(nums)))
+    budget_num = min(budget_num, int(nums.sum()))
 
     best_ub = 0.0
     candidates: list[list[int]] = []
@@ -320,10 +319,7 @@ def pairing_construction(
         a, b = pair
         live = ctx.sets["live"]
         t1c, t2c = ctx.ops["t1"], ctx.ops["t2"]
-        vals = (
-            np.asarray(cands[a][1].values, dtype=np.int64)
-            - np.asarray(cands[b][1].values, dtype=np.int64)
-        ) // 2
+        vals = (cands[a][1].values - cands[b][1].values) // 2
         x_j = SignVector.from_values(ctx.space, vals)
         b_set = x_j.support_set()
         if not x_j.mean_zero:
@@ -368,7 +364,7 @@ def pairing_construction(
     status = "success"
     if achieved_t1 > params.sigma + _TOL or achieved_t2 > params.epsilon + _TOL:
         raise StageFailed(m + 1, "final norms violate the budgets")
-    if not (x.mean_zero and x.support == tuple(range(ctx.space.n_atoms))):
+    if not (x.mean_zero and x.values.all()):
         raise StageFailed(m + 1, "final sign is not a mean-zero sign on Omega")
 
     stages.append({
@@ -398,8 +394,8 @@ def pairing_construction(
             "abs_continuity_bound": ac.upper_bound,
             # stage signs lifted to the final space, for independent
             # verification of disjointness and the exact support measures
-            "stage_signs": [list(s.values) for s in ctx.signs],
-            "tail_sign": list(z.values),
+            "stage_signs": [s.values.tolist() for s in ctx.signs],
+            "tail_sign": z.values.tolist(),
         },
     )
 
@@ -423,6 +419,7 @@ def sum_finite_rank(
     images by +-1 rounding so the total coefficient norm stays <= delta,
     which forces ||T2 x|| <= epsilon.
     """
+    check_budgets(sigma=sigma, epsilon=epsilon)
     _require_same_space(T1, T2)
     pivots, basis, coeff = rank_factorization(T2.matrix)
     m = len(pivots)
@@ -519,7 +516,7 @@ def sum_finite_rank(
 
     values = np.zeros(ctx.space.n_atoms, dtype=np.int64)
     for sgn, s in zip(theta_signs, ctx.signs):
-        values += int(sgn) * np.asarray(s.values, dtype=np.int64)
+        values += int(sgn) * s.values
     x = SignVector.from_values(ctx.space, values)
     if not x.mean_zero:
         raise StageFailed(0, "combined sign is not mean zero")
@@ -583,6 +580,7 @@ def sum_compact_locally_convex(
     budget 1/2.  If the constructed sign's true T2-image escapes the net,
     the image is added as a new center and the round repeats.
     """
+    check_budgets(epsilon=epsilon)
     if not T2.target.locally_convex:
         raise NotLocallyConvex("the compact-sum pipeline needs a locally convex target")
     _require_same_space(T1, T2)
@@ -684,6 +682,7 @@ def sum_compact_via_truncation(
     at budget epsilon/2, and the final sign is re-checked against the full
     operator.
     """
+    check_budgets(sigma=sigma, epsilon=epsilon)
     _require_same_space(T1, T2)
     level = None
     for n in range(1, T2.target_dim + 1):

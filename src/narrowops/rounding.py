@@ -39,6 +39,8 @@ class RoundingInstance:
             )
         if lam.shape != (x.shape[0],):
             raise DimensionMismatch("one coefficient per vector is required")
+        if not (np.isfinite(x).all() and np.isfinite(lam).all()):
+            raise ValueError("vectors and coefficients must be finite")
         if np.any(lam < 0.0) or np.any(lam > 1.0):
             raise ValueError("coefficients must lie in [0, 1]")
         object.__setattr__(self, "vectors", x)

@@ -68,7 +68,7 @@ def operator_from_json(obj: dict) -> DiscreteOperator:
 
 
 def sign_to_json(x: SignVector) -> dict:
-    return {"values": list(x.values), "space": x.space.to_json()}
+    return {"values": x.values.tolist(), "space": x.space.to_json()}
 
 
 def sign_from_json(obj: dict) -> SignVector:

@@ -79,7 +79,7 @@ class TestMeasureSpace:
         uni, rmap = space.uniformize()
         assert uni.n_atoms == 4
         assert len(set(uni.numerators)) == 1
-        assert rmap.counts == (2, 1, 1)
+        assert rmap.counts.tolist() == [2, 1, 1]
 
 
 class TestRefineMap:
@@ -87,7 +87,7 @@ class TestRefineMap:
         first = RefineMap(counts=(2, 1))
         second = RefineMap(counts=(1, 2, 3))
         combined = first.compose(second)
-        assert combined.counts == (3, 3)
+        assert combined.counts.tolist() == [3, 3]
         assert combined.n_new == second.n_new
 
     def test_lift_values_repeats(self):
@@ -130,18 +130,18 @@ class TestRademacher:
     def test_level_one(self):
         space = MeasureSpace.uniform(4)
         r = rademacher_sign(space.full_set(), 1)
-        assert r.values == (1, 1, -1, -1)
+        assert r.values.tolist() == [1, 1, -1, -1]
 
     def test_level_two(self):
         space = MeasureSpace.uniform(4)
         r = rademacher_sign(space.full_set(), 2)
-        assert r.values == (1, -1, 1, -1)
+        assert r.values.tolist() == [1, -1, 1, -1]
 
     def test_product_mean_zero(self):
         space = MeasureSpace.uniform(4)
         full = space.full_set()
         prod = rademacher_sign(full, 1).pointwise_product(rademacher_sign(full, 2))
-        assert prod.values == (1, -1, -1, 1)
+        assert prod.values.tolist() == [1, -1, -1, 1]
         assert prod.mean_zero
 
     @settings(max_examples=50, deadline=None)
@@ -212,3 +212,112 @@ class TestHalfSplit:
             return
         assert a.measure == b.measure
         assert a.difference(b).indices == a.indices
+
+
+# Pure-Python oracles: the loop implementations the numpy code replaced.
+def _oracle_compose(first, later):
+    out, pos = [], 0
+    for c in first:
+        out.append(sum(later[pos:pos + c]))
+        pos += c
+    return out
+
+
+def _oracle_map_indices(counts, indices):
+    out = []
+    for i in indices:
+        start = sum(counts[:i])
+        out.extend(range(start, start + counts[i]))
+    return out
+
+
+def _oracle_lift(counts, values):
+    out = []
+    for v, c in zip(values, counts):
+        out.extend([v] * c)
+    return out
+
+
+def _oracle_refine_weights(space, atoms, parts):
+    out = []
+    for i in range(space.n_atoms):
+        w = space.weight(i)
+        out.extend([w / parts] * parts if i in atoms else [w])
+    return out
+
+
+def _oracle_rademacher(n_atoms, indices, level):
+    values = [0] * n_atoms
+    block_size = len(indices) // 2**level
+    for pos, atom in enumerate(indices):
+        values[atom] = 1 if (pos // block_size) % 2 == 0 else -1
+    return values
+
+
+class TestArrayOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(counts=st.lists(st.integers(1, 4), min_size=1, max_size=8), data=st.data())
+    def test_refine_map_matches_loops(self, counts, data):
+        rmap = RefineMap(counts=counts)
+        later = data.draw(st.lists(st.integers(1, 4), min_size=rmap.n_new,
+                                   max_size=rmap.n_new))
+        assert rmap.compose(RefineMap(counts=later)).counts.tolist() == \
+            _oracle_compose(counts, later)
+        subset = data.draw(st.sets(st.integers(0, len(counts) - 1)))
+        indices = sorted(subset)
+        assert list(rmap.map_indices(indices)) == _oracle_map_indices(counts, indices)
+        values = data.draw(st.lists(st.integers(-1, 1), min_size=len(counts),
+                                    max_size=len(counts)))
+        assert rmap.lift_values(values).tolist() == _oracle_lift(counts, values)
+
+    @settings(max_examples=100, deadline=None)
+    @given(exponents=st.lists(st.integers(0, 5), min_size=1, max_size=8),
+           parts=st.sampled_from([2, 4, 8]), data=st.data())
+    def test_refine_atoms_matches_loop(self, exponents, parts, data):
+        space = MeasureSpace.from_weights([Fraction(1, 2**e) for e in exponents])
+        atoms = data.draw(st.sets(st.integers(0, space.n_atoms - 1)))
+        refined, rmap = space.refine_atoms(atoms, parts)
+        expected = _oracle_refine_weights(space, atoms, parts)
+        assert [refined.weight(i) for i in range(refined.n_atoms)] == expected
+        assert rmap.counts.tolist() == [
+            parts if i in atoms else 1 for i in range(space.n_atoms)
+        ]
+
+    @settings(max_examples=50, deadline=None)
+    @given(log_size=st.integers(1, 4), level=st.integers(1, 4), data=st.data())
+    def test_rademacher_on_subset_matches_loop(self, log_size, level, data):
+        if level > log_size:
+            return
+        space = MeasureSpace.uniform(32)
+        indices = sorted(data.draw(st.sets(st.integers(0, 31), min_size=2**log_size,
+                                           max_size=2**log_size)))
+        r = rademacher_sign(space.subset(indices), level)
+        assert r.values.tolist() == _oracle_rademacher(32, indices, level)
+
+    def test_arrays_are_read_only(self):
+        space, rmap = MeasureSpace.uniform(2).refine_atoms([0], 2)
+        sign = SignVector.from_values(space, [1, -1, 0])
+        for array in (space.numerators, rmap.counts, sign.values):
+            with pytest.raises(ValueError):
+                array[0] = 1
+        assert (space.numerators.dtype, rmap.counts.dtype, sign.values.dtype) == (
+            np.int64, np.int64, np.int8)
+
+
+class TestExactRange:
+    def test_from_weights_rejects_total_at_limit(self):
+        with pytest.raises(NonDyadic):
+            MeasureSpace.from_weights([2**61, 2**61])
+        with pytest.raises(NonDyadic):
+            MeasureSpace.from_weights([Fraction(1, 2**70), 1])
+
+    def test_largest_accepted_space_is_exact(self):
+        space = MeasureSpace.from_weights([2**61 - 1, 2**61 - 1])
+        assert SignVector.from_values(space, [1, 1]).integral() == 2**62 - 2
+        assert SignVector.from_values(space, [1, -1]).mean_zero
+
+    @pytest.mark.parametrize("parts", [2, 2**8])
+    def test_refine_atoms_rejects_leaving_the_range(self, parts):
+        space = MeasureSpace.from_weights([2**60, 2**60])
+        with pytest.raises(NonDyadic):
+            space.refine_atoms([0], parts)

@@ -1,7 +1,11 @@
 """Partition, sign-search, adversarial-dichotomy, and net-cover tests."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from narrowops import (
     AtomTooLarge,
@@ -18,6 +22,7 @@ from narrowops import (
     sup_norm,
 )
 from narrowops.instances import build_l1_example, l1_example_cells
+from narrowops.narrowness import _kernel_pairing
 
 
 class TestFindSmallSign:
@@ -74,6 +79,55 @@ class TestFindSmallSign:
             find_small_sign(T, space.full_set(), 1e-3,
                             strategy="auto", refine_budget=2)
         assert exc.value.best_value == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_operator_rejected(self, bad):
+        # a NaN matrix used to reach find_small_sign, where its bitwise-equal
+        # NaN columns paired up and the sign was reported with value 0.0
+        with pytest.raises(ValueError):
+            DiscreteOperator(np.full((2, 4), bad), MeasureSpace.uniform(4),
+                             sup_norm(dim=2))
+
+    @pytest.mark.parametrize("epsilon", [-1.0, 0.0, np.nan, np.inf])
+    def test_bad_epsilon_rejected(self, epsilon):
+        T = DiscreteOperator(np.ones((1, 4)), MeasureSpace.uniform(4), sup_norm(dim=1))
+        with pytest.raises(ValueError):
+            find_small_sign(T, T.space.full_set(), epsilon)
+        with pytest.raises(ValueError):
+            partition_small_cells(T, epsilon)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), log_atoms=st.integers(1, 4))
+    def test_kernel_pairing_matches_loop(self, data, log_atoms):
+        # few distinct columns and weights, so groups of every parity occur
+        n = 2**log_atoms
+        pool = [np.array([0.0, 1.0]), np.array([0.5, -0.0]), np.array([0.5, 0.0])]
+        cols = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        exps = data.draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
+        space = MeasureSpace.from_weights([Fraction(1, 2**e) for e in exps])
+        T = DiscreteOperator(np.stack([pool[c] for c in cols], axis=1), space,
+                             sup_norm(dim=2))
+        mset = space.subset(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+        sign = _kernel_pairing(T, mset)
+        expected = _oracle_kernel_pairing(T, mset)
+        assert (sign is None and expected is None) or sign.values.tolist() == expected
+
+
+def _oracle_kernel_pairing(T, mset):
+    """The loop that ``_kernel_pairing`` replaced: group by (weight, column
+    bytes), pair consecutive members of each group in index order."""
+    groups = {}
+    for i in mset.indices:
+        key = (int(T.space.numerators[i]), T.matrix[:, i].tobytes())
+        groups.setdefault(key, []).append(i)
+    values = [0] * T.space.n_atoms
+    for members in groups.values():
+        if len(members) % 2 != 0:
+            return None
+        for j in range(0, len(members), 2):
+            values[members[j]] = 1
+            values[members[j + 1]] = -1
+    return values
 
 
 class TestPartition:

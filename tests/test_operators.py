@@ -184,7 +184,7 @@ class TestBruteForce:
         T = DiscreteOperator(np.zeros((2, 4)), space, sup_norm(dim=2))
         a, _ = brute_force_best_sign(T, space.subset([0, 1]))
         b, _ = brute_force_best_sign(T, space.subset([0, 1]))
-        assert a.values == b.values == (-1, 1, 0, 0)
+        assert a.values.tolist() == b.values.tolist() == [-1, 1, 0, 0]
 
 
 class TestRefinementCompatibility:

@@ -129,6 +129,33 @@ class TestPairing:
         assert a.to_json_dict() == b.to_json_dict()
 
 
+class TestBudgets:
+    @pytest.mark.parametrize("name", ["sigma", "epsilon", "gamma", "delta"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
+    def test_params_reject_bad_budget(self, name, value):
+        with pytest.raises(ValueError):
+            PipelineParams(**{name: value})
+
+    @pytest.mark.parametrize("sigma,epsilon", [
+        (0.1, np.nan),  # used to return status="success"
+        (0.1, -1.0),  # used to refine to 131072 atoms before failing
+        (np.inf, 0.1),
+    ])
+    def test_sum_pipelines_reject_bad_budget(self, sigma, epsilon):
+        t2 = build_l1_example(4)
+        t1 = random_narrow_operator(1, None, 3, 0.5, space=t2.space)
+        with pytest.raises(ValueError):
+            sum_finite_rank(t1, t2, sigma, epsilon)
+        with pytest.raises(ValueError):
+            sum_compact_via_truncation(t1, t2, sigma, epsilon, l1_example_tail_bound(4))
+
+    def test_compact_adaptive_rejects_bad_epsilon(self):
+        t1 = random_narrow_operator(1, 16, 3, 0.5)
+        t2 = random_finite_rank(2, 1, None, 4, space=t1.space)
+        with pytest.raises(ValueError):
+            sum_compact_locally_convex(t1, t2, np.nan, PipelineParams())
+
+
 class TestSumFiniteRank:
     def test_rank_zero(self):
         t1 = random_narrow_operator(3, 16, 3, 0.5)

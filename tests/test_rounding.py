@@ -52,6 +52,13 @@ class TestExamples:
                 norm=sup_norm(dim=2),
             )
 
+    @pytest.mark.parametrize("field", ["vectors", "coefficients"])
+    def test_non_finite_input_rejected(self, field):
+        args = {"vectors": np.eye(2), "coefficients": np.array([0.5, 0.5])}
+        args[field] = np.full_like(args[field], np.nan)
+        with pytest.raises(ValueError):
+            RoundingInstance(norm=sup_norm(dim=2), **args)
+
 
 class TestCertificate:
     @pytest.mark.parametrize("norm_factory", [
