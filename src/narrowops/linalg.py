@@ -1,8 +1,8 @@
-"""Dense elimination helpers: null vectors and rank factorizations.
+"""Dense linear algebra helpers: null vectors and rank factorizations.
 
-Both routines use Gaussian elimination with partial pivoting and a fixed
-relative tolerance for rank decisions.  They are deliberately small and
-self-contained so that tests can cross-check them against brute force.
+``null_vector`` is one LAPACK singular value decomposition of a small wide
+matrix.  ``rank_factorization`` is column-pivoted Gram-Schmidt with a fixed
+relative tolerance for rank decisions.
 """
 
 from __future__ import annotations
@@ -14,60 +14,20 @@ from .errors import DegenerateNullspace
 RANK_TOL = 1e-10
 
 
-def _rref(a: np.ndarray, tol: float) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form with partial pivoting; returns pivot columns."""
-    u = np.array(a, dtype=float, copy=True)
-    rows, cols = u.shape
-    scale = max(1.0, float(np.max(np.abs(u))) if u.size else 0.0)
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        i = int(np.argmax(np.abs(u[r:, c]))) + r
-        if abs(u[i, c]) <= tol * scale:
-            continue
-        if i != r:
-            u[[r, i]] = u[[i, r]]
-        u[r] /= u[r, c]
-        for k in range(rows):
-            if k != r and u[k, c] != 0.0:
-                u[k] -= u[k, c] * u[r]
-        pivots.append(c)
-        r += 1
-    return u, pivots
+def null_vector(a: np.ndarray) -> np.ndarray:
+    """A unit vector u with a @ u ~ 0, for a matrix with more columns than
+    rows, such as the (d, d+1) matrix of one rounding step.
 
-
-def null_vector(a: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
-    """A nonzero vector u with a @ u ~ 0, for a matrix with more columns
-    than numerical rank.
-
-    Retries once with unit column rescaling before giving up.
+    For a wide matrix the last right singular vector lies in the null space
+    whatever the rank, so no rank decision is needed; the residual check
+    rejects a matrix that has no null vector.
     """
     a = np.asarray(a, dtype=float)
-    rows, cols = a.shape
-    for rescale in (False, True):
-        col_scale = np.ones(cols)
-        m = a
-        if rescale:
-            col_scale = np.linalg.norm(a, axis=0)
-            col_scale[col_scale == 0.0] = 1.0
-            m = a / col_scale
-        u_rref, pivots = _rref(m, tol)
-        free = [c for c in range(cols) if c not in pivots]
-        if not free:
-            continue
-        f = free[0]
-        u = np.zeros(cols)
-        u[f] = 1.0
-        for r, c in enumerate(pivots):
-            u[c] = -u_rref[r, f]
-        u = u / col_scale
-        residual = np.linalg.norm(a @ u)
-        bound = 1e-6 * max(1.0, float(np.max(np.abs(a)))) * np.linalg.norm(u)
-        if residual <= bound:
-            return u
-    raise DegenerateNullspace("no numerically reliable null vector found")
+    u = np.linalg.svd(a)[2][-1]
+    scale = max(1.0, float(np.max(np.abs(a))))
+    if np.linalg.norm(a @ u) > 1e-6 * scale:
+        raise DegenerateNullspace("no numerically reliable null vector found")
+    return u
 
 
 def rank_factorization(
@@ -102,4 +62,4 @@ def rank_factorization(
 
 
 def numerical_rank(m: np.ndarray, tol: float = RANK_TOL) -> int:
-    return len(_rref(np.asarray(m, dtype=float), tol)[1])
+    return len(rank_factorization(m, tol)[0])

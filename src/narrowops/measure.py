@@ -294,10 +294,6 @@ class MeasurableSet:
     def measure(self) -> Fraction:
         return self.space.measure(self.indices)
 
-    def in_positive_sigma(self) -> bool:
-        """Membership in Sigma^+: nonempty (all atoms carry positive weight)."""
-        return not self.is_empty
-
     def weights_float(self) -> np.ndarray:
         w = self.space.weights_float()
         return w[list(self.indices)]

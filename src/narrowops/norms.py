@@ -37,17 +37,19 @@ class TargetNorm:
         if self.kind not in (_LP, _SUP, _COEFF_SUP):
             raise ValueError(f"unknown norm kind {self.kind!r}")
         if self.kind == _LP:
-            if self.p is None or not self.p > 0:
-                raise ValueError("lp norms need p > 0")
+            if self.p is None or not 0 < self.p < np.inf:
+                raise ValueError("lp norms need a finite p > 0")
         if self.kind in (_LP, _SUP):
             w = np.asarray(self.weights, dtype=float)
-            if w.ndim != 1 or np.any(w <= 0):
-                raise ValueError("weights must be a 1-d positive vector")
+            if w.ndim != 1 or not np.all((w > 0) & (w < np.inf)):
+                raise ValueError("weights must be a 1-d positive finite vector")
             object.__setattr__(self, "weights", w)
         if self.kind == _COEFF_SUP:
             b = np.asarray(self.basis, dtype=float)
             if b.ndim != 2 or b.shape[1] > b.shape[0]:
                 raise ValueError("basis must be a (dim, m) full-column-rank matrix")
+            if not np.isfinite(b).all():
+                raise ValueError("basis must be finite")
             object.__setattr__(self, "basis", b)
             object.__setattr__(self, "_basis_pinv", np.linalg.pinv(b))
 
@@ -62,11 +64,6 @@ class TargetNorm:
         if self.kind == _LP:
             return self.p >= 1
         return True
-
-    @property
-    def homogeneous(self) -> bool:
-        """True when ||a y|| = |a| ||y||; false only for lp with p < 1."""
-        return self.locally_convex
 
     def to_json(self) -> dict:
         if self.kind == _LP:

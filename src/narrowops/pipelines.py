@@ -638,10 +638,7 @@ def sum_compact_locally_convex(
             achieved = {"t1": inner.achieved["t1"], "t2": val}
             if ctx.ops["t1"].target_dim == ctx.ops["t2"].target_dim:
                 total_img = ctx.ops["t1"].apply(x) + t2x
-                try:
-                    achieved["sum"] = fnorm(target, total_img)
-                except Exception:
-                    pass
+                achieved["sum"] = fnorm(target, total_img)
             return PipelineReport(
                 pipeline="sum_compact_locally_convex",
                 status="success",

@@ -1,10 +1,14 @@
 """Constructive rounding of fractional coefficients to {0,1} and {-1,+1}.
 
 The half-integer rounding keeps the running sum ``sum lambda_i x_i``
-invariant while eliminating floating coefficients along null directions of
-the floating vectors, then rounds the at most ``dim`` survivors to the
-nearest integer.  The resulting discrepancy is certified by
-``(dim/2) * max ||x_i||``; the +-1 variant doubles the certificate.
+invariant while eliminating floating (strictly fractional) coefficients,
+then rounds the at most ``dim`` survivors to the nearest integer.  Each
+elimination step is the Beck-Fiala step: it takes the first ``dim + 1``
+floating vectors, which are linearly dependent, moves only their
+coefficients along a null vector of those ``dim + 1`` columns (one small
+LAPACK call) and stops when one of them reaches 0 or 1.  The resulting
+discrepancy is certified by ``(dim/2) * max ||x_i||``; the +-1 variant
+doubles the certificate.
 """
 
 from __future__ import annotations
@@ -84,9 +88,10 @@ def _snap(lam: np.ndarray) -> None:
 def round_half_integer(instance: RoundingInstance) -> RoundingResult:
     """Round coefficients in [0,1] to {0,1} with certified discrepancy.
 
-    While more than ``dim`` coefficients are strictly fractional, move them
-    along a null direction of the floating vectors until one hits {0,1};
-    the weighted sum is invariant along such moves.  Ties at 1/2 round to 0.
+    While more than ``dim`` coefficients are strictly fractional, move the
+    first ``dim + 1`` of them along a null direction of their vectors until
+    one hits {0,1}; the weighted sum is invariant along such moves.  Ties at
+    1/2 round to 0.
     """
     x = instance.vectors
     lam = np.array(instance.coefficients, dtype=float, copy=True)
@@ -96,14 +101,14 @@ def round_half_integer(instance: RoundingInstance) -> RoundingResult:
     steps = 0
     floating = np.flatnonzero((lam > 0.0) & (lam < 1.0))
     while floating.size > d:
-        u = null_vector(x[floating].T)
+        # d+1 floating vectors in dimension d are linearly dependent
+        act = floating[: d + 1]
+        u = null_vector(x[act].T)
         # largest step in the +u direction keeping all coordinates in [0,1]
-        lf = lam[floating]
+        la = lam[act]
         with np.errstate(divide="ignore"):
-            t_up = np.where(u > 0, (1.0 - lf) / np.where(u > 0, u, 1.0), np.inf)
-            t_down = np.where(u < 0, lf / np.where(u < 0, -u, 1.0), np.inf)
-        t = float(np.min(np.minimum(t_up, t_down)))
-        lam[floating] = lf + t * u
+            t = float(np.min(np.where(u > 0, 1.0 - la, la) / np.abs(u)))
+        lam[act] = la + t * u
         _snap(lam)
         new_floating = np.flatnonzero((lam > 0.0) & (lam < 1.0))
         if new_floating.size >= floating.size:

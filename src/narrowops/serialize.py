@@ -1,4 +1,4 @@
-"""Flat-file formats: matrices (CSV/JSON), operator bundles, signs, reports.
+"""Flat-file formats: matrices (CSV/JSON), operator bundles, reports.
 
 The CSV matrix format is row-major with a two-line header::
 
@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .measure import MeasureSpace, SignVector
+from .measure import MeasureSpace
 from .norms import TargetNorm
 from .operators import DiscreteOperator
 
@@ -65,14 +65,6 @@ def operator_from_json(obj: dict) -> DiscreteOperator:
         space=MeasureSpace.from_json(obj["space"]),
         target=TargetNorm.from_json(obj["norm"]),
     )
-
-
-def sign_to_json(x: SignVector) -> dict:
-    return {"values": x.values.tolist(), "space": x.space.to_json()}
-
-
-def sign_from_json(obj: dict) -> SignVector:
-    return SignVector.from_values(MeasureSpace.from_json(obj["space"]), obj["values"])
 
 
 def rows_to_csv(rows: list[dict], columns: list[str], path: str | Path) -> None:

@@ -119,3 +119,24 @@ class TestSerialization:
             back = TargetNorm.from_json(norm.to_json())
             y = RNG.standard_normal(3)
             assert fnorm(back, y) == pytest.approx(fnorm(norm, y), rel=1e-14)
+
+
+class TestValidation:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("kind", ["sup", "lp"])
+    def test_bad_weight_rejected(self, kind, bad):
+        with pytest.raises(ValueError):
+            TargetNorm(kind, p=2.0 if kind == "lp" else None,
+                       weights=np.array([bad, 1.0]))
+
+    @pytest.mark.parametrize("p", [np.nan, np.inf, 0.0, -1.0])
+    def test_bad_p_rejected(self, p):
+        with pytest.raises(ValueError):
+            lp_norm(p, dim=2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_basis_rejected(self, bad):
+        basis = np.eye(3)[:, :2]
+        basis[1, 0] = bad
+        with pytest.raises(ValueError):
+            coefficient_sup_norm(basis)

@@ -1,10 +1,14 @@
 """Rounding lemma tests: certificate bound, sum invariance, brute-force
-theta oracle on small instances."""
+theta oracle on small instances, the d+1-column elimination step and its
+null vectors."""
 
 from itertools import product
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from narrowops import (
     RoundingInstance,
@@ -14,6 +18,13 @@ from narrowops import (
     sign_round,
     sup_norm,
 )
+from narrowops.linalg import null_vector
+
+_NORMS = {
+    "sup": lambda d: sup_norm(dim=d),
+    "l1": lambda d: lp_norm(1, dim=d),
+    "l2": lambda d: lp_norm(2, dim=d),
+}
 
 
 def _brute_force_discrepancy(vectors, coefficients, norm):
@@ -158,3 +169,101 @@ class TestSignRound:
                 for s in product((-1, 1), repeat=n)
             )
             assert best <= achieved + 1e-9
+
+
+def _check_step_invariants(vectors, coefficients, norm):
+    """Round, checking that every step solves one (d, d+1) null-vector problem."""
+    n, d = vectors.shape
+    with mock.patch("narrowops.rounding.null_vector", wraps=null_vector) as spy:
+        res = round_half_integer(RoundingInstance(
+            vectors=vectors, coefficients=coefficients, norm=norm))
+    shapes = [call.args[0].shape for call in spy.call_args_list]
+    assert shapes == [(d, d + 1)] * res.elimination_steps
+    assert res.elimination_steps <= max(n - d, 0)
+    assert res.discrepancy <= res.certificate + 1e-9 * max(1.0, res.certificate)
+    return res
+
+
+class TestEliminationStep:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 64),
+        d=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        integral=st.booleans(),
+        norm=st.sampled_from(sorted(_NORMS)),
+    )
+    def test_d_plus_one_columns(self, n, d, seed, integral, norm):
+        rng = np.random.default_rng(seed)
+        if integral:
+            # small integer entries give zero, repeated and dependent rows
+            vectors = rng.integers(-2, 3, (n, d)).astype(float)
+            coefficients = rng.choice([0.0, 0.25, 0.5, 1.0], n)
+        else:
+            vectors = rng.standard_normal((n, d))
+            coefficients = rng.uniform(0, 1, n)
+        _check_step_invariants(vectors, coefficients, _NORMS[norm](d))
+
+    def test_fixes_one_coordinate_per_step(self):
+        rng = np.random.default_rng(11)
+        n, d = 40, 5
+        res = _check_step_invariants(
+            rng.standard_normal((n, d)), rng.uniform(0.05, 0.95, n),
+            lp_norm(2, dim=d))
+        assert res.elimination_steps == n - d
+
+    def test_zero_rows(self):
+        rng = np.random.default_rng(12)
+        vectors = rng.standard_normal((20, 3))
+        vectors[::2] = 0.0
+        _check_step_invariants(vectors, rng.uniform(0, 1, 20), sup_norm(dim=3))
+
+    def test_all_rows_zero(self):
+        res = _check_step_invariants(
+            np.zeros((10, 2)), np.full(10, 0.5), sup_norm(dim=2))
+        assert res.discrepancy == res.certificate == 0.0
+
+    def test_duplicated_rows(self):
+        rng = np.random.default_rng(13)
+        vectors = np.repeat(rng.standard_normal((4, 3)), 6, axis=0)
+        _check_step_invariants(vectors, rng.uniform(0, 1, 24), lp_norm(1, dim=3))
+
+    def test_rank_below_dimension(self):
+        rng = np.random.default_rng(14)
+        n, d, r = 30, 6, 2
+        vectors = rng.standard_normal((n, r)) @ rng.standard_normal((r, d))
+        _check_step_invariants(vectors, rng.uniform(0, 1, n), lp_norm(2, dim=d))
+
+    @pytest.mark.parametrize("n", [1, 3, 4])
+    def test_at_most_dim_vectors_take_no_step(self, n):
+        rng = np.random.default_rng(15)
+        coefficients = rng.uniform(0, 1, n)
+        res = _check_step_invariants(
+            rng.standard_normal((n, 4)), coefficients, sup_norm(dim=4))
+        assert res.elimination_steps == 0
+        assert res.theta.tolist() == (coefficients > 0.5).astype(int).tolist()
+
+
+class TestNullVector:
+    @staticmethod
+    def _check(a):
+        u = null_vector(a)
+        assert u.shape == (a.shape[1],)
+        assert np.linalg.norm(u) == pytest.approx(1.0)
+        assert np.linalg.norm(a @ u) <= 1e-6 * max(1.0, float(np.max(np.abs(a))))
+
+    @pytest.mark.parametrize("d", [1, 2, 5, 8])
+    def test_random(self, d):
+        rng = np.random.default_rng(d)
+        for _ in range(20):
+            self._check(rng.standard_normal((d, d + 1)) * 10.0 ** rng.integers(-3, 4))
+
+    @pytest.mark.parametrize("d", [2, 5, 8])
+    def test_rank_deficient(self, d):
+        rng = np.random.default_rng(100 + d)
+        for r in range(d):
+            self._check(rng.standard_normal((d, r)) @ rng.standard_normal((r, d + 1)))
+
+    @pytest.mark.parametrize("d", [1, 4, 8])
+    def test_all_zero(self, d):
+        self._check(np.zeros((d, d + 1)))
