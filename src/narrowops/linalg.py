@@ -59,7 +59,3 @@ def rank_factorization(
     b = m[:, pivots]
     c, *_ = np.linalg.lstsq(b, m, rcond=None)
     return pivots, b, c
-
-
-def numerical_rank(m: np.ndarray, tol: float = RANK_TOL) -> int:
-    return len(rank_factorization(m, tol)[0])

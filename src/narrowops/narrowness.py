@@ -138,50 +138,43 @@ def _atom_bounds(T: DiscreteOperator) -> np.ndarray:
 def partition_small_cells(T: DiscreteOperator, epsilon: float) -> Partition:
     """Partition all atoms into cells whose certified sign bound is <= epsilon.
 
-    Greedy first-fit over atoms in decreasing single-atom bound order.  For
-    sup targets the per-cell certificate is the exact row-absolute-sum value;
-    otherwise the column norm sum upper bound is used.
+    Greedy first-fit decreasing (Johnson 1974): atoms in decreasing
+    single-atom bound order, ties by index, each placed in the first open cell
+    that stays within epsilon, else in a new cell.  For sup targets the
+    per-cell certificate is the exact row-absolute-sum value; otherwise the
+    column norm sum upper bound is used.
     """
     check_budgets(epsilon=epsilon)
     bounds = _atom_bounds(T)
-    order = sorted(range(T.space.n_atoms), key=lambda i: (-bounds[i], i))
-    worst = order[0]
+    n = T.space.n_atoms
+    order = np.lexsort((np.arange(n), -bounds))
+    worst = int(order[0])
     if bounds[worst] > epsilon:
         raise AtomTooLarge(worst, float(bounds[worst]), epsilon)
 
     is_sup = T.target.kind == "sup"
-    cells: list[list[int]] = []
-    # per-cell accumulator: weighted row abs sums (sup) or scalar norm sum
-    accs: list[np.ndarray | float] = []
-    w = T.target.weights if is_sup else None
-    for i in order:
-        placed = False
-        contrib = w * np.abs(T.matrix[:, i]) if is_sup else float(bounds[i])
-        for k in range(len(cells)):
-            if is_sup:
-                if float(np.max(accs[k] + contrib)) <= epsilon:
-                    accs[k] = accs[k] + contrib
-                    cells[k].append(i)
-                    placed = True
-                    break
-            else:
-                if accs[k] + contrib <= epsilon:
-                    accs[k] = accs[k] + contrib
-                    cells[k].append(i)
-                    placed = True
-                    break
-        if not placed:
-            cells.append([i])
-            accs.append(contrib)
+    # one contribution row per atom: weighted |column| (sup), else its bound
+    contrib = (
+        (T.target.weights[:, None] * np.abs(T.matrix)).T if is_sup else bounds[:, None]
+    )
+    # row k accumulates cell k's contributions in the order the atoms join it
+    accs = np.zeros_like(contrib)
+    cell_of = np.empty(n, dtype=np.int64)
+    n_cells = 0
+    for i in order.tolist():
+        c = contrib[i]
+        fits = (accs[:n_cells] + c).max(axis=1) <= epsilon
+        k = int(fits.argmax()) if fits.any() else n_cells
+        n_cells = max(n_cells, k + 1)
+        accs[k] += c
+        cell_of[i] = k
 
-    msets = [T.space.subset(c) for c in cells]
-    cell_bounds = [
-        float(np.max(a)) if is_sup else float(a) for a in accs
-    ]
+    members = np.argsort(cell_of, kind="stable")
+    splits = np.cumsum(np.bincount(cell_of, minlength=n_cells))[:-1]
     return Partition(
-        cells=msets,
-        bounds=cell_bounds,
-        exact=[is_sup] * len(msets),
+        cells=[T.space.subset(c.tolist()) for c in np.split(members, splits)],
+        bounds=accs[:n_cells].max(axis=1).tolist(),
+        exact=[is_sup] * n_cells,
         epsilon=epsilon,
     )
 
@@ -388,15 +381,12 @@ def _best_sign_within(
             )
         except NoFeasibleSign:
             return None, 0.0
-    # upper-bound guided greedy: match signs of the dominant column direction
-    sign, _ = _kernel_like_greedy(T, idx)
-    return sign, T.image_norm(sign)
-
-
-def _kernel_like_greedy(T, idx):
+    # too many atoms to enumerate: the full-support all-+1 sign on the set,
+    # with no direction matching
     values = np.zeros(T.space.n_atoms, dtype=np.int8)
     values[idx] = 1
-    return SignVector(space=T.space, values=values), None
+    sign = SignVector(space=T.space, values=values)
+    return sign, T.image_norm(sign)
 
 
 def _split_support(

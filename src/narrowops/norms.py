@@ -41,13 +41,15 @@ class TargetNorm:
                 raise ValueError("lp norms need a finite p > 0")
         if self.kind in (_LP, _SUP):
             w = np.asarray(self.weights, dtype=float)
-            if w.ndim != 1 or not np.all((w > 0) & (w < np.inf)):
-                raise ValueError("weights must be a 1-d positive finite vector")
+            if w.ndim != 1 or not w.size or not np.all((w > 0) & (w < np.inf)):
+                raise ValueError("weights must be non-empty, 1-d, positive and finite")
             object.__setattr__(self, "weights", w)
         if self.kind == _COEFF_SUP:
             b = np.asarray(self.basis, dtype=float)
-            if b.ndim != 2 or b.shape[1] > b.shape[0]:
-                raise ValueError("basis must be a (dim, m) full-column-rank matrix")
+            if b.ndim != 2 or not 0 < b.shape[1] <= b.shape[0]:
+                raise ValueError(
+                    "basis must be a (dim, m) full-column-rank matrix with m >= 1"
+                )
             if not np.isfinite(b).all():
                 raise ValueError("basis must be finite")
             object.__setattr__(self, "basis", b)

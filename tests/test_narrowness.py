@@ -130,7 +130,64 @@ def _oracle_kernel_pairing(T, mset):
     return values
 
 
+def _oracle_partition(T, epsilon):
+    """The per-cell loop that ``partition_small_cells`` replaced: first-fit
+    over atoms in (-bound, index) order, one reduction per tried cell."""
+    bounds = T.column_norms()
+    order = sorted(range(T.space.n_atoms), key=lambda i: (-bounds[i], i))
+    if bounds[order[0]] > epsilon:
+        raise AtomTooLarge(order[0], float(bounds[order[0]]), epsilon)
+    is_sup = T.target.kind == "sup"
+    cells, accs = [], []
+    for i in order:
+        contrib = (T.target.weights * np.abs(T.matrix[:, i]) if is_sup
+                   else float(bounds[i]))
+        for k in range(len(cells)):
+            if float(np.max(accs[k] + contrib)) <= epsilon:
+                accs[k] = accs[k] + contrib
+                cells[k].append(i)
+                break
+        else:
+            cells.append([i])
+            accs.append(contrib)
+    return ([tuple(sorted(c)) for c in cells],
+            [float(np.max(a)) for a in accs], [is_sup] * len(cells))
+
+
 class TestPartition:
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 24), dim=st.integers(1, 3),
+           kind=st.sampled_from(["sup", "l1", "l2"]),
+           factor=st.sampled_from([0.5, 1.0, 1.5, 2.0, 3.0, 8.0]))
+    def test_partition_matches_loop(self, data, n, dim, kind, factor):
+        # a small pool of dyadic and non-dyadic columns, zero column included,
+        # so bounds tie and cell sums land exactly on epsilon
+        entries = st.sampled_from([0.0, 0.25, -0.25, 0.5, -1.0, 0.3])
+        pool = data.draw(st.lists(st.lists(entries, min_size=dim, max_size=dim),
+                                  min_size=1, max_size=4))
+        pool.append([0.0] * dim)
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1),
+                                   min_size=n, max_size=n))
+        weights = data.draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]),
+                                     min_size=dim, max_size=dim))
+        target = {"sup": sup_norm(weights=weights),
+                  "l1": lp_norm(1, weights=weights),
+                  "l2": lp_norm(2, weights=weights)}[kind]
+        space = MeasureSpace.from_weights([Fraction(1, 32)] * n)
+        T = DiscreteOperator(np.array([pool[c] for c in picks]).T, space, target)
+        epsilon = factor * max(float(T.column_norms().max()), 0.25)
+        try:
+            expected = _oracle_partition(T, epsilon)
+        except AtomTooLarge as exc:
+            with pytest.raises(AtomTooLarge) as got:
+                partition_small_cells(T, epsilon)
+            assert got.value.atom == exc.atom
+            return
+        part = partition_small_cells(T, epsilon)
+        assert [c.indices for c in part.cells] == expected[0]
+        assert part.bounds == expected[1]
+        assert part.exact == expected[2]
+
     def test_zero_operator_single_cell(self):
         space = MeasureSpace.uniform(8)
         T = DiscreteOperator(np.zeros((2, 8)), space, sup_norm(dim=2))

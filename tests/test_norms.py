@@ -140,3 +140,16 @@ class TestValidation:
         basis[1, 0] = bad
         with pytest.raises(ValueError):
             coefficient_sup_norm(basis)
+
+    @pytest.mark.parametrize("make", [
+        lambda: sup_norm(weights=np.zeros(0)),
+        lambda: lp_norm(1, weights=np.zeros(0)),
+        lambda: lp_norm(2, dim=0),
+        lambda: coefficient_sup_norm(np.zeros((3, 0))),
+        lambda: coefficient_sup_norm(np.zeros((0, 0))),
+    ])
+    def test_zero_dimensional_rejected(self, make):
+        # a zero-dimensional norm used to pass here and fail later inside a
+        # numpy reduction of round_half_integer
+        with pytest.raises(ValueError):
+            make()
