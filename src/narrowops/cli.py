@@ -108,7 +108,7 @@ def _cmd_partition(args, config: dict, seed: int) -> int:
     T = _operator_from_config(config["operator"])
     part = partition_small_cells(T, float(config["epsilon"]))
     report = part.summary()
-    report["cells"] = [list(c.indices) for c in part.cells]
+    report["cells"] = [c.indices.tolist() for c in part.cells]
     rows = [
         {"cell": k, "size": c.size, "bound": part.bounds[k], "exact": part.exact[k]}
         for k, c in enumerate(part.cells)

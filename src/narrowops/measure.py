@@ -44,6 +44,18 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _as_indices(indices) -> np.ndarray:
+    """Fresh 1-d int64 copy of atom indices; floats, strings, booleans and
+    nested input raise InvalidAtom instead of being truncated or cast."""
+    try:
+        a = np.asarray(indices if isinstance(indices, np.ndarray) else list(indices))
+    except (TypeError, ValueError):
+        raise InvalidAtom("atom indices must be a 1-d sequence of integers") from None
+    if a.ndim != 1 or (a.size and a.dtype.kind not in "iu"):
+        raise InvalidAtom("atom indices must be a 1-d sequence of integers")
+    return a.astype(np.int64)
+
+
 @dataclass(frozen=True, eq=False)
 class RefineMap:
     """Index mapping produced by a refinement.
@@ -84,12 +96,12 @@ class RefineMap:
         s = int(self.starts()[old_index])
         return range(s, s + int(self.counts[old_index]))
 
-    def map_indices(self, indices: Iterable[int]) -> tuple[int, ...]:
-        idx = np.fromiter(indices, dtype=np.int64)
+    def map_indices(self, indices: Iterable[int] | np.ndarray) -> np.ndarray:
+        idx = _as_indices(indices)
         c = self.counts[idx]
         # child k of old atom idx[j] sits at starts[idx[j]] + k
         offsets = np.repeat(self.starts()[idx] - (np.cumsum(c) - c), c)
-        return tuple((offsets + np.arange(offsets.size)).tolist())
+        return offsets + np.arange(offsets.size)
 
     def lift_values(self, values: Sequence[int] | np.ndarray) -> np.ndarray:
         """Each child inherits the parent's value (indicator lifting)."""
@@ -190,18 +202,18 @@ class MeasureSpace:
     def weights_float(self) -> np.ndarray:
         return self.numerators / 2.0**self.denom_log2
 
-    def measure(self, indices: Iterable[int]) -> Fraction:
-        idx = np.fromiter(indices, dtype=np.int64)
+    def measure(self, indices: Iterable[int] | np.ndarray) -> Fraction:
+        idx = _as_indices(indices)
         if idx.size:
             self._check_atom(int(idx.min()))
             self._check_atom(int(idx.max()))
         return Fraction(int(self.numerators[idx].sum()), 2**self.denom_log2)
 
     def full_set(self) -> "MeasurableSet":
-        return MeasurableSet(space=self, indices=tuple(range(self.n_atoms)))
+        return MeasurableSet(space=self, indices=np.arange(self.n_atoms))
 
-    def subset(self, indices: Iterable[int]) -> "MeasurableSet":
-        return MeasurableSet(space=self, indices=tuple(sorted(set(indices))))
+    def subset(self, indices: Iterable[int] | np.ndarray) -> "MeasurableSet":
+        return MeasurableSet(space=self, indices=np.unique(_as_indices(indices)))
 
     def _check_atom(self, atom: int) -> None:
         if not 0 <= atom < self.n_atoms:
@@ -215,10 +227,10 @@ class MeasureSpace:
         return self.refine_atoms([atom], parts)
 
     def refine_atoms(
-        self, atoms: Iterable[int], parts: int
+        self, atoms: Iterable[int] | np.ndarray, parts: int
     ) -> tuple["MeasureSpace", RefineMap]:
         """Split each listed atom into `parts` equal children in one pass."""
-        marked = np.unique(np.fromiter(atoms, dtype=np.int64))
+        marked = np.unique(_as_indices(atoms))
         if marked.size:
             self._check_atom(int(marked[0]))
             self._check_atom(int(marked[-1]))
@@ -268,43 +280,43 @@ class MeasureSpace:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurableSet:
-    """Subset of atoms of a MeasureSpace (sorted, duplicate-free indices)."""
+    """Subset of atoms of a MeasureSpace.
+
+    ``indices`` is a read-only, sorted, duplicate-free int64 array.
+    """
 
     space: MeasureSpace
-    indices: tuple[int, ...]
+    indices: np.ndarray
 
     def __post_init__(self):
-        idx = np.fromiter(self.indices, dtype=np.int64)
+        idx = _as_indices(self.indices)
         if (np.diff(idx) <= 0).any():
             raise InvalidAtom("indices must be sorted and duplicate-free")
         if idx.size and (idx[0] < 0 or idx[-1] >= self.space.n_atoms):
             raise InvalidAtom("index out of range for the space")
+        object.__setattr__(self, "indices", _read_only(idx))
 
     @property
     def size(self) -> int:
-        return len(self.indices)
+        return self.indices.size
 
     @property
     def is_empty(self) -> bool:
-        return not self.indices
+        return not self.indices.size
 
     @property
     def measure(self) -> Fraction:
-        return self.space.measure(self.indices)
+        nums = self.space.numerators[self.indices]
+        return Fraction(int(nums.sum()), 2**self.space.denom_log2)
 
     def weights_float(self) -> np.ndarray:
-        w = self.space.weights_float()
-        return w[list(self.indices)]
+        return self.space.weights_float()[self.indices]
 
     def difference(self, other: "MeasurableSet") -> "MeasurableSet":
-        keep = np.setdiff1d(
-            np.fromiter(self.indices, dtype=np.int64),
-            np.fromiter(other.indices, dtype=np.int64),
-            assume_unique=True,
-        )
-        return MeasurableSet(space=self.space, indices=tuple(keep.tolist()))
+        keep = np.setdiff1d(self.indices, other.indices, assume_unique=True)
+        return MeasurableSet(space=self.space, indices=keep)
 
     def lift(self, rmap: RefineMap, space: MeasureSpace) -> "MeasurableSet":
         return MeasurableSet(space=space, indices=rmap.map_indices(self.indices))
@@ -341,7 +353,7 @@ class SignVector:
         return tuple(np.flatnonzero(self.values).tolist())
 
     def support_set(self) -> MeasurableSet:
-        return MeasurableSet(space=self.space, indices=self.support)
+        return MeasurableSet(space=self.space, indices=np.flatnonzero(self.values))
 
     @property
     def mean_zero(self) -> bool:
@@ -359,7 +371,7 @@ class SignVector:
 
     def is_sign_on(self, mset: MeasurableSet) -> bool:
         """True iff support equals mset exactly (a 'sign on A' in the classical sense)."""
-        return self.support == mset.indices
+        return np.array_equal(np.flatnonzero(self.values), mset.indices)
 
     def pointwise_product(self, other: "SignVector") -> "SignVector":
         if other.space is not self.space and other.space != self.space:
@@ -388,7 +400,7 @@ def rademacher_sign(mset: MeasurableSet, level: int) -> SignVector:
     blocks = 2**level
     if s % blocks != 0:
         raise NotDivisible(f"set size {s} not divisible by 2^{level}")
-    idx = np.fromiter(mset.indices, dtype=np.int64)
+    idx = mset.indices
     nums = mset.space.numerators[idx]
     if s == 0 or (nums != nums[0]).any():
         raise UnequalWeights("atoms in the set must have equal weight")
@@ -407,7 +419,7 @@ def half_split(mset: MeasurableSet) -> tuple[MeasurableSet, MeasurableSet]:
     """
     if mset.is_empty:
         raise Unsplittable("cannot split the empty set")
-    nums = mset.space.numerators[list(mset.indices)].tolist()
+    nums = mset.space.numerators[mset.indices].tolist()
     total = sum(nums)
     if total % 2 != 0:
         raise Unsplittable("total numerator is odd; refine first")
@@ -427,11 +439,11 @@ def half_split(mset: MeasurableSet) -> tuple[MeasurableSet, MeasurableSet]:
         if first_dp is None:
             raise Unsplittable("no subset achieves exactly half the measure")
         first = first_dp
-    a = tuple(mset.indices[j] for j in sorted(first))
-    b = tuple(mset.indices[j] for j in range(len(nums)) if j not in first)
+    in_first = np.zeros(len(nums), dtype=bool)
+    in_first[list(first)] = True
     return (
-        MeasurableSet(space=mset.space, indices=a),
-        MeasurableSet(space=mset.space, indices=b),
+        MeasurableSet(space=mset.space, indices=mset.indices[in_first]),
+        MeasurableSet(space=mset.space, indices=mset.indices[~in_first]),
     )
 
 

@@ -112,13 +112,9 @@ class Partition:
         return len(self.cells)
 
     def validate_cover(self) -> bool:
-        seen: set[int] = set()
-        for cell in self.cells:
-            if seen.intersection(cell.indices):
-                return False
-            seen.update(cell.indices)
         n = self.cells[0].space.n_atoms if self.cells else 0
-        return seen == set(range(n))
+        idx = np.concatenate([c.indices for c in self.cells] or [np.zeros(0, np.int64)])
+        return np.array_equal(np.sort(idx), np.arange(n))
 
     def summary(self) -> dict:
         return {
@@ -169,10 +165,11 @@ def partition_small_cells(T: DiscreteOperator, epsilon: float) -> Partition:
         accs[k] += c
         cell_of[i] = k
 
+    # stable, so each cell's slice lists its atoms in increasing index order
     members = np.argsort(cell_of, kind="stable")
     splits = np.cumsum(np.bincount(cell_of, minlength=n_cells))[:-1]
     return Partition(
-        cells=[T.space.subset(c.tolist()) for c in np.split(members, splits)],
+        cells=[MeasurableSet(space=T.space, indices=c) for c in np.split(members, splits)],
         bounds=accs[:n_cells].max(axis=1).tolist(),
         exact=[is_sup] * n_cells,
         epsilon=epsilon,
@@ -203,7 +200,7 @@ def _kernel_pairing(
     Returns a full-support mean-zero sign with exactly zero image when every
     atom of the set can be paired, else None.
     """
-    idx = np.fromiter(mset.indices, dtype=np.int64)
+    idx = mset.indices
     # key: the column's bit pattern plus the atom's numerator, so only
     # bitwise-equal columns of equal-weight atoms share a group
     cols = np.ascontiguousarray(T.matrix[:, idx].T).view(np.int64)
@@ -229,7 +226,7 @@ def _rademacher_scan(
     best_val = float("inf")
     if s < 2:
         return None, None, best_val
-    nums = T.space.numerators[np.fromiter(mset.indices, dtype=np.int64)]
+    nums = T.space.numerators[mset.indices]
     if (nums != nums[0]).any():
         return None, None, best_val
     level = 1

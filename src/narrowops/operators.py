@@ -9,7 +9,6 @@ original image exactly up to rounding.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -66,11 +65,11 @@ class DiscreteOperator:
     def indicator_image_norm(self, mset: MeasurableSet) -> float:
         """||T 1_A|| for a measurable set A."""
         v = np.zeros(self.space.n_atoms)
-        v[list(mset.indices)] = 1.0
+        v[mset.indices] = 1.0
         return fnorm(self.target, self.matrix @ v)
 
-    def column_norms(self, indices: Iterable[int] | None = None) -> np.ndarray:
-        cols = self.matrix.T if indices is None else self.matrix[:, list(indices)].T
+    def column_norms(self, indices: np.ndarray | None = None) -> np.ndarray:
+        cols = self.matrix.T if indices is None else self.matrix[:, indices].T
         return fnorm_many(self.target, cols)
 
     def refine(self, rmap: RefineMap, space: MeasureSpace) -> "DiscreteOperator":
@@ -95,13 +94,13 @@ def max_sign_image_norm(
     exhaustion up to the ternary cap and otherwise fall back to the column
     norm sum upper bound.
     """
-    idx = list(mset.indices)
-    if not idx:
+    idx = mset.indices
+    if not idx.size:
         return 0.0, True
     if T.target.kind == "sup":
         row_abs = np.abs(T.matrix[:, idx]).sum(axis=1)
         return float(np.max(T.target.weights * row_abs)), True
-    if len(idx) <= TERNARY_EXHAUSTIVE_LIMIT:
+    if idx.size <= TERNARY_EXHAUSTIVE_LIMIT:
         _, value = brute_force_best_sign(
             T, mset, require_mean_zero=False, objective="max"
         )
@@ -142,8 +141,8 @@ def brute_force_best_sign(
     """
     if objective not in ("min", "max"):
         raise ValueError("objective must be 'min' or 'max'")
-    idx = list(mset.indices)
-    s = len(idx)
+    idx = mset.indices
+    s = idx.size
     if s == 0:
         raise NoFeasibleSign("the empty set supports no nonzero sign")
     cap = FULL_SUPPORT_EXHAUSTIVE_LIMIT if full_support else TERNARY_EXHAUSTIVE_LIMIT

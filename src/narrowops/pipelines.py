@@ -467,7 +467,7 @@ def sum_finite_rank(
         except AtomTooLarge:
             bounds = ctx.ops["coeff"].column_norms()
             too_big = np.flatnonzero(bounds > cell_budget)
-            ctx.refine_atoms([int(i) for i in too_big], 2, refine_budget)
+            ctx.refine_atoms(too_big, 2, refine_budget)
 
     order = sorted(
         range(partition.n_cells),

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from narrowops import (
     InvalidAtom,
+    MeasurableSet,
     MeasureSpace,
     NonDyadic,
     NotDivisible,
@@ -23,6 +24,7 @@ from narrowops import (
     half_split,
     rademacher_sign,
 )
+from narrowops.measure import _subset_sum
 
 
 class TestMeasureSpace:
@@ -174,7 +176,7 @@ class TestHalfSplit:
     def test_two_atoms(self):
         space = MeasureSpace.uniform(2)
         a, b = half_split(space.full_set())
-        assert a.indices == (0,) and b.indices == (1,)
+        assert a.indices.tolist() == [0] and b.indices.tolist() == [1]
 
     def test_four_atoms_equal_measure(self):
         space = MeasureSpace.uniform(4)
@@ -187,7 +189,7 @@ class TestHalfSplit:
         # the only half-measure subset containing atom 0
         space = MeasureSpace.from_weights([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)])
         a, b = half_split(space.full_set())
-        assert {a.indices, b.indices} == {(0,), (1, 2)}
+        assert {tuple(a.indices.tolist()), tuple(b.indices.tolist())} == {(0,), (1, 2)}
 
     def test_unsplittable(self):
         space = MeasureSpace.from_weights([Fraction(1, 2), Fraction(1, 4)])
@@ -211,7 +213,7 @@ class TestHalfSplit:
             assert total % 2 == 1 or total // 2 not in achievable
             return
         assert a.measure == b.measure
-        assert a.difference(b).indices == a.indices
+        assert a.difference(b).indices.tolist() == a.indices.tolist()
 
 
 # Pure-Python oracles: the loop implementations the numpy code replaced.
@@ -244,6 +246,42 @@ def _oracle_refine_weights(space, atoms, parts):
         w = space.weight(i)
         out.extend([w / parts] * parts if i in atoms else [w])
     return out
+
+
+def _oracle_subset(indices):
+    return tuple(sorted(set(indices)))
+
+
+def _oracle_difference(a, b):
+    return tuple(i for i in a if i not in set(b))
+
+
+def _oracle_set_lift(counts, indices):
+    return tuple(_oracle_map_indices(counts, indices))
+
+
+def _oracle_half_split(space, indices):
+    """The tuple-based ``half_split``: greedy largest-first, then the exact
+    subset-sum fallback, with halves read back by position."""
+    if not indices:
+        raise Unsplittable("cannot split the empty set")
+    nums = [int(space.numerators[i]) for i in indices]
+    if sum(nums) % 2 != 0:
+        raise Unsplittable("total numerator is odd; refine first")
+    half = sum(nums) // 2
+    acc, first = 0, set()
+    for j in sorted(range(len(nums)), key=lambda j: (-nums[j], j)):
+        if acc + nums[j] <= half:
+            acc += nums[j]
+            first.add(j)
+            if acc == half:
+                break
+    if acc != half:
+        first = _subset_sum(nums, half)
+        if first is None:
+            raise Unsplittable("no subset achieves exactly half the measure")
+    return (tuple(indices[j] for j in sorted(first)),
+            tuple(indices[j] for j in range(len(nums)) if j not in first))
 
 
 def _oracle_rademacher(n_atoms, indices, level):
@@ -302,6 +340,81 @@ class TestArrayOracle:
                 array[0] = 1
         assert (space.numerators.dtype, rmap.counts.dtype, sign.values.dtype) == (
             np.int64, np.int64, np.int8)
+
+    def test_set_indices_are_read_only_int64(self):
+        space = MeasureSpace.uniform(8)
+        for mset in (space.full_set(), space.subset([5, 1, 1]),
+                     space.subset([1, 5]).difference(space.subset([5])),
+                     SignVector.from_values(space, [0, 1, -1, 0, 0, 0, 0, 0]).support_set()):
+            assert mset.indices.dtype == np.int64 and mset.indices.ndim == 1
+            with pytest.raises(ValueError):
+                mset.indices[0] = 0
+
+    def test_set_copies_the_callers_array(self):
+        raw = np.array([0, 2])
+        mset = MeasurableSet(space=MeasureSpace.uniform(4), indices=raw)
+        raw[0] = 1
+        assert mset.indices.tolist() == [0, 2]
+
+    @settings(max_examples=200, deadline=None)
+    @given(exponents=st.lists(st.integers(0, 4), min_size=1, max_size=10),
+           data=st.data())
+    def test_set_layer_matches_tuple_oracles(self, exponents, data):
+        space = MeasureSpace.from_weights([Fraction(1, 2**e) for e in exponents])
+        n = space.n_atoms
+        # unsorted draws with repeats exercise the de-duplication in subset
+        raw_a = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+        raw_b = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
+        a, b = space.subset(raw_a), space.subset(raw_b)
+        ta, tb = _oracle_subset(raw_a), _oracle_subset(raw_b)
+        assert a.indices.tolist() == list(ta)
+        assert a.measure == sum((space.weight(i) for i in ta), Fraction(0))
+        assert a.difference(b).indices.tolist() == list(_oracle_difference(ta, tb))
+
+        counts = data.draw(st.lists(st.sampled_from([1, 2, 4]), min_size=n, max_size=n))
+        fine = MeasureSpace.from_weights(
+            [space.weight(i) / c for i, c in enumerate(counts) for _ in range(c)])
+        lifted, tl = a.lift(RefineMap(counts=counts), fine), _oracle_set_lift(counts, ta)
+        assert lifted.indices.tolist() == list(tl)
+        assert lifted.measure == a.measure
+
+        for mset, tup in ((a, ta), (lifted, tl)):
+            try:
+                expected = _oracle_half_split(mset.space, tup)
+            except Unsplittable:
+                with pytest.raises(Unsplittable):
+                    half_split(mset)
+                continue
+            halves = half_split(mset)
+            assert [h.indices.tolist() for h in halves] == [list(t) for t in expected]
+            assert halves[0].measure == halves[1].measure
+
+
+class TestIndexValidation:
+    @pytest.mark.parametrize("call", [
+        lambda s: s.subset([1.5, 2]),
+        lambda s: s.subset(["1"]),
+        lambda s: s.subset(np.array([1.0, 2.0])),
+        lambda s: s.subset([True, False]),
+        lambda s: s.subset([[0, 1]]),
+        lambda s: s.subset(3),
+        lambda s: s.measure([1.9]),
+        lambda s: s.refine_atoms([0.5], 2),
+        lambda s: MeasurableSet(space=s, indices=(0.0, 1.0)),
+        lambda s: RefineMap.identity(s.n_atoms).map_indices([0.5]),
+    ], ids=["float", "string", "float-array", "bool", "2-d", "scalar",
+            "measure-float", "refine-float", "set-float", "map-float"])
+    def test_non_integer_indices_rejected(self, call):
+        with pytest.raises(InvalidAtom):
+            call(MeasureSpace.uniform(4))
+
+    def test_integer_inputs_accepted(self):
+        space = MeasureSpace.uniform(4)
+        for raw in ([], np.zeros(0), (3, 1), range(1, 3), {2, 0},
+                    np.array([3, 0], dtype=np.int32), np.array([1], dtype=np.uint8)):
+            assert space.subset(raw).indices.tolist() == sorted(int(i) for i in raw)
+        assert space.measure(np.zeros(0)) == 0
+        assert space.refine_atoms([], 2)[1].is_identity
 
 
 class TestExactRange:

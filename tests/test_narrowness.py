@@ -22,7 +22,7 @@ from narrowops import (
     sup_norm,
 )
 from narrowops.instances import build_l1_example, l1_example_cells
-from narrowops.narrowness import _kernel_pairing
+from narrowops.narrowness import Partition, _kernel_pairing
 
 
 class TestFindSmallSign:
@@ -184,7 +184,7 @@ class TestPartition:
             assert got.value.atom == exc.atom
             return
         part = partition_small_cells(T, epsilon)
-        assert [c.indices for c in part.cells] == expected[0]
+        assert [tuple(c.indices.tolist()) for c in part.cells] == expected[0]
         assert part.bounds == expected[1]
         assert part.exact == expected[2]
 
@@ -194,6 +194,18 @@ class TestPartition:
         part = partition_small_cells(T, 0.5)
         assert part.n_cells == 1
         assert part.validate_cover()
+
+    def test_validate_cover_rejects_overlap_and_gap(self):
+        space = MeasureSpace.uniform(4)
+
+        def cover(*cells):
+            return Partition(cells=[space.subset(c) for c in cells], bounds=[0.0] * len(cells),
+                             exact=[True] * len(cells), epsilon=1.0).validate_cover()
+
+        assert cover([0, 2], [1, 3])
+        assert not cover([0, 1], [1, 2])         # overlap and gap, four indices
+        assert not cover([0, 1], [1, 2, 3])      # overlap
+        assert not cover([0, 1], [3])            # gap
 
     def test_row_sum_arithmetic(self):
         space = MeasureSpace.uniform(4)
