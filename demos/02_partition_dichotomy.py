@@ -26,5 +26,5 @@ out = adversarial_disjoint_signs(sharp, 0.5, 2)
 print("sharp operator:", "partition" if out.exhausted else "adversary")
 assert not out.exhausted
 for s in out.signs:
-    print(f"  disjoint sign on atoms {sorted(s.support)}, "
+    print(f"  disjoint sign on atoms {np.flatnonzero(s.values).tolist()}, "
           f"image norm {out.operator.image_norm(s):.3f}")

@@ -28,7 +28,7 @@ print(f"  achieved ||T1 x|| = {rep.achieved['t1']:.6f}, "
       f"||T2 x|| = {rep.achieved['t2']:.6f}")
 
 t2b = random_finite_rank(12, 3, None, 6, scale=2e-3, space=t1.space)
-rep2 = sum_compact_locally_convex(t1, t2b, 0.2, PipelineParams(seed=1))
+rep2 = sum_compact_locally_convex(t1, t2b, PipelineParams(epsilon=0.2, seed=1))
 print("locally convex route:")
 print(f"  net size {rep2.extras['net_size']}, "
       f"{rep2.adaptive_rounds} adaptive round(s)")

@@ -43,6 +43,6 @@ gap = min(np.sum(np.abs(a - b)) for a, b in combinations(imgs, 2))
 print(f"minimum pairwise l1 gap of normalized indicator images: {gap}")
 
 t1 = random_narrow_operator(42, None, 3, 0.5, space=T.space)
-rep = sum_compact_via_truncation(t1, T, 0.1, 1 / 8, tail, pre_refine=True)
+rep = sum_compact_via_truncation(t1, T, 0.1, 1 / 8, tail)
 print(f"truncation pipeline: level {rep.extras['truncation_level']}, "
       f"achieved ||T2 x|| = {rep.achieved['t2_full']:.6f} <= 1/8")

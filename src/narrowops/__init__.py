@@ -25,7 +25,6 @@ from .errors import (
     SetTooLarge,
     StageFailed,
     UnequalWeights,
-    Unsplittable,
     ZeroVector,
 )
 from .instances import (
@@ -42,7 +41,6 @@ from .measure import (
     MeasureSpace,
     RefineMap,
     SignVector,
-    half_split,
     rademacher_sign,
 )
 from .narrowness import (

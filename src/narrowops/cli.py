@@ -6,19 +6,22 @@ directory.  Reports contain no timestamps or ambient entropy, so identical
 config + seed produce byte-identical files.
 
 Exit codes: 0 success, 2 certified failure (a pipeline reported and
-certified that it could not meet its budgets), 1 usage error.
+certified that it could not meet its budgets), 1 usage error (a malformed
+command line or config, including non-integer or out-of-range atom indices,
+which raise InvalidAtom).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .errors import NarrowOpsError
+from .errors import InvalidAtom, NarrowOpsError
 from .instances import (
     InstanceSpec,
     build_conditional_expectation,
@@ -58,19 +61,16 @@ def _operator_from_config(value: dict) -> DiscreteOperator:
 
 
 def _params(config: dict, seed: int, **overrides) -> PipelineParams:
-    fields = {
-        k: config[k]
-        for k in (
-            "sigma", "epsilon", "gamma", "delta", "net_radius",
-            "max_adaptive_rounds", "refine_budget", "sample_budget",
-            "functional_cap",
-        )
-        if k in config
-    }
-    fields.update(config.get("params", {}))
-    fields.update(overrides)
-    fields["seed"] = seed
-    return PipelineParams(**fields)
+    """PipelineParams from the config's top-level fields, then its "params"
+    object, then `overrides`; the seed is always `seed`."""
+    names = [f.name for f in dataclasses.fields(PipelineParams)]
+    fields = {k: config[k] for k in names if k in config}
+    try:
+        fields.update(config.get("params", {}))
+        fields.update(overrides, seed=seed)
+        return PipelineParams(**fields)
+    except TypeError as exc:
+        raise UsageError(f"bad pipeline parameters: {exc}") from None
 
 
 class _Emitter:
@@ -167,9 +167,8 @@ def _cmd_sum_compact(args, config: dict, seed: int) -> int:
     t2 = _operator_from_config(config["t2"])
     mode = config.get("mode", "adaptive")
     if mode == "adaptive":
-        report = sum_compact_locally_convex(
-            t1, t2, float(config["epsilon"]), _params(config, seed)
-        )
+        params = _params(config, seed, epsilon=float(config["epsilon"]))
+        report = sum_compact_locally_convex(t1, t2, params)
     elif mode == "truncation":
         if "tail_values" in config:
             values = [float(v) for v in config["tail_values"]]
@@ -324,13 +323,13 @@ def main(argv=None) -> int:
             config = json.loads(Path(args.config).read_text())
         seed = args.seed if args.seed is not None else int(config.get("seed", 0))
         return _COMMANDS[args.command](args, config, seed)
-    except NarrowOpsError as exc:
-        print(f"certified failure: {exc}", file=sys.stderr)
-        return 2
-    except (UsageError, KeyError, FileNotFoundError, ValueError,
+    except (UsageError, InvalidAtom, KeyError, FileNotFoundError, ValueError,
             json.JSONDecodeError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    except NarrowOpsError as exc:
+        print(f"certified failure: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -21,10 +21,6 @@ class UnequalWeights(NarrowOpsError):
     """Operation requires all atoms in the set to have equal weight."""
 
 
-class Unsplittable(NarrowOpsError):
-    """No subset of the given set has exactly half its measure."""
-
-
 class DimensionMismatch(NarrowOpsError):
     """Vector/matrix dimensions do not match."""
 

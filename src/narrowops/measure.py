@@ -20,7 +20,6 @@ from .errors import (
     NonDyadic,
     NotDivisible,
     UnequalWeights,
-    Unsplittable,
 )
 
 
@@ -61,8 +60,8 @@ class RefineMap:
     """Index mapping produced by a refinement.
 
     Old atom ``i`` is replaced by ``counts[i]`` consecutive children starting
-    at ``start(i)``.  Order of atoms is preserved.  ``counts`` is a read-only
-    int64 array.
+    at ``starts()[i]``.  Order of atoms is preserved.  ``counts`` is a
+    read-only int64 array.
     """
 
     counts: np.ndarray
@@ -92,12 +91,14 @@ class RefineMap:
     def starts(self) -> np.ndarray:
         return np.cumsum(self.counts) - self.counts
 
-    def children(self, old_index: int) -> range:
-        s = int(self.starts()[old_index])
-        return range(s, s + int(self.counts[old_index]))
-
     def map_indices(self, indices: Iterable[int] | np.ndarray) -> np.ndarray:
         idx = _as_indices(indices)
+        if idx.size and (idx.min() < 0 or idx.max() >= self.n_old):
+            raise InvalidAtom(f"atom index out of range [0, {self.n_old})")
+        return self._children_of(idx)
+
+    def _children_of(self, idx: np.ndarray) -> np.ndarray:
+        """Children of the in-range old atoms `idx`, in order."""
         c = self.counts[idx]
         # child k of old atom idx[j] sits at starts[idx[j]] + k
         offsets = np.repeat(self.starts()[idx] - (np.cumsum(c) - c), c)
@@ -319,7 +320,8 @@ class MeasurableSet:
         return MeasurableSet(space=self.space, indices=keep)
 
     def lift(self, rmap: RefineMap, space: MeasureSpace) -> "MeasurableSet":
-        return MeasurableSet(space=space, indices=rmap.map_indices(self.indices))
+        # the indices were range-checked against the set's space already
+        return MeasurableSet(space=space, indices=rmap._children_of(self.indices))
 
 
 @dataclass(frozen=True, eq=False)
@@ -344,14 +346,6 @@ class SignVector:
     def from_values(space: MeasureSpace, values: Sequence[int]) -> "SignVector":
         return SignVector(space=space, values=values)
 
-    @staticmethod
-    def zero(space: MeasureSpace) -> "SignVector":
-        return SignVector(space=space, values=np.zeros(space.n_atoms, dtype=np.int8))
-
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(np.flatnonzero(self.values).tolist())
-
     def support_set(self) -> MeasurableSet:
         return MeasurableSet(space=self.space, indices=np.flatnonzero(self.values))
 
@@ -372,11 +366,6 @@ class SignVector:
     def is_sign_on(self, mset: MeasurableSet) -> bool:
         """True iff support equals mset exactly (a 'sign on A' in the classical sense)."""
         return np.array_equal(np.flatnonzero(self.values), mset.indices)
-
-    def pointwise_product(self, other: "SignVector") -> "SignVector":
-        if other.space is not self.space and other.space != self.space:
-            raise InvalidAtom("signs live on different spaces")
-        return SignVector(space=self.space, values=self.values * other.values)
 
     def add_disjoint(self, other: "SignVector") -> "SignVector":
         """Sum of signs with disjoint supports (stays {-1,0,+1}-valued)."""
@@ -409,65 +398,3 @@ def rademacher_sign(mset: MeasurableSet, level: int) -> SignVector:
     values[idx] = 1 - 2 * (np.arange(s) // block_size % 2)
     return SignVector(space=mset.space, values=values)
 
-
-def half_split(mset: MeasurableSet) -> tuple[MeasurableSet, MeasurableSet]:
-    """Split a set into two disjoint subsets of exactly equal measure.
-
-    Greedy largest-first subset accumulation, with an exact subset-sum
-    fallback for small sets.  Raises Unsplittable when no equal split exists
-    (the caller should refine and retry).
-    """
-    if mset.is_empty:
-        raise Unsplittable("cannot split the empty set")
-    nums = mset.space.numerators[mset.indices].tolist()
-    total = sum(nums)
-    if total % 2 != 0:
-        raise Unsplittable("total numerator is odd; refine first")
-    half = total // 2
-
-    order = sorted(range(len(nums)), key=lambda j: (-nums[j], j))
-    acc = 0
-    first: set[int] = set()
-    for j in order:
-        if acc + nums[j] <= half:
-            acc += nums[j]
-            first.add(j)
-            if acc == half:
-                break
-    if acc != half:
-        first_dp = _subset_sum(nums, half)
-        if first_dp is None:
-            raise Unsplittable("no subset achieves exactly half the measure")
-        first = first_dp
-    in_first = np.zeros(len(nums), dtype=bool)
-    in_first[list(first)] = True
-    return (
-        MeasurableSet(space=mset.space, indices=mset.indices[in_first]),
-        MeasurableSet(space=mset.space, indices=mset.indices[~in_first]),
-    )
-
-
-def _subset_sum(nums: list[int], target: int) -> set[int] | None:
-    """Exact subset-sum over atom numerators; reachable-sum DP."""
-    reachable: dict[int, int | None] = {0: None}
-    parent: dict[int, tuple[int, int]] = {}
-    for j, n in enumerate(nums):
-        updates = {}
-        for s in reachable:
-            t = s + n
-            if t <= target and t not in reachable and t not in updates:
-                updates[t] = s
-        for t, s in updates.items():
-            reachable[t] = s
-            parent[t] = (s, j)
-        if target in reachable:
-            break
-    if target not in reachable:
-        return None
-    out: set[int] = set()
-    cur = target
-    while cur != 0:
-        prev, j = parent[cur]
-        out.add(j)
-        cur = prev
-    return out

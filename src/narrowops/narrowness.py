@@ -10,7 +10,7 @@ exclusive by construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,10 +18,9 @@ from .errors import (
     AtomTooLarge,
     NoFeasibleSign,
     NoSignFound,
-    RefinementBudgetExceeded,
     SetTooLarge,
 )
-from .measure import MeasurableSet, MeasureSpace, RefineMap, SignVector, rademacher_sign
+from .measure import MeasurableSet, RefineMap, SignVector, rademacher_sign
 from .norms import TargetNorm, fnorm
 from .operators import (
     DiscreteOperator,
@@ -49,7 +48,6 @@ class NetCover:
     radius: float
     norm: TargetNorm
     assignments: list[int]
-    tags: list[object] = field(default_factory=list)
 
     @property
     def size(self) -> int:
@@ -65,19 +63,13 @@ class NetCover:
         return any(fnorm(self.norm, point - c) <= self.radius for c in self.centers)
 
 
-def net_cover(
-    points: list[np.ndarray],
-    radius: float,
-    norm: TargetNorm,
-    tags: list[object] | None = None,
-) -> NetCover:
+def net_cover(points: list[np.ndarray], radius: float, norm: TargetNorm) -> NetCover:
     """Greedy net: scan points in order, opening a center when none is close."""
     if radius <= 0:
         raise ValueError("net radius must be positive")
     centers: list[np.ndarray] = []
     assignments: list[int] = []
-    center_tags: list[object] = []
-    for i, p in enumerate(points):
+    for p in points:
         p = np.asarray(p, dtype=float)
         placed = False
         for k, c in enumerate(centers):
@@ -88,14 +80,7 @@ def net_cover(
         if not placed:
             centers.append(p)
             assignments.append(len(centers) - 1)
-            center_tags.append(tags[i] if tags is not None else i)
-    return NetCover(
-        centers=centers,
-        radius=radius,
-        norm=norm,
-        assignments=assignments,
-        tags=center_tags,
-    )
+    return NetCover(centers=centers, radius=radius, norm=norm, assignments=assignments)
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,7 +171,6 @@ class SmallSignResult:
 
     sign: SignVector
     operator: DiscreteOperator
-    mset: MeasurableSet
     refine_map: RefineMap
     value: float
     strategy: str
@@ -272,7 +256,7 @@ def find_small_sign(
             raise NoSignFound(str(exc)) from exc
         if val < epsilon:
             return SmallSignResult(
-                sign=sign, operator=T, mset=mset,
+                sign=sign, operator=T,
                 refine_map=RefineMap.identity(T.space.n_atoms),
                 value=val, strategy="exhaustive",
             )
@@ -296,7 +280,7 @@ def find_small_sign(
                     best_sign, best_val = sign, val
                 if val < epsilon:
                     return SmallSignResult(
-                        sign=sign, operator=cur_T, mset=cur_set,
+                        sign=sign, operator=cur_T,
                         refine_map=total_map, value=val, strategy="exhaustive",
                     )
             except (NoFeasibleSign, SetTooLarge):
@@ -311,7 +295,7 @@ def find_small_sign(
                     best_sign, best_val = sign, val
                 if val < epsilon:
                     return SmallSignResult(
-                        sign=sign, operator=cur_T, mset=cur_set,
+                        sign=sign, operator=cur_T,
                         refine_map=total_map, value=val, strategy="kernel_pairing",
                     )
         if strategy in ("auto", "rademacher_scan"):
@@ -320,7 +304,7 @@ def find_small_sign(
                 best_sign, best_val = best, val
             if hit is not None:
                 return SmallSignResult(
-                    sign=hit, operator=cur_T, mset=cur_set,
+                    sign=hit, operator=cur_T,
                     refine_map=total_map, value=cur_T.image_norm(hit),
                     strategy="rademacher_scan",
                 )
@@ -356,12 +340,11 @@ class AdversarialOutcome:
 
 
 def _best_sign_within(
-    T: DiscreteOperator, indices: tuple[int, ...]
+    T: DiscreteOperator, idx: np.ndarray
 ) -> tuple[SignVector | None, float]:
-    """Large-image sign supported inside `indices` (exact for sup targets)."""
-    if not indices:
+    """Large-image sign supported inside the atoms `idx` (exact for sup targets)."""
+    if not idx.size:
         return None, 0.0
-    idx = list(indices)
     if T.target.kind == "sup":
         row_abs = np.abs(T.matrix[:, idx]).sum(axis=1) * T.target.weights
         r = int(np.argmax(row_abs))
@@ -371,7 +354,7 @@ def _best_sign_within(
             return None, 0.0
         sign = SignVector(space=T.space, values=values)
         return sign, T.image_norm(sign)
-    if len(idx) <= TERNARY_EXHAUSTIVE_LIMIT:
+    if idx.size <= TERNARY_EXHAUSTIVE_LIMIT:
         try:
             return brute_force_best_sign(
                 T, T.space.subset(idx), require_mean_zero=False, objective="max"
@@ -403,21 +386,18 @@ def _split_support(
         value = cur_T.image_norm(cur_sign)
         if value <= epsilon:
             return None
-        support = cur_sign.support
-        contrib = _restriction_values(cur_T, cur_sign)
-        order = sorted(support, key=lambda i: (-contrib[i], i))
-        acc = 0.0
-        part_a: list[int] = []
-        for i in order:
-            if acc >= epsilon / 2:
-                break
-            part_a.append(i)
-            acc += contrib[i]
-        part_b = [i for i in support if i not in set(part_a)]
-        za = _restrict(cur_sign, part_a)
-        zb = _restrict(cur_sign, part_b)
+        support = np.flatnonzero(cur_sign.values)
+        contrib = _restriction_values(cur_T, cur_sign, support)
+        # largest contribution first, ties by atom index (support is sorted)
+        rank = np.argsort(-contrib, kind="stable")
+        order = support[rank]
+        # part A takes atoms in that order until its running sum reaches eps/2
+        reached = np.cumsum(np.r_[0.0, contrib[rank]]) >= epsilon / 2
+        n_a = int(reached.argmax()) if reached.any() else order.size
+        za = _restrict(cur_sign, order[:n_a])
+        zb = _restrict(cur_sign, order[n_a:])
         if (
-            part_b
+            n_a < order.size
             and cur_T.image_norm(za) >= epsilon / 2
             and cur_T.image_norm(zb) >= epsilon / 2
         ):
@@ -432,22 +412,20 @@ def _split_support(
         total_map = total_map.compose(rmap)
 
 
-def _restriction_values(T: DiscreteOperator, sign: SignVector) -> dict[int, float]:
-    """Per-atom contribution along the direction realizing ||T sign||."""
-    y = T.apply(sign)
+def _restriction_values(
+    T: DiscreteOperator, sign: SignVector, support: np.ndarray
+) -> np.ndarray:
+    """Contribution of each atom of `support` along the direction realizing
+    ||T sign||."""
     if T.target.kind == "sup":
+        y = T.apply(sign)
         r = int(np.argmax(T.target.weights * np.abs(y)))
-        return {
-            i: float(T.target.weights[r] * T.matrix[r, i] * sign.values[i] * np.sign(y[r]))
-            for i in sign.support
-        }
-    return {
-        i: float(fnorm(T.target, T.matrix[:, i]))
-        for i in sign.support
-    }
+        return (T.target.weights[r] * T.matrix[r, support]
+                * sign.values[support] * np.sign(y[r]))
+    return np.array([fnorm(T.target, T.matrix[:, i]) for i in support])
 
 
-def _restrict(sign: SignVector, indices: list[int]) -> SignVector:
+def _restrict(sign: SignVector, indices: np.ndarray) -> SignVector:
     values = np.zeros_like(sign.values)
     values[indices] = sign.values[indices]
     return SignVector(space=sign.space, values=values)
@@ -485,10 +463,10 @@ def adversarial_disjoint_signs(
     total_map = identity
     signs: list[SignVector] = []
     while len(signs) < count:
-        used: set[int] = set()
+        used = np.zeros(cur_T.space.n_atoms, dtype=bool)
         for s in signs:
-            used.update(s.support)
-        remainder = tuple(i for i in range(cur_T.space.n_atoms) if i not in used)
+            used |= s.values != 0
+        remainder = np.flatnonzero(~used)
         cand, val = _best_sign_within(cur_T, remainder)
         if cand is not None and val >= epsilon / 2:
             signs.append(cand)
@@ -496,7 +474,7 @@ def adversarial_disjoint_signs(
         # cannot extend: split an existing sign whose support holds a large image
         progressed = False
         for k, s in enumerate(signs):
-            sub_best, sub_val = _best_sign_within(cur_T, s.support)
+            sub_best, sub_val = _best_sign_within(cur_T, np.flatnonzero(s.values))
             if sub_best is None or sub_val <= epsilon:
                 continue
             split = _split_support(cur_T, sub_best, epsilon, refine_budget)
@@ -514,9 +492,9 @@ def adversarial_disjoint_signs(
             break
         if not progressed:
             # stuck: supports plus remainder certify the partition
-            cells = [cur_T.space.subset(s.support) for s in signs]
-            if remainder:
-                cells.append(cur_T.space.subset(remainder))
+            cells = [s.support_set() for s in signs]
+            if remainder.size:
+                cells.append(MeasurableSet(space=cur_T.space, indices=remainder))
             bounds = []
             exact = []
             for cell in cells:

@@ -9,7 +9,7 @@ from the input space to the final one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
 
@@ -57,7 +57,6 @@ class PipelineParams:
     epsilon: float = 0.1
     gamma: float = 0.05
     delta: float = 0.025
-    net_radius: float | None = None
     seed: int = 0
     max_adaptive_rounds: int = 5
     refine_budget: int = 2**16
@@ -67,8 +66,6 @@ class PipelineParams:
     def __post_init__(self):
         check_budgets(sigma=self.sigma, epsilon=self.epsilon,
                       gamma=self.gamma, delta=self.delta)
-        if not self.gamma < self.epsilon:
-            raise ValueError("need 0 < gamma < epsilon")
 
 
 @dataclass(eq=False)
@@ -76,17 +73,16 @@ class PipelineReport:
     """Constructed sign plus certificates and per-stage diagnostics."""
 
     pipeline: str
-    status: str
     sign: SignVector | None
     achieved: dict
     budgets: dict
     stages: list
-    partition_summary: dict | None
-    rounding_certificate: float | None
-    adaptive_rounds: int
     refine_map: RefineMap
     space: MeasureSpace
-    operators: dict
+    status: str = "success"
+    partition_summary: dict | None = None
+    rounding_certificate: float | None = None
+    adaptive_rounds: int = 0
     extras: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
@@ -161,32 +157,29 @@ def _knapsack_fractional(values: np.ndarray, nums: np.ndarray, budget_num: int):
     max sum(values) subject to sum(nums) <= budget_num, values >= 0."""
     idx = np.flatnonzero(values > 0)
     density = values[idx] / nums[idx]
-    order = idx[np.argsort(-density, kind="stable")]
+    order = idx[np.argsort(-density, kind="stable")].tolist()
     ub = 0.0
     used = 0
-    greedy: list[int] = []
+    greedy = np.zeros(values.size, dtype=bool)
     for i in order:
         n = int(nums[i])
         if used + n <= budget_num:
             used += n
             ub += float(values[i])
-            greedy.append(int(i))
+            greedy[i] = True
         else:
             rest = budget_num - used
             if rest > 0:
                 ub += float(values[i]) * rest / n
             used = budget_num
-            # integral greedy keeps scanning for smaller items that still fit
-    used_g = sum(int(nums[i]) for i in greedy)
+    # integral greedy keeps scanning for smaller items that still fit
+    used_g = int(nums[greedy].sum())
     for i in order:
-        i = int(i)
-        if i in greedy:
-            continue
         n = int(nums[i])
-        if used_g + n <= budget_num:
-            greedy.append(i)
+        if not greedy[i] and used_g + n <= budget_num:
+            greedy[i] = True
             used_g += n
-    return ub, sorted(greedy)
+    return ub, np.flatnonzero(greedy)
 
 
 def check_absolute_continuity(T: DiscreteOperator, delta: float) -> AbsContinuityResult:
@@ -202,7 +195,7 @@ def check_absolute_continuity(T: DiscreteOperator, delta: float) -> AbsContinuit
     budget_num = min(budget_num, int(nums.sum()))
 
     best_ub = 0.0
-    candidates: list[list[int]] = []
+    candidates: list[np.ndarray] = []
     if T.target.kind == "sup":
         for r in range(T.target_dim):
             row = T.target.weights[r] * T.matrix[r]
@@ -212,17 +205,17 @@ def check_absolute_continuity(T: DiscreteOperator, delta: float) -> AbsContinuit
                     continue
                 ub, greedy = _knapsack_fractional(vals, nums, budget_num)
                 best_ub = max(best_ub, ub)
-                if greedy:
+                if greedy.size:
                     candidates.append(greedy)
     else:
         vals = T.column_norms()
         ub, greedy = _knapsack_fractional(np.asarray(vals), nums, budget_num)
         best_ub = ub
-        if greedy:
+        if greedy.size:
             candidates.append(greedy)
 
     witness_value = 0.0
-    witness: list[int] = []
+    witness = np.zeros(0, dtype=np.int64)
     for cand in candidates:
         v = T.indicator_image_norm(T.space.subset(cand))
         if v > witness_value:
@@ -247,6 +240,8 @@ def pairing_construction(
     support of measure exactly mu(Omega)/2^j.  A tail sign on the remaining
     small set (measure <= delta) finishes the construction.
     """
+    if not params.gamma < params.epsilon:
+        raise ValueError("pairing needs gamma < epsilon")
     _require_same_space(T1, T2)
     ctx, umap = _uniformized_ctx({"t1": T1, "t2": T2})
     if not _is_power_of_two(ctx.space.n_atoms):
@@ -286,11 +281,7 @@ def pairing_construction(
                 level += 1
             pair = None
             if len(cands) >= 2:
-                radius = params.net_radius or 0.499 * budget_t2
-                net = net_cover(
-                    [c[2] for c in cands], radius, t2c.target,
-                    tags=[c[0] for c in cands],
-                )
+                net = net_cover([c[2] for c in cands], 0.499 * budget_t2, t2c.target)
                 pair_order: list[tuple[int, int]] = []
                 for grp in net.groups().values():
                     if len(grp) >= 2:
@@ -361,7 +352,6 @@ def pairing_construction(
         x = x.add_disjoint(s)
     achieved_t1 = fnorm(ctx.ops["t1"].target, ctx.ops["t1"].apply(x))
     achieved_t2 = fnorm(ctx.ops["t2"].target, ctx.ops["t2"].apply(x))
-    status = "success"
     if achieved_t1 > params.sigma + _TOL or achieved_t2 > params.epsilon + _TOL:
         raise StageFailed(m + 1, "final norms violate the budgets")
     if not (x.mean_zero and x.values.all()):
@@ -377,18 +367,13 @@ def pairing_construction(
     })
     return PipelineReport(
         pipeline="pairing_construction",
-        status=status,
         sign=x,
         achieved={"t1": achieved_t1, "t2": achieved_t2},
         budgets={"sigma": params.sigma, "epsilon": params.epsilon,
                  "gamma": params.gamma, "delta": params.delta},
         stages=stages,
-        partition_summary=None,
-        rounding_certificate=None,
-        adaptive_rounds=0,
         refine_map=umap.compose(ctx.total_map),
         space=ctx.space,
-        operators=ctx.ops,
         extras={
             "n_stages": m,
             "abs_continuity_bound": ac.upper_bound,
@@ -407,8 +392,6 @@ def sum_finite_rank(
     epsilon: float,
     rank_limit: int = 16,
     refine_budget: int = 2**16,
-    cell_strategy: str = "auto",
-    pre_refine: bool | None = None,
 ) -> PipelineReport:
     """Mean-zero sign x with ||T1 x|| <= sigma and ||T2 x|| <= epsilon for a
     finite-rank T2.
@@ -429,24 +412,17 @@ def sum_finite_rank(
     budgets = {"sigma": sigma, "epsilon": epsilon}
     if m == 0:
         res = find_small_sign(
-            T1, T1.space.full_set(), sigma + _TOL,
-            strategy=cell_strategy, refine_budget=refine_budget,
+            T1, T1.space.full_set(), sigma + _TOL, refine_budget=refine_budget
         )
         t2f = T2.refine(res.refine_map, res.operator.space)
-        achieved_t2 = fnorm(t2f.target, t2f.apply(res.sign))
         return PipelineReport(
             pipeline="sum_finite_rank",
-            status="success",
             sign=res.sign,
-            achieved={"t1": res.value, "t2": achieved_t2},
+            achieved={"t1": res.value, "t2": fnorm(t2f.target, t2f.apply(res.sign))},
             budgets=budgets,
             stages=[{"cell": 1, "t1_norm": res.value, "strategy": res.strategy}],
-            partition_summary=None,
-            rounding_certificate=None,
-            adaptive_rounds=0,
             refine_map=res.refine_map,
             space=res.operator.space,
-            operators={"t1": res.operator, "t2": t2f},
             extras={"rank": 0},
         )
 
@@ -476,11 +452,9 @@ def sum_finite_rank(
     for rank_k, k in enumerate(order):
         ctx.sets[f"cell{rank_k}"] = partition.cells[k]
     cert_bounds = [partition.bounds[k] for k in order]
-    if pre_refine is None:
+    if partition.n_cells > 32:
         # one global split makes every cell pairable at once, avoiding a
         # quadratic cascade of per-cell refinements on large partitions
-        pre_refine = partition.n_cells > 32
-    if pre_refine:
         ctx.refine_atoms(range(ctx.space.n_atoms), 2, refine_budget)
 
     diagnostics: list[dict] = []
@@ -488,8 +462,7 @@ def sum_finite_rank(
         k = rank_k + 1
         cell = ctx.sets[f"cell{rank_k}"]
         res = find_small_sign(
-            ctx.ops["t1"], cell, sigma * 2.0**-k + _TOL,
-            strategy=cell_strategy, refine_budget=refine_budget,
+            ctx.ops["t1"], cell, sigma * 2.0**-k + _TOL, refine_budget=refine_budget
         )
         ctx.apply_map(res.refine_map, res.operator.space)
         x_k = res.sign
@@ -530,18 +503,15 @@ def sum_finite_rank(
         diagnostics[i]["theta"] = int(sgn)
     return PipelineReport(
         pipeline="sum_finite_rank",
-        status="success",
         sign=x,
         achieved={"t1": achieved_t1, "t2": achieved_t2,
                   "coefficient_norm": achieved_p},
         budgets={**budgets, "delta": delta, "cell_budget": cell_budget},
         stages=diagnostics,
-        partition_summary=partition.summary(),
-        rounding_certificate=certificate,
-        adaptive_rounds=0,
         refine_map=ctx.total_map,
         space=ctx.space,
-        operators=dict(ctx.ops),
+        partition_summary=partition.summary(),
+        rounding_certificate=certificate,
         extras={"rank": m, "basis_norms": [float(b) for b in basis_norms]},
     )
 
@@ -566,10 +536,7 @@ def _sample_signs(space: MeasureSpace, rng: np.random.Generator, budget: int):
 
 
 def sum_compact_locally_convex(
-    T1: DiscreteOperator,
-    T2: DiscreteOperator,
-    epsilon: float,
-    params: PipelineParams,
+    T1: DiscreteOperator, T2: DiscreteOperator, params: PipelineParams
 ) -> PipelineReport:
     """Mean-zero sign x with ||T1 x|| <= epsilon/2 and ||T2 x|| <= epsilon/2,
     via separating functionals over an adaptive net of sampled T2-images.
@@ -578,9 +545,10 @@ def sum_compact_locally_convex(
     epsilon/5; each center yields a normalized dual functional, and the
     stacked functionals reduce the problem to a finite-rank run with sup
     budget 1/2.  If the constructed sign's true T2-image escapes the net,
-    the image is added as a new center and the round repeats.
+    the image is added as a new center and the round repeats.  The budget
+    epsilon is `params.epsilon`.
     """
-    check_budgets(epsilon=epsilon)
+    epsilon = params.epsilon
     if not T2.target.locally_convex:
         raise NotLocallyConvex("the compact-sum pipeline needs a locally convex target")
     _require_same_space(T1, T2)
@@ -639,19 +607,14 @@ def sum_compact_locally_convex(
             if ctx.ops["t1"].target_dim == ctx.ops["t2"].target_dim:
                 total_img = ctx.ops["t1"].apply(x) + t2x
                 achieved["sum"] = fnorm(target, total_img)
-            return PipelineReport(
+            return replace(
+                inner,
                 pipeline="sum_compact_locally_convex",
-                status="success",
-                sign=x,
                 achieved=achieved,
                 budgets={"epsilon": epsilon, "t1": epsilon / 2, "t2": epsilon / 2},
                 stages=rounds_log,
-                partition_summary=inner.partition_summary,
-                rounding_certificate=inner.rounding_certificate,
                 adaptive_rounds=rnd,
                 refine_map=umap.compose(ctx.total_map),
-                space=ctx.space,
-                operators=dict(ctx.ops),
                 extras={"net_size": len(centers)},
             )
         trace.append({"round": rnd, "norm": val, "image": [float(v) for v in t2x]})
@@ -669,7 +632,6 @@ def sum_compact_via_truncation(
     tail_bound,
     rank_limit: int = 16,
     refine_budget: int = 2**16,
-    pre_refine: bool | None = None,
 ) -> PipelineReport:
     """Finite-rank reduction through a certified truncation schedule.
 
@@ -692,28 +654,18 @@ def sum_compact_via_truncation(
         )
     s_n = T2.restrict_rows(level)
     inner = sum_finite_rank(
-        T1, s_n, sigma, epsilon / 2,
-        rank_limit=rank_limit, refine_budget=refine_budget, pre_refine=pre_refine,
+        T1, s_n, sigma, epsilon / 2, rank_limit=rank_limit, refine_budget=refine_budget
     )
     t2_final = T2.refine(inner.refine_map, inner.space)
     val = fnorm(T2.target, t2_final.apply(inner.sign))
     if val > epsilon + _TOL:
         raise StageFailed(0, f"full-operator image {val} exceeds epsilon")
-    report = PipelineReport(
+    return replace(
+        inner,
         pipeline="sum_compact_via_truncation",
-        status="success",
-        sign=inner.sign,
         achieved={"t1": inner.achieved["t1"], "t2_truncated": inner.achieved["t2"],
                   "t2_full": val},
         budgets={"sigma": sigma, "epsilon": epsilon,
                  "tail_bound": float(tail_bound(level))},
-        stages=inner.stages,
-        partition_summary=inner.partition_summary,
-        rounding_certificate=inner.rounding_certificate,
-        adaptive_rounds=0,
-        refine_map=inner.refine_map,
-        space=inner.space,
-        operators={**inner.operators, "t2_full": t2_final},
         extras={"truncation_level": level},
     )
-    return report

@@ -76,6 +76,39 @@ class TestExitCodes:
         }
         assert _run(tmp_path, "find-sign", config) == 2
 
+    @pytest.mark.parametrize("atoms", [[0.5], [999]], ids=["float", "out-of-range"])
+    def test_malformed_set_is_usage_error(self, tmp_path, atoms):
+        # a malformed config is a usage error, not a certified failure
+        config = {
+            "operator": {"instance": {"kind": "l1_example", "levels": 4}},
+            "set": atoms,
+            "epsilon": 1e-6,
+        }
+        assert _run(tmp_path, "find-sign", config) == 1
+
+    def test_unknown_pipeline_parameter_is_usage_error(self, tmp_path):
+        # reported as a usage error, not as an uncaught TypeError
+        config = {
+            "t1": {"instance": {"kind": "random_narrow", "seed": 4, "atoms": 16,
+                                "target_dim": 3, "decay": 0.5}},
+            "t2": {"instance": {"kind": "l1_example", "levels": 4}},
+            "sigma": 0.1, "epsilon": 0.2, "gamma": 0.15, "delta": 0.0625,
+            "params": {"bogus": 1},
+        }
+        assert _run(tmp_path, "pairing", config) == 1
+
+    def test_adaptive_sum_compact_below_default_gamma(self, tmp_path):
+        # gamma is a pairing budget only, so epsilon may lie below the
+        # default gamma 0.05
+        config = {**_pipeline_config(), "epsilon": 0.04}
+        assert _run(tmp_path, "sum-compact", config) == 0
+        report = json.loads((tmp_path / "sum-compact.json").read_text())
+        assert report["budgets"]["epsilon"] == 0.04
+        assert report["achieved"]["t2"] <= 0.02 + 1e-9
+
+    def test_sum_compact_requires_epsilon(self, tmp_path):
+        assert _run(tmp_path, "sum-compact", _pipeline_config()) == 1
+
 
 class TestReports:
     def test_partition_schema(self, tmp_path):

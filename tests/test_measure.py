@@ -1,4 +1,4 @@
-"""Measure-space, refinement, sign, and splitting tests.
+"""Measure-space, refinement, set and sign tests.
 
 Exactness claims (mean zero, measure conservation, equal splits) are checked
 in integer/Fraction arithmetic, never with tolerances.
@@ -20,11 +20,8 @@ from narrowops import (
     RefineMap,
     SignVector,
     UnequalWeights,
-    Unsplittable,
-    half_split,
     rademacher_sign,
 )
-from narrowops.measure import _subset_sum
 
 
 class TestMeasureSpace:
@@ -104,6 +101,12 @@ class TestRefineMap:
         x = rng.standard_normal(4)
         np.testing.assert_allclose(lifted @ rmap.lift_values(x), m @ x, rtol=1e-12)
 
+    @pytest.mark.parametrize("index", [-1, 3], ids=["negative", "past-the-end"])
+    def test_map_indices_rejects_out_of_range(self, index):
+        # -1 must not wrap round to the last atom's children [3, 4, 5]
+        with pytest.raises(InvalidAtom):
+            RefineMap(counts=(2, 1, 3)).map_indices([index])
+
 
 class TestSignVector:
     def test_mean_zero_exact(self):
@@ -142,9 +145,9 @@ class TestRademacher:
     def test_product_mean_zero(self):
         space = MeasureSpace.uniform(4)
         full = space.full_set()
-        prod = rademacher_sign(full, 1).pointwise_product(rademacher_sign(full, 2))
-        assert prod.values.tolist() == [1, -1, -1, 1]
-        assert prod.mean_zero
+        prod = rademacher_sign(full, 1).values * rademacher_sign(full, 2).values
+        assert prod.tolist() == [1, -1, -1, 1]
+        assert SignVector.from_values(space, prod).mean_zero
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -159,7 +162,7 @@ class TestRademacher:
         full = space.full_set()
         a, b = rademacher_sign(full, k), rademacher_sign(full, l)
         assert a.mean_zero and b.mean_zero
-        assert a.pointwise_product(b).mean_zero
+        assert SignVector.from_values(space, a.values * b.values).mean_zero
 
     def test_not_divisible(self):
         space = MeasureSpace.uniform(4)
@@ -170,50 +173,6 @@ class TestRademacher:
         space = MeasureSpace.from_weights([Fraction(1, 2), Fraction(1, 4), Fraction(1, 8), Fraction(1, 8)])
         with pytest.raises(UnequalWeights):
             rademacher_sign(space.full_set(), 1)
-
-
-class TestHalfSplit:
-    def test_two_atoms(self):
-        space = MeasureSpace.uniform(2)
-        a, b = half_split(space.full_set())
-        assert a.indices.tolist() == [0] and b.indices.tolist() == [1]
-
-    def test_four_atoms_equal_measure(self):
-        space = MeasureSpace.uniform(4)
-        a, b = half_split(space.full_set())
-        assert a.measure == b.measure == Fraction(1, 2)
-        assert set(a.indices) | set(b.indices) == {0, 1, 2, 3}
-
-    def test_unequal_weights_oracle(self):
-        # [DERIVED] oracle: exhaustive scan of all 2^3 subsets shows {0} is
-        # the only half-measure subset containing atom 0
-        space = MeasureSpace.from_weights([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)])
-        a, b = half_split(space.full_set())
-        assert {tuple(a.indices.tolist()), tuple(b.indices.tolist())} == {(0,), (1, 2)}
-
-    def test_unsplittable(self):
-        space = MeasureSpace.from_weights([Fraction(1, 2), Fraction(1, 4)])
-        with pytest.raises(Unsplittable):
-            half_split(space.full_set())
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.integers(0, 4), min_size=2, max_size=8))
-    def test_split_is_exact_when_possible(self, exponents):
-        weights = [Fraction(1, 2**e) for e in exponents]
-        space = MeasureSpace.from_weights(weights)
-        try:
-            a, b = half_split(space.full_set())
-        except Unsplittable:
-            # oracle: verify no equal split exists at all
-            nums = space.numerators
-            total = sum(nums)
-            achievable = {0}
-            for n in nums:
-                achievable |= {s + n for s in achievable}
-            assert total % 2 == 1 or total // 2 not in achievable
-            return
-        assert a.measure == b.measure
-        assert a.difference(b).indices.tolist() == a.indices.tolist()
 
 
 # Pure-Python oracles: the loop implementations the numpy code replaced.
@@ -258,30 +217,6 @@ def _oracle_difference(a, b):
 
 def _oracle_set_lift(counts, indices):
     return tuple(_oracle_map_indices(counts, indices))
-
-
-def _oracle_half_split(space, indices):
-    """The tuple-based ``half_split``: greedy largest-first, then the exact
-    subset-sum fallback, with halves read back by position."""
-    if not indices:
-        raise Unsplittable("cannot split the empty set")
-    nums = [int(space.numerators[i]) for i in indices]
-    if sum(nums) % 2 != 0:
-        raise Unsplittable("total numerator is odd; refine first")
-    half = sum(nums) // 2
-    acc, first = 0, set()
-    for j in sorted(range(len(nums)), key=lambda j: (-nums[j], j)):
-        if acc + nums[j] <= half:
-            acc += nums[j]
-            first.add(j)
-            if acc == half:
-                break
-    if acc != half:
-        first = _subset_sum(nums, half)
-        if first is None:
-            raise Unsplittable("no subset achieves exactly half the measure")
-    return (tuple(indices[j] for j in sorted(first)),
-            tuple(indices[j] for j in range(len(nums)) if j not in first))
 
 
 def _oracle_rademacher(n_atoms, indices, level):
@@ -377,17 +312,6 @@ class TestArrayOracle:
         lifted, tl = a.lift(RefineMap(counts=counts), fine), _oracle_set_lift(counts, ta)
         assert lifted.indices.tolist() == list(tl)
         assert lifted.measure == a.measure
-
-        for mset, tup in ((a, ta), (lifted, tl)):
-            try:
-                expected = _oracle_half_split(mset.space, tup)
-            except Unsplittable:
-                with pytest.raises(Unsplittable):
-                    half_split(mset)
-                continue
-            halves = half_split(mset)
-            assert [h.indices.tolist() for h in halves] == [list(t) for t in expected]
-            assert halves[0].measure == halves[1].measure
 
 
 class TestIndexValidation:

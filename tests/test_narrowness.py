@@ -11,18 +11,23 @@ from narrowops import (
     AtomTooLarge,
     DiscreteOperator,
     MeasureSpace,
+    NoFeasibleSign,
     NoSignFound,
+    RefineMap,
+    SignVector,
     adversarial_disjoint_signs,
     brute_force_best_sign,
     find_small_sign,
     fnorm,
     lp_norm,
+    max_sign_image_norm,
     net_cover,
     partition_small_cells,
     sup_norm,
 )
 from narrowops.instances import build_l1_example, l1_example_cells
 from narrowops.narrowness import Partition, _kernel_pairing
+from narrowops.operators import TERNARY_EXHAUSTIVE_LIMIT
 
 
 class TestFindSmallSign:
@@ -266,10 +271,8 @@ class TestAdversarial:
         out = adversarial_disjoint_signs(T, 1.0, n, assume_partition_fails=True)
         assert not out.exhausted
         assert len(out.signs) == n
-        supports = [set(s.support) for s in out.signs]
-        for i, a in enumerate(supports):
-            for b in supports[i + 1:]:
-                assert not (a & b)
+        supports = np.array([s.values for s in out.signs]) != 0
+        assert (supports.sum(axis=0) <= 1).all()
         for s in out.signs:
             assert out.operator.image_norm(s) >= 0.5
 
@@ -289,6 +292,191 @@ class TestAdversarial:
                     assert len(out.signs) >= 2
                     for s in out.signs:
                         assert out.operator.image_norm(s) >= eps / 2 - 1e-9
+
+
+# The tuple-based adversarial loop that the index-array version replaced:
+# supports are sorted tuples, contributions a dict, parts Python lists.
+def _support(sign):
+    return tuple(np.flatnonzero(sign.values).tolist())
+
+
+def _oracle_best_sign_within(T, indices):
+    if not indices:
+        return None, 0.0
+    idx = list(indices)
+    if T.target.kind == "sup":
+        row_abs = np.abs(T.matrix[:, idx]).sum(axis=1) * T.target.weights
+        r = int(np.argmax(row_abs))
+        values = np.zeros(T.space.n_atoms, dtype=np.int8)
+        values[idx] = np.sign(T.matrix[r, idx])
+        if not values.any():
+            return None, 0.0
+        sign = SignVector(space=T.space, values=values)
+        return sign, T.image_norm(sign)
+    if len(idx) <= TERNARY_EXHAUSTIVE_LIMIT:
+        try:
+            return brute_force_best_sign(
+                T, T.space.subset(idx), require_mean_zero=False, objective="max"
+            )
+        except NoFeasibleSign:
+            return None, 0.0
+    values = np.zeros(T.space.n_atoms, dtype=np.int8)
+    values[idx] = 1
+    sign = SignVector(space=T.space, values=values)
+    return sign, T.image_norm(sign)
+
+
+def _oracle_restriction_values(T, sign):
+    y = T.apply(sign)
+    if T.target.kind == "sup":
+        r = int(np.argmax(T.target.weights * np.abs(y)))
+        return {
+            i: float(T.target.weights[r] * T.matrix[r, i] * sign.values[i] * np.sign(y[r]))
+            for i in _support(sign)
+        }
+    return {i: float(fnorm(T.target, T.matrix[:, i])) for i in _support(sign)}
+
+
+def _oracle_restrict(sign, indices):
+    values = np.zeros_like(sign.values)
+    values[indices] = sign.values[indices]
+    return SignVector(space=sign.space, values=values)
+
+
+def _oracle_split_support(T, sign, epsilon, refine_budget):
+    total_map = RefineMap.identity(T.space.n_atoms)
+    cur_T, cur_sign = T, sign
+    while True:
+        if cur_T.image_norm(cur_sign) <= epsilon:
+            return None
+        support = _support(cur_sign)
+        contrib = _oracle_restriction_values(cur_T, cur_sign)
+        order = sorted(support, key=lambda i: (-contrib[i], i))
+        acc = 0.0
+        part_a = []
+        for i in order:
+            if acc >= epsilon / 2:
+                break
+            part_a.append(i)
+            acc += contrib[i]
+        part_b = [i for i in support if i not in set(part_a)]
+        za = _oracle_restrict(cur_sign, part_a)
+        zb = _oracle_restrict(cur_sign, part_b)
+        if (part_b and cur_T.image_norm(za) >= epsilon / 2
+                and cur_T.image_norm(zb) >= epsilon / 2):
+            return [za, zb], cur_T, total_map
+        if cur_T.space.n_atoms + 1 > refine_budget:
+            return None
+        space2, rmap = cur_T.space.refine_atoms([order[0]], 2)
+        cur_T = cur_T.refine(rmap, space2)
+        cur_sign = cur_sign.lift(rmap, space2)
+        total_map = total_map.compose(rmap)
+
+
+def _oracle_adversarial(T, epsilon, count, refine_budget, assume_partition_fails):
+    """(signs, exhausted, certificate, refine_map) of the tuple loop."""
+    identity = RefineMap.identity(T.space.n_atoms)
+    if not assume_partition_fails:
+        try:
+            return [], True, partition_small_cells(T, epsilon), identity
+        except AtomTooLarge:
+            pass
+    cur_T, total_map, signs = T, identity, []
+    while len(signs) < count:
+        used = set()
+        for s in signs:
+            used.update(_support(s))
+        remainder = tuple(i for i in range(cur_T.space.n_atoms) if i not in used)
+        cand, val = _oracle_best_sign_within(cur_T, remainder)
+        if cand is not None and val >= epsilon / 2:
+            signs.append(cand)
+            continue
+        progressed = False
+        for k, s in enumerate(signs):
+            sub_best, sub_val = _oracle_best_sign_within(cur_T, _support(s))
+            if sub_best is None or sub_val <= epsilon:
+                continue
+            split = _oracle_split_support(cur_T, sub_best, epsilon, refine_budget)
+            if split is None:
+                continue
+            pieces, new_T, rmap = split
+            if not rmap.is_identity:
+                signs = [x.lift(rmap, new_T.space) for x in signs]
+                total_map = total_map.compose(rmap)
+                cur_T = new_T
+            signs.pop(k)
+            signs.extend(pieces)
+            progressed = True
+            break
+        if not progressed:
+            cells = [cur_T.space.subset(_support(s)) for s in signs]
+            if remainder:
+                cells.append(cur_T.space.subset(remainder))
+            bounds, exact = zip(*(max_sign_image_norm(cur_T, c) for c in cells))
+            part = Partition(cells=cells, bounds=list(bounds), exact=list(exact),
+                             epsilon=epsilon)
+            return signs, True, part, total_map
+    return signs, False, None, total_map
+
+
+class TestAdversarialOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from(["sup", "l1", "l2", "l0.5"]),
+        exponents=st.lists(st.integers(0, 2), min_size=1, max_size=8),
+        dim=st.integers(1, 3),
+        grid=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        epsilon=st.sampled_from([0.05, 0.25, 0.5, 1.0, 2.0]),
+        count=st.integers(1, 5),
+        extra_budget=st.sampled_from([0, 2, 64]),
+        assume_fails=st.booleans(),
+    )
+    def test_matches_tuple_loop(self, kind, exponents, dim, grid, seed, epsilon,
+                                count, extra_budget, assume_fails):
+        space = MeasureSpace.from_weights([Fraction(1, 2**e) for e in exponents])
+        n = space.n_atoms
+        rng = np.random.default_rng(seed)
+        # a coarse grid of entries makes tied contributions common
+        M = (rng.integers(-3, 4, (dim, n)) / 4 if grid
+             else rng.standard_normal((dim, n)))
+        target = sup_norm(dim=dim) if kind == "sup" else lp_norm(float(kind[1:]), dim=dim)
+        T = DiscreteOperator(M, space, target)
+        budget = n + extra_budget
+        out = adversarial_disjoint_signs(T, epsilon, count, budget, assume_fails)
+        signs, exhausted, part, rmap = _oracle_adversarial(
+            T, epsilon, count, budget, assume_fails)
+        assert [s.values.tolist() for s in out.signs] == [s.values.tolist() for s in signs]
+        assert out.exhausted == exhausted
+        assert out.refine_map.counts.tolist() == rmap.counts.tolist()
+        assert out.operator.space.n_atoms == rmap.n_new
+        if part is None:
+            assert out.certificate is None
+        else:
+            cert = out.certificate
+            assert [c.indices.tolist() for c in cert.cells] == \
+                [c.indices.tolist() for c in part.cells]
+            assert cert.bounds == part.bounds and cert.exact == part.exact
+
+
+    def test_split_stops_once_part_a_reaches_half_epsilon(self):
+        # contributions 0.5 each and eps/2 = 0.5: part A is one atom, so the
+        # all-ones sign splits as {0} | {1, 2, 3}, and then {1, 2, 3} again
+        T = DiscreteOperator(np.full((1, 4), 0.5), MeasureSpace.uniform(4),
+                             sup_norm(dim=1))
+        out = adversarial_disjoint_signs(T, 1.0, 3, assume_partition_fails=True)
+        assert not out.exhausted
+        assert [s.values.tolist() for s in out.signs] == [
+            [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]]
+
+    def test_split_refines_the_dominant_atom(self):
+        # atom 0 alone overshoots eps/2 and atom 1 cannot reach it; halving
+        # atom 0 makes both parts large
+        T = DiscreteOperator(np.array([[2.0, 0.1]]), MeasureSpace.uniform(2),
+                             sup_norm(dim=1))
+        out = adversarial_disjoint_signs(T, 1.0, 2, assume_partition_fails=True)
+        assert out.refine_map.counts.tolist() == [2, 1]
+        assert [s.values.tolist() for s in out.signs] == [[1, 0, 0], [0, 1, 1]]
 
 
 class TestNetCover:

@@ -6,6 +6,8 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from narrowops import (
     AdaptiveBudgetExhausted,
@@ -28,6 +30,7 @@ from narrowops import (
     sup_norm,
 )
 from narrowops.instances import build_l1_example, l1_example_tail_bound
+from narrowops.pipelines import _knapsack_fractional
 
 
 def _revalidate(report, T1, T2, sigma, epsilon):
@@ -40,7 +43,43 @@ def _revalidate(report, T1, T2, sigma, epsilon):
     assert fnorm(t2.target, t2.apply(report.sign)) <= epsilon + 1e-9
 
 
+def _oracle_knapsack(values, nums, budget_num):
+    """The list-based greedy the boolean-mask version replaced."""
+    idx = np.flatnonzero(values > 0)
+    order = idx[np.argsort(-(values[idx] / nums[idx]), kind="stable")]
+    ub, used, greedy = 0.0, 0, []
+    for i in order:
+        n = int(nums[i])
+        if used + n <= budget_num:
+            used += n
+            ub += float(values[i])
+            greedy.append(int(i))
+        else:
+            if budget_num - used > 0:
+                ub += float(values[i]) * (budget_num - used) / n
+            used = budget_num
+    used_g = sum(int(nums[i]) for i in greedy)
+    for i in order:
+        i = int(i)
+        if i not in greedy and used_g + int(nums[i]) <= budget_num:
+            greedy.append(i)
+            used_g += int(nums[i])
+    return ub, sorted(greedy)
+
+
 class TestAbsoluteContinuity:
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 3.0]), min_size=1,
+                           max_size=12),
+           data=st.data())
+    def test_knapsack_matches_list_loop(self, values, data):
+        vals = np.array(values)
+        nums = np.array(data.draw(st.lists(st.integers(1, 8), min_size=vals.size,
+                                           max_size=vals.size)))
+        budget = data.draw(st.integers(0, int(nums.sum())))
+        ub, greedy = _knapsack_fractional(vals, nums, budget)
+        assert (ub, greedy.tolist()) == _oracle_knapsack(vals, nums, budget)
+
     def test_zero_operator(self):
         space = MeasureSpace.uniform(8)
         T = DiscreteOperator(np.zeros((2, 8)), space, sup_norm(dim=2))
@@ -112,11 +151,8 @@ class TestPairing:
             assert sign.mean_zero
             assert sign.support_set().measure == total / 2**j
         # supports are pairwise disjoint and the tail covers the rest
-        all_supports = [set(SignVector.from_values(rep.space, v).support)
-                        for v in rep.extras["stage_signs"]]
-        all_supports.append(set(SignVector.from_values(
-            rep.space, rep.extras["tail_sign"]).support))
-        assert sum(len(s) for s in all_supports) == rep.space.n_atoms
+        signs = np.array(rep.extras["stage_signs"] + [rep.extras["tail_sign"]])
+        assert (np.count_nonzero(signs, axis=0) == 1).all()
 
     def test_determinism(self):
         t2 = build_l1_example(4)
@@ -149,11 +185,19 @@ class TestBudgets:
         with pytest.raises(ValueError):
             sum_compact_via_truncation(t1, t2, sigma, epsilon, l1_example_tail_bound(4))
 
+    @pytest.mark.parametrize("gamma", [0.1, 0.2])
+    def test_pairing_needs_gamma_below_epsilon(self, gamma):
+        t2 = build_l1_example(4)
+        t1 = random_narrow_operator(1, None, 3, 0.5, space=t2.space)
+        params = PipelineParams(epsilon=0.1, gamma=gamma, delta=1 / 16)
+        with pytest.raises(ValueError, match="gamma < epsilon"):
+            pairing_construction(t1, t2, params)
+
     def test_compact_adaptive_rejects_bad_epsilon(self):
         t1 = random_narrow_operator(1, 16, 3, 0.5)
         t2 = random_finite_rank(2, 1, None, 4, space=t1.space)
         with pytest.raises(ValueError):
-            sum_compact_locally_convex(t1, t2, np.nan, PipelineParams())
+            sum_compact_locally_convex(t1, t2, PipelineParams(epsilon=np.nan))
 
 
 class TestSumFiniteRank:
@@ -196,14 +240,14 @@ class TestSumCompact:
     def test_t2_zero(self):
         t1 = random_narrow_operator(10, 32, 3, 0.5)
         z = DiscreteOperator(np.zeros((4, 32)), t1.space, lp_norm(1, dim=4))
-        rep = sum_compact_locally_convex(t1, z, 0.2, PipelineParams(seed=0))
+        rep = sum_compact_locally_convex(t1, z, PipelineParams(epsilon=0.2, seed=0))
         assert rep.extras["net_size"] == 0
         _revalidate(rep, t1, z, 0.1, 0.1)
 
     def test_finite_rank_cross_pipeline(self):
         t1 = random_narrow_operator(11, 64, 3, 0.4)
         t2 = random_finite_rank(12, 3, None, 6, scale=2e-3, space=t1.space)
-        rep_a = sum_compact_locally_convex(t1, t2, 0.2, PipelineParams(seed=1))
+        rep_a = sum_compact_locally_convex(t1, t2, PipelineParams(epsilon=0.2, seed=1))
         rep_b = sum_finite_rank(t1, t2, 0.1, 0.1)
         _revalidate(rep_a, t1, t2, 0.1, 0.1)
         _revalidate(rep_b, t1, t2, 0.1, 0.1)
@@ -212,7 +256,7 @@ class TestSumCompact:
         t1 = random_narrow_operator(13, 16, 3, 0.5)
         t2 = DiscreteOperator(np.zeros((2, 16)), t1.space, lp_norm(0.5, dim=2))
         with pytest.raises(NotLocallyConvex):
-            sum_compact_locally_convex(t1, t2, 0.2, PipelineParams())
+            sum_compact_locally_convex(t1, t2, PipelineParams(epsilon=0.2))
 
     def test_exhaustion_carries_trace(self):
         # an operator whose images always escape: columns so large that any
@@ -222,9 +266,10 @@ class TestSumCompact:
         t1 = DiscreteOperator(np.zeros((1, 4)), space, sup_norm(dim=1))
         m = np.array([[5.0, -5.0, 3.0, -3.0]])
         t2 = DiscreteOperator(m, space, sup_norm(dim=1))
-        params = PipelineParams(seed=0, max_adaptive_rounds=1, sample_budget=4)
+        params = PipelineParams(epsilon=0.05, seed=0, max_adaptive_rounds=1,
+                                sample_budget=4)
         try:
-            rep = sum_compact_locally_convex(t1, t2, 0.05, params)
+            rep = sum_compact_locally_convex(t1, t2, params)
         except AdaptiveBudgetExhausted as exc:
             assert len(exc.trace) >= 1
             assert all("image" in entry for entry in exc.trace)
