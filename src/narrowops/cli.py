@@ -7,8 +7,8 @@ config + seed produce byte-identical files.
 
 Exit codes: 0 success, 2 certified failure (a pipeline reported and
 certified that it could not meet its budgets), 1 usage error (a malformed
-command line or config, including non-integer or out-of-range atom indices,
-which raise InvalidAtom).
+command line or config, including an operator or atom set in the config that
+the measure layer rejects with InvalidAtom).
 """
 
 from __future__ import annotations
@@ -51,12 +51,15 @@ class UsageError(Exception):
 def _operator_from_config(value: dict) -> DiscreteOperator:
     if not isinstance(value, dict):
         raise UsageError("operator entries must be JSON objects")
-    if "instance" in value:
-        return InstanceSpec.from_json(value["instance"]).build()
-    if "path" in value:
-        return operator_from_json(load_json(value["path"]))
-    if "matrix" in value:
-        return operator_from_json(value)
+    try:
+        if "instance" in value:
+            return InstanceSpec.from_json(value["instance"]).build()
+        if "path" in value:
+            return operator_from_json(load_json(value["path"]))
+        if "matrix" in value:
+            return operator_from_json(value)
+    except InvalidAtom as exc:
+        raise UsageError(f"bad operator: {exc}") from None
     raise UsageError("operator entry needs 'instance', 'path', or an inline bundle")
 
 
@@ -119,9 +122,10 @@ def _cmd_partition(args, config: dict, seed: int) -> int:
 
 def _cmd_find_sign(args, config: dict, seed: int) -> int:
     T = _operator_from_config(config["operator"])
-    mset = (
-        T.space.subset(config["set"]) if "set" in config else T.space.full_set()
-    )
+    try:
+        mset = T.space.subset(config["set"]) if "set" in config else T.space.full_set()
+    except InvalidAtom as exc:
+        raise UsageError(f"bad 'set': {exc}") from None
     res = find_small_sign(
         T, mset, float(config["epsilon"]),
         strategy=config.get("strategy", "auto"),
@@ -323,13 +327,13 @@ def main(argv=None) -> int:
             config = json.loads(Path(args.config).read_text())
         seed = args.seed if args.seed is not None else int(config.get("seed", 0))
         return _COMMANDS[args.command](args, config, seed)
-    except (UsageError, InvalidAtom, KeyError, FileNotFoundError, ValueError,
-            json.JSONDecodeError) as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
     except NarrowOpsError as exc:
         print(f"certified failure: {exc}", file=sys.stderr)
         return 2
+    except (UsageError, KeyError, FileNotFoundError, ValueError,
+            json.JSONDecodeError) as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ mean-zero and equal-measure predicates never involve a tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -60,8 +61,8 @@ class RefineMap:
     """Index mapping produced by a refinement.
 
     Old atom ``i`` is replaced by ``counts[i]`` consecutive children starting
-    at ``starts()[i]``.  Order of atoms is preserved.  ``counts`` is a
-    read-only int64 array.
+    at ``starts[i]``.  Order of atoms is preserved.  ``counts`` and
+    ``starts`` are read-only int64 arrays; ``starts`` is computed on first use.
     """
 
     counts: np.ndarray
@@ -88,20 +89,17 @@ class RefineMap:
     def is_identity(self) -> bool:
         return bool((self.counts == 1).all())
 
+    @cached_property
     def starts(self) -> np.ndarray:
-        return np.cumsum(self.counts) - self.counts
+        return _read_only(np.cumsum(self.counts) - self.counts)
 
     def map_indices(self, indices: Iterable[int] | np.ndarray) -> np.ndarray:
         idx = _as_indices(indices)
         if idx.size and (idx.min() < 0 or idx.max() >= self.n_old):
             raise InvalidAtom(f"atom index out of range [0, {self.n_old})")
-        return self._children_of(idx)
-
-    def _children_of(self, idx: np.ndarray) -> np.ndarray:
-        """Children of the in-range old atoms `idx`, in order."""
         c = self.counts[idx]
         # child k of old atom idx[j] sits at starts[idx[j]] + k
-        offsets = np.repeat(self.starts()[idx] - (np.cumsum(c) - c), c)
+        offsets = np.repeat(self.starts[idx] - (np.cumsum(c) - c), c)
         return offsets + np.arange(offsets.size)
 
     def lift_values(self, values: Sequence[int] | np.ndarray) -> np.ndarray:
@@ -122,7 +120,7 @@ class RefineMap:
         """Map refining self's output further; returns old -> newest mapping."""
         if later.n_old != self.n_new:
             raise InvalidAtom("maps are not composable")
-        return RefineMap(counts=np.add.reduceat(later.counts, self.starts()))
+        return RefineMap(counts=np.add.reduceat(later.counts, self.starts))
 
 
 @dataclass(frozen=True, eq=False)
@@ -320,8 +318,7 @@ class MeasurableSet:
         return MeasurableSet(space=self.space, indices=keep)
 
     def lift(self, rmap: RefineMap, space: MeasureSpace) -> "MeasurableSet":
-        # the indices were range-checked against the set's space already
-        return MeasurableSet(space=space, indices=rmap._children_of(self.indices))
+        return MeasurableSet(space=space, indices=rmap.map_indices(self.indices))
 
 
 @dataclass(frozen=True, eq=False)

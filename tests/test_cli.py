@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from narrowops import cli
+from narrowops.errors import InvalidAtom
 from narrowops.serialize import (
     matrix_from_csv,
     matrix_to_csv,
@@ -85,6 +86,32 @@ class TestExitCodes:
             "epsilon": 1e-6,
         }
         assert _run(tmp_path, "find-sign", config) == 1
+
+    def test_malformed_operator_bundle_is_usage_error(self, tmp_path):
+        config = {
+            "operator": {
+                "matrix": [[1.0, 1.0]],
+                "space": {"denominator_log2": 1, "numerators": [0, 2]},
+                "norm": {"kind": "sup", "weights": [1.0]},
+            },
+            "epsilon": 0.1,
+        }
+        assert _run(tmp_path, "partition", config) == 1
+
+    def test_invalid_atom_inside_a_pipeline_is_not_usage_error(
+        self, tmp_path, monkeypatch
+    ):
+        # only config input is turned into a usage error; the same exception
+        # raised by the library mid-pipeline keeps the library-error exit code
+        def fail(*args, **kwargs):
+            raise InvalidAtom("maps are not composable")
+
+        monkeypatch.setattr(cli, "find_small_sign", fail)
+        config = {
+            "operator": {"instance": {"kind": "l1_example", "levels": 4}},
+            "epsilon": 1e-6,
+        }
+        assert _run(tmp_path, "find-sign", config) == 2
 
     def test_unknown_pipeline_parameter_is_usage_error(self, tmp_path):
         # reported as a usage error, not as an uncaught TypeError

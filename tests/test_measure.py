@@ -107,6 +107,13 @@ class TestRefineMap:
         with pytest.raises(InvalidAtom):
             RefineMap(counts=(2, 1, 3)).map_indices([index])
 
+    def test_lift_through_a_smaller_map_is_refused(self):
+        # the set lives on 4 atoms; a map for 3 atoms has no children for atom 3
+        space = MeasureSpace.uniform(4)
+        rmap = RefineMap(counts=(2, 1, 1))
+        with pytest.raises(InvalidAtom):
+            space.subset([1, 3]).lift(rmap, MeasureSpace.uniform(rmap.n_new))
+
 
 class TestSignVector:
     def test_mean_zero_exact(self):
