@@ -63,11 +63,21 @@ def _operator_from_config(value: dict) -> DiscreteOperator:
     raise UsageError("operator entry needs 'instance', 'path', or an inline bundle")
 
 
+_PARAM_KEYS = tuple(f.name for f in dataclasses.fields(PipelineParams))
+
+
+def _check_keys(config: dict, *keys: str) -> None:
+    """Refuse top-level config keys the subcommand does not read, so a
+    misspelt budget is not replaced by its default; `seed` is always read."""
+    unknown = sorted(set(config) - {"seed", *keys})
+    if unknown:
+        raise UsageError(f"unknown config key(s): {', '.join(unknown)}")
+
+
 def _params(config: dict, seed: int, **overrides) -> PipelineParams:
     """PipelineParams from the config's top-level fields, then its "params"
     object, then `overrides`; the seed is always `seed`."""
-    names = [f.name for f in dataclasses.fields(PipelineParams)]
-    fields = {k: config[k] for k in names if k in config}
+    fields = {k: config[k] for k in _PARAM_KEYS if k in config}
     try:
         fields.update(config.get("params", {}))
         fields.update(overrides, seed=seed)
@@ -97,6 +107,7 @@ def _stage_csv(report_dict: dict):
 
 
 def _cmd_round(args, config: dict, seed: int) -> int:
+    _check_keys(config, "vectors", "coefficients", "norm")
     instance = RoundingInstance(
         vectors=np.asarray(config["vectors"], dtype=float),
         coefficients=np.asarray(config["coefficients"], dtype=float),
@@ -108,6 +119,7 @@ def _cmd_round(args, config: dict, seed: int) -> int:
 
 
 def _cmd_partition(args, config: dict, seed: int) -> int:
+    _check_keys(config, "operator", "epsilon")
     T = _operator_from_config(config["operator"])
     part = partition_small_cells(T, float(config["epsilon"]))
     report = part.summary()
@@ -121,6 +133,7 @@ def _cmd_partition(args, config: dict, seed: int) -> int:
 
 
 def _cmd_find_sign(args, config: dict, seed: int) -> int:
+    _check_keys(config, "operator", "set", "epsilon", "strategy", "refine_budget")
     T = _operator_from_config(config["operator"])
     try:
         mset = T.space.subset(config["set"]) if "set" in config else T.space.full_set()
@@ -143,6 +156,7 @@ def _cmd_find_sign(args, config: dict, seed: int) -> int:
 
 
 def _cmd_pairing(args, config: dict, seed: int) -> int:
+    _check_keys(config, "t1", "t2", "params", *_PARAM_KEYS)
     t1 = _operator_from_config(config["t1"])
     t2 = _operator_from_config(config["t2"])
     report = pairing_construction(t1, t2, _params(config, seed))
@@ -153,6 +167,7 @@ def _cmd_pairing(args, config: dict, seed: int) -> int:
 
 
 def _cmd_sum_finite_rank(args, config: dict, seed: int) -> int:
+    _check_keys(config, "t1", "t2", "sigma", "epsilon", "rank_limit", "refine_budget")
     t1 = _operator_from_config(config["t1"])
     t2 = _operator_from_config(config["t2"])
     report = sum_finite_rank(
@@ -167,13 +182,21 @@ def _cmd_sum_finite_rank(args, config: dict, seed: int) -> int:
 
 
 def _cmd_sum_compact(args, config: dict, seed: int) -> int:
+    mode = config.get("mode", "adaptive")
+    mode_keys = {
+        "adaptive": ("params", *_PARAM_KEYS),
+        "truncation": ("sigma", "epsilon", "tail_values", "tail", "rank_limit",
+                       "refine_budget"),
+    }
+    if mode not in mode_keys:
+        raise UsageError(f"unknown sum-compact mode {mode!r}")
+    _check_keys(config, "t1", "t2", "mode", *mode_keys[mode])
     t1 = _operator_from_config(config["t1"])
     t2 = _operator_from_config(config["t2"])
-    mode = config.get("mode", "adaptive")
     if mode == "adaptive":
         params = _params(config, seed, epsilon=float(config["epsilon"]))
         report = sum_compact_locally_convex(t1, t2, params)
-    elif mode == "truncation":
+    else:
         if "tail_values" in config:
             values = [float(v) for v in config["tail_values"]]
 
@@ -189,8 +212,6 @@ def _cmd_sum_compact(args, config: dict, seed: int) -> int:
             rank_limit=int(config.get("rank_limit", 16)),
             refine_budget=int(config.get("refine_budget", 2**16)),
         )
-    else:
-        raise UsageError(f"unknown sum-compact mode {mode!r}")
     d = report.to_json_dict()
     rows, cols = _stage_csv(d)
     _Emitter(args, "sum-compact").emit(d, rows, cols)
@@ -198,6 +219,7 @@ def _cmd_sum_compact(args, config: dict, seed: int) -> int:
 
 
 def _cmd_example_l1(args, config: dict, seed: int) -> int:
+    _check_keys(config, "levels", "atoms_per_level")
     levels = args.levels if args.levels is not None else int(config.get("levels", 12))
     apl = args.atoms_per_level
     if apl is None and "atoms_per_level" in config:
@@ -223,6 +245,7 @@ def _cmd_example_l1(args, config: dict, seed: int) -> int:
 
 
 def _cmd_example_condexp(args, config: dict, seed: int) -> int:
+    _check_keys(config, "grid")
     k = args.grid if args.grid is not None else int(config.get("grid", 8))
     T = build_conditional_expectation(k)
     # strict-narrowness witness: a vertical +1/-1 pair maps to zero
@@ -246,6 +269,7 @@ def _cmd_bench(args, config: dict, seed: int) -> int:
     """
     from .instances import random_finite_rank, random_narrow_operator
 
+    _check_keys(config)
     rows = []
     for levels in (4, 5, 6):
         t2 = build_l1_example(levels)
@@ -325,6 +349,8 @@ def main(argv=None) -> int:
     try:
         if args.config:
             config = json.loads(Path(args.config).read_text())
+            if not isinstance(config, dict):
+                raise UsageError("a config must be a JSON object")
         seed = args.seed if args.seed is not None else int(config.get("seed", 0))
         return _COMMANDS[args.command](args, config, seed)
     except NarrowOpsError as exc:

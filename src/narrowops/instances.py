@@ -9,7 +9,7 @@ truncation tail ``2^-N``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +18,15 @@ from .errors import NonDyadic
 from .measure import MeasurableSet, MeasureSpace, _is_power_of_two
 from .norms import lp_norm, sup_norm
 from .operators import DiscreteOperator
+
+
+# the fields each instance kind needs; the others are optional
+_REQUIRED_FIELDS = {
+    "l1_example": ("levels",),
+    "conditional_expectation": ("grid",),
+    "random_narrow": ("atoms", "target_dim", "decay"),
+    "random_finite_rank": ("rank", "atoms", "target_dim"),
+}
 
 
 @dataclass(frozen=True)
@@ -35,6 +44,13 @@ class InstanceSpec:
     scale: float | None = None
     seed: int = 0
 
+    def __post_init__(self):
+        if self.kind not in _REQUIRED_FIELDS:
+            raise ValueError(f"unknown instance kind {self.kind!r}")
+        missing = [f for f in _REQUIRED_FIELDS[self.kind] if getattr(self, f) is None]
+        if missing:
+            raise ValueError(f"a {self.kind} instance needs {', '.join(missing)}")
+
     def build(self) -> DiscreteOperator:
         if self.kind == "l1_example":
             return build_l1_example(self.levels, self.atoms_per_level)
@@ -44,15 +60,18 @@ class InstanceSpec:
             return random_narrow_operator(
                 self.seed, self.atoms, self.target_dim, self.decay
             )
-        if self.kind == "random_finite_rank":
-            return random_finite_rank(
-                self.seed, self.rank, self.atoms, self.target_dim,
-                scale=self.scale if self.scale is not None else 1.0,
-            )
-        raise ValueError(f"unknown instance kind {self.kind!r}")
+        return random_finite_rank(
+            self.seed, self.rank, self.atoms, self.target_dim,
+            scale=self.scale if self.scale is not None else 1.0,
+        )
 
     @staticmethod
     def from_json(obj: dict) -> "InstanceSpec":
+        if not isinstance(obj, dict) or "kind" not in obj:
+            raise ValueError("an instance needs a 'kind'")
+        unknown = sorted(set(obj) - {f.name for f in fields(InstanceSpec)})
+        if unknown:
+            raise ValueError(f"unknown instance field(s): {', '.join(unknown)}")
         return InstanceSpec(**obj)
 
 

@@ -109,13 +109,6 @@ class RefineMap:
             raise InvalidAtom(f"expected {self.n_old} values, got {v.shape[-1]}")
         return np.repeat(v, self.counts, axis=-1)
 
-    def split_columns(self, matrix: np.ndarray) -> np.ndarray:
-        """Split column i into counts[i] equal parts (integral-kernel rule)."""
-        m = np.asarray(matrix, dtype=float)
-        if m.shape[1] != self.n_old:
-            raise InvalidAtom(f"expected {self.n_old} columns, got {m.shape[1]}")
-        return np.repeat(m / self.counts, self.counts, axis=1)
-
     def compose(self, later: "RefineMap") -> "RefineMap":
         """Map refining self's output further; returns old -> newest mapping."""
         if later.n_old != self.n_new:
@@ -200,13 +193,6 @@ class MeasureSpace:
 
     def weights_float(self) -> np.ndarray:
         return self.numerators / 2.0**self.denom_log2
-
-    def measure(self, indices: Iterable[int] | np.ndarray) -> Fraction:
-        idx = _as_indices(indices)
-        if idx.size:
-            self._check_atom(int(idx.min()))
-            self._check_atom(int(idx.max()))
-        return Fraction(int(self.numerators[idx].sum()), 2**self.denom_log2)
 
     def full_set(self) -> "MeasurableSet":
         return MeasurableSet(space=self, indices=np.arange(self.n_atoms))
@@ -310,13 +296,6 @@ class MeasurableSet:
         nums = self.space.numerators[self.indices]
         return Fraction(int(nums.sum()), 2**self.space.denom_log2)
 
-    def weights_float(self) -> np.ndarray:
-        return self.space.weights_float()[self.indices]
-
-    def difference(self, other: "MeasurableSet") -> "MeasurableSet":
-        keep = np.setdiff1d(self.indices, other.indices, assume_unique=True)
-        return MeasurableSet(space=self.space, indices=keep)
-
     def lift(self, rmap: RefineMap, space: MeasureSpace) -> "MeasurableSet":
         return MeasurableSet(space=space, indices=rmap.map_indices(self.indices))
 
@@ -363,10 +342,6 @@ class SignVector:
     def is_sign_on(self, mset: MeasurableSet) -> bool:
         """True iff support equals mset exactly (a 'sign on A' in the classical sense)."""
         return np.array_equal(np.flatnonzero(self.values), mset.indices)
-
-    def add_disjoint(self, other: "SignVector") -> "SignVector":
-        """Sum of signs with disjoint supports (stays {-1,0,+1}-valued)."""
-        return SignVector(space=self.space, values=self.values + other.values)
 
     def lift(self, rmap: RefineMap, space: MeasureSpace) -> "SignVector":
         return SignVector(space=space, values=rmap.lift_values(self.values))

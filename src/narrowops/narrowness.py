@@ -446,6 +446,7 @@ def adversarial_disjoint_signs(
     On getting stuck mid-construction, the collected supports plus the
     remainder themselves form a certified partition at epsilon.
     """
+    check_budgets(epsilon=epsilon)
     if count < 1:
         raise ValueError("count must be >= 1")
     identity = RefineMap.identity(T.space.n_atoms)

@@ -1,9 +1,10 @@
 """Discretized linear operators from step functions to F-normed targets.
 
 Column ``i`` of the matrix is the image of the indicator of atom ``i``.
-Under refinement a column splits into equal parts (the integral-operator
-rule), so applying the refined operator to a lifted sign reproduces the
-original image exactly up to rounding.
+Under refinement each child takes the parent's column times its share of the
+parent's weight (the integral-operator rule), so applying the refined
+operator to a lifted sign reproduces the original image exactly up to
+rounding.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoFeasibleSign, SetTooLarge
+from .errors import DimensionMismatch, InvalidAtom, NoFeasibleSign, SetTooLarge
 from .measure import MeasurableSet, MeasureSpace, RefineMap, SignVector
 from .norms import TargetNorm, fnorm, fnorm_many
 
@@ -73,9 +74,33 @@ class DiscreteOperator:
         return fnorm_many(self.target, cols)
 
     def refine(self, rmap: RefineMap, space: MeasureSpace) -> "DiscreteOperator":
-        """Operator on the refined space; columns split equally by default."""
+        """Operator on the refined `space`: each child's column is the
+        parent's column times the child's share of the parent's weight.
+
+        The children of every atom must carry its weight exactly.  A share
+        that is a power of two, as every refinement in this package makes, is
+        computed exactly, so equal children get the bits of ``column / count``.
+        """
+        old = self.space
+        if rmap.n_old != old.n_atoms:
+            raise InvalidAtom(f"expected {rmap.n_old} atoms, got {old.n_atoms}")
+        if rmap.n_new != space.n_atoms:
+            raise DimensionMismatch(
+                f"map has {rmap.n_new} children, space has {space.n_atoms} atoms"
+            )
+        shift = space.denom_log2 - old.denom_log2
+        parents = old.numerators << max(shift, 0)
+        # the running weights must agree after every parent's last child
+        if shift < 0 or space.total != old.total or (
+            np.cumsum(space.numerators)[rmap.starts + rmap.counts - 1]
+            != np.cumsum(parents)
+        ).any():
+            raise InvalidAtom("children's weights do not sum to their parent's")
+        # numerators above 2^53 round to floats, but the quotient of two
+        # that differ by a power of two is still that power exactly
+        share = space.numerators / rmap.lift_values(parents)
         return DiscreteOperator(
-            matrix=rmap.split_columns(self.matrix), space=space, target=self.target
+            matrix=rmap.lift_values(self.matrix) * share, space=space, target=self.target
         )
 
     def restrict_rows(self, keep: int) -> "DiscreteOperator":

@@ -102,25 +102,27 @@ class PipelineReport:
 
 
 class _Ctx:
-    """Mutable bundle of a space plus everything that must refine together."""
+    """A space, its operators, the map from the starting space, and per-atom
+    arrays (labels and running signs); a refinement lifts them all at once."""
 
     def __init__(self, space: MeasureSpace, ops: dict):
         self.space = space
         self.ops = dict(ops)
-        self.signs: list[SignVector] = []
-        self.sets: dict[str, MeasurableSet] = {}
         self.total_map = RefineMap.identity(space.n_atoms)
-        self.refinements = 0
+        self.arrays: dict[str, np.ndarray] = {}
 
     def apply_map(self, rmap: RefineMap, space: MeasureSpace) -> None:
         if rmap.is_identity:
             return
         self.space = space
         self.ops = {k: op.refine(rmap, space) for k, op in self.ops.items()}
-        self.signs = [s.lift(rmap, space) for s in self.signs]
-        self.sets = {k: v.lift(rmap, space) for k, v in self.sets.items()}
+        self.arrays = {k: rmap.lift_values(v) for k, v in self.arrays.items()}
         self.total_map = self.total_map.compose(rmap)
-        self.refinements += 1
+
+    def where(self, key: str, label: int) -> MeasurableSet:
+        """The atoms whose `key` label equals `label`."""
+        return MeasurableSet(space=self.space,
+                             indices=np.flatnonzero(self.arrays[key] == label))
 
     def refine_atoms(self, indices, parts: int, budget: int) -> None:
         space2, rmap = self.space.refine_atoms(indices, parts)
@@ -263,14 +265,17 @@ def pairing_construction(
         if m > 60:
             raise PreconditionFailed("delta too small: would need > 60 stages")
 
-    ctx.sets["live"] = ctx.space.full_set()
+    # stage[i] is 0 while atom i is live and j once stage j covers it; x is
+    # the sum of the disjoint stage signs so far
+    n = ctx.space.n_atoms
+    ctx.arrays = {"stage": np.zeros(n, dtype=np.int64), "x": np.zeros(n, dtype=np.int8)}
     stages: list[dict] = []
     for j in range(1, m + 1):
         budget_t1 = params.sigma / 2 ** (j + 1)
         budget_t2 = eps1 / 2**j
         stage_refines = 0
         while True:
-            live = ctx.sets["live"]
+            live = ctx.where("stage", 0)
             t1c, t2c = ctx.ops["t1"], ctx.ops["t2"]
             cands: list[tuple[int, SignVector, np.ndarray]] = []
             level = 1
@@ -308,21 +313,19 @@ def pairing_construction(
                 ) from exc
 
         a, b = pair
-        live = ctx.sets["live"]
         t1c, t2c = ctx.ops["t1"], ctx.ops["t2"]
         vals = (cands[a][1].values - cands[b][1].values) // 2
         x_j = SignVector.from_values(ctx.space, vals)
-        b_set = x_j.support_set()
         if not x_j.mean_zero:
             raise StageFailed(j, "stage sign is not mean zero")
-        if ctx.space.measure(b_set.indices) != total / 2**j:
+        if x_j.support_set().measure != total / 2**j:
             raise StageFailed(j, "support measure is not exactly mu(Omega)/2^j")
         t1n = fnorm(t1c.target, t1c.apply(x_j))
         t2n = fnorm(t2c.target, t2c.apply(x_j))
         if t1n > params.sigma / 2**j + _TOL or t2n > eps1 / 2**j + _TOL:
             raise StageFailed(j, "stage norms violate the geometric schedule")
-        ctx.signs.append(x_j)
-        ctx.sets["live"] = live.difference(b_set)
+        ctx.arrays["stage"][x_j.values != 0] = j
+        ctx.arrays["x"] += x_j.values
         stages.append({
             "stage": j,
             "levels": [cands[a][0], cands[b][0]],
@@ -334,7 +337,7 @@ def pairing_construction(
         })
 
     # tail sign z on the remaining small set
-    tail = ctx.sets["live"]
+    tail = ctx.where("stage", 0)
     res = find_small_sign(
         ctx.ops["t1"], tail, params.sigma / 2**m + _TOL,
         strategy="auto", refine_budget=params.refine_budget,
@@ -344,12 +347,11 @@ def pairing_construction(
     t2z = fnorm(ctx.ops["t2"].target, ctx.ops["t2"].apply(z))
     if t2z > params.gamma + _TOL:
         raise StageFailed(m + 1, f"tail sign T2-image {t2z} exceeds gamma")
-    if not z.is_sign_on(ctx.sets["live"]):
+    if not z.is_sign_on(ctx.where("stage", 0)):
         raise StageFailed(m + 1, "tail sign does not have full support on the rest")
 
-    x = z
-    for s in ctx.signs:
-        x = x.add_disjoint(s)
+    stage, x_stages = ctx.arrays["stage"], ctx.arrays["x"]
+    x = SignVector.from_values(ctx.space, x_stages + z.values)
     achieved_t1 = fnorm(ctx.ops["t1"].target, ctx.ops["t1"].apply(x))
     achieved_t2 = fnorm(ctx.ops["t2"].target, ctx.ops["t2"].apply(x))
     if achieved_t1 > params.sigma + _TOL or achieved_t2 > params.epsilon + _TOL:
@@ -379,7 +381,8 @@ def pairing_construction(
             "abs_continuity_bound": ac.upper_bound,
             # stage signs lifted to the final space, for independent
             # verification of disjointness and the exact support measures
-            "stage_signs": [s.values.tolist() for s in ctx.signs],
+            "stage_signs": [np.where(stage == j, x_stages, 0).tolist()
+                            for j in range(1, m + 1)],
             "tail_sign": z.values.tolist(),
         },
     )
@@ -449,8 +452,12 @@ def sum_finite_rank(
         range(partition.n_cells),
         key=lambda k: (-partition.cells[k].measure, k),
     )
+    # cell[i] is the measure-order rank of atom i's cell; x holds the cell
+    # signs found so far, each on its own cell
+    cell = np.empty(ctx.space.n_atoms, dtype=np.int64)
     for rank_k, k in enumerate(order):
-        ctx.sets[f"cell{rank_k}"] = partition.cells[k]
+        cell[partition.cells[k].indices] = rank_k
+    ctx.arrays = {"cell": cell, "x": np.zeros(ctx.space.n_atoms, dtype=np.int8)}
     cert_bounds = [partition.bounds[k] for k in order]
     if partition.n_cells > 32:
         # one global split makes every cell pairable at once, avoiding a
@@ -460,19 +467,19 @@ def sum_finite_rank(
     diagnostics: list[dict] = []
     for rank_k in range(partition.n_cells):
         k = rank_k + 1
-        cell = ctx.sets[f"cell{rank_k}"]
+        cell_set = ctx.where("cell", rank_k)
         res = find_small_sign(
-            ctx.ops["t1"], cell, sigma * 2.0**-k + _TOL, refine_budget=refine_budget
+            ctx.ops["t1"], cell_set, sigma * 2.0**-k + _TOL, refine_budget=refine_budget
         )
         ctx.apply_map(res.refine_map, res.operator.space)
         x_k = res.sign
         p_k = fnorm(coeff_target, ctx.ops["coeff"].apply(x_k))
         if p_k > delta / m + _TOL:
             raise StageFailed(k, f"cell coefficient norm {p_k} exceeds delta/m")
-        ctx.signs.append(x_k)
+        ctx.arrays["x"] += x_k.values
         diagnostics.append({
             "cell": k,
-            "size": cell.size,
+            "size": cell_set.size,
             "t1_budget": sigma * 2.0**-k,
             "t1_norm": res.value,
             "coeff_norm": p_k,
@@ -480,17 +487,16 @@ def sum_finite_rank(
             "strategy": res.strategy,
         })
 
-    vectors = np.stack([ctx.ops["coeff"].apply(s) for s in ctx.signs])
+    cell, x_cells = ctx.arrays["cell"], ctx.arrays["x"]
+    vectors = np.stack([ctx.ops["coeff"].apply(np.where(cell == rank_k, x_cells, 0))
+                        for rank_k in range(partition.n_cells)])
     theta_signs, achieved_p, certificate, _ = sign_round(vectors, coeff_target)
     if certificate > delta + _TOL:
         raise StageFailed(0, f"rounding certificate {certificate} exceeds delta")
     if achieved_p > delta + _TOL:
         raise StageFailed(0, f"rounded coefficient norm {achieved_p} exceeds delta")
 
-    values = np.zeros(ctx.space.n_atoms, dtype=np.int64)
-    for sgn, s in zip(theta_signs, ctx.signs):
-        values += int(sgn) * s.values
-    x = SignVector.from_values(ctx.space, values)
+    x = SignVector.from_values(ctx.space, theta_signs[cell] * x_cells)
     if not x.mean_zero:
         raise StageFailed(0, "combined sign is not mean zero")
     achieved_t1 = fnorm(ctx.ops["t1"].target, ctx.ops["t1"].apply(x))
@@ -517,22 +523,22 @@ def sum_finite_rank(
 
 
 def _sample_signs(space: MeasureSpace, rng: np.random.Generator, budget: int):
-    """Deterministic sign samples: block Rademacher family plus random signs."""
-    out: list[SignVector] = []
+    """Deterministic sign samples, one int8 row each: block Rademacher
+    family plus random signs."""
+    out: list[np.ndarray] = []
     full = space.full_set()
     n = space.n_atoms
     level = 1
     while n % 2**level == 0 and 2**level <= n and len(out) < budget:
-        out.append(rademacher_sign(full, level))
+        out.append(rademacher_sign(full, level).values)
         level += 1
     while len(out) < budget:
         kind = rng.integers(0, 2)
         if kind == 0:
-            vals = rng.integers(0, 2, n) * 2 - 1
+            out.append(rng.integers(0, 2, n) * 2 - 1)
         else:
-            vals = rng.integers(-1, 2, n)
-        out.append(SignVector.from_values(space, vals))
-    return out
+            out.append(rng.integers(-1, 2, n))
+    return np.array(out, dtype=np.int8).reshape(len(out), n)
 
 
 def sum_compact_locally_convex(
@@ -554,7 +560,7 @@ def sum_compact_locally_convex(
     _require_same_space(T1, T2)
     ctx, umap = _uniformized_ctx({"t1": T1, "t2": T2})
     rng = np.random.default_rng(params.seed)
-    ctx.signs = _sample_signs(ctx.space, rng, params.sample_budget)
+    ctx.arrays["samples"] = _sample_signs(ctx.space, rng, params.sample_budget)
 
     target = T2.target
     extra_images: list[np.ndarray] = []
@@ -562,7 +568,7 @@ def sum_compact_locally_convex(
     rounds_log: list[dict] = []
     for rnd in range(1, params.max_adaptive_rounds + 1):
         t2c = ctx.ops["t2"]
-        images = [t2c.apply(s) for s in ctx.signs] + extra_images
+        images = [t2c.apply(s) for s in ctx.arrays["samples"]] + extra_images
         k1 = [y for y in images if fnorm(target, y) > epsilon / 2]
         centers: list[np.ndarray] = []
         if k1:

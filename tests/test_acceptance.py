@@ -36,19 +36,12 @@ from narrowops import (
     sup_norm,
 )
 from narrowops.instances import build_l1_example
+from revalidation import revalidate
 
 
 def _report(n, ok, detail):
     print(f"criterion {n}: {'PASS' if ok else 'FAIL'} - {detail}")
     assert ok, f"criterion {n} failed: {detail}"
-
-
-def _revalidate(report, T1, T2, sigma, epsilon):
-    t1 = T1.refine(report.refine_map, report.space)
-    t2 = T2.refine(report.refine_map, report.space)
-    assert report.sign.mean_zero
-    assert fnorm(t1.target, t1.apply(report.sign)) <= sigma + 1e-9
-    assert fnorm(t2.target, t2.apply(report.sign)) <= epsilon + 1e-9
 
 
 def _norms(kind, Y):
@@ -166,7 +159,7 @@ def test_criterion_4_pairing_pipeline():
         t1 = random_narrow_operator(seed, None, 3, 0.5, space=t2.space)
         rep = pairing_construction(t1, t2, params)
         assert rep.status == "success"
-        _revalidate(rep, t1, t2, 0.1, 0.1)
+        revalidate(rep, t1, t2, 0.1, 0.1)
         total = rep.space.total
         for j, values in enumerate(rep.extras["stage_signs"], start=1):
             sign = SignVector.from_values(rep.space, values)
@@ -188,7 +181,7 @@ def test_criterion_5_finite_rank_pipeline():
                                 scale=1e-4, space=t1.space)
         rep = sum_finite_rank(t1, t2, 0.1, 0.1)
         assert rep.status == "success"
-        _revalidate(rep, t1, t2, 0.1, 0.1)
+        revalidate(rep, t1, t2, 0.1, 0.1)
         # internal chain: per-cell sigma/2^k schedule and rounding certificate
         for stage in rep.stages:
             assert stage["t1_norm"] <= stage["t1_budget"] + 1e-9
@@ -216,7 +209,7 @@ def test_criterion_6_compact_pipeline():
             assert all({"round", "norm", "image"} <= set(e) for e in exc.trace)
             continue
         assert rep.adaptive_rounds <= 5
-        _revalidate(rep, t1, t2, 0.1, 0.1)
+        revalidate(rep, t1, t2, 0.1, 0.1)
         successes += 1
     # non-locally-convex target must be rejected up front
     t1 = random_narrow_operator(1, 16, 3, 0.5)
@@ -260,7 +253,7 @@ def test_criterion_7_l1_example_certification():
     t1 = random_narrow_operator(42, None, 3, 0.5, space=T.space)
     rep = sum_compact_via_truncation(t1, T, 0.1, 1 / 8, l1_example_tail_bound(12))
     assert rep.extras["truncation_level"] == 4
-    _revalidate(rep, t1, T, 0.1, 1 / 8)
+    revalidate(rep, t1, T, 0.1, 1 / 8)
     elapsed = time.perf_counter() - start
     _report(7, elapsed < 10.0,
             f"strict narrowness, tail bounds, image separation, "

@@ -136,6 +136,50 @@ class TestExitCodes:
     def test_sum_compact_requires_epsilon(self, tmp_path):
         assert _run(tmp_path, "sum-compact", _pipeline_config()) == 1
 
+    @pytest.mark.parametrize("command, config", [
+        ("round", {"vectors": [[1.0]], "coefficients": [0.5],
+                   "norm": {"kind": "sup", "weights": [1.0]}}),
+        ("partition", {"operator": {"instance": {"kind": "l1_example", "levels": 4}},
+                       "epsilon": 0.25}),
+        ("find-sign", {"operator": {"instance": {"kind": "l1_example", "levels": 4}},
+                       "epsilon": 1e-6}),
+        ("pairing", {**_pipeline_config(), "sigma": 0.1, "epsilon": 0.2,
+                     "gamma": 0.15, "delta": 0.0625}),
+        ("sum-finite-rank", {**_pipeline_config(), "sigma": 0.1, "epsilon": 0.1}),
+        ("sum-compact", {**_pipeline_config(), "epsilon": 0.2}),
+        ("sum-compact", {**_pipeline_config(), "mode": "truncation", "epsilon": 0.2,
+                         "tail_values": [0.0] * 4}),
+        ("example-l1", {"levels": 4}),
+        ("example-condexp", {"grid": 4}),
+        ("bench", {}),
+    ], ids=["round", "partition", "find-sign", "pairing", "sum-finite-rank",
+            "sum-compact-adaptive", "sum-compact-truncation", "example-l1",
+            "example-condexp", "bench"])
+    def test_unknown_config_key_is_usage_error(self, tmp_path, capsys, command, config):
+        # a misspelt budget used to fall back to its default silently
+        assert _run(tmp_path, command, {**config, "sigam": 1e-9}) == 1
+        assert "sigam" in capsys.readouterr().err
+
+    def test_truncation_rejects_adaptive_keys(self, tmp_path):
+        config = {**_pipeline_config(), "mode": "truncation", "epsilon": 0.2,
+                  "tail_values": [0.0] * 4, "params": {"gamma": 0.01}}
+        assert _run(tmp_path, "sum-compact", config) == 1
+
+    @pytest.mark.parametrize("instance, field", [
+        ({"kind": "l1_example"}, "levels"),
+        ({"kind": "l1_example", "levels": 4, "level": 3}, "level"),
+        ({"kind": "random_narrow", "target_dim": 3, "decay": 0.5}, "atoms"),
+        ({"levels": 4}, "kind"),
+    ], ids=["missing-levels", "unknown-field", "missing-atoms", "missing-kind"])
+    def test_bad_instance_is_usage_error(self, tmp_path, capsys, instance, field):
+        # these used to escape main as a TypeError traceback
+        config = {"operator": {"instance": instance}, "epsilon": 0.25}
+        assert _run(tmp_path, "partition", config) == 1
+        assert field in capsys.readouterr().err
+
+    def test_config_must_be_an_object(self, tmp_path):
+        assert _run(tmp_path, "bench", []) == 1
+
 
 class TestReports:
     def test_partition_schema(self, tmp_path):

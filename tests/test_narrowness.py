@@ -276,6 +276,16 @@ class TestAdversarial:
         for s in out.signs:
             assert out.operator.image_norm(s) >= 0.5
 
+    @pytest.mark.parametrize("epsilon", [np.nan, -1.0])
+    def test_bad_epsilon_rejected_without_partition(self, epsilon):
+        # the inductive branch skips partition_small_cells, which used to be
+        # the only epsilon check: NaN gave a certificate at epsilon NaN and
+        # -1.0 three "large" signs
+        T = DiscreteOperator(np.array([[1.0, 0.5, 0.25, 0.125]]),
+                             MeasureSpace.uniform(4), sup_norm(dim=1))
+        with pytest.raises(ValueError):
+            adversarial_disjoint_signs(T, epsilon, 3, assume_partition_fails=True)
+
     def test_dichotomy_random(self):
         rng = np.random.default_rng(0)
         for trial in range(40):

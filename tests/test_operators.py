@@ -1,14 +1,19 @@
 """Discrete operator tests, with an independently coded second exhaustion
 as the oracle for the brute-force sign search."""
 
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from narrowops import (
     DiscreteOperator,
+    InvalidAtom,
     MeasureSpace,
+    RefineMap,
     NoFeasibleSign,
     SetTooLarge,
     SignVector,
@@ -203,6 +208,55 @@ class TestRefinementCompatibility:
             np.testing.assert_allclose(
                 T2.apply(x.lift(rmap, space2)), T.apply(x), rtol=1e-12, atol=1e-12
             )
+
+    def test_refine_preserves_matrix_action(self):
+        rng = np.random.default_rng(0)
+        T = DiscreteOperator(rng.standard_normal((3, 4)), MeasureSpace.uniform(4),
+                             sup_norm(dim=3))
+        counts = (2, 1, 4, 2)
+        fine = MeasureSpace.from_weights(
+            [Fraction(1, 4 * c) for c in counts for _ in range(c)])
+        rmap = RefineMap(counts=counts)
+        lifted = T.refine(rmap, fine)
+        x = rng.standard_normal(4)
+        np.testing.assert_allclose(lifted.apply(rmap.lift_values(x)), T.apply(x),
+                                   rtol=1e-12)
+
+    def test_composed_map_splits_by_child_weight(self):
+        # refine the one atom, then its first child: weights 1/4, 1/4, 1/2
+        s0 = MeasureSpace.uniform(1)
+        s1, m1 = s0.refine_atoms([0], 2)
+        s2, m2 = s1.refine_atoms([0], 2)
+        T = DiscreteOperator(np.ones((1, 1)), s0, sup_norm(dim=1))
+        composed = T.refine(m1.compose(m2), s2)
+        assert composed.matrix.tolist() == [[0.25, 0.25, 0.5]]
+        # the mean-zero sign (1, 1, -1) is in the kernel of the lifted T
+        assert composed.apply(np.array([1.0, 1.0, -1.0])).tolist() == [0.0]
+
+    def test_children_must_carry_the_parent_weight(self):
+        T = DiscreteOperator(np.ones((1, 1)), MeasureSpace.uniform(1), sup_norm(dim=1))
+        with pytest.raises(InvalidAtom):
+            T.refine(RefineMap(counts=(2,)), MeasureSpace.from_weights(
+                [Fraction(1, 4), Fraction(1, 2)]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(exponents=st.lists(st.integers(0, 4), min_size=1, max_size=6),
+           seed=st.integers(0, 2**16), data=st.data())
+    def test_stepwise_and_composed_lifts_agree(self, exponents, seed, data):
+        space = MeasureSpace.from_weights([Fraction(1, 2**e) for e in exponents])
+        rng = np.random.default_rng(seed)
+        T = DiscreteOperator(rng.standard_normal((2, space.n_atoms)), space,
+                             sup_norm(dim=2))
+        stepwise, total = T, RefineMap.identity(space.n_atoms)
+        for _ in range(data.draw(st.integers(1, 3))):
+            n = stepwise.space.n_atoms
+            atoms = data.draw(st.sets(st.integers(0, n - 1)))
+            parts = data.draw(st.sampled_from([2, 4]))
+            fine, rmap = stepwise.space.refine_atoms(atoms, parts)
+            stepwise = stepwise.refine(rmap, fine)
+            total = total.compose(rmap)
+        composed = T.refine(total, stepwise.space)
+        assert np.array_equal(composed.matrix, stepwise.matrix)
 
     def test_restrict_rows(self):
         T = _random_operator(4, 8)

@@ -19,7 +19,6 @@ from narrowops import (
     PreconditionFailed,
     SignVector,
     check_absolute_continuity,
-    fnorm,
     lp_norm,
     pairing_construction,
     random_finite_rank,
@@ -31,16 +30,7 @@ from narrowops import (
 )
 from narrowops.instances import build_l1_example, l1_example_tail_bound
 from narrowops.pipelines import _knapsack_fractional
-
-
-def _revalidate(report, T1, T2, sigma, epsilon):
-    """Independent check: lift the ORIGINAL operators through the report's
-    refine map and re-apply them to the constructed sign."""
-    t1 = T1.refine(report.refine_map, report.space)
-    t2 = T2.refine(report.refine_map, report.space)
-    assert report.sign.mean_zero
-    assert fnorm(t1.target, t1.apply(report.sign)) <= sigma + 1e-9
-    assert fnorm(t2.target, t2.apply(report.sign)) <= epsilon + 1e-9
+from revalidation import revalidate
 
 
 def _oracle_knapsack(values, nums, budget_num):
@@ -129,7 +119,7 @@ class TestPairing:
         t1 = random_narrow_operator(1, 16, 3, 0.5)
         z = DiscreteOperator(np.zeros((3, 16)), t1.space, sup_norm(dim=3))
         rep = pairing_construction(t1, z, PipelineParams(sigma=0.1, delta=0.25))
-        _revalidate(rep, t1, z, 0.1, 0.1)
+        revalidate(rep, t1, z, 0.1, 0.1)
 
     def test_precondition_failure(self):
         space = MeasureSpace.uniform(4)
@@ -144,7 +134,7 @@ class TestPairing:
         params = PipelineParams(sigma=0.1, epsilon=0.1, gamma=0.05,
                                 delta=1 / 64, refine_budget=2**14)
         rep = pairing_construction(t1, t2, params)
-        _revalidate(rep, t1, t2, 0.1, 0.1)
+        revalidate(rep, t1, t2, 0.1, 0.1)
         total = rep.space.total
         for j, values in enumerate(rep.extras["stage_signs"], start=1):
             sign = SignVector.from_values(rep.space, values)
@@ -206,7 +196,7 @@ class TestSumFiniteRank:
         z = DiscreteOperator(np.zeros((4, 16)), t1.space, lp_norm(1, dim=4))
         rep = sum_finite_rank(t1, z, 0.1, 0.1)
         assert rep.extras["rank"] == 0
-        _revalidate(rep, t1, z, 0.1, 0.1)
+        revalidate(rep, t1, z, 0.1, 0.1)
 
     def test_rank_one_certificate(self):
         t1 = random_narrow_operator(4, 32, 3, 0.5)
@@ -214,7 +204,7 @@ class TestSumFiniteRank:
         rep = sum_finite_rank(t1, t2, 0.1, 0.1)
         assert rep.extras["rank"] == 1
         assert rep.rounding_certificate <= rep.budgets["delta"] + 1e-9
-        _revalidate(rep, t1, t2, 0.1, 0.1)
+        revalidate(rep, t1, t2, 0.1, 0.1)
 
     def test_internal_chain(self):
         t1 = random_narrow_operator(6, 64, 3, 0.5)
@@ -226,7 +216,7 @@ class TestSumFiniteRank:
             sigma_series += stage["t1_norm"]
         assert sigma_series <= 0.1 + 1e-9
         assert rep.achieved["coefficient_norm"] <= rep.budgets["delta"] + 1e-9
-        _revalidate(rep, t1, t2, 0.1, 0.1)
+        revalidate(rep, t1, t2, 0.1, 0.1)
 
     def test_determinism(self):
         t1 = random_narrow_operator(8, 32, 3, 0.5)
@@ -242,15 +232,15 @@ class TestSumCompact:
         z = DiscreteOperator(np.zeros((4, 32)), t1.space, lp_norm(1, dim=4))
         rep = sum_compact_locally_convex(t1, z, PipelineParams(epsilon=0.2, seed=0))
         assert rep.extras["net_size"] == 0
-        _revalidate(rep, t1, z, 0.1, 0.1)
+        revalidate(rep, t1, z, 0.1, 0.1)
 
     def test_finite_rank_cross_pipeline(self):
         t1 = random_narrow_operator(11, 64, 3, 0.4)
         t2 = random_finite_rank(12, 3, None, 6, scale=2e-3, space=t1.space)
         rep_a = sum_compact_locally_convex(t1, t2, PipelineParams(epsilon=0.2, seed=1))
         rep_b = sum_finite_rank(t1, t2, 0.1, 0.1)
-        _revalidate(rep_a, t1, t2, 0.1, 0.1)
-        _revalidate(rep_b, t1, t2, 0.1, 0.1)
+        revalidate(rep_a, t1, t2, 0.1, 0.1)
+        revalidate(rep_b, t1, t2, 0.1, 0.1)
 
     def test_not_locally_convex_rejected(self):
         t1 = random_narrow_operator(13, 16, 3, 0.5)
@@ -284,7 +274,7 @@ class TestTruncation:
         t2 = random_finite_rank(15, 2, None, 4, scale=1e-3, space=t1.space)
         rep = sum_compact_via_truncation(t1, t2, 0.1, 0.1, lambda n: 0.0)
         assert rep.extras["truncation_level"] == 1
-        _revalidate(rep, t1, t2, 0.1, 0.1)
+        revalidate(rep, t1, t2, 0.1, 0.1)
 
     def test_l1_example_level_choice(self):
         t2 = build_l1_example(6)
@@ -294,7 +284,7 @@ class TestTruncation:
         )
         # 2^-4 = 1/16 <= 1/16 = eps/2, and 2^-3 = 1/8 > 1/16
         assert rep.extras["truncation_level"] == 4
-        _revalidate(rep, t1, t2, 0.1, 1 / 8)
+        revalidate(rep, t1, t2, 0.1, 1 / 8)
 
     def test_no_level_small_enough(self):
         t1 = random_narrow_operator(17, 16, 3, 0.5)
