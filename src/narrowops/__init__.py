@@ -42,6 +42,7 @@ from .measure import (
     RefineMap,
     SignVector,
     rademacher_sign,
+    rademacher_signs,
 )
 from .narrowness import (
     AdversarialOutcome,

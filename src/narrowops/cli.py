@@ -199,6 +199,9 @@ def _cmd_sum_compact(args, config: dict, seed: int) -> int:
     else:
         if "tail_values" in config:
             values = [float(v) for v in config["tail_values"]]
+            if len(values) != t2.target_dim:
+                raise UsageError(f"'tail_values' has {len(values)} entries, but t2 "
+                                 f"has {t2.target_dim} target rows: one bound each")
 
             def tail(n: int) -> float:
                 return values[n - 1]

@@ -9,6 +9,7 @@ truncation tail ``2^-N``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
@@ -27,6 +28,8 @@ _REQUIRED_FIELDS = {
     "random_narrow": ("atoms", "target_dim", "decay"),
     "random_finite_rank": ("rank", "atoms", "target_dim"),
 }
+# the real-valued fields; every other field but `kind` is an integer
+_REAL_FIELDS = ("decay", "scale")
 
 
 @dataclass(frozen=True)
@@ -45,11 +48,17 @@ class InstanceSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in _REQUIRED_FIELDS:
+        if not isinstance(self.kind, str) or self.kind not in _REQUIRED_FIELDS:
             raise ValueError(f"unknown instance kind {self.kind!r}")
         missing = [f for f in _REQUIRED_FIELDS[self.kind] if getattr(self, f) is None]
         if missing:
             raise ValueError(f"a {self.kind} instance needs {', '.join(missing)}")
+        for f in fields(self)[1:]:  # every field after `kind`
+            value = getattr(self, f.name)
+            want, what = ((numbers.Real, "a real number") if f.name in _REAL_FIELDS
+                          else (numbers.Integral, "an integer"))
+            if value is not None and (type(value) is bool or not isinstance(value, want)):
+                raise ValueError(f"instance field {f.name!r} must be {what}, got {value!r}")
 
     def build(self) -> DiscreteOperator:
         if self.kind == "l1_example":

@@ -347,26 +347,29 @@ class SignVector:
         return SignVector(space=space, values=rmap.lift_values(self.values))
 
 
-def rademacher_sign(mset: MeasurableSet, level: int) -> SignVector:
-    """Block Rademacher sign on `mset`: alternating +-1 blocks of size
-    |set| / 2^level.
-
-    Requires equal atom weights inside the set and divisibility of the set
-    size by 2^level.  Signs at distinct levels have a mean-zero pointwise
-    product, the testable surrogate for probabilistic independence.
-    """
-    if level < 1:
-        raise NotDivisible("level must be >= 1")
-    s = mset.size
-    blocks = 2**level
-    if s % blocks != 0:
-        raise NotDivisible(f"set size {s} not divisible by 2^{level}")
+def rademacher_signs(mset: MeasurableSet) -> np.ndarray:
+    """Block Rademacher family on a non-empty set of equal-weight atoms, as
+    an (L, n_atoms) int8 matrix: row l-1 alternates +-1 blocks of size
+    |set| / 2^l on the set, for every l >= 1 with 2^l dividing |set|.  Rows
+    have mean-zero pointwise products, the surrogate for independence."""
     idx = mset.indices
     nums = mset.space.numerators[idx]
-    if s == 0 or (nums != nums[0]).any():
+    if not idx.size or (nums != nums[0]).any():
         raise UnequalWeights("atoms in the set must have equal weight")
-    block_size = s // blocks
-    values = np.zeros(mset.space.n_atoms, dtype=np.int8)
-    values[idx] = 1 - 2 * (np.arange(s) // block_size % 2)
-    return SignVector(space=mset.space, values=values)
+    s = idx.size
+    # 2^l divides s exactly for l below the bit length of s's lowest set bit
+    block_sizes = s >> np.arange(1, (s & -s).bit_length())
+    family = np.zeros((block_sizes.size, mset.space.n_atoms), dtype=np.int8)
+    family[:, idx] = 1 - 2 * (np.arange(s) // block_sizes[:, None] % 2)
+    return family
+
+
+def rademacher_sign(mset: MeasurableSet, level: int) -> SignVector:
+    """The level-`level` row of :func:`rademacher_signs` as a sign; the set
+    size must be divisible by 2^level."""
+    if level < 1:
+        raise NotDivisible("level must be >= 1")
+    if mset.size % 2**level != 0:
+        raise NotDivisible(f"set size {mset.size} not divisible by 2^{level}")
+    return SignVector(space=mset.space, values=rademacher_signs(mset)[level - 1])
 

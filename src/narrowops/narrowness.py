@@ -19,9 +19,10 @@ from .errors import (
     NoFeasibleSign,
     NoSignFound,
     SetTooLarge,
+    UnequalWeights,
 )
-from .measure import MeasurableSet, RefineMap, SignVector, rademacher_sign
-from .norms import TargetNorm, fnorm
+from .measure import MeasurableSet, RefineMap, SignVector, rademacher_signs
+from .norms import TargetNorm, fnorm, fnorm_many
 from .operators import (
     DiscreteOperator,
     TERNARY_EXHAUSTIVE_LIMIT,
@@ -111,11 +112,6 @@ class Partition:
         }
 
 
-def _atom_bounds(T: DiscreteOperator) -> np.ndarray:
-    """Single-atom max sign-image bounds (exact for every norm kind)."""
-    return T.column_norms()
-
-
 def partition_small_cells(T: DiscreteOperator, epsilon: float) -> Partition:
     """Partition all atoms into cells whose certified sign bound is <= epsilon.
 
@@ -126,7 +122,8 @@ def partition_small_cells(T: DiscreteOperator, epsilon: float) -> Partition:
     column norm sum upper bound is used.
     """
     check_budgets(epsilon=epsilon)
-    bounds = _atom_bounds(T)
+    # single-atom max sign-image bounds, exact for every norm kind
+    bounds = T.column_norms()
     n = T.space.n_atoms
     order = np.lexsort((np.arange(n), -bounds))
     worst = int(order[0])
@@ -203,26 +200,20 @@ def _kernel_pairing(
 
 def _rademacher_scan(
     T: DiscreteOperator, mset: MeasurableSet, epsilon: float
-) -> tuple[SignVector | None, SignVector | None, float]:
-    """Try block Rademacher signs at every level; return (hit, best, best_val)."""
-    s = mset.size
-    best: SignVector | None = None
-    best_val = float("inf")
-    if s < 2:
-        return None, None, best_val
-    nums = T.space.numerators[mset.indices]
-    if (nums != nums[0]).any():
-        return None, None, best_val
-    level = 1
-    while s % (2**level) == 0:
-        sign = rademacher_sign(mset, level)
-        val = T.image_norm(sign)
-        if val < best_val:
-            best, best_val = sign, val
-        if val < epsilon:
-            return sign, best, val
-        level += 1
-    return None, best, best_val
+) -> tuple[SignVector | None, float]:
+    """Block Rademacher sign and its image norm: the first level, in level
+    order, below epsilon, else the first minimum; (None, inf) when the set
+    has no level."""
+    try:
+        family = rademacher_signs(mset)
+    except UnequalWeights:
+        return None, float("inf")
+    if not len(family):
+        return None, float("inf")
+    vals = fnorm_many(T.target, family @ T.matrix.T)
+    below = np.flatnonzero(vals < epsilon)
+    b = int(below[0]) if below.size else int(np.argmin(vals))
+    return SignVector(space=T.space, values=family[b]), float(vals[b])
 
 
 def find_small_sign(
@@ -289,25 +280,22 @@ def find_small_sign(
             sign = _kernel_pairing(cur_T, cur_set)
             if sign is not None:
                 # paired atoms have bitwise-equal columns, so the image is
-                # exactly zero; do not let summation order manufacture noise
-                val = 0.0
-                if val < best_val:
-                    best_sign, best_val = sign, val
-                if val < epsilon:
-                    return SmallSignResult(
-                        sign=sign, operator=cur_T,
-                        refine_map=total_map, value=val, strategy="kernel_pairing",
-                    )
-        if strategy in ("auto", "rademacher_scan"):
-            hit, best, val = _rademacher_scan(cur_T, cur_set, epsilon)
-            if best is not None and val < best_val:
-                best_sign, best_val = best, val
-            if hit is not None:
+                # exactly zero (below every positive epsilon); do not let
+                # summation order manufacture noise
                 return SmallSignResult(
-                    sign=hit, operator=cur_T,
-                    refine_map=total_map, value=cur_T.image_norm(hit),
+                    sign=sign, operator=cur_T,
+                    refine_map=total_map, value=0.0, strategy="kernel_pairing",
+                )
+        if strategy in ("auto", "rademacher_scan"):
+            sign, val = _rademacher_scan(cur_T, cur_set, epsilon)
+            if val < epsilon:
+                return SmallSignResult(
+                    sign=sign, operator=cur_T,
+                    refine_map=total_map, value=cur_T.image_norm(sign),
                     strategy="rademacher_scan",
                 )
+            if val < best_val:
+                best_sign, best_val = sign, val
 
         # refine every atom of the working set and retry
         new_total = cur_T.space.n_atoms + cur_set.size

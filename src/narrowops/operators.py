@@ -133,22 +133,17 @@ def max_sign_image_norm(
     return float(np.sum(T.column_norms(idx))), False
 
 
-def _ternary_patterns(s: int) -> np.ndarray:
-    """All of {-1,0,+1}^s in lexicographic order (first coordinate slowest)."""
-    idx = np.arange(3**s, dtype=np.int64)
-    digits = np.empty((3**s, s), dtype=np.int8)
+def _sign_patterns(s: int, base: int) -> np.ndarray:
+    """All of {-1,+1}^s (base 2) or {-1,0,+1}^s (base 3) as int8 rows in
+    lexicographic order (first coordinate slowest)."""
+    idx = np.arange(base**s, dtype=np.int64)
+    digits = np.empty((base**s, s), dtype=np.int8)
     for j in range(s):
-        digits[:, j] = (idx // 3 ** (s - 1 - j)) % 3
-    return digits - 1
-
-
-def _binary_patterns(s: int) -> np.ndarray:
-    """All of {-1,+1}^s in lexicographic order."""
-    idx = np.arange(2**s, dtype=np.int64)
-    digits = np.empty((2**s, s), dtype=np.int8)
-    for j in range(s):
-        digits[:, j] = (idx // 2 ** (s - 1 - j)) % 2
-    return 2 * digits - 1
+        digits[:, j] = (idx // base ** (s - 1 - j)) % base
+    # base evenly spaced values from -1 to +1
+    digits *= 2 // (base - 1)
+    digits -= 1
+    return digits
 
 
 def brute_force_best_sign(
@@ -174,7 +169,7 @@ def brute_force_best_sign(
     if s > cap:
         raise SetTooLarge(f"set size {s} exceeds the exhaustive cap {cap}")
 
-    patterns = _binary_patterns(s) if full_support else _ternary_patterns(s)
+    patterns = _sign_patterns(s, 2 if full_support else 3)
     if not full_support:
         nonzero = np.any(patterns != 0, axis=1)
         patterns = patterns[nonzero]

@@ -34,7 +34,7 @@ from .measure import (
     RefineMap,
     SignVector,
     _is_power_of_two,
-    rademacher_sign,
+    rademacher_signs,
 )
 from .narrowness import (
     check_budgets,
@@ -277,45 +277,36 @@ def pairing_construction(
         while True:
             live = ctx.where("stage", 0)
             t1c, t2c = ctx.ops["t1"], ctx.ops["t2"]
-            cands: list[tuple[int, SignVector, np.ndarray]] = []
-            level = 1
-            while live.size % 2**level == 0 and 2**level <= live.size:
-                r = rademacher_sign(live, level)
-                if fnorm(t1c.target, t1c.apply(r)) <= budget_t1 + _TOL:
-                    cands.append((level, r, t2c.apply(r)))
-                level += 1
+            # candidates: the levels whose block sign passes the T1 filter
+            family = rademacher_signs(live)
+            t1_norms = fnorm_many(t1c.target, family @ t1c.matrix.T)
+            cands = np.flatnonzero(t1_norms <= budget_t1 + _TOL)
+            images = family[cands] @ t2c.matrix.T
             pair = None
             if len(cands) >= 2:
-                net = net_cover([c[2] for c in cands], 0.499 * budget_t2, t2c.target)
-                pair_order: list[tuple[int, int]] = []
-                for grp in net.groups().values():
-                    if len(grp) >= 2:
-                        pair_order.extend(combinations(grp, 2))
+                net = net_cover(list(images), 0.499 * budget_t2, t2c.target)
+                # pairs within a net group first, then every other pair
+                pair_order = [ab for grp in net.groups().values()
+                              for ab in combinations(grp, 2)]
                 seen = set(pair_order)
-                for ab in combinations(range(len(cands)), 2):
-                    if ab not in seen:
-                        pair_order.append(ab)
-                for a, b in pair_order:
-                    diff = 0.5 * (cands[a][2] - cands[b][2])
-                    if fnorm(t2c.target, diff) < budget_t2:
-                        pair = (a, b)
-                        break
+                pair_order += [ab for ab in combinations(range(len(cands)), 2)
+                               if ab not in seen]
+                pair = next(((a, b) for a, b in pair_order if fnorm(
+                    t2c.target, 0.5 * (images[a] - images[b])) < budget_t2), None)
             if pair is not None:
                 break
             stage_refines += 1
             try:
                 ctx.refine_atoms(live.indices, 2, params.refine_budget)
             except RefinementBudgetExceeded as exc:
-                best = min((fnorm(t2c.target, 0.5 * (x[2] - y[2]))
-                            for x, y in combinations(cands, 2)), default=None)
+                best = min((fnorm(t2c.target, 0.5 * (x - y))
+                            for x, y in combinations(images, 2)), default=None)
                 raise StageFailed(
                     j, f"no candidate pair within budgets ({exc})", best=best
                 ) from exc
 
-        a, b = pair
-        t1c, t2c = ctx.ops["t1"], ctx.ops["t2"]
-        vals = (cands[a][1].values - cands[b][1].values) // 2
-        x_j = SignVector.from_values(ctx.space, vals)
+        a, b = cands[pair[0]], cands[pair[1]]
+        x_j = SignVector.from_values(ctx.space, (family[a] - family[b]) // 2)
         if not x_j.mean_zero:
             raise StageFailed(j, "stage sign is not mean zero")
         if x_j.support_set().measure != total / 2**j:
@@ -328,7 +319,7 @@ def pairing_construction(
         ctx.arrays["x"] += x_j.values
         stages.append({
             "stage": j,
-            "levels": [cands[a][0], cands[b][0]],
+            "levels": [int(a) + 1, int(b) + 1],
             "t1_norm": t1n,
             "t2_norm": t2n,
             "support_measure": str(total / 2**j),
@@ -388,6 +379,21 @@ def pairing_construction(
     )
 
 
+def _final_norms(x: SignVector, t1: DiscreteOperator, t2: DiscreteOperator,
+                 T2: DiscreteOperator, sigma: float, epsilon: float) -> tuple[float, float]:
+    """The finite-rank certificate, for rank 0 and above alike: x is mean
+    zero and its images under t1, t2 (T1, T2 on x's space) meet sigma and
+    epsilon, the T2 slack scaled by T2's largest entry times the atom count."""
+    if not x.mean_zero:
+        raise StageFailed(0, "combined sign is not mean zero")
+    achieved_t1 = fnorm(t1.target, t1.apply(x))
+    achieved_t2 = fnorm(t2.target, t2.apply(x))
+    scale = max(1.0, float(np.max(np.abs(T2.matrix))) * x.space.n_atoms)
+    if achieved_t1 > sigma + _TOL or achieved_t2 > epsilon + _TOL * scale:
+        raise StageFailed(0, "final norms violate the budgets")
+    return achieved_t1, achieved_t2
+
+
 def sum_finite_rank(
     T1: DiscreteOperator,
     T2: DiscreteOperator,
@@ -418,10 +424,13 @@ def sum_finite_rank(
             T1, T1.space.full_set(), sigma + _TOL, refine_budget=refine_budget
         )
         t2f = T2.refine(res.refine_map, res.operator.space)
+        achieved_t1, achieved_t2 = _final_norms(
+            res.sign, res.operator, t2f, T2, sigma, epsilon
+        )
         return PipelineReport(
             pipeline="sum_finite_rank",
             sign=res.sign,
-            achieved={"t1": res.value, "t2": fnorm(t2f.target, t2f.apply(res.sign))},
+            achieved={"t1": achieved_t1, "t2": achieved_t2},
             budgets=budgets,
             stages=[{"cell": 1, "t1_norm": res.value, "strategy": res.strategy}],
             refine_map=res.refine_map,
@@ -497,13 +506,9 @@ def sum_finite_rank(
         raise StageFailed(0, f"rounded coefficient norm {achieved_p} exceeds delta")
 
     x = SignVector.from_values(ctx.space, theta_signs[cell] * x_cells)
-    if not x.mean_zero:
-        raise StageFailed(0, "combined sign is not mean zero")
-    achieved_t1 = fnorm(ctx.ops["t1"].target, ctx.ops["t1"].apply(x))
-    achieved_t2 = fnorm(ctx.ops["t2"].target, ctx.ops["t2"].apply(x))
-    scale = max(1.0, float(np.max(np.abs(T2.matrix))) * ctx.space.n_atoms)
-    if achieved_t1 > sigma + _TOL or achieved_t2 > epsilon + _TOL * scale:
-        raise StageFailed(0, "final norms violate the budgets")
+    achieved_t1, achieved_t2 = _final_norms(
+        x, ctx.ops["t1"], ctx.ops["t2"], T2, sigma, epsilon
+    )
 
     for i, sgn in enumerate(theta_signs):
         diagnostics[i]["theta"] = int(sgn)
@@ -525,13 +530,8 @@ def sum_finite_rank(
 def _sample_signs(space: MeasureSpace, rng: np.random.Generator, budget: int):
     """Deterministic sign samples, one int8 row each: block Rademacher
     family plus random signs."""
-    out: list[np.ndarray] = []
-    full = space.full_set()
     n = space.n_atoms
-    level = 1
-    while n % 2**level == 0 and 2**level <= n and len(out) < budget:
-        out.append(rademacher_sign(full, level).values)
-        level += 1
+    out = list(rademacher_signs(space.full_set())[:budget])
     while len(out) < budget:
         kind = rng.integers(0, 2)
         if kind == 0:

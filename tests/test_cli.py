@@ -170,12 +170,28 @@ class TestExitCodes:
         ({"kind": "l1_example", "levels": 4, "level": 3}, "level"),
         ({"kind": "random_narrow", "target_dim": 3, "decay": 0.5}, "atoms"),
         ({"levels": 4}, "kind"),
-    ], ids=["missing-levels", "unknown-field", "missing-atoms", "missing-kind"])
+        ({"kind": "l1_example", "levels": "4"}, "levels"),
+        ({"kind": "l1_example", "levels": True}, "levels"),
+        ({"kind": "random_narrow", "atoms": 16, "target_dim": 3, "decay": "0.5"},
+         "decay"),
+        ({"kind": ["l1_example"], "levels": 4}, "kind"),
+    ], ids=["missing-levels", "unknown-field", "missing-atoms", "missing-kind",
+            "string-levels", "bool-levels", "string-decay", "list-kind"])
     def test_bad_instance_is_usage_error(self, tmp_path, capsys, instance, field):
         # these used to escape main as a TypeError traceback
         config = {"operator": {"instance": instance}, "epsilon": 0.25}
         assert _run(tmp_path, "partition", config) == 1
         assert field in capsys.readouterr().err
+
+    def test_truncation_needs_one_tail_bound_per_row(self, tmp_path, capsys):
+        # a short list used to end in an IndexError traceback
+        config = {"t1": {"instance": {"kind": "random_narrow", "seed": 1, "atoms": 16,
+                                      "target_dim": 3, "decay": 0.5}},
+                  "t2": {"instance": {"kind": "l1_example", "levels": 4}},
+                  "mode": "truncation", "epsilon": 0.2, "tail_values": [0.5]}
+        assert _run(tmp_path, "sum-compact", config) == 1
+        err = capsys.readouterr().err
+        assert "1 entries" in err and "4 target rows" in err
 
     def test_config_must_be_an_object(self, tmp_path):
         assert _run(tmp_path, "bench", []) == 1

@@ -21,6 +21,7 @@ from narrowops import (
     SignVector,
     UnequalWeights,
     rademacher_sign,
+    rademacher_signs,
 )
 
 
@@ -173,6 +174,15 @@ class TestRademacher:
         with pytest.raises(UnequalWeights):
             rademacher_sign(space.full_set(), 1)
 
+    def test_family_levels(self):
+        space = MeasureSpace.uniform(32)
+        assert rademacher_signs(space.subset(range(24))).shape == (3, 32)
+        assert rademacher_signs(space.subset(range(3))).shape == (0, 32)
+        with pytest.raises(UnequalWeights):
+            rademacher_signs(space.subset([]))
+        with pytest.raises(UnequalWeights):
+            rademacher_signs(space.refine(0, 2)[0].subset([0, 2]))
+
 
 # Pure-Python oracles: the loop implementations the numpy code replaced.
 def _oracle_compose(first, later):
@@ -261,6 +271,10 @@ class TestArrayOracle:
                                            max_size=2**log_size)))
         r = rademacher_sign(space.subset(indices), level)
         assert r.values.tolist() == _oracle_rademacher(32, indices, level)
+        family = rademacher_signs(space.subset(indices))
+        assert family.shape == (log_size, 32) and family.dtype == np.int8
+        for row, values in enumerate(family.tolist()):
+            assert values == _oracle_rademacher(32, indices, row + 1)
 
     def test_arrays_are_read_only(self):
         space, rmap = MeasureSpace.uniform(2).refine_atoms([0], 2)

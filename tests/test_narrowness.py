@@ -23,10 +23,11 @@ from narrowops import (
     max_sign_image_norm,
     net_cover,
     partition_small_cells,
+    rademacher_sign,
     sup_norm,
 )
 from narrowops.instances import build_l1_example, l1_example_cells
-from narrowops.narrowness import Partition, _kernel_pairing
+from narrowops.narrowness import Partition, _kernel_pairing, _rademacher_scan
 from narrowops.operators import TERNARY_EXHAUSTIVE_LIMIT
 
 
@@ -116,6 +117,49 @@ class TestFindSmallSign:
         sign = _kernel_pairing(T, mset)
         expected = _oracle_kernel_pairing(T, mset)
         assert (sign is None and expected is None) or sign.values.tolist() == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), log_atoms=st.integers(1, 5),
+           kind=st.sampled_from(["sup", "l1"]), epsilon=st.sampled_from([0.5, 1.5, 2.5]))
+    def test_rademacher_scan_matches_loop(self, data, log_atoms, kind, epsilon):
+        # small integer columns drawn from a pool of three: duplicate columns
+        # and tied norms across levels are common, and every image is exact
+        n = 2**log_atoms
+        pool = data.draw(st.lists(st.lists(st.integers(-2, 2), min_size=2, max_size=2),
+                                  min_size=3, max_size=3))
+        cols = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        norm = sup_norm(dim=2) if kind == "sup" else lp_norm(1, dim=2)
+        space = MeasureSpace.uniform(n)
+        T = DiscreteOperator(np.array([pool[c] for c in cols], dtype=float).T, space, norm)
+        mset = space.subset(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+        sign, val = _rademacher_scan(T, mset, epsilon)
+        e_hit, e_best, e_val = _oracle_rademacher_scan(T, mset, epsilon)
+        # the scan returns the hit when there is one, else the best sign
+        assert (val < epsilon) == (e_hit is not None)
+        assert (sign is None) == (e_best is None)
+        if sign is not None:
+            assert sign.values.tolist() == (e_hit or e_best).values.tolist()
+        assert val == e_val
+
+
+def _oracle_rademacher_scan(T, mset, epsilon):
+    """The per-level loop that ``_rademacher_scan`` replaced: one sign and one
+    image per level, keeping the first strict minimum, stopping at the first
+    value below epsilon."""
+    s = mset.size
+    best, best_val = None, float("inf")
+    if s < 2:
+        return None, None, best_val
+    level = 1
+    while s % 2**level == 0:
+        sign = rademacher_sign(mset, level)
+        val = T.image_norm(sign)
+        if val < best_val:
+            best, best_val = sign, val
+        if val < epsilon:
+            return sign, best, val
+        level += 1
+    return None, best, best_val
 
 
 def _oracle_kernel_pairing(T, mset):

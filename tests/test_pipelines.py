@@ -18,6 +18,7 @@ from narrowops import (
     PipelineParams,
     PreconditionFailed,
     SignVector,
+    StageFailed,
     check_absolute_continuity,
     lp_norm,
     pairing_construction,
@@ -197,6 +198,17 @@ class TestSumFiniteRank:
         rep = sum_finite_rank(t1, z, 0.1, 0.1)
         assert rep.extras["rank"] == 0
         revalidate(rep, t1, z, 0.1, 0.1)
+
+    def test_rank_zero_checks_the_t2_budget(self):
+        # Euclidean column norms call T2 rank 0, but its weighted target norm
+        # still sees an image of about 0.01 > epsilon
+        rng = np.random.default_rng(0)
+        space = MeasureSpace.uniform(8)
+        t1 = DiscreteOperator(1e-3 * rng.standard_normal((2, 8)), space, sup_norm(dim=2))
+        t2 = DiscreteOperator(rng.uniform(0, 1e-11, (1, 8)), space,
+                              lp_norm(1, weights=[1e9]))
+        with pytest.raises(StageFailed, match="final norms"):
+            sum_finite_rank(t1, t2, 0.1, 1e-3)
 
     def test_rank_one_certificate(self):
         t1 = random_narrow_operator(4, 32, 3, 0.5)
