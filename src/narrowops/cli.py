@@ -7,8 +7,8 @@ config + seed produce byte-identical files.
 
 Exit codes: 0 success, 2 certified failure (a pipeline reported and
 certified that it could not meet its budgets), 1 usage error (a malformed
-command line or config, including an operator or atom set in the config that
-the measure layer rejects with InvalidAtom).
+command line or config: a config value of the wrong JSON type, or an
+operator or atom set in the config that the library rejects).
 """
 
 from __future__ import annotations
@@ -17,11 +17,12 @@ import argparse
 import dataclasses
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidAtom, NarrowOpsError
+from .errors import DimensionMismatch, InvalidAtom, NarrowOpsError
 from .instances import (
     InstanceSpec,
     build_conditional_expectation,
@@ -30,10 +31,11 @@ from .instances import (
     l1_example_tail_bound,
 )
 from .measure import SignVector
-from .narrowness import find_small_sign, partition_small_cells
+from .narrowness import DEFAULT_REFINE_BUDGET, find_small_sign, partition_small_cells
 from .norms import TargetNorm, fnorm
 from .operators import DiscreteOperator
 from .pipelines import (
+    DEFAULT_RANK_LIMIT,
     PipelineParams,
     pairing_construction,
     sum_compact_locally_convex,
@@ -58,7 +60,7 @@ def _operator_from_config(value: dict) -> DiscreteOperator:
             return operator_from_json(load_json(value["path"]))
         if "matrix" in value:
             return operator_from_json(value)
-    except InvalidAtom as exc:
+    except (InvalidAtom, DimensionMismatch, TypeError) as exc:
         raise UsageError(f"bad operator: {exc}") from None
     raise UsageError("operator entry needs 'instance', 'path', or an inline bundle")
 
@@ -74,6 +76,20 @@ def _check_keys(config: dict, *keys: str) -> None:
         raise UsageError(f"unknown config key(s): {', '.join(unknown)}")
 
 
+def _read(config: dict, key: str, cast, default=None):
+    """`cast(config[key])`, or `cast(default)` when the key is absent and a
+    default is given; a value of the wrong JSON type is a usage error that
+    names the key."""
+    value = config[key] if default is None else config.get(key, default)
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad {key!r}: {exc}") from None
+
+
+_float_array = partial(np.asarray, dtype=float)
+
+
 def _params(config: dict, seed: int, **overrides) -> PipelineParams:
     """PipelineParams from the config's top-level fields, then its "params"
     object, then `overrides`; the seed is always `seed`."""
@@ -86,49 +102,44 @@ def _params(config: dict, seed: int, **overrides) -> PipelineParams:
         raise UsageError(f"bad pipeline parameters: {exc}") from None
 
 
-class _Emitter:
-    def __init__(self, args, name: str):
-        self.out = Path(args.out or ".")
-        self.out.mkdir(parents=True, exist_ok=True)
-        self.format = args.format
-        self.name = name
-
-    def emit(self, report: dict, csv_rows=None, csv_columns=None) -> None:
-        if self.format in ("json", "both"):
-            dump_json(report, self.out / f"{self.name}.json")
-        if self.format in ("csv", "both") and csv_rows is not None:
-            rows_to_csv(csv_rows, csv_columns, self.out / f"{self.name}.csv")
+def _emit(args, name: str, report: dict, csv_rows=None, csv_columns=None) -> None:
+    out = Path(args.out or ".")
+    out.mkdir(parents=True, exist_ok=True)
+    if args.format in ("json", "both"):
+        dump_json(report, out / f"{name}.json")
+    if args.format in ("csv", "both") and csv_rows is not None:
+        rows_to_csv(csv_rows, csv_columns, out / f"{name}.csv")
 
 
-def _stage_csv(report_dict: dict):
-    stages = report_dict.get("stages") or []
-    columns = sorted({k for s in stages for k in s})
-    return stages, columns
+def _emit_pipeline(args, name: str, report) -> None:
+    """A pipeline report as JSON, one CSV row per stage."""
+    d = report.to_json_dict()
+    _emit(args, name, d, d["stages"], sorted({k for s in d["stages"] for k in s}))
 
 
 def _cmd_round(args, config: dict, seed: int) -> int:
     _check_keys(config, "vectors", "coefficients", "norm")
     instance = RoundingInstance(
-        vectors=np.asarray(config["vectors"], dtype=float),
-        coefficients=np.asarray(config["coefficients"], dtype=float),
-        norm=TargetNorm.from_json(config["norm"]),
+        vectors=_read(config, "vectors", _float_array),
+        coefficients=_read(config, "coefficients", _float_array),
+        norm=_read(config, "norm", TargetNorm.from_json),
     )
     result = round_half_integer(instance)
-    _Emitter(args, "round").emit(result.to_json_dict())
+    _emit(args, "round", result.to_json_dict())
     return 0
 
 
 def _cmd_partition(args, config: dict, seed: int) -> int:
     _check_keys(config, "operator", "epsilon")
     T = _operator_from_config(config["operator"])
-    part = partition_small_cells(T, float(config["epsilon"]))
+    part = partition_small_cells(T, _read(config, "epsilon", float))
     report = part.summary()
     report["cells"] = [c.indices.tolist() for c in part.cells]
     rows = [
         {"cell": k, "size": c.size, "bound": part.bounds[k], "exact": part.exact[k]}
         for k, c in enumerate(part.cells)
     ]
-    _Emitter(args, "partition").emit(report, rows, ["cell", "size", "bound", "exact"])
+    _emit(args, "partition", report, rows, ["cell", "size", "bound", "exact"])
     return 0
 
 
@@ -140,9 +151,9 @@ def _cmd_find_sign(args, config: dict, seed: int) -> int:
     except InvalidAtom as exc:
         raise UsageError(f"bad 'set': {exc}") from None
     res = find_small_sign(
-        T, mset, float(config["epsilon"]),
+        T, mset, _read(config, "epsilon", float),
         strategy=config.get("strategy", "auto"),
-        refine_budget=int(config.get("refine_budget", 2**16)),
+        refine_budget=_read(config, "refine_budget", int, DEFAULT_REFINE_BUDGET),
     )
     report = {
         "sign": res.sign.values.tolist(),
@@ -151,7 +162,7 @@ def _cmd_find_sign(args, config: dict, seed: int) -> int:
         "space": res.operator.space.to_json(),
         "refined": not res.refine_map.is_identity,
     }
-    _Emitter(args, "find-sign").emit(report)
+    _emit(args, "find-sign", report)
     return 0
 
 
@@ -159,10 +170,7 @@ def _cmd_pairing(args, config: dict, seed: int) -> int:
     _check_keys(config, "t1", "t2", "params", *_PARAM_KEYS)
     t1 = _operator_from_config(config["t1"])
     t2 = _operator_from_config(config["t2"])
-    report = pairing_construction(t1, t2, _params(config, seed))
-    d = report.to_json_dict()
-    rows, cols = _stage_csv(d)
-    _Emitter(args, "pairing").emit(d, rows, cols)
+    _emit_pipeline(args, "pairing", pairing_construction(t1, t2, _params(config, seed)))
     return 0
 
 
@@ -171,13 +179,11 @@ def _cmd_sum_finite_rank(args, config: dict, seed: int) -> int:
     t1 = _operator_from_config(config["t1"])
     t2 = _operator_from_config(config["t2"])
     report = sum_finite_rank(
-        t1, t2, float(config["sigma"]), float(config["epsilon"]),
-        rank_limit=int(config.get("rank_limit", 16)),
-        refine_budget=int(config.get("refine_budget", 2**16)),
+        t1, t2, _read(config, "sigma", float), _read(config, "epsilon", float),
+        rank_limit=_read(config, "rank_limit", int, DEFAULT_RANK_LIMIT),
+        refine_budget=_read(config, "refine_budget", int, DEFAULT_REFINE_BUDGET),
     )
-    d = report.to_json_dict()
-    rows, cols = _stage_csv(d)
-    _Emitter(args, "sum-finite-rank").emit(d, rows, cols)
+    _emit_pipeline(args, "sum-finite-rank", report)
     return 0
 
 
@@ -193,12 +199,12 @@ def _cmd_sum_compact(args, config: dict, seed: int) -> int:
     _check_keys(config, "t1", "t2", "mode", *mode_keys[mode])
     t1 = _operator_from_config(config["t1"])
     t2 = _operator_from_config(config["t2"])
+    epsilon = _read(config, "epsilon", float)
     if mode == "adaptive":
-        params = _params(config, seed, epsilon=float(config["epsilon"]))
-        report = sum_compact_locally_convex(t1, t2, params)
+        report = sum_compact_locally_convex(t1, t2, _params(config, seed, epsilon=epsilon))
     else:
         if "tail_values" in config:
-            values = [float(v) for v in config["tail_values"]]
+            values = _read(config, "tail_values", lambda v: [float(x) for x in v])
             if len(values) != t2.target_dim:
                 raise UsageError(f"'tail_values' has {len(values)} entries, but t2 "
                                  f"has {t2.target_dim} target rows: one bound each")
@@ -210,23 +216,20 @@ def _cmd_sum_compact(args, config: dict, seed: int) -> int:
         else:
             raise UsageError("truncation mode needs 'tail_values' or tail='l1_example'")
         report = sum_compact_via_truncation(
-            t1, t2, float(config.get("sigma", config["epsilon"])),
-            float(config["epsilon"]), tail,
-            rank_limit=int(config.get("rank_limit", 16)),
-            refine_budget=int(config.get("refine_budget", 2**16)),
+            t1, t2, _read(config, "sigma", float, epsilon), epsilon, tail,
+            rank_limit=_read(config, "rank_limit", int, DEFAULT_RANK_LIMIT),
+            refine_budget=_read(config, "refine_budget", int, DEFAULT_REFINE_BUDGET),
         )
-    d = report.to_json_dict()
-    rows, cols = _stage_csv(d)
-    _Emitter(args, "sum-compact").emit(d, rows, cols)
+    _emit_pipeline(args, "sum-compact", report)
     return 0
 
 
 def _cmd_example_l1(args, config: dict, seed: int) -> int:
     _check_keys(config, "levels", "atoms_per_level")
-    levels = args.levels if args.levels is not None else int(config.get("levels", 12))
+    levels = args.levels if args.levels is not None else _read(config, "levels", int, 12)
     apl = args.atoms_per_level
     if apl is None and "atoms_per_level" in config:
-        apl = int(config["atoms_per_level"])
+        apl = _read(config, "atoms_per_level", int)
     T = build_l1_example(levels, apl)
     report = {"operator": operator_to_json(T), "levels": levels}
     if args.check == "strict-narrow":
@@ -243,13 +246,13 @@ def _cmd_example_l1(args, config: dict, seed: int) -> int:
             "all_cells_zero": all(c["zero"] for c in cells),
             "cells": cells,
         }
-    _Emitter(args, "example-l1").emit(report)
+    _emit(args, "example-l1", report)
     return 0
 
 
 def _cmd_example_condexp(args, config: dict, seed: int) -> int:
     _check_keys(config, "grid")
-    k = args.grid if args.grid is not None else int(config.get("grid", 8))
+    k = args.grid if args.grid is not None else _read(config, "grid", int, 8)
     T = build_conditional_expectation(k)
     # strict-narrowness witness: a vertical +1/-1 pair maps to zero
     values = [0] * T.space.n_atoms
@@ -260,7 +263,7 @@ def _cmd_example_condexp(args, config: dict, seed: int) -> int:
         "grid": k,
         "witness_image_norm": fnorm(T.target, T.apply(witness)),
     }
-    _Emitter(args, "example-condexp").emit(report)
+    _emit(args, "example-condexp", report)
     return 0
 
 
@@ -301,9 +304,7 @@ def _cmd_bench(args, config: dict, seed: int) -> int:
             "t2": rep.achieved["t2"],
         })
     report = {"cases": rows, "seed": seed}
-    _Emitter(args, "bench").emit(
-        report, rows, ["case", "atoms_in", "atoms_out", "t1", "t2"]
-    )
+    _emit(args, "bench", report, rows, ["case", "atoms_in", "atoms_out", "t1", "t2"])
     return 0
 
 
@@ -354,7 +355,7 @@ def main(argv=None) -> int:
             config = json.loads(Path(args.config).read_text())
             if not isinstance(config, dict):
                 raise UsageError("a config must be a JSON object")
-        seed = args.seed if args.seed is not None else int(config.get("seed", 0))
+        seed = args.seed if args.seed is not None else _read(config, "seed", int, 0)
         return _COMMANDS[args.command](args, config, seed)
     except NarrowOpsError as exc:
         print(f"certified failure: {exc}", file=sys.stderr)

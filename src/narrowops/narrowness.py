@@ -18,6 +18,7 @@ from .errors import (
     AtomTooLarge,
     NoFeasibleSign,
     NoSignFound,
+    RefinementBudgetExceeded,
     SetTooLarge,
     UnequalWeights,
 )
@@ -25,6 +26,7 @@ from .measure import MeasurableSet, RefineMap, SignVector, rademacher_signs
 from .norms import TargetNorm, fnorm, fnorm_many
 from .operators import (
     DiscreteOperator,
+    RefinementContext,
     TERNARY_EXHAUSTIVE_LIMIT,
     brute_force_best_sign,
     max_sign_image_norm,
@@ -237,6 +239,7 @@ def find_small_sign(
     if mset.is_empty:
         raise NoSignFound("the empty set supports no sign")
 
+    ctx = RefinementContext(T.space, {"t": T})
     if strategy == "exhaustive":
         # single shot: refinement cannot improve an exhaustive optimum
         try:
@@ -247,20 +250,19 @@ def find_small_sign(
             raise NoSignFound(str(exc)) from exc
         if val < epsilon:
             return SmallSignResult(
-                sign=sign, operator=T,
-                refine_map=RefineMap.identity(T.space.n_atoms),
+                sign=sign, operator=T, refine_map=ctx.total_map,
                 value=val, strategy="exhaustive",
             )
         raise NoSignFound(
             f"exhaustive optimum {val} >= {epsilon}", best_sign=sign, best_value=val
         )
 
-    cur_T, cur_set = T, mset
-    total_map = RefineMap.identity(T.space.n_atoms)
+    cur_set = mset
     best_sign: SignVector | None = None
     best_val = float("inf")
 
     while True:
+        cur_T = ctx.ops["t"]
         if strategy == "auto" and cur_set.size <= _EXHAUSTIVE_SEARCH_LIMIT:
             try:
                 sign, val = brute_force_best_sign(
@@ -272,7 +274,7 @@ def find_small_sign(
                 if val < epsilon:
                     return SmallSignResult(
                         sign=sign, operator=cur_T,
-                        refine_map=total_map, value=val, strategy="exhaustive",
+                        refine_map=ctx.total_map, value=val, strategy="exhaustive",
                     )
             except (NoFeasibleSign, SetTooLarge):
                 pass
@@ -284,31 +286,33 @@ def find_small_sign(
                 # summation order manufacture noise
                 return SmallSignResult(
                     sign=sign, operator=cur_T,
-                    refine_map=total_map, value=0.0, strategy="kernel_pairing",
+                    refine_map=ctx.total_map, value=0.0, strategy="kernel_pairing",
                 )
         if strategy in ("auto", "rademacher_scan"):
             sign, val = _rademacher_scan(cur_T, cur_set, epsilon)
             if val < epsilon:
                 return SmallSignResult(
                     sign=sign, operator=cur_T,
-                    refine_map=total_map, value=cur_T.image_norm(sign),
+                    refine_map=ctx.total_map, value=cur_T.image_norm(sign),
                     strategy="rademacher_scan",
                 )
             if val < best_val:
                 best_sign, best_val = sign, val
 
-        # refine every atom of the working set and retry
-        new_total = cur_T.space.n_atoms + cur_set.size
-        if new_total > refine_budget:
+        # refine every atom of the working set and retry; the set becomes a
+        # label only here, as most searches succeed without refining
+        if "set" not in ctx.arrays:
+            ctx.arrays["set"] = np.zeros(ctx.space.n_atoms, dtype=np.int8)
+            ctx.arrays["set"][cur_set.indices] = 1
+        try:
+            ctx.refine_atoms(cur_set.indices, 2, refine_budget)
+        except RefinementBudgetExceeded:
             raise NoSignFound(
                 f"no sign with image norm < {epsilon} within the refinement budget",
                 best_sign=best_sign,
                 best_value=best_val,
-            )
-        space2, rmap = cur_T.space.refine_atoms(cur_set.indices, 2)
-        cur_T = cur_T.refine(rmap, space2)
-        cur_set = cur_set.lift(rmap, space2)
-        total_map = total_map.compose(rmap)
+            ) from None
+        cur_set = ctx.where("set", 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -329,8 +333,9 @@ class AdversarialOutcome:
 
 def _best_sign_within(
     T: DiscreteOperator, idx: np.ndarray
-) -> tuple[SignVector | None, float]:
-    """Large-image sign supported inside the atoms `idx` (exact for sup targets)."""
+) -> tuple[np.ndarray | None, float]:
+    """Large-image sign values supported inside the atoms `idx` (exact for
+    sup targets)."""
     if not idx.size:
         return None, 0.0
     if T.target.kind == "sup":
@@ -340,68 +345,67 @@ def _best_sign_within(
         values[idx] = np.sign(T.matrix[r, idx])
         if not values.any():
             return None, 0.0
-        sign = SignVector(space=T.space, values=values)
-        return sign, T.image_norm(sign)
+        return values, T.image_norm(values)
     if idx.size <= TERNARY_EXHAUSTIVE_LIMIT:
         try:
-            return brute_force_best_sign(
+            sign, val = brute_force_best_sign(
                 T, T.space.subset(idx), require_mean_zero=False, objective="max"
             )
         except NoFeasibleSign:
             return None, 0.0
+        return sign.values, val
     # too many atoms to enumerate: the full-support all-+1 sign on the set,
     # with no direction matching
     values = np.zeros(T.space.n_atoms, dtype=np.int8)
     values[idx] = 1
-    sign = SignVector(space=T.space, values=values)
-    return sign, T.image_norm(sign)
+    return values, T.image_norm(values)
 
 
 def _split_support(
     T: DiscreteOperator,
-    sign: SignVector,
+    sign: np.ndarray,
     epsilon: float,
     refine_budget: int,
-) -> tuple[list[SignVector], DiscreteOperator, RefineMap] | None:
-    """Split a sign with ||Tx|| > epsilon into two restrictions each >= eps/2.
+) -> tuple[np.ndarray, RefinementContext] | None:
+    """Split sign values with ||Tx|| > epsilon into two restrictions, each
+    with image norm >= eps/2: a (2, n_atoms) array on the returned context's
+    space.
 
     Refines the largest-contribution atom when the greedy split overshoots;
     mirrors the proof's narrowness-splitting step via restriction signs.
     """
-    total_map = RefineMap.identity(T.space.n_atoms)
-    cur_T, cur_sign = T, sign
+    ctx = RefinementContext(T.space, {"t": T})
+    ctx.arrays["sign"] = sign
     while True:
-        value = cur_T.image_norm(cur_sign)
-        if value <= epsilon:
+        t, x = ctx.ops["t"], ctx.arrays["sign"]
+        if t.image_norm(x) <= epsilon:
             return None
-        support = np.flatnonzero(cur_sign.values)
-        contrib = _restriction_values(cur_T, cur_sign, support)
+        support = np.flatnonzero(x)
+        contrib = _restriction_values(t, x, support)
         # largest contribution first, ties by atom index (support is sorted)
         rank = np.argsort(-contrib, kind="stable")
         order = support[rank]
         # part A takes atoms in that order until its running sum reaches eps/2
         reached = np.cumsum(np.r_[0.0, contrib[rank]]) >= epsilon / 2
         n_a = int(reached.argmax()) if reached.any() else order.size
-        za = _restrict(cur_sign, order[:n_a])
-        zb = _restrict(cur_sign, order[n_a:])
+        pieces = np.zeros((2, x.size), dtype=np.int8)
+        pieces[0, order[:n_a]] = x[order[:n_a]]
+        pieces[1, order[n_a:]] = x[order[n_a:]]
         if (
             n_a < order.size
-            and cur_T.image_norm(za) >= epsilon / 2
-            and cur_T.image_norm(zb) >= epsilon / 2
+            and t.image_norm(pieces[0]) >= epsilon / 2
+            and t.image_norm(pieces[1]) >= epsilon / 2
         ):
-            return [za, zb], cur_T, total_map
+            return pieces, ctx
         # overshoot: refine the dominant atom so contributions shrink
-        big = order[0]
-        if cur_T.space.n_atoms + 1 > refine_budget:
+        try:
+            ctx.refine_atoms([order[0]], 2, refine_budget)
+        except RefinementBudgetExceeded:
             return None
-        space2, rmap = cur_T.space.refine_atoms([big], 2)
-        cur_T = cur_T.refine(rmap, space2)
-        cur_sign = cur_sign.lift(rmap, space2)
-        total_map = total_map.compose(rmap)
 
 
 def _restriction_values(
-    T: DiscreteOperator, sign: SignVector, support: np.ndarray
+    T: DiscreteOperator, sign: np.ndarray, support: np.ndarray
 ) -> np.ndarray:
     """Contribution of each atom of `support` along the direction realizing
     ||T sign||."""
@@ -409,14 +413,8 @@ def _restriction_values(
         y = T.apply(sign)
         r = int(np.argmax(T.target.weights * np.abs(y)))
         return (T.target.weights[r] * T.matrix[r, support]
-                * sign.values[support] * np.sign(y[r]))
+                * sign[support] * np.sign(y[r]))
     return np.array([fnorm(T.target, T.matrix[:, i]) for i in support])
-
-
-def _restrict(sign: SignVector, indices: np.ndarray) -> SignVector:
-    values = np.zeros_like(sign.values)
-    values[indices] = sign.values[indices]
-    return SignVector(space=sign.space, values=values)
 
 
 def adversarial_disjoint_signs(
@@ -437,65 +435,56 @@ def adversarial_disjoint_signs(
     check_budgets(epsilon=epsilon)
     if count < 1:
         raise ValueError("count must be >= 1")
-    identity = RefineMap.identity(T.space.n_atoms)
+    ctx = RefinementContext(T.space, {"t": T})
     if not assume_partition_fails:
         try:
             part = partition_small_cells(T, epsilon)
             return AdversarialOutcome(
                 signs=[], exhausted=True, certificate=part,
-                operator=T, refine_map=identity,
+                operator=T, refine_map=ctx.total_map,
             )
         except AtomTooLarge:
             pass
 
-    cur_T = T
-    total_map = identity
-    signs: list[SignVector] = []
-    while len(signs) < count:
-        used = np.zeros(cur_T.space.n_atoms, dtype=bool)
-        for s in signs:
-            used |= s.values != 0
-        remainder = np.flatnonzero(~used)
-        cand, val = _best_sign_within(cur_T, remainder)
+    # one row per disjoint sign found so far, in the order they were found
+    ctx.arrays["signs"] = np.zeros((0, T.space.n_atoms), dtype=np.int8)
+    part = None
+    while len(ctx.arrays["signs"]) < count:
+        t, signs = ctx.ops["t"], ctx.arrays["signs"]
+        remainder = np.flatnonzero(~signs.any(axis=0))
+        cand, val = _best_sign_within(t, remainder)
         if cand is not None and val >= epsilon / 2:
-            signs.append(cand)
+            ctx.arrays["signs"] = np.vstack([signs, cand])
             continue
         # cannot extend: split an existing sign whose support holds a large image
-        progressed = False
-        for k, s in enumerate(signs):
-            sub_best, sub_val = _best_sign_within(cur_T, np.flatnonzero(s.values))
+        for k, row in enumerate(signs):
+            sub_best, sub_val = _best_sign_within(t, np.flatnonzero(row))
             if sub_best is None or sub_val <= epsilon:
                 continue
-            split = _split_support(cur_T, sub_best, epsilon, refine_budget)
+            split = _split_support(t, sub_best, epsilon, refine_budget)
             if split is None:
                 continue
-            pieces, new_T, rmap = split
-            if not rmap.is_identity:
-                signs = [x.lift(rmap, new_T.space) for x in signs]
-                total_map = total_map.compose(rmap)
-                cur_T = new_T
-                # pieces are already on the refined space
-            signs.pop(k)
-            signs.extend(pieces)
-            progressed = True
+            pieces, split_ctx = split
+            ctx.apply_map(split_ctx.total_map, split_ctx.space)
+            ctx.arrays["signs"] = np.vstack(
+                [np.delete(ctx.arrays["signs"], k, axis=0), pieces])
             break
-        if not progressed:
+        else:
             # stuck: supports plus remainder certify the partition
-            cells = [s.support_set() for s in signs]
+            cells = [MeasurableSet(space=ctx.space, indices=np.flatnonzero(row))
+                     for row in signs]
             if remainder.size:
-                cells.append(MeasurableSet(space=cur_T.space, indices=remainder))
+                cells.append(MeasurableSet(space=ctx.space, indices=remainder))
             bounds = []
             exact = []
             for cell in cells:
-                b, ex = max_sign_image_norm(cur_T, cell)
+                b, ex = max_sign_image_norm(t, cell)
                 bounds.append(b)
                 exact.append(ex)
             part = Partition(cells=cells, bounds=bounds, exact=exact, epsilon=epsilon)
-            return AdversarialOutcome(
-                signs=signs, exhausted=True, certificate=part,
-                operator=cur_T, refine_map=total_map,
-            )
+            break
     return AdversarialOutcome(
-        signs=signs, exhausted=False, certificate=None,
-        operator=cur_T, refine_map=total_map,
+        signs=[SignVector(space=ctx.space, values=row) for row in ctx.arrays["signs"]],
+        exhausted=part is not None, certificate=part,
+        operator=ctx.ops["t"], refine_map=ctx.total_map,
     )

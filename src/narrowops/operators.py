@@ -13,7 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidAtom, NoFeasibleSign, SetTooLarge
+from .errors import (
+    DimensionMismatch,
+    InvalidAtom,
+    NoFeasibleSign,
+    RefinementBudgetExceeded,
+    SetTooLarge,
+)
 from .measure import MeasurableSet, MeasureSpace, RefineMap, SignVector
 from .norms import TargetNorm, fnorm, fnorm_many
 
@@ -108,6 +114,39 @@ class DiscreteOperator:
         m = np.array(self.matrix, copy=True)
         m[keep:, :] = 0.0
         return DiscreteOperator(matrix=m, space=self.space, target=self.target)
+
+
+class RefinementContext:
+    """A space, its operators, the map from the starting space, and per-atom
+    arrays (labels, signs, rows of signs); a refinement lifts them all at
+    once.  Every refine-and-lift loop of the package runs through one."""
+
+    def __init__(self, space: MeasureSpace, ops: dict):
+        self.space = space
+        self.ops = dict(ops)
+        self.total_map = RefineMap.identity(space.n_atoms)
+        self.arrays: dict[str, np.ndarray] = {}
+
+    def apply_map(self, rmap: RefineMap, space: MeasureSpace) -> None:
+        if rmap.is_identity:
+            return
+        self.space = space
+        self.ops = {k: op.refine(rmap, space) for k, op in self.ops.items()}
+        self.arrays = {k: rmap.lift_values(v) for k, v in self.arrays.items()}
+        self.total_map = self.total_map.compose(rmap)
+
+    def where(self, key: str, label: int) -> MeasurableSet:
+        """The atoms whose `key` label equals `label`."""
+        return MeasurableSet(space=self.space,
+                             indices=np.flatnonzero(self.arrays[key] == label))
+
+    def refine_atoms(self, indices, parts: int, budget: int) -> None:
+        space2, rmap = self.space.refine_atoms(indices, parts)
+        if space2.n_atoms > budget:
+            raise RefinementBudgetExceeded(
+                f"refinement to {space2.n_atoms} atoms exceeds budget {budget}"
+            )
+        self.apply_map(rmap, space2)
 
 
 def max_sign_image_norm(

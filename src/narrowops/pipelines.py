@@ -37,16 +37,18 @@ from .measure import (
     rademacher_signs,
 )
 from .narrowness import (
+    DEFAULT_REFINE_BUDGET,
     check_budgets,
     find_small_sign,
     net_cover,
     partition_small_cells,
 )
 from .norms import dual_unit_functional, fnorm, fnorm_many, sup_norm
-from .operators import DiscreteOperator
+from .operators import DiscreteOperator, RefinementContext
 from .rounding import sign_round
 
 _TOL = 1e-9
+DEFAULT_RANK_LIMIT = 16
 
 
 @dataclass(frozen=True)
@@ -59,7 +61,7 @@ class PipelineParams:
     delta: float = 0.025
     seed: int = 0
     max_adaptive_rounds: int = 5
-    refine_budget: int = 2**16
+    refine_budget: int = DEFAULT_REFINE_BUDGET
     sample_budget: int = 24
     functional_cap: int = 64
 
@@ -101,48 +103,9 @@ class PipelineReport:
         }
 
 
-class _Ctx:
-    """A space, its operators, the map from the starting space, and per-atom
-    arrays (labels and running signs); a refinement lifts them all at once."""
-
-    def __init__(self, space: MeasureSpace, ops: dict):
-        self.space = space
-        self.ops = dict(ops)
-        self.total_map = RefineMap.identity(space.n_atoms)
-        self.arrays: dict[str, np.ndarray] = {}
-
-    def apply_map(self, rmap: RefineMap, space: MeasureSpace) -> None:
-        if rmap.is_identity:
-            return
-        self.space = space
-        self.ops = {k: op.refine(rmap, space) for k, op in self.ops.items()}
-        self.arrays = {k: rmap.lift_values(v) for k, v in self.arrays.items()}
-        self.total_map = self.total_map.compose(rmap)
-
-    def where(self, key: str, label: int) -> MeasurableSet:
-        """The atoms whose `key` label equals `label`."""
-        return MeasurableSet(space=self.space,
-                             indices=np.flatnonzero(self.arrays[key] == label))
-
-    def refine_atoms(self, indices, parts: int, budget: int) -> None:
-        space2, rmap = self.space.refine_atoms(indices, parts)
-        if space2.n_atoms > budget:
-            raise RefinementBudgetExceeded(
-                f"refinement to {space2.n_atoms} atoms exceeds budget {budget}"
-            )
-        self.apply_map(rmap, space2)
-
-
 def _require_same_space(T1: DiscreteOperator, T2: DiscreteOperator) -> None:
     if T1.space != T2.space:
         raise DimensionMismatch("operators must share the same source space")
-
-
-def _uniformized_ctx(ops: dict) -> tuple[_Ctx, RefineMap]:
-    space = next(iter(ops.values())).space
-    us, umap = space.uniformize()
-    ctx = _Ctx(us, {k: op.refine(umap, us) for k, op in ops.items()})
-    return ctx, umap
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,7 +208,9 @@ def pairing_construction(
     if not params.gamma < params.epsilon:
         raise ValueError("pairing needs gamma < epsilon")
     _require_same_space(T1, T2)
-    ctx, umap = _uniformized_ctx({"t1": T1, "t2": T2})
+    ctx = RefinementContext(T1.space, {"t1": T1, "t2": T2})
+    us, umap = ctx.space.uniformize()
+    ctx.apply_map(umap, us)
     if not _is_power_of_two(ctx.space.n_atoms):
         raise NonDyadic("pairing needs a power-of-two atom count after uniformize")
 
@@ -365,7 +330,7 @@ def pairing_construction(
         budgets={"sigma": params.sigma, "epsilon": params.epsilon,
                  "gamma": params.gamma, "delta": params.delta},
         stages=stages,
-        refine_map=umap.compose(ctx.total_map),
+        refine_map=ctx.total_map,
         space=ctx.space,
         extras={
             "n_stages": m,
@@ -399,8 +364,8 @@ def sum_finite_rank(
     T2: DiscreteOperator,
     sigma: float,
     epsilon: float,
-    rank_limit: int = 16,
-    refine_budget: int = 2**16,
+    rank_limit: int = DEFAULT_RANK_LIMIT,
+    refine_budget: int = DEFAULT_REFINE_BUDGET,
 ) -> PipelineReport:
     """Mean-zero sign x with ||T1 x|| <= sigma and ||T2 x|| <= epsilon for a
     finite-rank T2.
@@ -441,7 +406,7 @@ def sum_finite_rank(
     basis_norms = fnorm_many(T2.target, basis.T)
     delta = epsilon / float(np.sum(basis_norms))
     coeff_target = sup_norm(dim=m)
-    ctx = _Ctx(T1.space, {
+    ctx = RefinementContext(T1.space, {
         "t1": T1,
         "t2": T2,
         "coeff": DiscreteOperator(coeff, T1.space, coeff_target),
@@ -558,7 +523,9 @@ def sum_compact_locally_convex(
     if not T2.target.locally_convex:
         raise NotLocallyConvex("the compact-sum pipeline needs a locally convex target")
     _require_same_space(T1, T2)
-    ctx, umap = _uniformized_ctx({"t1": T1, "t2": T2})
+    ctx = RefinementContext(T1.space, {"t1": T1, "t2": T2})
+    us, umap = ctx.space.uniformize()
+    ctx.apply_map(umap, us)
     rng = np.random.default_rng(params.seed)
     ctx.arrays["samples"] = _sample_signs(ctx.space, rng, params.sample_budget)
 
@@ -620,7 +587,7 @@ def sum_compact_locally_convex(
                 budgets={"epsilon": epsilon, "t1": epsilon / 2, "t2": epsilon / 2},
                 stages=rounds_log,
                 adaptive_rounds=rnd,
-                refine_map=umap.compose(ctx.total_map),
+                refine_map=ctx.total_map,
                 extras={"net_size": len(centers)},
             )
         trace.append({"round": rnd, "norm": val, "image": [float(v) for v in t2x]})
@@ -636,8 +603,8 @@ def sum_compact_via_truncation(
     sigma: float,
     epsilon: float,
     tail_bound,
-    rank_limit: int = 16,
-    refine_budget: int = 2**16,
+    rank_limit: int = DEFAULT_RANK_LIMIT,
+    refine_budget: int = DEFAULT_REFINE_BUDGET,
 ) -> PipelineReport:
     """Finite-rank reduction through a certified truncation schedule.
 

@@ -1,0 +1,10 @@
+"""Hypothesis profiles.  ``HYPOTHESIS_PROFILE=ci`` makes every property test
+draw the same examples on every run, so a failure seen in CI reproduces
+exactly on any machine."""
+
+import os
+
+from hypothesis import settings
+
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))

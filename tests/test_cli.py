@@ -165,23 +165,53 @@ class TestExitCodes:
                   "tail_values": [0.0] * 4, "params": {"gamma": 0.01}}
         assert _run(tmp_path, "sum-compact", config) == 1
 
-    @pytest.mark.parametrize("instance, field", [
-        ({"kind": "l1_example"}, "levels"),
-        ({"kind": "l1_example", "levels": 4, "level": 3}, "level"),
-        ({"kind": "random_narrow", "target_dim": 3, "decay": 0.5}, "atoms"),
-        ({"levels": 4}, "kind"),
-        ({"kind": "l1_example", "levels": "4"}, "levels"),
-        ({"kind": "l1_example", "levels": True}, "levels"),
-        ({"kind": "random_narrow", "atoms": 16, "target_dim": 3, "decay": "0.5"},
-         "decay"),
-        ({"kind": ["l1_example"], "levels": 4}, "kind"),
+    @pytest.mark.parametrize("command, config, field", [
+        *[("partition", {"operator": {"instance": instance}, "epsilon": 0.25}, field)
+          for instance, field in [
+              ({"kind": "l1_example"}, "levels"),
+              ({"kind": "l1_example", "levels": 4, "level": 3}, "level"),
+              ({"kind": "random_narrow", "target_dim": 3, "decay": 0.5}, "atoms"),
+              ({"levels": 4}, "kind"),
+              ({"kind": "l1_example", "levels": "4"}, "levels"),
+              ({"kind": "l1_example", "levels": True}, "levels"),
+              ({"kind": "random_narrow", "atoms": 16, "target_dim": 3,
+                "decay": "0.5"}, "decay"),
+              ({"kind": ["l1_example"], "levels": 4}, "kind"),
+          ]],
+        ("partition", {"operator": {"instance": {"kind": "l1_example", "levels": 4}},
+                       "epsilon": [1]}, "epsilon"),
+        ("sum-compact", {**_pipeline_config(), "mode": "truncation", "epsilon": 0.2,
+                         "tail_values": 0.5}, "tail_values"),
+        ("find-sign", {"operator": {"instance": {"kind": "l1_example", "levels": 4}},
+                       "epsilon": 0.1, "refine_budget": [3]}, "refine_budget"),
+        ("round", {"vectors": [[1.0]], "coefficients": [0.5], "norm": 5}, "norm"),
+        ("partition", {"operator": {"matrix": 5,
+                                    "space": {"numerators": [1], "denominator_log2": 0},
+                                    "norm": {"kind": "sup", "weights": [1.0]}},
+                       "epsilon": 0.1}, "operator"),
     ], ids=["missing-levels", "unknown-field", "missing-atoms", "missing-kind",
-            "string-levels", "bool-levels", "string-decay", "list-kind"])
-    def test_bad_instance_is_usage_error(self, tmp_path, capsys, instance, field):
-        # these used to escape main as a TypeError traceback
-        config = {"operator": {"instance": instance}, "epsilon": 0.25}
-        assert _run(tmp_path, "partition", config) == 1
+            "string-levels", "bool-levels", "string-decay", "list-kind",
+            "list-epsilon", "scalar-tail-values", "list-refine-budget", "int-norm",
+            "scalar-matrix"])
+    def test_bad_instance_is_usage_error(self, tmp_path, capsys, command, config, field):
+        # an ill-typed instance field or config value used to escape main as
+        # a TypeError traceback, or (a scalar matrix) to exit 2
+        assert _run(tmp_path, command, config) == 1
         assert field in capsys.readouterr().err
+
+    def test_type_error_inside_a_pipeline_is_not_usage_error(self, tmp_path, monkeypatch):
+        # only reading a config value turns a TypeError into a usage error;
+        # one raised by the library is a defect and propagates
+        def fail(*args, **kwargs):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setattr(cli, "find_small_sign", fail)
+        config = {
+            "operator": {"instance": {"kind": "l1_example", "levels": 4}},
+            "epsilon": 1e-6,
+        }
+        with pytest.raises(TypeError):
+            _run(tmp_path, "find-sign", config)
 
     def test_truncation_needs_one_tail_bound_per_row(self, tmp_path, capsys):
         # a short list used to end in an IndexError traceback

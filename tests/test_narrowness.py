@@ -14,7 +14,9 @@ from narrowops import (
     NoFeasibleSign,
     NoSignFound,
     RefineMap,
+    SetTooLarge,
     SignVector,
+    SmallSignResult,
     adversarial_disjoint_signs,
     brute_force_best_sign,
     find_small_sign,
@@ -27,7 +29,12 @@ from narrowops import (
     sup_norm,
 )
 from narrowops.instances import build_l1_example, l1_example_cells
-from narrowops.narrowness import Partition, _kernel_pairing, _rademacher_scan
+from narrowops.narrowness import (
+    _EXHAUSTIVE_SEARCH_LIMIT,
+    Partition,
+    _kernel_pairing,
+    _rademacher_scan,
+)
 from narrowops.operators import TERNARY_EXHAUSTIVE_LIMIT
 
 
@@ -140,6 +147,107 @@ class TestFindSmallSign:
         if sign is not None:
             assert sign.values.tolist() == (e_hit or e_best).values.tolist()
         assert val == e_val
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        data=st.data(),
+        kind=st.sampled_from(["sup", "l1", "l2", "l0.5"]),
+        n=st.integers(1, 8),
+        uniform=st.booleans(),
+        dim=st.integers(1, 2),
+        strategy=st.sampled_from(["auto", "exhaustive", "rademacher_scan",
+                                  "kernel_pairing"]),
+        epsilon=st.sampled_from([0.05, 0.25, 1.0]),
+        extra_budget=st.integers(2, 64),
+    )
+    def test_refinement_loop_matches_hand_lifted_loop(
+        self, data, kind, n, uniform, dim, strategy, epsilon, extra_budget
+    ):
+        # distinct integer columns: no two atoms pair and no sign on the
+        # input is exactly zero, so most searches refine, and some run out
+        # of budget; block signs need equal weights
+        exponents = [0] * n if uniform else data.draw(
+            st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        space = MeasureSpace.from_weights([Fraction(1, 2**e) for e in exponents])
+        cols = data.draw(st.lists(st.tuples(*[st.integers(-4, 4)] * dim),
+                                  min_size=n, max_size=n, unique=True))
+        target = sup_norm(dim=dim) if kind == "sup" else lp_norm(float(kind[1:]), dim=dim)
+        T = DiscreteOperator(np.array(cols, dtype=float).T / 4, space, target)
+        mset = space.subset(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+        budget = n + extra_budget
+        try:
+            res = find_small_sign(T, mset, epsilon, strategy, budget)
+        except NoSignFound as exc:
+            with pytest.raises(NoSignFound) as expected:
+                _oracle_find_small_sign(T, mset, epsilon, strategy, budget)
+            assert str(exc) == str(expected.value)
+            assert exc.best_value == expected.value.best_value
+            best, e_best = exc.best_sign, expected.value.best_sign
+            assert (best is None) == (e_best is None)
+            if best is not None:
+                assert best.values.tolist() == e_best.values.tolist()
+            return
+        e_res = _oracle_find_small_sign(T, mset, epsilon, strategy, budget)
+        assert res.sign.values.tolist() == e_res.sign.values.tolist()
+        assert res.value == e_res.value
+        assert res.strategy == e_res.strategy
+        assert res.refine_map.counts.tolist() == e_res.refine_map.counts.tolist()
+        assert res.operator.space == e_res.operator.space
+        np.testing.assert_array_equal(res.operator.matrix, e_res.operator.matrix)
+
+
+def _oracle_find_small_sign(T, mset, epsilon, strategy, refine_budget):
+    """The search loop with its working operator, set and composed map
+    carried by hand: each retry refines every atom of the set in two, lifts
+    operator and set, and composes the map."""
+    identity = RefineMap.identity(T.space.n_atoms)
+    if strategy == "exhaustive":
+        try:
+            sign, val = brute_force_best_sign(
+                T, mset, require_mean_zero=True, objective="min", full_support=True
+            )
+        except NoFeasibleSign as exc:
+            raise NoSignFound(str(exc)) from exc
+        if val < epsilon:
+            return SmallSignResult(sign, T, identity, val, "exhaustive")
+        raise NoSignFound(
+            f"exhaustive optimum {val} >= {epsilon}", best_sign=sign, best_value=val
+        )
+    cur_T, cur_set, total_map = T, mset, identity
+    best_sign, best_val = None, float("inf")
+    while True:
+        if strategy == "auto" and cur_set.size <= _EXHAUSTIVE_SEARCH_LIMIT:
+            try:
+                sign, val = brute_force_best_sign(
+                    cur_T, cur_set, require_mean_zero=True,
+                    objective="min", full_support=True,
+                )
+                if val < best_val:
+                    best_sign, best_val = sign, val
+                if val < epsilon:
+                    return SmallSignResult(sign, cur_T, total_map, val, "exhaustive")
+            except (NoFeasibleSign, SetTooLarge):
+                pass
+        if strategy in ("auto", "kernel_pairing"):
+            sign = _kernel_pairing(cur_T, cur_set)
+            if sign is not None:
+                return SmallSignResult(sign, cur_T, total_map, 0.0, "kernel_pairing")
+        if strategy in ("auto", "rademacher_scan"):
+            sign, val = _rademacher_scan(cur_T, cur_set, epsilon)
+            if val < epsilon:
+                return SmallSignResult(sign, cur_T, total_map,
+                                       cur_T.image_norm(sign), "rademacher_scan")
+            if val < best_val:
+                best_sign, best_val = sign, val
+        if cur_T.space.n_atoms + cur_set.size > refine_budget:
+            raise NoSignFound(
+                f"no sign with image norm < {epsilon} within the refinement budget",
+                best_sign=best_sign, best_value=best_val,
+            )
+        space2, rmap = cur_T.space.refine_atoms(cur_set.indices, 2)
+        cur_T = cur_T.refine(rmap, space2)
+        cur_set = cur_set.lift(rmap, space2)
+        total_map = total_map.compose(rmap)
 
 
 def _oracle_rademacher_scan(T, mset, epsilon):
