@@ -27,4 +27,4 @@ print("sharp operator:", "partition" if out.exhausted else "adversary")
 assert not out.exhausted
 for s in out.signs:
     print(f"  disjoint sign on atoms {np.flatnonzero(s.values).tolist()}, "
-          f"image norm {out.operator.image_norm(s):.3f}")
+          f"image norm {out.operator.image_norm(s.values):.3f}")

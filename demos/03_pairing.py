@@ -35,6 +35,6 @@ for j, values in enumerate(rep.extras["stage_signs"], start=1):
 t1_fine = t1.refine(rep.refine_map, rep.space)
 t2_fine = t2.refine(rep.refine_map, rep.space)
 assert rep.sign.mean_zero
-assert fnorm(t1_fine.target, t1_fine.apply(rep.sign)) <= params.sigma + 1e-9
-assert fnorm(t2_fine.target, t2_fine.apply(rep.sign)) <= params.epsilon + 1e-9
+assert fnorm(t1_fine.target, t1_fine.apply(rep.sign.values)) <= params.sigma + 1e-9
+assert fnorm(t2_fine.target, t2_fine.apply(rep.sign.values)) <= params.epsilon + 1e-9
 print("independent re-validation passed.")

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import numbers
 import sys
 from functools import partial
 from pathlib import Path
@@ -31,7 +32,12 @@ from .instances import (
     l1_example_tail_bound,
 )
 from .measure import SignVector
-from .narrowness import DEFAULT_REFINE_BUDGET, find_small_sign, partition_small_cells
+from .narrowness import (
+    DEFAULT_REFINE_BUDGET,
+    check_integers,
+    find_small_sign,
+    partition_small_cells,
+)
 from .norms import TargetNorm, fnorm
 from .operators import DiscreteOperator
 from .pipelines import (
@@ -90,6 +96,19 @@ def _read(config: dict, key: str, cast, default=None):
 _float_array = partial(np.asarray, dtype=float)
 
 
+def _int(value) -> int:
+    """Cast for integer slots: a float, a bool or a string is refused."""
+    check_integers(value=value)
+    return value
+
+
+def _real(value) -> float:
+    """Cast for real slots: a bool or a string is refused."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"value must be a real number, got {value!r}")
+    return float(value)
+
+
 def _params(config: dict, seed: int, **overrides) -> PipelineParams:
     """PipelineParams from the config's top-level fields, then its "params"
     object, then `overrides`; the seed is always `seed`."""
@@ -132,7 +151,7 @@ def _cmd_round(args, config: dict, seed: int) -> int:
 def _cmd_partition(args, config: dict, seed: int) -> int:
     _check_keys(config, "operator", "epsilon")
     T = _operator_from_config(config["operator"])
-    part = partition_small_cells(T, _read(config, "epsilon", float))
+    part = partition_small_cells(T, _read(config, "epsilon", _real))
     report = part.summary()
     report["cells"] = [c.indices.tolist() for c in part.cells]
     rows = [
@@ -151,9 +170,9 @@ def _cmd_find_sign(args, config: dict, seed: int) -> int:
     except InvalidAtom as exc:
         raise UsageError(f"bad 'set': {exc}") from None
     res = find_small_sign(
-        T, mset, _read(config, "epsilon", float),
+        T, mset, _read(config, "epsilon", _real),
         strategy=config.get("strategy", "auto"),
-        refine_budget=_read(config, "refine_budget", int, DEFAULT_REFINE_BUDGET),
+        refine_budget=_read(config, "refine_budget", _int, DEFAULT_REFINE_BUDGET),
     )
     report = {
         "sign": res.sign.values.tolist(),
@@ -179,9 +198,9 @@ def _cmd_sum_finite_rank(args, config: dict, seed: int) -> int:
     t1 = _operator_from_config(config["t1"])
     t2 = _operator_from_config(config["t2"])
     report = sum_finite_rank(
-        t1, t2, _read(config, "sigma", float), _read(config, "epsilon", float),
-        rank_limit=_read(config, "rank_limit", int, DEFAULT_RANK_LIMIT),
-        refine_budget=_read(config, "refine_budget", int, DEFAULT_REFINE_BUDGET),
+        t1, t2, _read(config, "sigma", _real), _read(config, "epsilon", _real),
+        rank_limit=_read(config, "rank_limit", _int, DEFAULT_RANK_LIMIT),
+        refine_budget=_read(config, "refine_budget", _int, DEFAULT_REFINE_BUDGET),
     )
     _emit_pipeline(args, "sum-finite-rank", report)
     return 0
@@ -199,12 +218,12 @@ def _cmd_sum_compact(args, config: dict, seed: int) -> int:
     _check_keys(config, "t1", "t2", "mode", *mode_keys[mode])
     t1 = _operator_from_config(config["t1"])
     t2 = _operator_from_config(config["t2"])
-    epsilon = _read(config, "epsilon", float)
+    epsilon = _read(config, "epsilon", _real)
     if mode == "adaptive":
         report = sum_compact_locally_convex(t1, t2, _params(config, seed, epsilon=epsilon))
     else:
         if "tail_values" in config:
-            values = _read(config, "tail_values", lambda v: [float(x) for x in v])
+            values = _read(config, "tail_values", lambda v: [_real(x) for x in v])
             if len(values) != t2.target_dim:
                 raise UsageError(f"'tail_values' has {len(values)} entries, but t2 "
                                  f"has {t2.target_dim} target rows: one bound each")
@@ -216,9 +235,9 @@ def _cmd_sum_compact(args, config: dict, seed: int) -> int:
         else:
             raise UsageError("truncation mode needs 'tail_values' or tail='l1_example'")
         report = sum_compact_via_truncation(
-            t1, t2, _read(config, "sigma", float, epsilon), epsilon, tail,
-            rank_limit=_read(config, "rank_limit", int, DEFAULT_RANK_LIMIT),
-            refine_budget=_read(config, "refine_budget", int, DEFAULT_REFINE_BUDGET),
+            t1, t2, _read(config, "sigma", _real, epsilon), epsilon, tail,
+            rank_limit=_read(config, "rank_limit", _int, DEFAULT_RANK_LIMIT),
+            refine_budget=_read(config, "refine_budget", _int, DEFAULT_REFINE_BUDGET),
         )
     _emit_pipeline(args, "sum-compact", report)
     return 0
@@ -226,10 +245,10 @@ def _cmd_sum_compact(args, config: dict, seed: int) -> int:
 
 def _cmd_example_l1(args, config: dict, seed: int) -> int:
     _check_keys(config, "levels", "atoms_per_level")
-    levels = args.levels if args.levels is not None else _read(config, "levels", int, 12)
+    levels = args.levels if args.levels is not None else _read(config, "levels", _int, 12)
     apl = args.atoms_per_level
     if apl is None and "atoms_per_level" in config:
-        apl = _read(config, "atoms_per_level", int)
+        apl = _read(config, "atoms_per_level", _int)
     T = build_l1_example(levels, apl)
     report = {"operator": operator_to_json(T), "levels": levels}
     if args.check == "strict-narrow":
@@ -252,7 +271,7 @@ def _cmd_example_l1(args, config: dict, seed: int) -> int:
 
 def _cmd_example_condexp(args, config: dict, seed: int) -> int:
     _check_keys(config, "grid")
-    k = args.grid if args.grid is not None else _read(config, "grid", int, 8)
+    k = args.grid if args.grid is not None else _read(config, "grid", _int, 8)
     T = build_conditional_expectation(k)
     # strict-narrowness witness: a vertical +1/-1 pair maps to zero
     values = [0] * T.space.n_atoms
@@ -261,7 +280,7 @@ def _cmd_example_condexp(args, config: dict, seed: int) -> int:
     report = {
         "operator": operator_to_json(T),
         "grid": k,
-        "witness_image_norm": fnorm(T.target, T.apply(witness)),
+        "witness_image_norm": fnorm(T.target, T.apply(witness.values)),
     }
     _emit(args, "example-condexp", report)
     return 0
@@ -355,7 +374,7 @@ def main(argv=None) -> int:
             config = json.loads(Path(args.config).read_text())
             if not isinstance(config, dict):
                 raise UsageError("a config must be a JSON object")
-        seed = args.seed if args.seed is not None else _read(config, "seed", int, 0)
+        seed = args.seed if args.seed is not None else _read(config, "seed", _int, 0)
         return _COMMANDS[args.command](args, config, seed)
     except NarrowOpsError as exc:
         print(f"certified failure: {exc}", file=sys.stderr)

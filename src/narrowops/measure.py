@@ -204,13 +204,6 @@ class MeasureSpace:
         if not 0 <= atom < self.n_atoms:
             raise InvalidAtom(f"atom {atom} out of range [0, {self.n_atoms})")
 
-    def refine(self, atom: int, parts: int) -> tuple["MeasureSpace", RefineMap]:
-        """Split one atom into `parts` equal children; parts must be 2^t >= 2."""
-        self._check_atom(atom)
-        if parts < 2:
-            raise InvalidAtom("parts must be >= 2")
-        return self.refine_atoms([atom], parts)
-
     def refine_atoms(
         self, atoms: Iterable[int] | np.ndarray, parts: int
     ) -> tuple["MeasureSpace", RefineMap]:
@@ -335,9 +328,6 @@ class SignVector:
 
     def integral(self) -> Fraction:
         return Fraction(self.integral_numerator(), 2**self.space.denom_log2)
-
-    def as_array(self) -> np.ndarray:
-        return self.values.astype(float)
 
     def is_sign_on(self, mset: MeasurableSet) -> bool:
         """True iff support equals mset exactly (a 'sign on A' in the classical sense)."""

@@ -10,6 +10,7 @@ exclusive by construction.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,19 +38,26 @@ _EXHAUSTIVE_SEARCH_LIMIT = 10
 
 
 def check_budgets(**budgets: float) -> None:
-    """Raise ValueError unless every named budget is finite and positive."""
+    """Raise ValueError unless every named budget is a finite and positive
+    number (not a bool)."""
     for name, value in budgets.items():
-        if not (math.isfinite(value) and value > 0):
+        if isinstance(value, bool) or not (math.isfinite(value) and value > 0):
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
+
+
+def check_integers(**values) -> None:
+    """Raise ValueError unless every named value is an integer (not a bool)."""
+    for name, value in values.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
 class NetCover:
-    """Greedy metric net: every covered point is within `radius` of a center."""
+    """Greedy metric net: point k lies within the net's radius of
+    ``centers[assignments[k]]``."""
 
     centers: list[np.ndarray]
-    radius: float
-    norm: TargetNorm
     assignments: list[int]
 
     @property
@@ -61,9 +69,6 @@ class NetCover:
         for point_idx, center_idx in enumerate(self.assignments):
             out.setdefault(center_idx, []).append(point_idx)
         return out
-
-    def covers(self, point: np.ndarray) -> bool:
-        return any(fnorm(self.norm, point - c) <= self.radius for c in self.centers)
 
 
 def net_cover(points: list[np.ndarray], radius: float, norm: TargetNorm) -> NetCover:
@@ -83,7 +88,7 @@ def net_cover(points: list[np.ndarray], radius: float, norm: TargetNorm) -> NetC
         if not placed:
             centers.append(p)
             assignments.append(len(centers) - 1)
-    return NetCover(centers=centers, radius=radius, norm=norm, assignments=assignments)
+    return NetCover(centers=centers, assignments=assignments)
 
 
 @dataclass(frozen=True, eq=False)
@@ -293,7 +298,7 @@ def find_small_sign(
             if val < epsilon:
                 return SmallSignResult(
                     sign=sign, operator=cur_T,
-                    refine_map=ctx.total_map, value=cur_T.image_norm(sign),
+                    refine_map=ctx.total_map, value=cur_T.image_norm(sign.values),
                     strategy="rademacher_scan",
                 )
             if val < best_val:

@@ -53,17 +53,13 @@ class DiscreteOperator:
         return self.matrix.shape[0]
 
     def apply(self, x) -> np.ndarray:
-        """Image of a sign or step vector over the source space."""
-        if isinstance(x, SignVector):
-            if x.space.n_atoms != self.space.n_atoms:
-                raise DimensionMismatch("sign lives on a different space")
-            v = x.as_array()
-        else:
-            v = np.asarray(x, dtype=float)
-            if v.shape != (self.space.n_atoms,):
-                raise DimensionMismatch(
-                    f"vector has shape {v.shape}, expected ({self.space.n_atoms},)"
-                )
+        """Image of a step vector (such as a sign's values) over the source
+        space."""
+        v = np.asarray(x, dtype=float)
+        if v.shape != (self.space.n_atoms,):
+            raise DimensionMismatch(
+                f"vector has shape {v.shape}, expected ({self.space.n_atoms},)"
+            )
         return self.matrix @ v
 
     def image_norm(self, x) -> float:

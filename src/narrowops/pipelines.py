@@ -39,6 +39,7 @@ from .measure import (
 from .narrowness import (
     DEFAULT_REFINE_BUDGET,
     check_budgets,
+    check_integers,
     find_small_sign,
     net_cover,
     partition_small_cells,
@@ -68,6 +69,10 @@ class PipelineParams:
     def __post_init__(self):
         check_budgets(sigma=self.sigma, epsilon=self.epsilon,
                       gamma=self.gamma, delta=self.delta)
+        check_integers(seed=self.seed, max_adaptive_rounds=self.max_adaptive_rounds,
+                       refine_budget=self.refine_budget,
+                       sample_budget=self.sample_budget,
+                       functional_cap=self.functional_cap)
 
 
 @dataclass(eq=False)
@@ -108,6 +113,23 @@ def _require_same_space(T1: DiscreteOperator, T2: DiscreteOperator) -> None:
         raise DimensionMismatch("operators must share the same source space")
 
 
+def _certify(ctx: RefinementContext, values, budgets: dict, stage: int,
+             slack: dict | None = None) -> tuple[SignVector, dict]:
+    """The verdict every pipeline returns through: `values` is a mean-zero
+    sign with full support on ctx's space, and its image under each operator
+    ctx.ops[key] named in `budgets` has norm <= budget + _TOL * slack[key]
+    (slack 1 by default).  Returns the sign and the achieved norms."""
+    x = SignVector.from_values(ctx.space, values)
+    if not (x.mean_zero and x.values.all()):
+        raise StageFailed(stage, "final sign is not a mean-zero sign on Omega")
+    slack = slack or {}
+    achieved = {k: fnorm(ctx.ops[k].target, ctx.ops[k].apply(x.values))
+                for k in budgets}
+    if any(achieved[k] > budgets[k] + _TOL * slack.get(k, 1.0) for k in budgets):
+        raise StageFailed(stage, f"final norms violate the budgets: {achieved}")
+    return x, achieved
+
+
 @dataclass(frozen=True, eq=False)
 class AbsContinuityResult:
     """Certified bound on sup ||T 1_A|| over mu(A) <= delta, plus a witness."""
@@ -123,27 +145,20 @@ def _knapsack_fractional(values: np.ndarray, nums: np.ndarray, budget_num: int):
     idx = np.flatnonzero(values > 0)
     density = values[idx] / nums[idx]
     order = idx[np.argsort(-density, kind="stable")].tolist()
-    ub = 0.0
-    used = 0
+    ub, used, filling = 0.0, 0, True
     greedy = np.zeros(values.size, dtype=bool)
     for i in order:
         n = int(nums[i])
         if used + n <= budget_num:
             used += n
-            ub += float(values[i])
             greedy[i] = True
-        else:
-            rest = budget_num - used
-            if rest > 0:
-                ub += float(values[i]) * rest / n
-            used = budget_num
-    # integral greedy keeps scanning for smaller items that still fit
-    used_g = int(nums[greedy].sum())
-    for i in order:
-        n = int(nums[i])
-        if not greedy[i] and used_g + n <= budget_num:
-            greedy[i] = True
-            used_g += n
+            if filling:
+                ub += float(values[i])
+        elif filling:
+            # the first item that does not fit closes the fractional bound;
+            # the integral greedy set keeps taking smaller items that fit
+            ub += float(values[i]) * (budget_num - used) / n
+            filling = False
     return ub, np.flatnonzero(greedy)
 
 
@@ -166,8 +181,6 @@ def check_absolute_continuity(T: DiscreteOperator, delta: float) -> AbsContinuit
             row = T.target.weights[r] * T.matrix[r]
             for sgn in (1.0, -1.0):
                 vals = np.maximum(sgn * row, 0.0)
-                if not np.any(vals > 0):
-                    continue
                 ub, greedy = _knapsack_fractional(vals, nums, budget_num)
                 best_ub = max(best_ub, ub)
                 if greedy.size:
@@ -276,8 +289,8 @@ def pairing_construction(
             raise StageFailed(j, "stage sign is not mean zero")
         if x_j.support_set().measure != total / 2**j:
             raise StageFailed(j, "support measure is not exactly mu(Omega)/2^j")
-        t1n = fnorm(t1c.target, t1c.apply(x_j))
-        t2n = fnorm(t2c.target, t2c.apply(x_j))
+        t1n = fnorm(t1c.target, t1c.apply(x_j.values))
+        t2n = fnorm(t2c.target, t2c.apply(x_j.values))
         if t1n > params.sigma / 2**j + _TOL or t2n > eps1 / 2**j + _TOL:
             raise StageFailed(j, "stage norms violate the geometric schedule")
         ctx.arrays["stage"][x_j.values != 0] = j
@@ -300,20 +313,15 @@ def pairing_construction(
     )
     ctx.apply_map(res.refine_map, res.operator.space)
     z = res.sign
-    t2z = fnorm(ctx.ops["t2"].target, ctx.ops["t2"].apply(z))
+    t2z = fnorm(ctx.ops["t2"].target, ctx.ops["t2"].apply(z.values))
     if t2z > params.gamma + _TOL:
         raise StageFailed(m + 1, f"tail sign T2-image {t2z} exceeds gamma")
     if not z.is_sign_on(ctx.where("stage", 0)):
         raise StageFailed(m + 1, "tail sign does not have full support on the rest")
 
     stage, x_stages = ctx.arrays["stage"], ctx.arrays["x"]
-    x = SignVector.from_values(ctx.space, x_stages + z.values)
-    achieved_t1 = fnorm(ctx.ops["t1"].target, ctx.ops["t1"].apply(x))
-    achieved_t2 = fnorm(ctx.ops["t2"].target, ctx.ops["t2"].apply(x))
-    if achieved_t1 > params.sigma + _TOL or achieved_t2 > params.epsilon + _TOL:
-        raise StageFailed(m + 1, "final norms violate the budgets")
-    if not (x.mean_zero and x.values.all()):
-        raise StageFailed(m + 1, "final sign is not a mean-zero sign on Omega")
+    x, achieved = _certify(ctx, x_stages + z.values,
+                           {"t1": params.sigma, "t2": params.epsilon}, m + 1)
 
     stages.append({
         "stage": m + 1,
@@ -326,7 +334,7 @@ def pairing_construction(
     return PipelineReport(
         pipeline="pairing_construction",
         sign=x,
-        achieved={"t1": achieved_t1, "t2": achieved_t2},
+        achieved=achieved,
         budgets={"sigma": params.sigma, "epsilon": params.epsilon,
                  "gamma": params.gamma, "delta": params.delta},
         stages=stages,
@@ -342,21 +350,6 @@ def pairing_construction(
             "tail_sign": z.values.tolist(),
         },
     )
-
-
-def _final_norms(x: SignVector, t1: DiscreteOperator, t2: DiscreteOperator,
-                 T2: DiscreteOperator, sigma: float, epsilon: float) -> tuple[float, float]:
-    """The finite-rank certificate, for rank 0 and above alike: x is mean
-    zero and its images under t1, t2 (T1, T2 on x's space) meet sigma and
-    epsilon, the T2 slack scaled by T2's largest entry times the atom count."""
-    if not x.mean_zero:
-        raise StageFailed(0, "combined sign is not mean zero")
-    achieved_t1 = fnorm(t1.target, t1.apply(x))
-    achieved_t2 = fnorm(t2.target, t2.apply(x))
-    scale = max(1.0, float(np.max(np.abs(T2.matrix))) * x.space.n_atoms)
-    if achieved_t1 > sigma + _TOL or achieved_t2 > epsilon + _TOL * scale:
-        raise StageFailed(0, "final norms violate the budgets")
-    return achieved_t1, achieved_t2
 
 
 def sum_finite_rank(
@@ -378,39 +371,46 @@ def sum_finite_rank(
     """
     check_budgets(sigma=sigma, epsilon=epsilon)
     _require_same_space(T1, T2)
-    pivots, basis, coeff = rank_factorization(T2.matrix)
+    # decide the rank in the target's norm: each row scaled as the norm
+    # weighs it (w for sup, w^(1/p) for lp), so tiny entries under large
+    # weights still count
+    w = T2.target.weights
+    if T2.target.kind == "lp":
+        w = w ** (1.0 / T2.target.p)
+    pivots, _, coeff = rank_factorization(
+        T2.matrix if w is None else T2.matrix * w[:, None]
+    )
     m = len(pivots)
     if m > rank_limit:
         raise RankTooLarge(f"numerical rank {m} exceeds limit {rank_limit}")
 
     budgets = {"sigma": sigma, "epsilon": epsilon}
+    ctx = RefinementContext(T1.space, {"t1": T1, "t2": T2})
+    # the T2 allowance scales with its largest entry times the final atom count
+    t2_max = float(np.max(np.abs(T2.matrix)))
     if m == 0:
         res = find_small_sign(
             T1, T1.space.full_set(), sigma + _TOL, refine_budget=refine_budget
         )
-        t2f = T2.refine(res.refine_map, res.operator.space)
-        achieved_t1, achieved_t2 = _final_norms(
-            res.sign, res.operator, t2f, T2, sigma, epsilon
-        )
+        ctx.apply_map(res.refine_map, res.operator.space)
+        x, achieved = _certify(ctx, res.sign.values, {"t1": sigma, "t2": epsilon}, 0,
+                               {"t2": max(1.0, t2_max * ctx.space.n_atoms)})
         return PipelineReport(
             pipeline="sum_finite_rank",
-            sign=res.sign,
-            achieved={"t1": achieved_t1, "t2": achieved_t2},
+            sign=x,
+            achieved=achieved,
             budgets=budgets,
             stages=[{"cell": 1, "t1_norm": res.value, "strategy": res.strategy}],
-            refine_map=res.refine_map,
-            space=res.operator.space,
+            refine_map=ctx.total_map,
+            space=ctx.space,
             extras={"rank": 0},
         )
 
+    basis = T2.matrix[:, pivots]
     basis_norms = fnorm_many(T2.target, basis.T)
     delta = epsilon / float(np.sum(basis_norms))
     coeff_target = sup_norm(dim=m)
-    ctx = RefinementContext(T1.space, {
-        "t1": T1,
-        "t2": T2,
-        "coeff": DiscreteOperator(coeff, T1.space, coeff_target),
-    })
+    ctx.ops["coeff"] = DiscreteOperator(coeff, T1.space, coeff_target)
 
     cell_budget = delta / (2 * m)
     while True:
@@ -447,7 +447,7 @@ def sum_finite_rank(
         )
         ctx.apply_map(res.refine_map, res.operator.space)
         x_k = res.sign
-        p_k = fnorm(coeff_target, ctx.ops["coeff"].apply(x_k))
+        p_k = fnorm(coeff_target, ctx.ops["coeff"].apply(x_k.values))
         if p_k > delta / m + _TOL:
             raise StageFailed(k, f"cell coefficient norm {p_k} exceeds delta/m")
         ctx.arrays["x"] += x_k.values
@@ -470,18 +470,16 @@ def sum_finite_rank(
     if achieved_p > delta + _TOL:
         raise StageFailed(0, f"rounded coefficient norm {achieved_p} exceeds delta")
 
-    x = SignVector.from_values(ctx.space, theta_signs[cell] * x_cells)
-    achieved_t1, achieved_t2 = _final_norms(
-        x, ctx.ops["t1"], ctx.ops["t2"], T2, sigma, epsilon
-    )
+    x, achieved = _certify(ctx, theta_signs[cell] * x_cells,
+                           {"t1": sigma, "t2": epsilon}, 0,
+                           {"t2": max(1.0, t2_max * ctx.space.n_atoms)})
 
     for i, sgn in enumerate(theta_signs):
         diagnostics[i]["theta"] = int(sgn)
     return PipelineReport(
         pipeline="sum_finite_rank",
         sign=x,
-        achieved={"t1": achieved_t1, "t2": achieved_t2,
-                  "coefficient_norm": achieved_p},
+        achieved={**achieved, "coefficient_norm": achieved_p},
         budgets={**budgets, "delta": delta, "cell_budget": cell_budget},
         stages=diagnostics,
         refine_map=ctx.total_map,
@@ -566,8 +564,7 @@ def sum_compact_locally_convex(
             refine_budget=params.refine_budget,
         )
         ctx.apply_map(inner.refine_map, inner.space)
-        x = inner.sign
-        t2x = ctx.ops["t2"].apply(x)
+        t2x = ctx.ops["t2"].apply(inner.sign.values)
         val = fnorm(target, t2x)
         rounds_log.append({
             "round": rnd,
@@ -576,13 +573,15 @@ def sum_compact_locally_convex(
             "t2_norm": val,
         })
         if val <= epsilon / 2 + _TOL:
-            achieved = {"t1": inner.achieved["t1"], "t2": val}
+            x, achieved = _certify(ctx, inner.sign.values,
+                                   {"t1": epsilon / 2, "t2": epsilon / 2}, rnd)
             if ctx.ops["t1"].target_dim == ctx.ops["t2"].target_dim:
-                total_img = ctx.ops["t1"].apply(x) + t2x
+                total_img = ctx.ops["t1"].apply(x.values) + t2x
                 achieved["sum"] = fnorm(target, total_img)
             return replace(
                 inner,
                 pipeline="sum_compact_locally_convex",
+                sign=x,
                 achieved=achieved,
                 budgets={"epsilon": epsilon, "t1": epsilon / 2, "t2": epsilon / 2},
                 stages=rounds_log,
@@ -629,15 +628,15 @@ def sum_compact_via_truncation(
     inner = sum_finite_rank(
         T1, s_n, sigma, epsilon / 2, rank_limit=rank_limit, refine_budget=refine_budget
     )
-    t2_final = T2.refine(inner.refine_map, inner.space)
-    val = fnorm(T2.target, t2_final.apply(inner.sign))
-    if val > epsilon + _TOL:
-        raise StageFailed(0, f"full-operator image {val} exceeds epsilon")
+    ctx = RefinementContext(T1.space, {"t1": T1, "t2": T2})
+    ctx.apply_map(inner.refine_map, inner.space)
+    x, achieved = _certify(ctx, inner.sign.values, {"t1": sigma, "t2": epsilon}, 0)
     return replace(
         inner,
         pipeline="sum_compact_via_truncation",
-        achieved={"t1": inner.achieved["t1"], "t2_truncated": inner.achieved["t2"],
-                  "t2_full": val},
+        sign=x,
+        achieved={"t1": achieved["t1"], "t2_truncated": inner.achieved["t2"],
+                  "t2_full": achieved["t2"]},
         budgets={"sigma": sigma, "epsilon": epsilon,
                  "tail_bound": float(tail_bound(level))},
         extras={"truncation_level": level},

@@ -1,10 +1,5 @@
-"""Flat-file formats: matrices (CSV/JSON), operator bundles, reports.
-
-The CSV matrix format is row-major with a two-line header::
-
-    rows,cols
-    3,6
-    <3 lines of 6 comma-separated values>
+"""Flat-file formats: operator bundles (JSON), reports (JSON) and report
+rows (CSV).
 
 Operator bundles are JSON objects ``{"space": ..., "matrix": ..., "norm": ...}``.
 All JSON is written with sorted keys and no timestamps so identical inputs
@@ -29,26 +24,6 @@ def dump_json(obj: dict, path: str | Path) -> None:
 
 def load_json(path: str | Path) -> dict:
     return json.loads(Path(path).read_text())
-
-
-def matrix_to_csv(matrix: np.ndarray, path: str | Path) -> None:
-    m = np.asarray(matrix, dtype=float)
-    lines = ["rows,cols", f"{m.shape[0]},{m.shape[1]}"]
-    for row in m:
-        lines.append(",".join(repr(float(v)) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
-def matrix_from_csv(path: str | Path) -> np.ndarray:
-    lines = Path(path).read_text().strip().splitlines()
-    if not lines or lines[0].strip() != "rows,cols":
-        raise ValueError("matrix CSV must start with the 'rows,cols' header")
-    rows, cols = (int(v) for v in lines[1].split(","))
-    data = [[float(v) for v in line.split(",")] for line in lines[2:2 + rows]]
-    m = np.asarray(data, dtype=float)
-    if m.shape != (rows, cols):
-        raise ValueError(f"matrix CSV body is {m.shape}, header says ({rows},{cols})")
-    return m
 
 
 def operator_to_json(T: DiscreteOperator) -> dict:

@@ -9,5 +9,5 @@ def revalidate(report, T1, T2, sigma, epsilon):
     t1 = T1.refine(report.refine_map, report.space)
     t2 = T2.refine(report.refine_map, report.space)
     assert report.sign.mean_zero
-    assert fnorm(t1.target, t1.apply(report.sign)) <= sigma + 1e-9
-    assert fnorm(t2.target, t2.apply(report.sign)) <= epsilon + 1e-9
+    assert fnorm(t1.target, t1.apply(report.sign.values)) <= sigma + 1e-9
+    assert fnorm(t2.target, t2.apply(report.sign.values)) <= epsilon + 1e-9

@@ -5,6 +5,7 @@ import json
 import time
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -140,7 +141,7 @@ def test_criterion_3_partition_dichotomy():
                 supports = np.array([s.values for s in out.signs]) != 0
                 assert (supports.sum(axis=0) <= 1).all()
                 for s in out.signs:
-                    assert out.operator.image_norm(s) >= eps / 2 - 1e-9
+                    assert out.operator.image_norm(s.values) >= eps / 2 - 1e-9
     _report(
         3,
         partitions + adversaries == 600 and partitions > 0 and adversaries > 0,
@@ -260,48 +261,51 @@ def test_criterion_7_l1_example_certification():
             f"truncation level 4, {elapsed:.2f}s")
 
 
+# the criterion-8 configs, one per subcommand, each run at seed 0
+CRITERION_8_RUNS = {
+    "round": {"vectors": [[1.0, 0.0], [0.3, -0.2], [0.0, 1.0]],
+              "coefficients": [0.5, 0.25, 0.75],
+              "norm": {"kind": "sup", "weights": [1.0, 1.0]}},
+    "partition": {
+        "operator": {"instance": {"kind": "l1_example", "levels": 4}},
+        "epsilon": 0.25,
+    },
+    "find-sign": {
+        "operator": {"instance": {"kind": "l1_example", "levels": 4}},
+        "set": [0, 1, 2, 3],
+        "epsilon": 1e-6,
+    },
+    "pairing": {
+        "t1": {"instance": {"kind": "random_narrow", "seed": 4,
+                            "atoms": 16, "target_dim": 3, "decay": 0.5}},
+        "t2": {"instance": {"kind": "l1_example", "levels": 4}},
+        "sigma": 0.1, "epsilon": 0.2, "gamma": 0.15, "delta": 0.0625,
+    },
+    "sum-finite-rank": {
+        "t1": {"instance": {"kind": "random_narrow", "seed": 1,
+                            "atoms": 16, "target_dim": 3, "decay": 0.5}},
+        "t2": {"instance": {"kind": "random_finite_rank", "seed": 2,
+                            "rank": 1, "atoms": 16, "target_dim": 4,
+                            "scale": 1e-3}},
+        "sigma": 0.1, "epsilon": 0.1,
+    },
+    "sum-compact": {
+        "t1": {"instance": {"kind": "random_narrow", "seed": 1,
+                            "atoms": 16, "target_dim": 3, "decay": 0.5}},
+        "t2": {"instance": {"kind": "random_finite_rank", "seed": 2,
+                            "rank": 1, "atoms": 16, "target_dim": 4,
+                            "scale": 1e-3}},
+        "epsilon": 0.2,
+    },
+    "example-l1": {"levels": 5},
+    "example-condexp": {"grid": 4},
+    "bench": {},
+}
+
+
 def test_criterion_8_cli_determinism(tmp_path):
-    runs = {
-        "round": {"vectors": [[1.0, 0.0], [0.3, -0.2], [0.0, 1.0]],
-                  "coefficients": [0.5, 0.25, 0.75],
-                  "norm": {"kind": "sup", "weights": [1.0, 1.0]}},
-        "partition": {
-            "operator": {"instance": {"kind": "l1_example", "levels": 4}},
-            "epsilon": 0.25,
-        },
-        "find-sign": {
-            "operator": {"instance": {"kind": "l1_example", "levels": 4}},
-            "set": [0, 1, 2, 3],
-            "epsilon": 1e-6,
-        },
-        "pairing": {
-            "t1": {"instance": {"kind": "random_narrow", "seed": 4,
-                                "atoms": 16, "target_dim": 3, "decay": 0.5}},
-            "t2": {"instance": {"kind": "l1_example", "levels": 4}},
-            "sigma": 0.1, "epsilon": 0.2, "gamma": 0.15, "delta": 0.0625,
-        },
-        "sum-finite-rank": {
-            "t1": {"instance": {"kind": "random_narrow", "seed": 1,
-                                "atoms": 16, "target_dim": 3, "decay": 0.5}},
-            "t2": {"instance": {"kind": "random_finite_rank", "seed": 2,
-                                "rank": 1, "atoms": 16, "target_dim": 4,
-                                "scale": 1e-3}},
-            "sigma": 0.1, "epsilon": 0.1,
-        },
-        "sum-compact": {
-            "t1": {"instance": {"kind": "random_narrow", "seed": 1,
-                                "atoms": 16, "target_dim": 3, "decay": 0.5}},
-            "t2": {"instance": {"kind": "random_finite_rank", "seed": 2,
-                                "rank": 1, "atoms": 16, "target_dim": 4,
-                                "scale": 1e-3}},
-            "epsilon": 0.2,
-        },
-        "example-l1": {"levels": 5},
-        "example-condexp": {"grid": 4},
-        "bench": {},
-    }
     checked = 0
-    for command, config in runs.items():
+    for command, config in CRITERION_8_RUNS.items():
         cfg = tmp_path / f"{command}.config.json"
         cfg.write_text(json.dumps(config))
         outs = []
@@ -316,5 +320,39 @@ def test_criterion_8_cli_determinism(tmp_path):
         for name in files:
             assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
         checked += 1
-    _report(8, checked == len(runs),
+    _report(8, checked == len(CRITERION_8_RUNS),
             f"{checked} subcommands byte-identical across reruns")
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def _assert_matches(got, want, path="report"):
+    """Keys, lengths, ints, strings and bools equal; floats within 1e-12
+    relative, since numpy versions may differ in the last bits."""
+    assert type(got) is type(want), path
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), path
+        for k in want:
+            _assert_matches(got[k], want[k], f"{path}.{k}")
+    elif isinstance(want, list):
+        assert len(got) == len(want), path
+        for i, (g, w) in enumerate(zip(got, want)):
+            _assert_matches(g, w, f"{path}[{i}]")
+    elif isinstance(want, float):
+        assert got == pytest.approx(want, rel=1e-12, abs=0), path
+    else:
+        assert got == want, path
+
+
+@pytest.mark.parametrize("command", sorted(CRITERION_8_RUNS))
+def test_criterion_8_golden_reports(tmp_path, command):
+    """The seed-0 report of each criterion-8 config matches the one
+    committed under tests/golden/ (regenerate one with `narrowops <command>
+    --config <its config> --seed 0 --out tests/golden`)."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(CRITERION_8_RUNS[command]))
+    assert cli.main([command, "--config", str(cfg), "--seed", "0",
+                     "--out", str(tmp_path)]) == 0
+    got = json.loads((tmp_path / f"{command}.json").read_text())
+    _assert_matches(got, json.loads((GOLDEN / f"{command}.json").read_text()))

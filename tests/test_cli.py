@@ -8,12 +8,7 @@ import pytest
 
 from narrowops import cli
 from narrowops.errors import InvalidAtom
-from narrowops.serialize import (
-    matrix_from_csv,
-    matrix_to_csv,
-    operator_from_json,
-    operator_to_json,
-)
+from narrowops.serialize import operator_from_json, operator_to_json
 from narrowops.instances import random_finite_rank
 
 
@@ -189,13 +184,23 @@ class TestExitCodes:
                                     "space": {"numerators": [1], "denominator_log2": 0},
                                     "norm": {"kind": "sup", "weights": [1.0]}},
                        "epsilon": 0.1}, "operator"),
+        *[("find-sign", {"operator": {"instance": {"kind": "l1_example", "levels": 4}},
+                         "epsilon": 0.1, field: value}, field)
+          for field, value in [("refine_budget", 4.9), ("refine_budget", True),
+                               ("seed", 1.5), ("epsilon", True)]],
+        *[("sum-compact", {**_pipeline_config(), "epsilon": 0.2, field: value}, field)
+          for field, value in [("max_adaptive_rounds", 2.5), ("sample_budget", 3.5),
+                               ("functional_cap", True)]],
+        ("example-l1", {"levels": 4.5}, "levels"),
     ], ids=["missing-levels", "unknown-field", "missing-atoms", "missing-kind",
             "string-levels", "bool-levels", "string-decay", "list-kind",
             "list-epsilon", "scalar-tail-values", "list-refine-budget", "int-norm",
-            "scalar-matrix"])
+            "scalar-matrix", "float-refine-budget", "bool-refine-budget",
+            "float-seed", "bool-epsilon", "float-max-adaptive-rounds",
+            "float-sample-budget", "bool-functional-cap", "float-levels"])
     def test_bad_instance_is_usage_error(self, tmp_path, capsys, command, config, field):
         # an ill-typed instance field or config value used to escape main as
-        # a TypeError traceback, or (a scalar matrix) to exit 2
+        # a TypeError traceback, to exit 2, or to be truncated or cast and run
         assert _run(tmp_path, command, config) == 1
         assert field in capsys.readouterr().err
 
@@ -309,13 +314,6 @@ class TestDeterminism:
 
 
 class TestSerialization:
-    def test_matrix_csv_round_trip(self, tmp_path):
-        rng = np.random.default_rng(0)
-        m = rng.standard_normal((3, 7))
-        path = tmp_path / "m.csv"
-        matrix_to_csv(m, path)
-        np.testing.assert_array_equal(matrix_from_csv(path), m)
-
     def test_operator_bundle_round_trip(self):
         T = random_finite_rank(0, 2, 8, 3)
         back = operator_from_json(operator_to_json(T))

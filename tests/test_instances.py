@@ -49,7 +49,7 @@ class TestL1Example:
         values[idx[0]], values[idx[1]] = 1, -1
         values[idx[2]], values[idx[3]] = 1, -1
         x = SignVector.from_values(T.space, values)
-        assert np.all(T.apply(x) == 0.0)
+        assert np.all(T.apply(x.values) == 0.0)
 
     def test_atoms_per_level_must_be_dyadic(self):
         with pytest.raises(NonDyadic):
@@ -94,7 +94,7 @@ class TestConditionalExpectation:
         values[0], values[1] = 1, -1  # two atoms in the same grid column
         x = SignVector.from_values(P.space, values)
         assert x.mean_zero
-        assert np.all(P.apply(x) == 0.0)
+        assert np.all(P.apply(x.values) == 0.0)
 
     def test_single_atom(self):
         k = 8

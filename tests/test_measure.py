@@ -28,30 +28,30 @@ from narrowops import (
 class TestMeasureSpace:
     def test_single_atom_refine_equal_split(self):
         space = MeasureSpace.from_weights([1])
-        refined, rmap = space.refine(0, 2)
+        refined, rmap = space.refine_atoms([0], 2)
         assert [refined.weight(i) for i in range(2)] == [Fraction(1, 2)] * 2
         assert rmap.counts == (2,)
 
     def test_refine_conserves_total(self):
         space = MeasureSpace.from_weights([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)])
-        refined, _ = space.refine(1, 4)
+        refined, _ = space.refine_atoms([1], 4)
         assert refined.total == space.total == 1
 
     def test_refine_arithmetic(self):
         space = MeasureSpace.from_weights([Fraction(1, 2), Fraction(1, 2)])
-        refined, _ = space.refine(1, 4)
+        refined, _ = space.refine_atoms([1], 4)
         expected = [Fraction(1, 2)] + [Fraction(1, 8)] * 4
         assert [refined.weight(i) for i in range(5)] == expected
 
     def test_refine_non_power_of_two_rejected(self):
         space = MeasureSpace.from_weights([1])
         with pytest.raises(NonDyadic):
-            space.refine(0, 3)
+            space.refine_atoms([0], 3)
 
     def test_refine_bad_atom(self):
         space = MeasureSpace.from_weights([1])
         with pytest.raises(InvalidAtom):
-            space.refine(5, 2)
+            space.refine_atoms([5], 2)
 
     def test_non_dyadic_weight_rejected(self):
         with pytest.raises(NonDyadic):
@@ -181,7 +181,7 @@ class TestRademacher:
         with pytest.raises(UnequalWeights):
             rademacher_signs(space.subset([]))
         with pytest.raises(UnequalWeights):
-            rademacher_signs(space.refine(0, 2)[0].subset([0, 2]))
+            rademacher_signs(space.refine_atoms([0], 2)[0].subset([0, 2]))
 
 
 # Pure-Python oracles: the loop implementations the numpy code replaced.

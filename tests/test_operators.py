@@ -86,7 +86,7 @@ class TestApply:
         values[idx[0]], values[idx[1]] = 1, -1
         x = SignVector.from_values(T.space, values)
         assert x.mean_zero
-        assert T.apply(x)[1] == 0.0
+        assert T.apply(x.values)[1] == 0.0
 
 
 class TestIndicatorImageNorm:
@@ -206,7 +206,7 @@ class TestRefinementCompatibility:
             values = rng.integers(-1, 2, 8)
             x = SignVector.from_values(T.space, values)
             np.testing.assert_allclose(
-                T2.apply(x.lift(rmap, space2)), T.apply(x), rtol=1e-12, atol=1e-12
+                T2.apply(x.lift(rmap, space2).values), T.apply(x.values), rtol=1e-12, atol=1e-12
             )
 
     def test_refine_preserves_matrix_action(self):

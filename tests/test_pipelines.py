@@ -30,7 +30,8 @@ from narrowops import (
     sup_norm,
 )
 from narrowops.instances import build_l1_example, l1_example_tail_bound
-from narrowops.pipelines import _knapsack_fractional
+from narrowops.operators import RefinementContext
+from narrowops.pipelines import _certify, _knapsack_fractional
 from revalidation import revalidate
 
 
@@ -158,9 +159,17 @@ class TestPairing:
 
 class TestBudgets:
     @pytest.mark.parametrize("name", ["sigma", "epsilon", "gamma", "delta"])
-    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0, True])
     def test_params_reject_bad_budget(self, name, value):
         with pytest.raises(ValueError):
+            PipelineParams(**{name: value})
+
+    @pytest.mark.parametrize("name", ["seed", "max_adaptive_rounds", "refine_budget",
+                                      "sample_budget", "functional_cap"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, "2"])
+    def test_params_reject_non_integer_counts(self, name, value):
+        # a float used to be truncated, or to fail later inside range()
+        with pytest.raises(ValueError, match=name):
             PipelineParams(**{name: value})
 
     @pytest.mark.parametrize("sigma,epsilon", [
@@ -191,6 +200,25 @@ class TestBudgets:
             sum_compact_locally_convex(t1, t2, PipelineParams(epsilon=np.nan))
 
 
+class TestCertify:
+    def test_rejects_a_zero_entry_and_an_image_over_budget(self):
+        space = MeasureSpace.uniform(4)
+        T = DiscreteOperator(np.array([[1.0, 0.0, 0.0, 0.0]]), space, sup_norm(dim=1))
+        ctx = RefinementContext(space, {"t": T})
+        # mean zero, but atoms 2 and 3 carry no sign
+        with pytest.raises(StageFailed, match="not a mean-zero sign"):
+            _certify(ctx, [1, -1, 0, 0], {"t": 1.0}, 3)
+        # a full-support mean-zero sign whose image 1.0 is over budget 0.5
+        with pytest.raises(StageFailed, match="final norms"):
+            _certify(ctx, [1, -1, 1, -1], {"t": 0.5}, 3)
+        x, achieved = _certify(ctx, [1, -1, 1, -1], {"t": 1.0}, 3)
+        assert x.values.tolist() == [1, -1, 1, -1] and achieved == {"t": 1.0}
+        # the slack scales only the tolerance
+        _certify(ctx, [1, -1, 1, -1], {"t": 1.0 - 1.5e-9}, 3, {"t": 2.0})
+        with pytest.raises(StageFailed):
+            _certify(ctx, [1, -1, 1, -1], {"t": 1.0 - 1.5e-9}, 3)
+
+
 class TestSumFiniteRank:
     def test_rank_zero(self):
         t1 = random_narrow_operator(3, 16, 3, 0.5)
@@ -200,15 +228,28 @@ class TestSumFiniteRank:
         revalidate(rep, t1, z, 0.1, 0.1)
 
     def test_rank_zero_checks_the_t2_budget(self):
-        # Euclidean column norms call T2 rank 0, but its weighted target norm
-        # still sees an image of about 0.01 > epsilon
+        # T2's entries fall below the rank tolerance, so it is called rank 0,
+        # yet the rank-0 sign (chosen for T1 = 0 alone) has a T2-image of
+        # 3.2e-9, over epsilon and its allowance
+        space = MeasureSpace.uniform(64)
+        t1 = DiscreteOperator(np.zeros((1, 64)), space, sup_norm(dim=1))
+        row = np.zeros((1, 64))
+        row[0, ::2] = 1e-10
+        t2 = DiscreteOperator(row, space, lp_norm(1, dim=1))
+        with pytest.raises(StageFailed, match="final norms"):
+            sum_finite_rank(t1, t2, 0.1, 1e-12)
+
+    def test_rank_is_decided_in_the_weighted_norm(self):
+        # raw entries near 1e-11 fall below the rank tolerance, but under the
+        # weight 1e9 they are images of about 0.01 > epsilon: rank 1
         rng = np.random.default_rng(0)
         space = MeasureSpace.uniform(8)
         t1 = DiscreteOperator(1e-3 * rng.standard_normal((2, 8)), space, sup_norm(dim=2))
         t2 = DiscreteOperator(rng.uniform(0, 1e-11, (1, 8)), space,
                               lp_norm(1, weights=[1e9]))
-        with pytest.raises(StageFailed, match="final norms"):
-            sum_finite_rank(t1, t2, 0.1, 1e-3)
+        rep = sum_finite_rank(t1, t2, 0.1, 1e-3)
+        assert rep.extras["rank"] == 1
+        revalidate(rep, t1, t2, 0.1, 1e-3)
 
     def test_rank_one_certificate(self):
         t1 = random_narrow_operator(4, 32, 3, 0.5)
