@@ -29,12 +29,16 @@ from .operators import (
     DiscreteOperator,
     RefinementContext,
     TERNARY_EXHAUSTIVE_LIMIT,
+    _sign_patterns,
     brute_force_best_sign,
     max_sign_image_norm,
 )
 
 DEFAULT_REFINE_BUDGET = 2**16
 _EXHAUSTIVE_SEARCH_LIMIT = 10
+# bytes of one chunk's image array in `exhaustive_cell_signs`: bounds its
+# memory, whatever the number of cells
+_CELL_BATCH_BYTES = 2**20
 
 
 def check_budgets(**budgets: float) -> None:
@@ -71,24 +75,25 @@ class NetCover:
         return out
 
 
-def net_cover(points: list[np.ndarray], radius: float, norm: TargetNorm) -> NetCover:
-    """Greedy net: scan points in order, opening a center when none is close."""
+def net_cover(points, radius: float, norm: TargetNorm) -> NetCover:
+    """Greedy net over the rows of `points`: scan them in order, joining the
+    first center within `radius`, else opening a new center."""
     if radius <= 0:
         raise ValueError("net radius must be positive")
-    centers: list[np.ndarray] = []
+    points = np.asarray(points, dtype=float)
+    # rows [0, n_centers) are the centers opened so far
+    centers = np.empty_like(points)
+    n_centers = 0
     assignments: list[int] = []
     for p in points:
-        p = np.asarray(p, dtype=float)
-        placed = False
-        for k, c in enumerate(centers):
-            if fnorm(norm, p - c) <= radius:
-                assignments.append(k)
-                placed = True
-                break
-        if not placed:
-            centers.append(p)
-            assignments.append(len(centers) - 1)
-    return NetCover(centers=centers, assignments=assignments)
+        near = np.flatnonzero(fnorm_many(norm, p - centers[:n_centers]) <= radius)
+        if near.size:
+            assignments.append(int(near[0]))
+        else:
+            centers[n_centers] = p
+            assignments.append(n_centers)
+            n_centers += 1
+    return NetCover(centers=list(centers[:n_centers]), assignments=assignments)
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,6 +226,45 @@ def _rademacher_scan(
     below = np.flatnonzero(vals < epsilon)
     b = int(below[0]) if below.size else int(np.argmin(vals))
     return SignVector(space=T.space, values=family[b]), float(vals[b])
+
+
+def exhaustive_cell_signs(
+    T: DiscreteOperator, cell: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The exhaustive search of `find_small_sign`, for many cells at once.
+
+    `cell[i]` labels atom i with its cell 0..n-1; every label must be used.
+    For each cell of at most _EXHAUSTIVE_SEARCH_LIMIT atoms that carries a
+    mean-zero sign with full support, this finds the one minimising ||Tx||,
+    first in lexicographic order among ties: the sign and the bit-identical
+    value ``brute_force_best_sign(T, cell, require_mean_zero=True,
+    objective="min", full_support=True)`` returns.  Returns those signs as
+    one int8 array over the atoms (0 on the other cells) and each cell's
+    optimum (inf for a cell without one).
+    """
+    sizes = np.bincount(cell)
+    members = np.argsort(cell, kind="stable")
+    starts = np.cumsum(sizes) - sizes
+    signs = np.zeros(T.space.n_atoms, dtype=np.int8)
+    values = np.full(sizes.size, np.inf)
+    cols = T.matrix.T
+    for s in np.unique(sizes[sizes <= _EXHAUSTIVE_SEARCH_LIMIT]).tolist():
+        patterns = _sign_patterns(s, 2)
+        fpatterns, ipatterns = patterns.astype(float), patterns.astype(np.int64)
+        ks = np.flatnonzero(sizes == s)
+        # (cells, s) atom indices, increasing along each row
+        idx = members[starts[ks][:, None] + np.arange(s)]
+        step = max(1, _CELL_BATCH_BYTES // (8 * len(patterns) * T.target_dim))
+        for lo in range(0, ks.size, step):
+            chunk = idx[lo:lo + step]
+            balanced = T.space.numerators[chunk] @ ipatterns.T == 0
+            norms = np.where(balanced, fnorm_many(T.target, fpatterns @ cols[chunk]),
+                             np.inf)
+            best = norms.argmin(axis=1)
+            found = balanced[np.arange(len(chunk)), best]
+            signs[chunk[found]] = patterns[best[found]]
+            values[ks[lo:lo + step][found]] = norms[found, best[found]]
+    return signs, values
 
 
 def find_small_sign(

@@ -208,17 +208,21 @@ def brute_force_best_sign(
     if not full_support:
         nonzero = np.any(patterns != 0, axis=1)
         patterns = patterns[nonzero]
+    feasible = True
     if require_mean_zero:
-        nums = T.space.numerators[idx]
-        balanced = patterns.astype(np.int64) @ nums == 0
-        patterns = patterns[balanced]
-        if patterns.shape[0] == 0:
+        feasible = patterns.astype(np.int64) @ T.space.numerators[idx] == 0
+        if not feasible.any():
             raise NoFeasibleSign(
                 "no mean-zero sign exists on this set (cannot balance weights)"
             )
-    images = patterns.astype(float) @ T.matrix[:, idx].T
-    norms = fnorm_many(T.target, images)
-    best = int(np.argmin(norms) if objective == "min" else np.argmax(norms))
+    # the images of every pattern, infeasible ones included, over C-ordered
+    # columns: the same products, row for row, as the batched cell search,
+    # so both return bit-identical norms
+    norms = fnorm_many(T.target, patterns.astype(float) @ T.matrix.T[idx])
+    if objective == "min":
+        best = int(np.argmin(np.where(feasible, norms, np.inf)))
+    else:
+        best = int(np.argmax(np.where(feasible, norms, -np.inf)))
     values = np.zeros(T.space.n_atoms, dtype=np.int8)
     values[idx] = patterns[best]
     return SignVector(space=T.space, values=values), float(norms[best])

@@ -40,6 +40,7 @@ from .narrowness import (
     DEFAULT_REFINE_BUDGET,
     check_budgets,
     check_integers,
+    exhaustive_cell_signs,
     find_small_sign,
     net_cover,
     partition_small_cells,
@@ -262,7 +263,7 @@ def pairing_construction(
             images = family[cands] @ t2c.matrix.T
             pair = None
             if len(cands) >= 2:
-                net = net_cover(list(images), 0.499 * budget_t2, t2c.target)
+                net = net_cover(images, 0.499 * budget_t2, t2c.target)
                 # pairs within a net group first, then every other pair
                 pair_order = [ab for grp in net.groups().values()
                               for ab in combinations(grp, 2)]
@@ -368,6 +369,11 @@ def sum_finite_rank(
     per cell on the geometric schedule sigma/2^k, and balance the coefficient
     images by +-1 rounding so the total coefficient norm stays <= delta,
     which forces ||T2 x|| <= epsilon.
+
+    The cell signs come from one batched exhaustive search over every cell
+    (`exhaustive_cell_signs`); the cells it leaves, too large or without a
+    sign within budget, then go through `find_small_sign` in cell order.
+    The coefficient images are segment sums over the atoms sorted by cell.
     """
     check_budgets(sigma=sigma, epsilon=epsilon)
     _require_same_space(T1, T2)
@@ -426,44 +432,52 @@ def sum_finite_rank(
         range(partition.n_cells),
         key=lambda k: (-partition.cells[k].measure, k),
     )
-    # cell[i] is the measure-order rank of atom i's cell; x holds the cell
-    # signs found so far, each on its own cell
+    # cell[i] is the measure-order rank of atom i's cell
     cell = np.empty(ctx.space.n_atoms, dtype=np.int64)
     for rank_k, k in enumerate(order):
         cell[partition.cells[k].indices] = rank_k
-    ctx.arrays = {"cell": cell, "x": np.zeros(ctx.space.n_atoms, dtype=np.int8)}
+    ctx.arrays = {"cell": cell}
     cert_bounds = [partition.bounds[k] for k in order]
     if partition.n_cells > 32:
         # one global split makes every cell pairable at once, avoiding a
         # quadratic cascade of per-cell refinements on large partitions
         ctx.refine_atoms(range(ctx.space.n_atoms), 2, refine_budget)
 
-    diagnostics: list[dict] = []
-    for rank_k in range(partition.n_cells):
-        k = rank_k + 1
+    # one batched exhaustive pass first; a cell it accepts is final, as the
+    # searches below refine only their own cell's atoms and carry every
+    # other atom's column and weight over unchanged.  x holds the cell
+    # signs, each on its own cell
+    n_cells = partition.n_cells
+    t1_budgets = [sigma * 2.0**-k for k in range(1, n_cells + 1)]
+    cell = ctx.arrays["cell"]
+    signs, t1_norms = exhaustive_cell_signs(ctx.ops["t1"], cell)
+    accepted = t1_norms < np.array(t1_budgets) + _TOL
+    ctx.arrays["x"] = signs * accepted[cell]
+    sizes = np.bincount(cell).tolist()
+    strategies = ["exhaustive"] * n_cells
+    for rank_k in np.flatnonzero(~accepted).tolist():
         cell_set = ctx.where("cell", rank_k)
         res = find_small_sign(
-            ctx.ops["t1"], cell_set, sigma * 2.0**-k + _TOL, refine_budget=refine_budget
+            ctx.ops["t1"], cell_set, t1_budgets[rank_k] + _TOL,
+            refine_budget=refine_budget,
         )
         ctx.apply_map(res.refine_map, res.operator.space)
-        x_k = res.sign
-        p_k = fnorm(coeff_target, ctx.ops["coeff"].apply(x_k.values))
-        if p_k > delta / m + _TOL:
-            raise StageFailed(k, f"cell coefficient norm {p_k} exceeds delta/m")
-        ctx.arrays["x"] += x_k.values
-        diagnostics.append({
-            "cell": k,
-            "size": cell_set.size,
-            "t1_budget": sigma * 2.0**-k,
-            "t1_norm": res.value,
-            "coeff_norm": p_k,
-            "cert_bound": cert_bounds[rank_k],
-            "strategy": res.strategy,
-        })
+        ctx.arrays["x"] += res.sign.values
+        t1_norms[rank_k], strategies[rank_k] = res.value, res.strategy
 
+    # each cell's coefficient image: one segment sum over the atoms sorted
+    # by cell
     cell, x_cells = ctx.arrays["cell"], ctx.arrays["x"]
-    vectors = np.stack([ctx.ops["coeff"].apply(np.where(cell == rank_k, x_cells, 0))
-                        for rank_k in range(partition.n_cells)])
+    members = np.argsort(cell, kind="stable")
+    counts = np.bincount(cell)
+    starts = np.cumsum(counts) - counts
+    vectors = np.add.reduceat((ctx.ops["coeff"].matrix * x_cells).T[members], starts)
+    coeff_norms = fnorm_many(coeff_target, vectors)
+    over = np.flatnonzero(coeff_norms > delta / m + _TOL)
+    if over.size:
+        raise StageFailed(int(over[0]) + 1, f"cell coefficient norm "
+                          f"{coeff_norms[over[0]]} exceeds delta/m")
+
     theta_signs, achieved_p, certificate, _ = sign_round(vectors, coeff_target)
     if certificate > delta + _TOL:
         raise StageFailed(0, f"rounding certificate {certificate} exceeds delta")
@@ -474,14 +488,22 @@ def sum_finite_rank(
                            {"t1": sigma, "t2": epsilon}, 0,
                            {"t2": max(1.0, t2_max * ctx.space.n_atoms)})
 
-    for i, sgn in enumerate(theta_signs):
-        diagnostics[i]["theta"] = int(sgn)
+    stages = [{
+        "cell": rank_k + 1,
+        "size": sizes[rank_k],
+        "t1_budget": t1_budgets[rank_k],
+        "t1_norm": float(t1_norms[rank_k]),
+        "coeff_norm": float(coeff_norms[rank_k]),
+        "cert_bound": cert_bounds[rank_k],
+        "strategy": strategies[rank_k],
+        "theta": int(theta_signs[rank_k]),
+    } for rank_k in range(n_cells)]
     return PipelineReport(
         pipeline="sum_finite_rank",
         sign=x,
         achieved={**achieved, "coefficient_norm": achieved_p},
         budgets={**budgets, "delta": delta, "cell_budget": cell_budget},
-        stages=diagnostics,
+        stages=stages,
         refine_map=ctx.total_map,
         space=ctx.space,
         partition_summary=partition.summary(),
@@ -533,11 +555,9 @@ def sum_compact_locally_convex(
     rounds_log: list[dict] = []
     for rnd in range(1, params.max_adaptive_rounds + 1):
         t2c = ctx.ops["t2"]
-        images = [t2c.apply(s) for s in ctx.arrays["samples"]] + extra_images
-        k1 = [y for y in images if fnorm(target, y) > epsilon / 2]
-        centers: list[np.ndarray] = []
-        if k1:
-            centers = net_cover(k1, epsilon / 5, target).centers
+        images = np.vstack([ctx.arrays["samples"] @ t2c.matrix.T, *extra_images])
+        k1 = images[fnorm_many(target, images) > epsilon / 2]
+        centers = net_cover(k1, epsilon / 5, target).centers
         if len(centers) > params.functional_cap:
             raise RankTooLarge(
                 f"net produced {len(centers)} functionals > cap {params.functional_cap}"

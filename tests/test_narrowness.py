@@ -1,6 +1,7 @@
 """Partition, sign-search, adversarial-dichotomy, and net-cover tests."""
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,12 +29,14 @@ from narrowops import (
     rademacher_sign,
     sup_norm,
 )
+from narrowops import narrowness
 from narrowops.instances import build_l1_example, l1_example_cells
 from narrowops.narrowness import (
     _EXHAUSTIVE_SEARCH_LIMIT,
     Partition,
     _kernel_pairing,
     _rademacher_scan,
+    exhaustive_cell_signs,
 )
 from narrowops.operators import TERNARY_EXHAUSTIVE_LIMIT
 
@@ -285,6 +288,90 @@ def _oracle_kernel_pairing(T, mset):
             values[members[j]] = 1
             values[members[j + 1]] = -1
     return values
+
+
+class TestExhaustiveCellSigns:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        kind=st.sampled_from(["sup", "l1", "l2", "l0.5"]),
+        dim=st.sampled_from([1, 2, 3, 9]),
+        sizes=st.lists(st.integers(1, _EXHAUSTIVE_SEARCH_LIMIT + 1),
+                       min_size=1, max_size=6),
+        uniform=st.booleans(),
+    )
+    def test_matches_brute_force_per_cell(self, data, kind, dim, sizes, uniform):
+        # columns from a small pool with a zero column and duplicates, so
+        # optima tie; unequal weights leave some cells with no balanced sign
+        n = sum(sizes)
+        entries = st.one_of(st.sampled_from([0.0, 0.25, -0.5]),
+                            st.floats(-2, 2, allow_subnormal=False))
+        pool = data.draw(st.lists(st.lists(entries, min_size=dim, max_size=dim),
+                                  min_size=1, max_size=4)) + [[0.0] * dim]
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1),
+                                   min_size=n, max_size=n))
+        exponents = [0] * n if uniform else data.draw(
+            st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        space = MeasureSpace.from_weights([Fraction(1, 2**e) for e in exponents])
+        target = sup_norm(dim=dim) if kind == "sup" else lp_norm(float(kind[1:]), dim=dim)
+        T = DiscreteOperator(np.array([pool[c] for c in picks]).T, space, target)
+        # cells interleave over the atoms
+        cell = np.array(data.draw(st.permutations(
+            [k for k, size in enumerate(sizes) for _ in range(size)])))
+        signs, values = exhaustive_cell_signs(T, cell)
+        # a chunk of one cell gives the same result as one chunk
+        with mock.patch.object(narrowness, "_CELL_BATCH_BYTES", 1):
+            signs_1, values_1 = exhaustive_cell_signs(T, cell)
+        assert signs_1.tolist() == signs.tolist()
+        assert values_1.tolist() == values.tolist()
+        for k, size in enumerate(sizes):
+            mset = space.subset(np.flatnonzero(cell == k))
+            try:
+                if size > _EXHAUSTIVE_SEARCH_LIMIT:
+                    raise NoFeasibleSign("over the search limit")
+                sign, val = brute_force_best_sign(
+                    T, mset, require_mean_zero=True, objective="min", full_support=True)
+            except NoFeasibleSign:
+                assert values[k] == np.inf
+                assert not signs[mset.indices].any()
+                continue
+            assert signs[mset.indices].tolist() == sign.values[mset.indices].tolist()
+            assert values[k] == val
+
+    @pytest.mark.parametrize("kind", ["sup", "l1", "l2"])
+    @pytest.mark.parametrize("dim", [1, 9])
+    def test_matches_brute_force_on_random_columns(self, kind, dim):
+        # random columns on cells of 6 to 10 atoms, made of equal-weight
+        # pairs of weight 1/64 or 1/128: long sums, wide targets, and
+        # balanced-pattern counts of every residue, since a BLAS call may
+        # order its products by the number of patterns
+        rng = np.random.default_rng(dim)
+        sizes = rng.choice([6, 8, 10], 40)
+        order = rng.permutation(sizes.sum())
+        cell = np.repeat(np.arange(sizes.size), sizes)[order]
+        denoms = np.repeat(rng.choice([64, 128], sizes.sum() // 2), 2)[order]
+        space = MeasureSpace.from_weights([Fraction(1, int(d)) for d in denoms])
+        target = sup_norm(dim=dim) if kind == "sup" else lp_norm(float(kind[1:]), dim=dim)
+        T = DiscreteOperator(rng.standard_normal((dim, sizes.sum())), space, target)
+        signs, values = exhaustive_cell_signs(T, cell)
+        for k in range(sizes.size):
+            mset = space.subset(np.flatnonzero(cell == k))
+            sign, val = brute_force_best_sign(
+                T, mset, require_mean_zero=True, objective="min", full_support=True)
+            assert signs[mset.indices].tolist() == sign.values[mset.indices].tolist()
+            assert values[k] == val
+
+    def test_no_balanced_sign_and_ties(self):
+        # cell 0: weights 1/2, 1/4, 1/8 admit no mean-zero sign; cell 1: four
+        # equal-weight zero columns, where every balanced sign ties at 0 and
+        # the lexicographically first, (-1, -1, +1, +1), wins
+        space = MeasureSpace.from_weights([Fraction(1, 2), Fraction(1, 4), Fraction(1, 8)]
+                                          + [Fraction(1, 32)] * 4)
+        T = DiscreteOperator(np.r_[[1.0, 2.0, 3.0], [0.0] * 4][None, :], space,
+                             sup_norm(dim=1))
+        signs, values = exhaustive_cell_signs(T, np.array([0, 0, 0, 1, 1, 1, 1]))
+        assert values.tolist() == [np.inf, 0.0]
+        assert signs.tolist() == [0, 0, 0, -1, -1, 1, 1]
 
 
 def _oracle_partition(T, epsilon):
@@ -641,7 +728,37 @@ class TestAdversarialOracle:
         assert [s.values.tolist() for s in out.signs] == [[1, 0, 0], [0, 1, 1]]
 
 
+def _oracle_net_cover(points, radius, norm):
+    """The double loop ``net_cover`` replaced: each point against each
+    center in turn, joining the first one within the radius."""
+    centers, assignments = [], []
+    for p in points:
+        for k, c in enumerate(centers):
+            if fnorm(norm, p - c) <= radius:
+                assignments.append(k)
+                break
+        else:
+            centers.append(p)
+            assignments.append(len(centers) - 1)
+    return centers, assignments
+
+
 class TestNetCover:
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 3),
+           kind=st.sampled_from(["sup", "l1", "l2"]),
+           radius=st.sampled_from([0.5, 1.0, 2.0]))
+    def test_matches_double_loop(self, data, dim, kind, radius):
+        # integer points: distances land exactly on the radius
+        norm = sup_norm(dim=dim) if kind == "sup" else lp_norm(float(kind[1:]), dim=dim)
+        points = np.array(data.draw(st.lists(
+            st.lists(st.integers(-3, 3), min_size=dim, max_size=dim),
+            max_size=30)), dtype=float).reshape(-1, dim)
+        net = net_cover(points, radius, norm)
+        centers, assignments = _oracle_net_cover(points, radius, norm)
+        assert net.assignments == assignments
+        assert [c.tolist() for c in net.centers] == [c.tolist() for c in centers]
+
     def test_single_point(self):
         net = net_cover([np.array([1.0, 0.0])], 0.5, sup_norm(dim=2))
         assert net.size == 1

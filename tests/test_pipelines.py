@@ -11,27 +11,35 @@ from hypothesis import strategies as st
 
 from narrowops import (
     AdaptiveBudgetExhausted,
+    AtomTooLarge,
     DiscreteOperator,
     MeasureSpace,
     NotLocallyConvex,
     NoTruncationSmallEnough,
     PipelineParams,
+    PipelineReport,
     PreconditionFailed,
     SignVector,
     StageFailed,
     check_absolute_continuity,
+    find_small_sign,
+    fnorm,
+    fnorm_many,
     lp_norm,
     pairing_construction,
+    partition_small_cells,
     random_finite_rank,
     random_narrow_operator,
+    sign_round,
     sum_compact_locally_convex,
     sum_compact_via_truncation,
     sum_finite_rank,
     sup_norm,
 )
 from narrowops.instances import build_l1_example, l1_example_tail_bound
+from narrowops.linalg import rank_factorization
 from narrowops.operators import RefinementContext
-from narrowops.pipelines import _certify, _knapsack_fractional
+from narrowops.pipelines import _TOL, _certify, _knapsack_fractional
 from revalidation import revalidate
 
 
@@ -219,7 +227,96 @@ class TestCertify:
             _certify(ctx, [1, -1, 1, -1], {"t": 1.0 - 1.5e-9}, 3)
 
 
+def _reference_sum_finite_rank(T1, T2, sigma, epsilon):
+    """The per-cell loop the batched cell search replaced, for rank >= 1:
+    one find_small_sign per cell in cell order, each cell's coefficient
+    image by a full-space apply, and the same rounding and verdict."""
+    w = T2.target.weights
+    if T2.target.kind == "lp":
+        w = w ** (1.0 / T2.target.p)
+    pivots, _, coeff = rank_factorization(T2.matrix * w[:, None])
+    m = len(pivots)
+    assert m >= 1
+    ctx = RefinementContext(T1.space, {"t1": T1, "t2": T2})
+    t2_max = float(np.max(np.abs(T2.matrix)))
+    delta = epsilon / float(np.sum(fnorm_many(T2.target, T2.matrix[:, pivots].T)))
+    coeff_target = sup_norm(dim=m)
+    ctx.ops["coeff"] = DiscreteOperator(coeff, T1.space, coeff_target)
+    cell_budget = delta / (2 * m)
+    while True:
+        try:
+            partition = partition_small_cells(ctx.ops["coeff"], cell_budget)
+            break
+        except AtomTooLarge:
+            too_big = np.flatnonzero(ctx.ops["coeff"].column_norms() > cell_budget)
+            ctx.refine_atoms(too_big, 2, 2**16)
+    order = sorted(range(partition.n_cells),
+                   key=lambda k: (-partition.cells[k].measure, k))
+    cell = np.empty(ctx.space.n_atoms, dtype=np.int64)
+    for rank_k, k in enumerate(order):
+        cell[partition.cells[k].indices] = rank_k
+    ctx.arrays = {"cell": cell, "x": np.zeros(ctx.space.n_atoms, dtype=np.int8)}
+    if partition.n_cells > 32:
+        ctx.refine_atoms(range(ctx.space.n_atoms), 2, 2**16)
+    stages = []
+    for rank_k in range(partition.n_cells):
+        k = rank_k + 1
+        cell_set = ctx.where("cell", rank_k)
+        res = find_small_sign(ctx.ops["t1"], cell_set, sigma * 2.0**-k + _TOL)
+        ctx.apply_map(res.refine_map, res.operator.space)
+        p_k = fnorm(coeff_target, ctx.ops["coeff"].apply(res.sign.values))
+        if p_k > delta / m + _TOL:
+            raise StageFailed(k, f"cell coefficient norm {p_k} exceeds delta/m")
+        ctx.arrays["x"] += res.sign.values
+        stages.append({"cell": k, "size": cell_set.size, "t1_budget": sigma * 2.0**-k,
+                       "t1_norm": res.value, "coeff_norm": p_k,
+                       "strategy": res.strategy})
+    cell, x_cells = ctx.arrays["cell"], ctx.arrays["x"]
+    vectors = np.stack([ctx.ops["coeff"].apply(np.where(cell == rank_k, x_cells, 0))
+                        for rank_k in range(partition.n_cells)])
+    theta, achieved_p, certificate, _ = sign_round(vectors, coeff_target)
+    assert certificate <= delta + _TOL and achieved_p <= delta + _TOL
+    x, achieved = _certify(ctx, theta[cell] * x_cells, {"t1": sigma, "t2": epsilon}, 0,
+                           {"t2": max(1.0, t2_max * ctx.space.n_atoms)})
+    return PipelineReport(pipeline="sum_finite_rank", sign=x, achieved=achieved,
+                          budgets={}, stages=stages, refine_map=ctx.total_map,
+                          space=ctx.space)
+
+
+# (seed, atoms, rank, target_dim, scale): random_narrow T1 with decay 0.5
+# and a random finite-rank T2 on its space
+_FINITE_RANK_CASES = [
+    (8, 32, 2, 4, 1e-3), (21, 32, 2, 6, 1e-3), (22, 128, 3, 6, 1e-3),
+    (23, 64, 1, 6, 1e-2), (6, 64, 3, 6, 1e-4), (20, 64, 3, 6, 1e-4),
+    (24, 256, 4, 6, 1e-4), (31, 64, 2, 4, 1e-5),
+]
+
+
 class TestSumFiniteRank:
+    def test_cells_match_the_per_cell_loop(self):
+        seen = set()
+        for seed, atoms, rank, dim, scale in _FINITE_RANK_CASES:
+            t1 = random_narrow_operator(seed, atoms, 3, 0.5)
+            t2 = random_finite_rank(seed + 1, rank, None, dim, scale=scale,
+                                    space=t1.space)
+            rep = sum_finite_rank(t1, t2, 0.1, 0.1)
+            ref = _reference_sum_finite_rank(t1, t2, 0.1, 0.1)
+            assert len(rep.stages) == len(ref.stages)
+            for got, want in zip(rep.stages, ref.stages):
+                for key in ("cell", "size", "t1_budget", "t1_norm", "strategy"):
+                    assert got[key] == want[key], (seed, got["cell"], key)
+                assert got["coeff_norm"] == pytest.approx(want["coeff_norm"], abs=1e-12)
+                if got["size"] > 10:
+                    seen.add("over the exhaustive limit")
+                elif got["strategy"] != "exhaustive":
+                    seen.add("rejected by the exhaustive pass")
+                if got["strategy"] == "kernel_pairing":
+                    seen.add("kernel pairing")
+            revalidate(rep, t1, t2, 0.1, 0.1)
+            revalidate(ref, t1, t2, 0.1, 0.1)
+        assert seen == {"over the exhaustive limit", "rejected by the exhaustive pass",
+                        "kernel pairing"}
+
     def test_rank_zero(self):
         t1 = random_narrow_operator(3, 16, 3, 0.5)
         z = DiscreteOperator(np.zeros((4, 16)), t1.space, lp_norm(1, dim=4))
