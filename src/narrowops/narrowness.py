@@ -27,6 +27,7 @@ from .measure import MeasurableSet, RefineMap, SignVector, rademacher_signs
 from .norms import TargetNorm, fnorm, fnorm_many
 from .operators import (
     DiscreteOperator,
+    FULL_SUPPORT_EXHAUSTIVE_LIMIT,
     RefinementContext,
     TERNARY_EXHAUSTIVE_LIMIT,
     _sign_patterns,
@@ -36,7 +37,7 @@ from .operators import (
 
 DEFAULT_REFINE_BUDGET = 2**16
 _EXHAUSTIVE_SEARCH_LIMIT = 10
-# bytes of one chunk's image array in `exhaustive_cell_signs`: bounds its
+# bytes of one chunk's image array in `_best_cell_signs`: bounds its
 # memory, whatever the number of cells
 _CELL_BATCH_BYTES = 2**20
 
@@ -228,42 +229,77 @@ def _rademacher_scan(
     return SignVector(space=T.space, values=family[b]), float(vals[b])
 
 
+def _best_cell_signs(
+    T: DiscreteOperator, idx: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Exhaustive search on each row of `idx`, a (cells, s) array of atom
+    indices: of the mean-zero signs with full support on the row's atoms,
+    the one minimising ||Tx||, first in lexicographic order among ties.
+
+    Returns the (cells, s) int8 patterns (0 for a cell without such a sign)
+    and each cell's optimum (inf for a cell without one).  The value is
+    bit-identical to ``brute_force_best_sign(T, cell, require_mean_zero=True,
+    objective="min", full_support=True)``, which takes the same products.
+    """
+    n_cells, s = idx.shape
+    patterns = _sign_patterns(s, 2)
+    fpatterns, ipatterns = patterns.astype(float), patterns.astype(np.int64)
+    best_patterns = np.zeros((n_cells, s), dtype=np.int8)
+    values = np.full(n_cells, np.inf)
+    cols = T.matrix.T
+    step = max(1, _CELL_BATCH_BYTES // (8 * len(patterns) * T.target_dim))
+    for lo in range(0, n_cells, step):
+        chunk = idx[lo:lo + step]
+        balanced = T.space.numerators[chunk] @ ipatterns.T == 0
+        norms = np.where(balanced, fnorm_many(T.target, fpatterns @ cols[chunk]),
+                         np.inf)
+        best = norms.argmin(axis=1)
+        found = balanced[np.arange(len(chunk)), best]
+        rows = lo + np.flatnonzero(found)
+        best_patterns[rows] = patterns[best[found]]
+        values[rows] = norms[found, best[found]]
+    return best_patterns, values
+
+
+def _exhaustive_sign(
+    T: DiscreteOperator, mset: MeasurableSet
+) -> tuple[SignVector, float]:
+    """`_best_cell_signs` on the one cell `mset`, raising as
+    `brute_force_best_sign` does."""
+    if mset.size > FULL_SUPPORT_EXHAUSTIVE_LIMIT:
+        raise SetTooLarge(f"set size {mset.size} exceeds the exhaustive cap "
+                          f"{FULL_SUPPORT_EXHAUSTIVE_LIMIT}")
+    best, values = _best_cell_signs(T, mset.indices[None, :])
+    if values[0] == np.inf:
+        raise NoFeasibleSign(
+            "no mean-zero sign exists on this set (cannot balance weights)"
+        )
+    x = np.zeros(T.space.n_atoms, dtype=np.int8)
+    x[mset.indices] = best[0]
+    return SignVector(space=T.space, values=x), float(values[0])
+
+
 def exhaustive_cell_signs(
     T: DiscreteOperator, cell: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The exhaustive search of `find_small_sign`, for many cells at once.
 
     `cell[i]` labels atom i with its cell 0..n-1; every label must be used.
-    For each cell of at most _EXHAUSTIVE_SEARCH_LIMIT atoms that carries a
-    mean-zero sign with full support, this finds the one minimising ||Tx||,
-    first in lexicographic order among ties: the sign and the bit-identical
-    value ``brute_force_best_sign(T, cell, require_mean_zero=True,
-    objective="min", full_support=True)`` returns.  Returns those signs as
-    one int8 array over the atoms (0 on the other cells) and each cell's
-    optimum (inf for a cell without one).
+    Runs `_best_cell_signs` once per cell size up to
+    _EXHAUSTIVE_SEARCH_LIMIT.  Returns the signs found as one int8 array
+    over the atoms (0 on the other cells) and each cell's optimum (inf for
+    a cell without one).
     """
     sizes = np.bincount(cell)
     members = np.argsort(cell, kind="stable")
     starts = np.cumsum(sizes) - sizes
     signs = np.zeros(T.space.n_atoms, dtype=np.int8)
     values = np.full(sizes.size, np.inf)
-    cols = T.matrix.T
     for s in np.unique(sizes[sizes <= _EXHAUSTIVE_SEARCH_LIMIT]).tolist():
-        patterns = _sign_patterns(s, 2)
-        fpatterns, ipatterns = patterns.astype(float), patterns.astype(np.int64)
         ks = np.flatnonzero(sizes == s)
         # (cells, s) atom indices, increasing along each row
         idx = members[starts[ks][:, None] + np.arange(s)]
-        step = max(1, _CELL_BATCH_BYTES // (8 * len(patterns) * T.target_dim))
-        for lo in range(0, ks.size, step):
-            chunk = idx[lo:lo + step]
-            balanced = T.space.numerators[chunk] @ ipatterns.T == 0
-            norms = np.where(balanced, fnorm_many(T.target, fpatterns @ cols[chunk]),
-                             np.inf)
-            best = norms.argmin(axis=1)
-            found = balanced[np.arange(len(chunk)), best]
-            signs[chunk[found]] = patterns[best[found]]
-            values[ks[lo:lo + step][found]] = norms[found, best[found]]
+        signs[idx], values[ks] = _best_cell_signs(T, idx)
     return signs, values
 
 
@@ -292,9 +328,7 @@ def find_small_sign(
     if strategy == "exhaustive":
         # single shot: refinement cannot improve an exhaustive optimum
         try:
-            sign, val = brute_force_best_sign(
-                T, mset, require_mean_zero=True, objective="min", full_support=True
-            )
+            sign, val = _exhaustive_sign(T, mset)
         except NoFeasibleSign as exc:
             raise NoSignFound(str(exc)) from exc
         if val < epsilon:
@@ -314,10 +348,7 @@ def find_small_sign(
         cur_T = ctx.ops["t"]
         if strategy == "auto" and cur_set.size <= _EXHAUSTIVE_SEARCH_LIMIT:
             try:
-                sign, val = brute_force_best_sign(
-                    cur_T, cur_set, require_mean_zero=True,
-                    objective="min", full_support=True,
-                )
+                sign, val = _exhaustive_sign(cur_T, cur_set)
                 if val < best_val:
                     best_sign, best_val = sign, val
                 if val < epsilon:

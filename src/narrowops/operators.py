@@ -216,8 +216,9 @@ def brute_force_best_sign(
                 "no mean-zero sign exists on this set (cannot balance weights)"
             )
     # the images of every pattern, infeasible ones included, over C-ordered
-    # columns: the same products, row for row, as the batched cell search,
-    # so both return bit-identical norms
+    # columns: the products of the exhaustive cell search, row for row, so
+    # as its oracle this returns bit-identical norms (a BLAS product over
+    # only the feasible rows may round differently)
     norms = fnorm_many(T.target, patterns.astype(float) @ T.matrix.T[idx])
     if objective == "min":
         best = int(np.argmin(np.where(feasible, norms, np.inf)))

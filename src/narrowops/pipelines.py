@@ -374,6 +374,9 @@ def sum_finite_rank(
     (`exhaustive_cell_signs`); the cells it leaves, too large or without a
     sign within budget, then go through `find_small_sign` in cell order.
     The coefficient images are segment sums over the atoms sorted by cell.
+    Their check, each cell's coefficient norm <= delta/m, runs after every
+    cell's search, so a search that raises `NoSignFound` on any cell takes
+    precedence over `StageFailed` for a cell's coefficient norm.
     """
     check_budgets(sigma=sigma, epsilon=epsilon)
     _require_same_space(T1, T2)

@@ -86,6 +86,22 @@ class TestFindSmallSign:
         )
         assert res.value == pytest.approx(oracle)
 
+    def test_exhaustive_refusals_match_oracle(self):
+        # the exhaustive step raises what brute_force_best_sign raises: no
+        # balanced sign on weights 1/2, 1/4, and too many atoms to enumerate
+        space = MeasureSpace.from_weights([Fraction(1, 2), Fraction(1, 4),
+                                           Fraction(1, 4)])
+        T = DiscreteOperator(np.ones((1, 3)), space, sup_norm(dim=1))
+        with pytest.raises(NoFeasibleSign) as oracle:
+            brute_force_best_sign(T, space.subset([0, 1]), full_support=True)
+        with pytest.raises(NoSignFound) as exc:
+            find_small_sign(T, space.subset([0, 1]), 1.0, strategy="exhaustive")
+        assert str(exc.value) == str(oracle.value)
+        big = MeasureSpace.uniform(32)
+        T = DiscreteOperator(np.ones((1, 32)), big, sup_norm(dim=1))
+        with pytest.raises(SetTooLarge):
+            find_small_sign(T, big.subset(range(21)), 1.0, strategy="exhaustive")
+
     def test_budget_exhaustion(self):
         space = MeasureSpace.uniform(2)
         T = DiscreteOperator(np.array([[1.0, 0.0]]), space, sup_norm(dim=1))
