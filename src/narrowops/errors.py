@@ -73,7 +73,10 @@ class AtomTooLarge(NarrowOpsError):
 
 
 class DegenerateNullspace(NarrowOpsError):
-    """Elimination failed to produce a numerically reliable null vector."""
+    """Elimination failed to produce a numerically reliable null vector: a
+    rounding step's direction failed its residual check on the original
+    vectors even after the tableau was rebuilt by least squares, or
+    ``linalg.null_vector`` found no null vector."""
 
 
 class RankTooLarge(NarrowOpsError):

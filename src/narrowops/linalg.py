@@ -1,8 +1,10 @@
 """Dense linear algebra helpers: null vectors and rank factorizations.
 
 ``null_vector`` is one LAPACK singular value decomposition of a small wide
-matrix.  ``rank_factorization`` is column-pivoted Gram-Schmidt with a fixed
-relative tolerance for rank decisions.
+matrix; the rounding walk no longer calls it, as it takes its null vectors
+from a Gauss-Jordan tableau (see ``rounding``).  ``rank_factorization`` is
+column-pivoted Gram-Schmidt with a fixed relative tolerance for rank
+decisions, ``RANK_TOL``, which the rounding walk's pivot test also uses.
 """
 
 from __future__ import annotations

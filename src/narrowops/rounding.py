@@ -3,12 +3,16 @@
 The half-integer rounding keeps the running sum ``sum lambda_i x_i``
 invariant while eliminating floating (strictly fractional) coefficients,
 then rounds the at most ``dim`` survivors to the nearest integer.  Each
-elimination step is the Beck-Fiala step: it takes the first ``dim + 1``
-floating vectors, which are linearly dependent, moves only their
-coefficients along a null vector of those ``dim + 1`` columns (one small
-LAPACK call) and stops when one of them reaches 0 or 1.  The resulting
-discrepancy is certified by ``(dim/2) * max ||x_i||``; the +-1 variant
-doubles the certificate.
+elimination step is the Beck-Fiala step (Beck & Fiala 1981): a basis of
+the floating vectors plus one further floating vector are linearly
+dependent, so their coefficients move along the null vector
+``u = (-B^-1 x_k, +1)`` until one of them reaches 0 or 1.  The steps walk
+one tableau ``B^-1``: it is factored once by Gauss-Jordan elimination,
+and each step that fixes a basic coefficient swaps the entering vector
+into the basis with one rank-one pivot, as in the simplex method's basis
+exchange, so a step costs a few small numpy calls and no factorization.  Every step checks its null vector against the original
+vectors.  The resulting discrepancy is certified by
+``(dim/2) * max ||x_i||``; the +-1 variant doubles the certificate.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch
-from .linalg import null_vector
+from .errors import DegenerateNullspace, DimensionMismatch
+from .linalg import RANK_TOL
 from .norms import TargetNorm, fnorm, fnorm_many
 
 _SNAP = 1e-12
@@ -85,13 +89,67 @@ def _snap(lam: np.ndarray) -> None:
     lam[np.abs(lam - 1.0) <= _SNAP] = 1.0
 
 
+def _factor(a: np.ndarray, d: int) -> tuple[list[int], np.ndarray]:
+    """Gauss-Jordan elimination with partial pivoting on the rows of ``a``
+    (the floating vectors), taken as columns in index order.
+
+    A vector pivots when its part outside the span of the earlier pivots
+    exceeds ``RANK_TOL`` times its own largest entry; rows that get no
+    pivot are dropped.  Returns the positions of the r <= d pivot vectors
+    and the (r, d) matrix ``binv`` of the accumulated row operations, so
+    that ``binv @ a[j]`` holds the coordinates of a[j] in the pivot vectors.
+    """
+    m = a.shape[0]
+    g = np.hstack([a.T, np.eye(d)])
+    tol = RANK_TOL * np.abs(a).max(axis=1)
+    basis: list[int] = []
+    c = 0
+    for t in range(d):
+        # rows t and below have no pivot yet; the next pivot vector is the
+        # first with a part outside the span of the pivots so far
+        big = np.flatnonzero(np.abs(g[t:, c:m]).max(axis=0) > tol[c:])
+        if big.size == 0:
+            break
+        c += int(big[0])
+        p = t + int(np.abs(g[t:, c]).argmax())
+        if p != t:
+            g[[t, p]] = g[[p, t]]
+        prow = g[t] / g[t, c]
+        g -= np.outer(g[:, c], prow)
+        g[t] = prow
+        basis.append(c)
+        c += 1
+    return basis, g[: len(basis), m:]
+
+
+def _null_enough(w: np.ndarray, u: np.ndarray) -> bool:
+    """The residual test of a step direction u on its window's vectors w
+    (rows): ||w.T u|| <= 1e-6 max(1, max|w|) ||u||, compared in squares."""
+    res = u @ w
+    res2, size2 = float(res @ res), 1e-12 * float(u @ u)
+    return res2 <= size2 or res2 <= size2 * float(np.abs(w).max()) ** 2
+
+
 def round_half_integer(instance: RoundingInstance) -> RoundingResult:
     """Round coefficients in [0,1] to {0,1} with certified discrepancy.
 
     While more than ``dim`` coefficients are strictly fractional, move the
-    first ``dim + 1`` of them along a null direction of their vectors until
-    one hits {0,1}; the weighted sum is invariant along such moves.  Ties at
-    1/2 round to 0.
+    floating coefficients of a basis of their vectors and one further
+    floating coefficient along a null direction of those vectors until one
+    of them hits {0,1}; the weighted sum is invariant along such moves.
+    Ties at 1/2 round to 0.
+
+    The walk keeps the tableau ``binv`` of the basis B: ``binv @ x_k`` are
+    x_k's coordinates in B, so the step direction is
+    ``u = (-binv @ x_k, +1)`` on (basis, k).  The basis is factored once by
+    Gauss-Jordan elimination over the floating vectors in index order; the
+    entering k is the next floating non-basic vector in index order, and
+    its coefficient always increases.  When a basic coefficient reaches
+    {0,1}, k replaces it by one pivot; when a step fixes more than one
+    coefficient at once, the basis is factored again.  Every step checks
+    ``||W u|| <= 1e-6 max(1, max|W|) ||u||`` on its window W; on a failure
+    the tableau is rebuilt from the original vectors by least squares, and
+    ``DegenerateNullspace`` is raised if the rebuilt direction still fails.
     """
     x = instance.vectors
     lam = np.array(instance.coefficients, dtype=float, copy=True)
@@ -99,27 +157,53 @@ def round_half_integer(instance: RoundingInstance) -> RoundingResult:
     _snap(lam)
 
     steps = 0
-    floating = np.flatnonzero((lam > 0.0) & (lam < 1.0))
-    while floating.size > d:
-        # d+1 floating vectors in dimension d are linearly dependent
-        act = floating[: d + 1]
-        u = null_vector(x[act].T)
-        # largest step in the +u direction keeping all coordinates in [0,1]
-        la = lam[act]
+    while True:
+        floating = np.flatnonzero((lam > 0.0) & (lam < 1.0))
+        n_float = floating.size
+        if n_float <= d:
+            break
+        basis, binv = _factor(x[floating], d)
+        r = len(basis)
+        window = np.append(floating[basis], 0)  # the basis, then k
+        # u = (-binv @ x_k, +1) on (basis, k); tab, u's basis part, is
+        # neg_binv @ x_k
+        u = np.ones(r + 1)
+        tab = u[:r]
+        neg_binv = -binv
         with np.errstate(divide="ignore"):
-            t = float(np.min(np.where(u > 0, 1.0 - la, la) / np.abs(u)))
-        lam[act] = la + t * u
-        _snap(lam)
-        new_floating = np.flatnonzero((lam > 0.0) & (lam < 1.0))
-        if new_floating.size >= floating.size:
-            # numerical safety: force-fix the coordinate closest to a boundary
-            lf = lam[new_floating]
-            dist = np.minimum(lf, 1.0 - lf)
-            j = new_floating[int(np.argmin(dist))]
-            lam[j] = 0.0 if lam[j] <= 0.5 else 1.0
-            new_floating = np.flatnonzero((lam > 0.0) & (lam < 1.0))
-        floating = new_floating
-        steps += 1
+            for k in np.delete(floating, basis).tolist():
+                window[r] = k
+                np.matmul(neg_binv, x[k], out=tab)
+                w = x[window]
+                if not _null_enough(w, u):
+                    neg_binv = -np.linalg.lstsq(w[:r].T, np.eye(d), rcond=None)[0]
+                    np.matmul(neg_binv, x[k], out=tab)
+                    if not _null_enough(w, u):
+                        raise DegenerateNullspace(
+                            "no numerically reliable null vector found")
+                # largest step along u keeping the window in [0,1]: each
+                # coordinate's distance to the bound it moves toward, over
+                # its speed (inf where u is 0); the one that stops the step
+                # is set exactly to its bound
+                la = lam[window]
+                ratio = np.abs(((u > 0) - la) / u)
+                i = int(ratio.argmin())
+                la += ratio[i] * u
+                la[i] = 1.0 if u[i] > 0 else 0.0
+                _snap(la)
+                lam[window] = la
+                steps += 1
+                at_bound = la.tolist()
+                fixed = at_bound.count(0.0) + at_bound.count(1.0)
+                n_float -= fixed
+                if fixed > 1 or n_float <= d:
+                    break
+                if i < r:
+                    # k replaces the basic vector i: one pivot on (i, k)
+                    prow = neg_binv[i] / -u[i]
+                    neg_binv += np.outer(tab, prow)
+                    neg_binv[i] = prow
+                    window[i] = k
 
     theta = np.where(lam > 0.5, 1, 0).astype(int)  # ties at 1/2 -> 0
     residual = (instance.coefficients - theta) @ x

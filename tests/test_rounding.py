@@ -1,5 +1,6 @@
 """Rounding lemma tests: certificate bound, sum invariance, brute-force
-theta oracle on small instances, the d+1-column elimination step and its
+theta oracle on small instances, the elimination walk against the SVD
+reference walk, robustness on degenerate families, invariances, and the
 null vectors."""
 
 from itertools import product
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from narrowops import (
+    DegenerateNullspace,
     RoundingInstance,
     fnorm,
     lp_norm,
@@ -19,6 +21,7 @@ from narrowops import (
     sup_norm,
 )
 from narrowops.linalg import null_vector
+from narrowops.rounding import _snap
 
 _NORMS = {
     "sup": lambda d: sup_norm(dim=d),
@@ -171,14 +174,57 @@ class TestSignRound:
             assert best <= achieved + 1e-9
 
 
+def _reference_round_half_integer(instance):
+    """The elimination loop with one SVD null vector per step, on the first
+    d+1 floating coordinates, its sign fixed so that u[-1] > 0.  Returns
+    (theta, elimination_steps)."""
+    x = instance.vectors
+    lam = np.array(instance.coefficients, dtype=float, copy=True)
+    d = instance.dim
+    _snap(lam)
+    steps = 0
+    floating = np.flatnonzero((lam > 0.0) & (lam < 1.0))
+    while floating.size > d:
+        act = floating[: d + 1]
+        u = null_vector(x[act].T)
+        if u[-1] < 0:
+            u = -u
+        la = lam[act]
+        with np.errstate(divide="ignore"):
+            t = float(np.min(np.where(u > 0, 1.0 - la, la) / np.abs(u)))
+        lam[act] = la + t * u
+        _snap(lam)
+        new_floating = np.flatnonzero((lam > 0.0) & (lam < 1.0))
+        if new_floating.size >= floating.size:
+            lf = lam[new_floating]
+            j = new_floating[int(np.argmin(np.minimum(lf, 1.0 - lf)))]
+            lam[j] = 0.0 if lam[j] <= 0.5 else 1.0
+            new_floating = np.flatnonzero((lam > 0.0) & (lam < 1.0))
+        floating = new_floating
+        steps += 1
+    return np.where(lam > 0.5, 1, 0), steps
+
+
 def _check_step_invariants(vectors, coefficients, norm):
-    """Round, checking that every step solves one (d, d+1) null-vector problem."""
+    """Round, checking that every step moves at most d+1 coordinates and
+    sets at least one of them to 0 or 1.
+
+    Each step snaps exactly the coordinates it moved, after one initial
+    snap of all n coefficients.
+    """
     n, d = vectors.shape
-    with mock.patch("narrowops.rounding.null_vector", wraps=null_vector) as spy:
+    moved = []
+
+    def record(lam):
+        _snap(lam)
+        moved.append((lam.size, np.count_nonzero((lam == 0.0) | (lam == 1.0))))
+
+    with mock.patch("narrowops.rounding._snap", side_effect=record):
         res = round_half_integer(RoundingInstance(
             vectors=vectors, coefficients=coefficients, norm=norm))
-    shapes = [call.args[0].shape for call in spy.call_args_list]
-    assert shapes == [(d, d + 1)] * res.elimination_steps
+    assert moved[0][0] == n
+    assert len(moved) == 1 + res.elimination_steps
+    assert all(1 <= size <= d + 1 and fixed >= 1 for size, fixed in moved[1:])
     assert res.elimination_steps <= max(n - d, 0)
     assert res.discrepancy <= res.certificate + 1e-9 * max(1.0, res.certificate)
     return res
@@ -242,6 +288,121 @@ class TestEliminationStep:
             rng.standard_normal((n, 4)), coefficients, sup_norm(dim=4))
         assert res.elimination_steps == 0
         assert res.theta.tolist() == (coefficients > 0.5).astype(int).tolist()
+
+    def test_matches_the_reference_walk(self):
+        # generic instances: same theta and steps, and every step passes its
+        # null-vector check without a tableau rebuild
+        rng = np.random.default_rng(20261018)
+        for _ in range(300):
+            n, d = int(rng.integers(1, 65)), int(rng.integers(1, 9))
+            instance = RoundingInstance(
+                vectors=rng.standard_normal((n, d)),
+                coefficients=rng.uniform(0, 1, n), norm=sup_norm(dim=d))
+            theta, steps = _reference_round_half_integer(instance)
+            with mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as spy:
+                res = round_half_integer(instance)
+            assert not spy.called
+            assert res.elimination_steps == steps
+            assert res.theta.tolist() == theta.tolist()
+
+
+def _degenerate_instance(kind, rng):
+    """One (vectors, coefficients) draw of a degenerate family, n <= 64 and
+    d <= 8."""
+    n, d = int(rng.integers(1, 65)), int(rng.integers(1, 9))
+    coefficients = rng.uniform(0, 1, n)
+    if kind == "near_duplicates":
+        # copies of a few rows, perturbed by 1e-9 and scaled 1e-6 to 1e+6
+        base = rng.standard_normal((int(rng.integers(1, d + 2)), d))
+        vectors = base[rng.integers(0, len(base), n)]
+        vectors = vectors * (1 + 1e-9 * rng.standard_normal((n, d)))
+        vectors *= 10.0 ** rng.uniform(-6, 6, (n, 1))
+    elif kind == "small_integers":
+        vectors = rng.integers(-2, 3, (n, d)).astype(float)
+        coefficients = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], n)
+    elif kind == "half_zero":
+        vectors = rng.standard_normal((n, d))
+        vectors[rng.permutation(n)[: n // 2]] = 0.0
+    else:
+        r = int(rng.integers(0, d))
+        vectors = rng.standard_normal((n, r)) @ rng.standard_normal((r, d))
+    return vectors, coefficients
+
+
+class TestRobustness:
+    @pytest.mark.parametrize("kind", [
+        "near_duplicates", "small_integers", "half_zero", "rank_below_dim"])
+    def test_degenerate_families(self, kind):
+        rng = np.random.default_rng(31337)
+        for i in range(300):
+            vectors, coefficients = _degenerate_instance(kind, rng)
+            n, d = vectors.shape
+            instance = RoundingInstance(
+                vectors=vectors, coefficients=coefficients,
+                norm=_NORMS[sorted(_NORMS)[i % 3]](d))
+            try:
+                res = round_half_integer(instance)
+            except DegenerateNullspace as exc:
+                pytest.fail(f"{kind} instance {i}: {exc}")
+            assert res.elimination_steps <= max(n - d, 0)
+            assert res.discrepancy <= res.certificate + 1e-9 * max(1.0, res.certificate)
+
+    def test_tableau_rebuild_keeps_the_certificate(self):
+        vectors, coefficients = _degenerate_instance(
+            "near_duplicates", np.random.default_rng(122))
+        n, d = vectors.shape
+        with mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as spy:
+            res = round_half_integer(RoundingInstance(
+                vectors=vectors, coefficients=coefficients, norm=sup_norm(dim=d)))
+        assert spy.called
+        assert res.elimination_steps <= n - d
+        assert res.discrepancy <= res.certificate
+
+
+class TestInvariance:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 64),
+        d=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        power=st.sampled_from([-10, 10]),
+        norm=st.sampled_from(sorted(_NORMS)),
+    )
+    def test_power_of_two_scaling(self, n, d, seed, power, norm):
+        rng = np.random.default_rng(seed)
+        vectors, coefficients = rng.standard_normal((n, d)), rng.uniform(0, 1, n)
+        base, scaled = (
+            round_half_integer(RoundingInstance(
+                vectors=v, coefficients=coefficients, norm=_NORMS[norm](d)))
+            for v in (vectors, vectors * 2.0**power)
+        )
+        assert scaled.theta.tolist() == base.theta.tolist()
+        assert scaled.elimination_steps == base.elimination_steps
+        assert scaled.discrepancy == base.discrepancy * 2.0**power
+        assert scaled.certificate == base.certificate * 2.0**power
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 64),
+        d=st.integers(1, 8),
+        extra=st.integers(1, 16),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_fixed_at_zero_or_one_change_nothing(self, n, d, extra, seed):
+        rng = np.random.default_rng(seed)
+        vectors, coefficients = rng.standard_normal((n, d)), rng.uniform(0, 1, n)
+        fixed = rng.choice([0.0, 1.0], extra)
+        base = round_half_integer(RoundingInstance(
+            vectors=vectors, coefficients=coefficients, norm=sup_norm(dim=d)))
+        longer = round_half_integer(RoundingInstance(
+            vectors=np.vstack([vectors, 10.0 * rng.standard_normal((extra, d))]),
+            coefficients=np.concatenate([coefficients, fixed]),
+            norm=sup_norm(dim=d)))
+        assert longer.theta[:n].tolist() == base.theta.tolist()
+        assert longer.theta[n:].tolist() == fixed.astype(int).tolist()
+        assert longer.elimination_steps == base.elimination_steps
+
+
 
 
 class TestNullVector:
