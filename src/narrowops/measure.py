@@ -292,6 +292,33 @@ class MeasurableSet:
     def lift(self, rmap: RefineMap, space: MeasureSpace) -> "MeasurableSet":
         return MeasurableSet(space=space, indices=rmap.map_indices(self.indices))
 
+    @staticmethod
+    def from_slices(space: MeasureSpace, indices, counts) -> list["MeasurableSet"]:
+        """The consecutive slices of `indices`, ``counts[k]`` atoms for set
+        k, as sets that are views of one read-only int64 copy.  Each slice
+        must pass the constructor's checks and fails them with the same
+        InvalidAtom, but the checks run once over the whole array."""
+        idx = _as_indices(indices)
+        counts = np.asarray(counts, dtype=np.int64)
+        if (counts < 0).any() or counts.sum() != idx.size:
+            raise InvalidAtom("slice lengths must be >= 0 and add up to the index count")
+        ends = np.cumsum(counts)
+        # the step from one slice's last index to the next slice's first
+        # may go down
+        ordered = np.diff(idx) > 0
+        ordered[ends[(ends > 0) & (ends < idx.size)] - 1] = True
+        if not ordered.all():
+            raise InvalidAtom("indices must be sorted and duplicate-free")
+        if idx.size and (idx.min() < 0 or idx.max() >= space.n_atoms):
+            raise InvalidAtom("index out of range for the space")
+        _read_only(idx)
+        sets = []
+        for start, end in zip((ends - counts).tolist(), ends.tolist()):
+            mset = object.__new__(MeasurableSet)
+            vars(mset).update(space=space, indices=idx[start:end])
+            sets.append(mset)
+        return sets
+
 
 @dataclass(frozen=True, eq=False)
 class SignVector:
@@ -325,9 +352,6 @@ class SignVector:
 
     def integral_numerator(self) -> int:
         return int(np.dot(self.values.astype(np.int64), self.space.numerators))
-
-    def integral(self) -> Fraction:
-        return Fraction(self.integral_numerator(), 2**self.space.denom_log2)
 
     def is_sign_on(self, mset: MeasurableSet) -> bool:
         """True iff support equals mset exactly (a 'sign on A' in the classical sense)."""

@@ -79,9 +79,10 @@ class NetCover:
 def net_cover(points, radius: float, norm: TargetNorm) -> NetCover:
     """Greedy net over the rows of `points`: scan them in order, joining the
     first center within `radius`, else opening a new center."""
-    if radius <= 0:
-        raise ValueError("net radius must be positive")
+    check_budgets(radius=radius)
     points = np.asarray(points, dtype=float)
+    if not np.isfinite(points).all():
+        raise ValueError("net points must be finite")
     # rows [0, n_centers) are the centers opened so far
     centers = np.empty_like(points)
     n_centers = 0
@@ -133,6 +134,11 @@ def partition_small_cells(T: DiscreteOperator, epsilon: float) -> Partition:
     that stays within epsilon, else in a new cell.  For sup targets the
     per-cell certificate is the exact row-absolute-sum value; otherwise the
     column norm sum upper bound is used.
+
+    The cells are built in one pass: each is a slice of one stable argsort
+    of the atoms by cell (`MeasurableSet.from_slices`), so the slices'
+    order within each cell and their index range are checked once over the
+    whole array, not once per cell.
     """
     check_budgets(epsilon=epsilon)
     # single-atom max sign-image bounds, exact for every norm kind
@@ -162,9 +168,8 @@ def partition_small_cells(T: DiscreteOperator, epsilon: float) -> Partition:
 
     # stable, so each cell's slice lists its atoms in increasing index order
     members = np.argsort(cell_of, kind="stable")
-    splits = np.cumsum(np.bincount(cell_of, minlength=n_cells))[:-1]
     return Partition(
-        cells=[MeasurableSet(space=T.space, indices=c) for c in np.split(members, splits)],
+        cells=MeasurableSet.from_slices(T.space, members, np.bincount(cell_of)),
         bounds=accs[:n_cells].max(axis=1).tolist(),
         exact=[is_sup] * n_cells,
         epsilon=epsilon,

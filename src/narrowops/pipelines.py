@@ -431,17 +431,22 @@ def sum_finite_rank(
             too_big = np.flatnonzero(bounds > cell_budget)
             ctx.refine_atoms(too_big, 2, refine_budget)
 
-    order = sorted(
-        range(partition.n_cells),
-        key=lambda k: (-partition.cells[k].measure, k),
-    )
+    # rank the cells by decreasing measure, ties by index (a stable sort),
+    # comparing exact int64 numerator sums over the atoms listed by cell
+    n_cells = partition.n_cells
+    cell_sizes = np.array([c.size for c in partition.cells])
+    by_cell = np.concatenate([c.indices for c in partition.cells])
+    measures = np.add.reduceat(ctx.space.numerators[by_cell],
+                               np.cumsum(cell_sizes) - cell_sizes)
+    order = np.argsort(-measures, kind="stable")
+    rank = np.empty(n_cells, dtype=np.int64)
+    rank[order] = np.arange(n_cells)
     # cell[i] is the measure-order rank of atom i's cell
     cell = np.empty(ctx.space.n_atoms, dtype=np.int64)
-    for rank_k, k in enumerate(order):
-        cell[partition.cells[k].indices] = rank_k
+    cell[by_cell] = np.repeat(rank, cell_sizes)
     ctx.arrays = {"cell": cell}
-    cert_bounds = [partition.bounds[k] for k in order]
-    if partition.n_cells > 32:
+    cert_bounds = [partition.bounds[k] for k in order.tolist()]
+    if n_cells > 32:
         # one global split makes every cell pairable at once, avoiding a
         # quadratic cascade of per-cell refinements on large partitions
         ctx.refine_atoms(range(ctx.space.n_atoms), 2, refine_budget)
@@ -450,7 +455,6 @@ def sum_finite_rank(
     # searches below refine only their own cell's atoms and carry every
     # other atom's column and weight over unchanged.  x holds the cell
     # signs, each on its own cell
-    n_cells = partition.n_cells
     t1_budgets = [sigma * 2.0**-k for k in range(1, n_cells + 1)]
     cell = ctx.arrays["cell"]
     signs, t1_norms = exhaustive_cell_signs(ctx.ops["t1"], cell)

@@ -146,7 +146,10 @@ def round_half_integer(instance: RoundingInstance) -> RoundingResult:
     entering k is the next floating non-basic vector in index order, and
     its coefficient always increases.  When a basic coefficient reaches
     {0,1}, k replaces it by one pivot; when a step fixes more than one
-    coefficient at once, the basis is factored again.  Every step checks
+    coefficient at once, the basis is factored again.  A vector that is
+    exactly zero never pivots, so its step is ``u = e_k``: the ratio test
+    stops at k itself, which is set to exactly 1 with no numpy call, and
+    the basic coefficients do not move.  Every other step checks
     ``||W u|| <= 1e-6 max(1, max|W|) ||u||`` on its window W; on a failure
     the tableau is rebuilt from the original vectors by least squares, and
     ``DegenerateNullspace`` is raised if the rebuilt direction still fails.
@@ -156,6 +159,9 @@ def round_half_integer(instance: RoundingInstance) -> RoundingResult:
     d = instance.dim
     _snap(lam)
 
+    # a zero vector never pivots, and its step is u = e_k: it sets its own
+    # coefficient to 1 and moves nothing else
+    zero = (~x.any(axis=1)).tolist()
     steps = 0
     while True:
         floating = np.flatnonzero((lam > 0.0) & (lam < 1.0))
@@ -172,6 +178,13 @@ def round_half_integer(instance: RoundingInstance) -> RoundingResult:
         neg_binv = -binv
         with np.errstate(divide="ignore"):
             for k in np.delete(floating, basis).tolist():
+                if zero[k]:
+                    lam[k] = 1.0
+                    steps += 1
+                    n_float -= 1
+                    if n_float <= d:
+                        break
+                    continue
                 window[r] = k
                 np.matmul(neg_binv, x[k], out=tab)
                 w = x[window]

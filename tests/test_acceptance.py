@@ -37,6 +37,7 @@ from narrowops import (
     sup_norm,
 )
 from narrowops.instances import build_l1_example
+from narrowops.serialize import operator_to_json
 from revalidation import revalidate
 
 
@@ -356,3 +357,24 @@ def test_criterion_8_golden_reports(tmp_path, command):
                      "--out", str(tmp_path)]) == 0
     got = json.loads((tmp_path / f"{command}.json").read_text())
     _assert_matches(got, json.loads((GOLDEN / f"{command}.json").read_text()))
+
+
+def test_truncation_golden_report(tmp_path):
+    """The seed-0 truncation-mode `sum-compact` report on the level-6 L1
+    example, T1 from `random_narrow_operator` seed 0 on its space, matches
+    tests/golden/sum-compact-truncation.json (regenerate it by running
+    `narrowops sum-compact --seed 0` on the config below).  Every cell's
+    coefficient image is 0 there, so this pins the rounding's theta on
+    zero vectors."""
+    t2 = build_l1_example(6)
+    t1 = random_narrow_operator(0, None, 3, 0.5, space=t2.space)
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps({
+        "t1": operator_to_json(t1),
+        "t2": {"instance": {"kind": "l1_example", "levels": 6}},
+        "mode": "truncation", "tail": "l1_example", "sigma": 0.1, "epsilon": 0.125,
+    }))
+    assert cli.main(["sum-compact", "--config", str(cfg), "--seed", "0",
+                     "--out", str(tmp_path)]) == 0
+    got = json.loads((tmp_path / "sum-compact.json").read_text())
+    _assert_matches(got, json.loads((GOLDEN / "sum-compact-truncation.json").read_text()))

@@ -113,7 +113,7 @@ class TestSignVector:
         space = MeasureSpace.from_weights([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)])
         x = SignVector.from_values(space, [1, -1, -1])
         assert x.mean_zero
-        assert x.integral() == 0
+        assert x.integral_numerator() == 0
 
     def test_not_mean_zero(self):
         space = MeasureSpace.uniform(2)
@@ -344,6 +344,51 @@ class TestIndexValidation:
         assert space.refine_atoms([], 2)[1].is_identity
 
 
+class TestFromSlices:
+    @settings(max_examples=100, deadline=None)
+    @given(labels=st.lists(st.integers(0, 6), min_size=1, max_size=40),
+           extra=st.integers(0, 2))
+    def test_matches_the_split_sets(self, labels, extra):
+        # slices of one stable argsort, empty ones included
+        space = MeasureSpace.uniform(64)
+        members = np.argsort(np.array(labels), kind="stable")
+        counts = np.bincount(labels, minlength=max(labels) + 1 + extra)
+        got = MeasurableSet.from_slices(space, members, counts)
+        want = [MeasurableSet(space=space, indices=c)
+                for c in np.split(members, np.cumsum(counts)[:-1])]
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert g.space is space
+            assert g.indices.dtype == np.int64 and not g.indices.flags.writeable
+            assert g.indices.tolist() == w.indices.tolist()
+            assert g.measure == w.measure
+        assert members.flags.writeable  # the caller's array is copied
+
+    @pytest.mark.parametrize("slices", [
+        [[0, 1], [3, 2]], [[1, 0]], [[0, 2], [1, 1]], [[2, 2, 3]],
+        [[0, 1], [4]], [[-1, 0], [2]], [[3], [], [0, 4]],
+    ], ids=["unsorted", "unsorted-first", "duplicate", "duplicate-first",
+            "past-the-end", "negative", "after-an-empty-slice"])
+    def test_bad_slices_raise_like_the_constructor(self, slices):
+        space = MeasureSpace.uniform(4)
+        with pytest.raises(InvalidAtom) as want:
+            for c in slices:
+                MeasurableSet(space=space, indices=np.array(c, dtype=np.int64))
+        with pytest.raises(InvalidAtom) as got:
+            MeasurableSet.from_slices(
+                space, np.concatenate(slices).astype(np.int64), [len(c) for c in slices])
+        assert str(got.value) == str(want.value)
+
+    def test_descent_between_slices_is_allowed(self):
+        sets = MeasurableSet.from_slices(MeasureSpace.uniform(4), [2, 3, 0, 1], [2, 0, 2])
+        assert [m.indices.tolist() for m in sets] == [[2, 3], [], [0, 1]]
+
+    @pytest.mark.parametrize("counts", [[1, 1], [2, 2], [3, -1]])
+    def test_counts_must_cover_the_indices(self, counts):
+        with pytest.raises(InvalidAtom):
+            MeasurableSet.from_slices(MeasureSpace.uniform(4), [0, 1, 2], counts)
+
+
 class TestExactRange:
     def test_from_weights_rejects_total_at_limit(self):
         with pytest.raises(NonDyadic):
@@ -353,7 +398,7 @@ class TestExactRange:
 
     def test_largest_accepted_space_is_exact(self):
         space = MeasureSpace.from_weights([2**61 - 1, 2**61 - 1])
-        assert SignVector.from_values(space, [1, 1]).integral() == 2**62 - 2
+        assert SignVector.from_values(space, [1, 1]).integral_numerator() == 2**62 - 2
         assert SignVector.from_values(space, [1, -1]).mean_zero
 
     @pytest.mark.parametrize("parts", [2, 2**8])

@@ -800,3 +800,16 @@ class TestNetCover:
         net = net_cover(pts, 0.5, sup_norm(dim=2))
         seen = sorted(i for grp in net.groups().values() for i in grp)
         assert seen == list(range(30))
+
+    @pytest.mark.parametrize("radius", [np.nan, np.inf, -np.inf, 0.0, -1.0, True])
+    def test_bad_radius_rejected(self, radius):
+        # a NaN radius used to make every point its own center
+        pts = np.array([[0.0], [0.1], [0.2]])
+        with pytest.raises(ValueError, match="radius"):
+            net_cover(pts, radius, sup_norm(dim=1))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_points_rejected(self, bad):
+        pts = np.array([[0.0, 0.0], [bad, 0.0]])
+        with pytest.raises(ValueError, match="finite"):
+            net_cover(pts, 0.5, sup_norm(dim=2))

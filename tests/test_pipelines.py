@@ -3,10 +3,11 @@ reports, and independent re-validation of every constructed sign."""
 
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from narrowops import (
@@ -14,6 +15,7 @@ from narrowops import (
     AtomTooLarge,
     DiscreteOperator,
     MeasureSpace,
+    NarrowOpsError,
     NotLocallyConvex,
     NoTruncationSmallEnough,
     PipelineParams,
@@ -36,8 +38,10 @@ from narrowops import (
     sum_finite_rank,
     sup_norm,
 )
+from narrowops import pipelines
 from narrowops.instances import build_l1_example, l1_example_tail_bound
 from narrowops.linalg import rank_factorization
+from narrowops.narrowness import exhaustive_cell_signs
 from narrowops.operators import RefinementContext
 from narrowops.pipelines import _TOL, _certify, _knapsack_fractional
 from revalidation import revalidate
@@ -316,6 +320,44 @@ class TestSumFiniteRank:
             revalidate(ref, t1, t2, 0.1, 0.1)
         assert seen == {"over the exhaustive limit", "rejected by the exhaustive pass",
                         "kernel pairing"}
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), n=st.integers(3, 24), rank=st.integers(1, 3),
+           seed=st.integers(0, 2**16))
+    def test_cell_ranks_follow_the_exact_measures(self, data, n, rank, seed):
+        # unequal dyadic weights from three sizes, so cell measures often tie
+        weights = data.draw(st.lists(
+            st.sampled_from([Fraction(1, 8), Fraction(1, 16), Fraction(1, 32)]),
+            min_size=n, max_size=n))
+        space = MeasureSpace.from_weights(weights)
+        t1 = random_narrow_operator(seed, None, 3, 0.5, space=space)
+        t2 = random_finite_rank(seed + 1, rank, None, 4, scale=1e-3, space=space)
+        seen = {}
+
+        def record_partition(*args):
+            seen["partition"] = partition_small_cells(*args)
+            return seen["partition"]
+
+        def record_cells(T, cell):
+            seen["cell"] = cell.copy()
+            return exhaustive_cell_signs(T, cell)
+
+        with mock.patch.object(pipelines, "partition_small_cells",
+                               side_effect=record_partition), \
+                mock.patch.object(pipelines, "exhaustive_cell_signs",
+                                  side_effect=record_cells):
+            try:
+                sum_finite_rank(t1, t2, 0.1, 0.1)
+            except NarrowOpsError:
+                pass
+        cells = seen["partition"].cells
+        # the labels are read before any split of every atom
+        assume(len(cells) <= 32)
+        order = sorted(range(len(cells)), key=lambda k: (-cells[k].measure, k))
+        want = np.empty(cells[0].space.n_atoms, dtype=np.int64)
+        for rank_k, k in enumerate(order):
+            want[cells[k].indices] = rank_k
+        assert seen["cell"].tolist() == want.tolist()
 
     def test_rank_zero(self):
         t1 = random_narrow_operator(3, 16, 3, 0.5)

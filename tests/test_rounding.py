@@ -175,17 +175,21 @@ class TestSignRound:
 
 
 def _reference_round_half_integer(instance):
-    """The elimination loop with one SVD null vector per step, on the first
-    d+1 floating coordinates, its sign fixed so that u[-1] > 0.  Returns
-    (theta, elimination_steps)."""
+    """The elimination loop with one SVD null vector per step, its sign
+    fixed so that u[-1] > 0.  A step acts on the first d floating
+    coordinates whose vectors are nonzero, then the first other floating
+    coordinate; without zero rows these are the first d+1 floating
+    coordinates.  Returns (theta, elimination_steps)."""
     x = instance.vectors
     lam = np.array(instance.coefficients, dtype=float, copy=True)
     d = instance.dim
+    nonzero = x.any(axis=1)
     _snap(lam)
     steps = 0
     floating = np.flatnonzero((lam > 0.0) & (lam < 1.0))
     while floating.size > d:
-        act = floating[: d + 1]
+        basis = floating[nonzero[floating]][:d]
+        act = np.append(basis, np.setdiff1d(floating, basis)[0])
         u = null_vector(x[act].T)
         if u[-1] < 0:
             u = -u
@@ -209,22 +213,42 @@ def _check_step_invariants(vectors, coefficients, norm):
     """Round, checking that every step moves at most d+1 coordinates and
     sets at least one of them to 0 or 1.
 
-    Each step snaps exactly the coordinates it moved, after one initial
-    snap of all n coefficients.
+    A step of the first kind snaps exactly the coordinates it moved, after
+    one initial snap of all n coefficients.  Every other step moves only
+    the coefficient of a zero row, to exactly 1.  Those are found by a
+    second run with each fractional zero-row coefficient lowered to 1/4:
+    the walk's steps do not depend on those values, so the run takes the
+    same steps, and the zero rows it rounds to 1 are the ones it moved.
     """
     n, d = vectors.shape
-    moved = []
 
-    def record(lam):
-        _snap(lam)
-        moved.append((lam.size, np.count_nonzero((lam == 0.0) | (lam == 1.0))))
+    def walk(lam):
+        moved = []
 
-    with mock.patch("narrowops.rounding._snap", side_effect=record):
-        res = round_half_integer(RoundingInstance(
-            vectors=vectors, coefficients=coefficients, norm=norm))
+        def record(la):
+            _snap(la)
+            moved.append((la.size, np.count_nonzero((la == 0.0) | (la == 1.0))))
+
+        with mock.patch("narrowops.rounding._snap", side_effect=record):
+            res = round_half_integer(RoundingInstance(
+                vectors=vectors, coefficients=lam, norm=norm))
+        return res, moved
+
+    res, moved = walk(coefficients)
     assert moved[0][0] == n
-    assert len(moved) == 1 + res.elimination_steps
     assert all(1 <= size <= d + 1 and fixed >= 1 for size, fixed in moved[1:])
+
+    snapped = np.array(coefficients, dtype=float)
+    _snap(snapped)
+    zero_floating = ~vectors.any(axis=1) & (snapped > 0.0) & (snapped < 1.0)
+    lowered, lowered_moved = walk(np.where(zero_floating, 0.25, coefficients))
+    assert lowered_moved == moved
+    assert lowered.elimination_steps == res.elimination_steps
+    assert lowered.theta[~zero_floating].tolist() == res.theta[~zero_floating].tolist()
+    stepped = zero_floating & (lowered.theta == 1)
+    assert (res.theta[stepped] == 1).all()
+    assert len(moved) - 1 + np.count_nonzero(stepped) == res.elimination_steps
+
     assert res.elimination_steps <= max(n - d, 0)
     assert res.discrepancy <= res.certificate + 1e-9 * max(1.0, res.certificate)
     return res
@@ -304,6 +328,30 @@ class TestEliminationStep:
             assert not spy.called
             assert res.elimination_steps == steps
             assert res.theta.tolist() == theta.tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(1, 64),
+        d=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        half=st.booleans(),
+        norm=st.sampled_from(sorted(_NORMS)),
+    )
+    def test_zero_rows_match_the_reference_walk(self, data, n, d, seed, half, norm):
+        # a generic instance with 1..n of its rows exactly zero, some -0.0
+        zeros = data.draw(st.integers(1, n))
+        rng = np.random.default_rng(seed)
+        vectors = rng.standard_normal((n, d))
+        rows = rng.permutation(n)[:zeros]
+        vectors[rows] = rng.choice([0.0, -0.0], (zeros, 1))
+        coefficients = np.full(n, 0.5) if half else rng.uniform(0, 1, n)
+        instance = RoundingInstance(
+            vectors=vectors, coefficients=coefficients, norm=_NORMS[norm](d))
+        theta, steps = _reference_round_half_integer(instance)
+        res = round_half_integer(instance)
+        assert res.elimination_steps == steps
+        assert res.theta.tolist() == theta.tolist()
 
 
 def _degenerate_instance(kind, rng):
