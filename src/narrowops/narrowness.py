@@ -50,11 +50,14 @@ def check_budgets(**budgets: float) -> None:
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 
-def check_integers(**values) -> None:
-    """Raise ValueError unless every named value is an integer (not a bool)."""
+def check_integers(minimum: int | None = None, /, **values) -> None:
+    """Raise ValueError unless every named value is an integer (not a bool),
+    and at least `minimum` when one is given."""
     for name, value in values.items():
         if isinstance(value, bool) or not isinstance(value, numbers.Integral):
             raise ValueError(f"{name} must be an integer, got {value!r}")
+        if minimum is not None and value < minimum:
+            raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,6 +138,16 @@ def partition_small_cells(T: DiscreteOperator, epsilon: float) -> Partition:
     per-cell certificate is the exact row-absolute-sum value; otherwise the
     column norm sum upper bound is used.
 
+    Atoms are placed by runs: stretches of consecutive atoms in that order
+    whose contribution rows are bitwise equal, as a refinement's children
+    are.  A run of one atom tries every open cell in one numpy reduction.
+    A longer run goes to `_place_run`, which places all its copies with a
+    few vectorized passes and gives the same cells and bit-identical sums:
+    a cell that rejects a copy keeps its sum, so it rejects the rest of the
+    run and the copies fill the cells in index order, and every cell's sum
+    is the same chain of float additions, one copy at a time, as placing
+    the atoms one by one.
+
     The cells are built in one pass: each is a slice of one stable argsort
     of the atoms by cell (`MeasurableSet.from_slices`), so the slices'
     order within each cell and their index range are checked once over the
@@ -150,21 +163,35 @@ def partition_small_cells(T: DiscreteOperator, epsilon: float) -> Partition:
         raise AtomTooLarge(worst, float(bounds[worst]), epsilon)
 
     is_sup = T.target.kind == "sup"
-    # one contribution row per atom: weighted |column| (sup), else its bound
+    # one contribution row per atom, in first-fit order: weighted |column|
+    # (sup), else its bound; every row's largest entry is its atom's bound
     contrib = (
         (T.target.weights[:, None] * np.abs(T.matrix)).T if is_sup else bounds[:, None]
     )
-    # row k accumulates cell k's contributions in the order the atoms join it
-    accs = np.zeros_like(contrib)
-    cell_of = np.empty(n, dtype=np.int64)
+    rows = np.ascontiguousarray(contrib[order])
+    bits = rows.view(np.int64)
+    starts = np.flatnonzero(np.r_[True, (bits[1:] != bits[:-1]).any(axis=1)])
+    # row k accumulates cell k's contributions in the order the atoms join
+    # it; column-major, so each reduction over a cell's row runs across the
+    # few columns, and `accs.T` gives `_place_run` one column per cell
+    accs = np.zeros(rows.shape, order="F")
+    # the cell of the atom at each position of `order`
+    placed = np.empty(n, dtype=np.int64)
     n_cells = 0
-    for i in order.tolist():
-        c = contrib[i]
-        fits = (accs[:n_cells] + c).max(axis=1) <= epsilon
-        k = int(fits.argmax()) if fits.any() else n_cells
+    for lo, hi in zip(starts.tolist(), starts[1:].tolist() + [n]):
+        c = rows[lo]
+        if hi - lo == 1:
+            fits = (accs[:n_cells] + c).max(axis=1) <= epsilon
+            k = int(fits.argmax()) if fits.any() else n_cells
+            accs[k] += c
+            placed[lo] = k
+        else:
+            placed[lo:hi] = _place_run(accs.T[:, :n_cells + hi - lo], c,
+                                        hi - lo, epsilon)
+            k = int(placed[hi - 1])
         n_cells = max(n_cells, k + 1)
-        accs[k] += c
-        cell_of[i] = k
+    cell_of = np.empty(n, dtype=np.int64)
+    cell_of[order] = placed
 
     # stable, so each cell's slice lists its atoms in increasing index order
     members = np.argsort(cell_of, kind="stable")
@@ -174,6 +201,53 @@ def partition_small_cells(T: DiscreteOperator, epsilon: float) -> Partition:
         exact=[is_sup] * n_cells,
         epsilon=epsilon,
     )
+
+
+def _place_run(
+    sums: np.ndarray, c: np.ndarray, count: int, epsilon: float
+) -> np.ndarray:
+    """First-fit placement of `count` copies of the contribution row `c`
+    into the columns of `sums`, one per cell: the open cells, then zero
+    columns for the cells the run may open.  Adds the copies in place and
+    returns each copy's cell, in order.
+
+    Each pass adds `c` once more to every cell still taking copies, so a
+    column is always the chain of additions that placing the copies one by
+    one makes; a zero column takes its first copy, as `c` is within
+    epsilon.  A cell stops at its first rejection, once `cur + c == cur`
+    (it would take every copy left), or once it and the cells before it
+    could hold the whole run; the passes skip the cells after the first
+    such cell.
+    """
+    col = c[:, None]
+    cur = sums.copy()
+    m = cur.shape[1]
+    done = np.zeros(m, dtype=np.int64)  # copies added into `cur`
+    absorbs = np.zeros(m, dtype=bool)
+    live = np.ones(m, dtype=bool)
+    hi = m
+    while live[:hi].any():
+        trial = cur[:, :hi] + col
+        fit = live[:hi] & (trial.max(axis=0) <= epsilon)
+        same = fit & (trial == cur[:, :hi]).all(axis=0)
+        np.copyto(cur[:, :hi], trial, where=fit)
+        done[:hi] += fit
+        absorbs[:hi] |= same
+        live[:hi] = fit & ~same
+        cap = np.where(absorbs[:hi], count, done[:hi])
+        hi = int(np.searchsorted(np.cumsum(cap), count))
+    # first fit: each cell takes what it can of what the cells before it left
+    cap = np.where(absorbs, count, done)
+    take = np.clip(count - (np.cumsum(cap) - cap), 0, cap)
+    # `cur` holds each such cell's column after its copies
+    ready = take >= done
+    np.copyto(sums, cur, where=ready)
+    # at most one cell, where the run runs out, took more copies in `cur`
+    # than it keeps: add its copies again, one at a time
+    for k in np.flatnonzero(~ready & (take > 0)).tolist():
+        for _ in range(int(take[k])):
+            sums[:, k] += c
+    return np.repeat(np.arange(m), take)
 
 
 @dataclass(frozen=True, eq=False)
@@ -326,6 +400,7 @@ def find_small_sign(
     if strategy not in ("auto", "exhaustive", "rademacher_scan", "kernel_pairing"):
         raise ValueError(f"unknown strategy {strategy!r}")
     check_budgets(epsilon=epsilon)
+    check_integers(1, refine_budget=refine_budget)
     if mset.is_empty:
         raise NoSignFound("the empty set supports no sign")
 
@@ -518,8 +593,7 @@ def adversarial_disjoint_signs(
     remainder themselves form a certified partition at epsilon.
     """
     check_budgets(epsilon=epsilon)
-    if count < 1:
-        raise ValueError("count must be >= 1")
+    check_integers(1, count=count, refine_budget=refine_budget)
     ctx = RefinementContext(T.space, {"t": T})
     if not assume_partition_fails:
         try:

@@ -379,6 +379,8 @@ def sum_finite_rank(
     precedence over `StageFailed` for a cell's coefficient norm.
     """
     check_budgets(sigma=sigma, epsilon=epsilon)
+    check_integers(0, rank_limit=rank_limit)
+    check_integers(1, refine_budget=refine_budget)
     _require_same_space(T1, T2)
     # decide the rank in the target's norm: each row scaled as the norm
     # weighs it (w for sup, w^(1/p) for lp), so tiny entries under large
@@ -495,16 +497,19 @@ def sum_finite_rank(
                            {"t1": sigma, "t2": epsilon}, 0,
                            {"t2": max(1.0, t2_max * ctx.space.n_atoms)})
 
+    columns = zip(sizes, t1_budgets, t1_norms.tolist(), coeff_norms.tolist(),
+                  cert_bounds, strategies, theta_signs.tolist())
     stages = [{
         "cell": rank_k + 1,
-        "size": sizes[rank_k],
-        "t1_budget": t1_budgets[rank_k],
-        "t1_norm": float(t1_norms[rank_k]),
-        "coeff_norm": float(coeff_norms[rank_k]),
-        "cert_bound": cert_bounds[rank_k],
-        "strategy": strategies[rank_k],
-        "theta": int(theta_signs[rank_k]),
-    } for rank_k in range(n_cells)]
+        "size": size,
+        "t1_budget": t1_budget,
+        "t1_norm": t1_norm,
+        "coeff_norm": coeff_norm,
+        "cert_bound": cert_bound,
+        "strategy": strategy,
+        "theta": theta,
+    } for rank_k, (size, t1_budget, t1_norm, coeff_norm, cert_bound, strategy, theta)
+        in enumerate(columns)]
     return PipelineReport(
         pipeline="sum_finite_rank",
         sign=x,
@@ -641,6 +646,8 @@ def sum_compact_via_truncation(
     operator.
     """
     check_budgets(sigma=sigma, epsilon=epsilon)
+    check_integers(0, rank_limit=rank_limit)
+    check_integers(1, refine_budget=refine_budget)
     _require_same_space(T1, T2)
     level = None
     for n in range(1, T2.target_dim + 1):

@@ -128,6 +128,13 @@ class TestFindSmallSign:
         with pytest.raises(ValueError):
             partition_small_cells(T, epsilon)
 
+    @pytest.mark.parametrize("value", [np.nan, 1.5, True, -1])
+    def test_bad_refine_budget_rejected(self, value):
+        T = DiscreteOperator(np.array([[1.0, 0.0, 0.0, 0.0]]), MeasureSpace.uniform(4),
+                             sup_norm(dim=1))
+        with pytest.raises(ValueError, match="refine_budget"):
+            find_small_sign(T, T.space.full_set(), 0.5, refine_budget=value)
+
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), log_atoms=st.integers(1, 4))
     def test_kernel_pairing_matches_loop(self, data, log_atoms):
@@ -414,6 +421,21 @@ def _oracle_partition(T, epsilon):
             [float(np.max(a)) for a in accs], [is_sup] * len(cells))
 
 
+def _assert_partition_matches_loop(T, epsilon):
+    try:
+        expected = _oracle_partition(T, epsilon)
+    except AtomTooLarge as exc:
+        with pytest.raises(AtomTooLarge) as got:
+            partition_small_cells(T, epsilon)
+        assert got.value.atom == exc.atom
+        return
+    part = partition_small_cells(T, epsilon)
+    assert [tuple(c.indices.tolist()) for c in part.cells] == expected[0]
+    # bit for bit: the same chain of float additions
+    assert np.array(part.bounds).tobytes() == np.array(expected[1]).tobytes()
+    assert part.exact == expected[2]
+
+
 class TestPartition:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), n=st.integers(1, 24), dim=st.integers(1, 3),
@@ -435,18 +457,67 @@ class TestPartition:
                   "l2": lp_norm(2, weights=weights)}[kind]
         space = MeasureSpace.from_weights([Fraction(1, 32)] * n)
         T = DiscreteOperator(np.array([pool[c] for c in picks]).T, space, target)
-        epsilon = factor * max(float(T.column_norms().max()), 0.25)
-        try:
-            expected = _oracle_partition(T, epsilon)
-        except AtomTooLarge as exc:
-            with pytest.raises(AtomTooLarge) as got:
-                partition_small_cells(T, epsilon)
-            assert got.value.atom == exc.atom
-            return
-        part = partition_small_cells(T, epsilon)
-        assert [tuple(c.indices.tolist()) for c in part.cells] == expected[0]
-        assert part.bounds == expected[1]
-        assert part.exact == expected[2]
+        _assert_partition_matches_loop(
+            T, factor * max(float(T.column_norms().max()), 0.25))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), dim=st.integers(1, 3),
+           kind=st.sampled_from(["sup", "l1", "l2"]),
+           factor=st.sampled_from([1.0, 1.5, 2.0, 8.0]))
+    def test_runs_match_loop(self, data, dim, kind, factor):
+        # sibling-style runs: each column repeated 1-64 times in a row, up to
+        # 256 atoms; dyadic entries down to 2^-7 make columns of epsilon/2^k
+        # when epsilon is a power of two, so one cell takes many copies
+        entries = st.sampled_from([0.0, 0.1, 0.25, -0.25, 0.3, 0.5, -1.0,
+                                   2.0**-5, -2.0**-7])
+        column = st.lists(entries, min_size=dim, max_size=dim)
+        runs = data.draw(st.lists(st.tuples(column, st.integers(1, 64)),
+                                  min_size=1, max_size=12))
+        cols = [col for col, count in runs for _ in range(count)][:256]
+        weights = data.draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]),
+                                     min_size=dim, max_size=dim))
+        target = {"sup": sup_norm(weights=weights),
+                  "l1": lp_norm(1, weights=weights),
+                  "l2": lp_norm(2, weights=weights)}[kind]
+        space = MeasureSpace.from_weights([Fraction(1, 256)] * len(cols))
+        T = DiscreteOperator(np.array(cols).T, space, target)
+        _assert_partition_matches_loop(
+            T, factor * max(float(T.column_norms().max()), 0.25))
+
+    @pytest.mark.parametrize("runs,epsilon", [
+        # epsilon/2^6 columns: an open cell takes what fits, then a new cell
+        # takes 64 copies
+        ([((0.5, 0.25), 3), ((2.0**-6, 0.0), 100)], 1.0),
+        # the 0.3 run fills open cell 0, then opens cells of 3 copies each,
+        # the last of them partly filled
+        ([((0.6,), 1), ((0.3,), 5)], 1.0),
+        # the 0.1 run fills open cell 0 and runs out inside open cell 1
+        ([((0.6,), 3), ((0.1,), 6)], 1.0),
+        # zero columns after full cells all join the first cell
+        ([((1.0, 0.0), 4), ((0.0, 0.0), 9)], 1.0),
+        # the all-zero operator: one cell
+        ([((0.0, 0.0), 128)], 0.5),
+    ], ids=["eps-over-2^k", "open-then-new", "split-in-open-cell", "zero-run",
+            "all-zero"])
+    @pytest.mark.parametrize("kind", ["sup", "l1", "l2"])
+    def test_run_cases_match_loop(self, runs, epsilon, kind):
+        cols = [col for col, count in runs for _ in range(count)]
+        dim = len(cols[0])
+        target = {"sup": sup_norm(dim=dim), "l1": lp_norm(1, dim=dim),
+                  "l2": lp_norm(2, dim=dim)}[kind]
+        space = MeasureSpace.from_weights([Fraction(1, 256)] * len(cols))
+        _assert_partition_matches_loop(
+            DiscreteOperator(np.array(cols).T, space, target), epsilon)
+
+    def test_run_sums_add_one_copy_at_a_time(self):
+        # ten additions of 0.1 give 0.9999999999999999, so a cell takes ten
+        # copies; 10 * 0.1 == 1.0 would give the same count but other bounds
+        space = MeasureSpace.from_weights([Fraction(1, 32)] * 23)
+        T = DiscreteOperator(np.full((1, 23), 0.1), space, sup_norm(dim=1))
+        part = partition_small_cells(T, 1.0)
+        assert [c.size for c in part.cells] == [10, 10, 3]
+        assert part.bounds == [0.9999999999999999, 0.9999999999999999,
+                               0.30000000000000004]
 
     def test_zero_operator_single_cell(self):
         space = MeasureSpace.uniform(8)
@@ -540,6 +611,17 @@ class TestAdversarial:
                              MeasureSpace.uniform(4), sup_norm(dim=1))
         with pytest.raises(ValueError):
             adversarial_disjoint_signs(T, epsilon, 3, assume_partition_fails=True)
+
+    @pytest.mark.parametrize("name", ["count", "refine_budget"])
+    @pytest.mark.parametrize("value", [np.nan, 1.5, True, -1])
+    def test_bad_integer_params_rejected(self, name, value):
+        # count=2.5 used to return three signs
+        T = DiscreteOperator(np.array([[1.0, 0.5, 0.25, 0.125]]),
+                             MeasureSpace.uniform(4), sup_norm(dim=1))
+        args = {"count": 2, "refine_budget": 64, name: value}
+        with pytest.raises(ValueError, match=name):
+            adversarial_disjoint_signs(T, 0.5, args["count"], args["refine_budget"],
+                                       assume_partition_fails=True)
 
     def test_dichotomy_random(self):
         rng = np.random.default_rng(0)

@@ -197,6 +197,19 @@ class TestBudgets:
         with pytest.raises(ValueError):
             sum_compact_via_truncation(t1, t2, sigma, epsilon, l1_example_tail_bound(4))
 
+    @pytest.mark.parametrize("name", ["rank_limit", "refine_budget"])
+    @pytest.mark.parametrize("value", [np.nan, 1.5, True, -1])
+    def test_sum_pipelines_reject_bad_integer_params(self, name, value):
+        # rank_limit=nan used to skip RankTooLarge, and refine_budget=nan to
+        # turn the refinement budget off
+        t2 = build_l1_example(6)
+        t1 = random_narrow_operator(1, None, 3, 0.5, space=t2.space)
+        with pytest.raises(ValueError, match=name):
+            sum_finite_rank(t1, t2, 0.1, 0.125, **{name: value})
+        with pytest.raises(ValueError, match=name):
+            sum_compact_via_truncation(t1, t2, 0.1, 0.125, l1_example_tail_bound(6),
+                                       **{name: value})
+
     @pytest.mark.parametrize("gamma", [0.1, 0.2])
     def test_pairing_needs_gamma_below_epsilon(self, gamma):
         t2 = build_l1_example(4)
