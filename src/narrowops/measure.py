@@ -187,10 +187,6 @@ class MeasureSpace:
     def total(self) -> Fraction:
         return Fraction(int(self.numerators.sum()), 2**self.denom_log2)
 
-    def weight(self, atom: int) -> Fraction:
-        self._check_atom(atom)
-        return Fraction(int(self.numerators[atom]), 2**self.denom_log2)
-
     def weights_float(self) -> np.ndarray:
         return self.numerators / 2.0**self.denom_log2
 
@@ -200,18 +196,13 @@ class MeasureSpace:
     def subset(self, indices: Iterable[int] | np.ndarray) -> "MeasurableSet":
         return MeasurableSet(space=self, indices=np.unique(_as_indices(indices)))
 
-    def _check_atom(self, atom: int) -> None:
-        if not 0 <= atom < self.n_atoms:
-            raise InvalidAtom(f"atom {atom} out of range [0, {self.n_atoms})")
-
     def refine_atoms(
         self, atoms: Iterable[int] | np.ndarray, parts: int
     ) -> tuple["MeasureSpace", RefineMap]:
         """Split each listed atom into `parts` equal children in one pass."""
         marked = np.unique(_as_indices(atoms))
-        if marked.size:
-            self._check_atom(int(marked[0]))
-            self._check_atom(int(marked[-1]))
+        if marked.size and (marked[0] < 0 or marked[-1] >= self.n_atoms):
+            raise InvalidAtom(f"atom index out of range [0, {self.n_atoms})")
         if parts < 2:
             raise InvalidAtom("parts must be >= 2")
         if not _is_power_of_two(parts):
@@ -291,33 +282,6 @@ class MeasurableSet:
 
     def lift(self, rmap: RefineMap, space: MeasureSpace) -> "MeasurableSet":
         return MeasurableSet(space=space, indices=rmap.map_indices(self.indices))
-
-    @staticmethod
-    def from_slices(space: MeasureSpace, indices, counts) -> list["MeasurableSet"]:
-        """The consecutive slices of `indices`, ``counts[k]`` atoms for set
-        k, as sets that are views of one read-only int64 copy.  Each slice
-        must pass the constructor's checks and fails them with the same
-        InvalidAtom, but the checks run once over the whole array."""
-        idx = _as_indices(indices)
-        counts = np.asarray(counts, dtype=np.int64)
-        if (counts < 0).any() or counts.sum() != idx.size:
-            raise InvalidAtom("slice lengths must be >= 0 and add up to the index count")
-        ends = np.cumsum(counts)
-        # the step from one slice's last index to the next slice's first
-        # may go down
-        ordered = np.diff(idx) > 0
-        ordered[ends[(ends > 0) & (ends < idx.size)] - 1] = True
-        if not ordered.all():
-            raise InvalidAtom("indices must be sorted and duplicate-free")
-        if idx.size and (idx.min() < 0 or idx.max() >= space.n_atoms):
-            raise InvalidAtom("index out of range for the space")
-        _read_only(idx)
-        sets = []
-        for start, end in zip((ends - counts).tolist(), ends.tolist()):
-            mset = object.__new__(MeasurableSet)
-            vars(mset).update(space=space, indices=idx[start:end])
-            sets.append(mset)
-        return sets
 
 
 @dataclass(frozen=True, eq=False)

@@ -12,18 +12,28 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import (
     AtomTooLarge,
+    InvalidAtom,
     NoFeasibleSign,
     NoSignFound,
     RefinementBudgetExceeded,
     SetTooLarge,
     UnequalWeights,
 )
-from .measure import MeasurableSet, RefineMap, SignVector, rademacher_signs
+from .measure import (
+    MeasurableSet,
+    MeasureSpace,
+    RefineMap,
+    SignVector,
+    _as_indices,
+    _read_only,
+    rademacher_signs,
+)
 from .norms import TargetNorm, fnorm, fnorm_many
 from .operators import (
     DiscreteOperator,
@@ -101,29 +111,54 @@ def net_cover(points, radius: float, norm: TargetNorm) -> NetCover:
     return NetCover(centers=list(centers[:n_centers]), assignments=assignments)
 
 
+def cell_segments(cell: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The atoms listed by cell, in increasing index order within each cell
+    (one stable argsort of the labels `cell`), each cell's size, and where
+    each cell's atoms start in that list."""
+    members = np.argsort(cell, kind="stable")
+    sizes = np.bincount(cell)
+    return members, sizes, np.cumsum(sizes) - sizes
+
+
 @dataclass(frozen=True, eq=False)
 class Partition:
-    """Disjoint cells covering all atoms, each with a certified sign bound."""
+    """Disjoint cells covering all atoms of `space`, each with a certified
+    sign bound.
 
-    cells: list[MeasurableSet]
+    ``cell`` is a read-only int64 array labelling each atom with its cell;
+    the labels are exactly 0..n_cells-1, each one used, where n_cells is
+    the number of bounds.
+    """
+
+    space: MeasureSpace
+    cell: np.ndarray
     bounds: list[float]
     exact: list[bool]
     epsilon: float
 
+    def __post_init__(self):
+        cell = _as_indices(self.cell)
+        if cell.size != self.space.n_atoms:
+            raise InvalidAtom("a partition needs one cell label per atom")
+        if not np.array_equal(np.unique(cell), np.arange(self.n_cells)):
+            raise InvalidAtom(f"cell labels must be 0..{self.n_cells - 1}, each one used")
+        object.__setattr__(self, "cell", _read_only(cell))
+
     @property
     def n_cells(self) -> int:
-        return len(self.cells)
+        return len(self.bounds)
 
-    def validate_cover(self) -> bool:
-        n = self.cells[0].space.n_atoms if self.cells else 0
-        idx = np.concatenate([c.indices for c in self.cells] or [np.zeros(0, np.int64)])
-        return np.array_equal(np.sort(idx), np.arange(n))
+    @cached_property
+    def cells(self) -> list[MeasurableSet]:
+        members, sizes, starts = cell_segments(self.cell)
+        return [MeasurableSet(space=self.space, indices=members[lo:lo + size])
+                for lo, size in zip(starts.tolist(), sizes.tolist())]
 
     def summary(self) -> dict:
         return {
             "n_cells": self.n_cells,
             "epsilon": self.epsilon,
-            "cell_sizes": [c.size for c in self.cells],
+            "cell_sizes": np.bincount(self.cell).tolist(),
             "bounds": list(self.bounds),
             "exact": list(self.exact),
         }
@@ -147,11 +182,6 @@ def partition_small_cells(T: DiscreteOperator, epsilon: float) -> Partition:
     run and the copies fill the cells in index order, and every cell's sum
     is the same chain of float additions, one copy at a time, as placing
     the atoms one by one.
-
-    The cells are built in one pass: each is a slice of one stable argsort
-    of the atoms by cell (`MeasurableSet.from_slices`), so the slices'
-    order within each cell and their index range are checked once over the
-    whole array, not once per cell.
     """
     check_budgets(epsilon=epsilon)
     # single-atom max sign-image bounds, exact for every norm kind
@@ -192,11 +222,9 @@ def partition_small_cells(T: DiscreteOperator, epsilon: float) -> Partition:
         n_cells = max(n_cells, k + 1)
     cell_of = np.empty(n, dtype=np.int64)
     cell_of[order] = placed
-
-    # stable, so each cell's slice lists its atoms in increasing index order
-    members = np.argsort(cell_of, kind="stable")
     return Partition(
-        cells=MeasurableSet.from_slices(T.space, members, np.bincount(cell_of)),
+        space=T.space,
+        cell=cell_of,
         bounds=accs[:n_cells].max(axis=1).tolist(),
         exact=[is_sup] * n_cells,
         epsilon=epsilon,
@@ -279,14 +307,13 @@ def _kernel_pairing(
     cols = np.ascontiguousarray(T.matrix[:, idx].T).view(np.int64)
     keys = np.column_stack([cols, T.space.numerators[idx]])
     _, group = np.unique(keys, axis=0, return_inverse=True)
-    group = group.ravel()
-    if (np.bincount(group) % 2).any():
+    members, sizes, _ = cell_segments(group.ravel())
+    if (sizes % 2).any():
         return None
     # members of each group in index order; every group has even size, so
     # alternating +1/-1 over the concatenation pairs consecutive members
-    order = np.argsort(group, kind="stable")
     values = np.zeros(T.space.n_atoms, dtype=np.int8)
-    values[idx[order]] = 1 - 2 * (np.arange(idx.size) % 2)
+    values[idx[members]] = 1 - 2 * (np.arange(idx.size) % 2)
     return SignVector(space=T.space, values=values)
 
 
@@ -369,9 +396,7 @@ def exhaustive_cell_signs(
     over the atoms (0 on the other cells) and each cell's optimum (inf for
     a cell without one).
     """
-    sizes = np.bincount(cell)
-    members = np.argsort(cell, kind="stable")
-    starts = np.cumsum(sizes) - sizes
+    members, sizes, starts = cell_segments(cell)
     signs = np.zeros(T.space.n_atoms, dtype=np.int8)
     values = np.full(sizes.size, np.inf)
     for s in np.unique(sizes[sizes <= _EXHAUSTIVE_SEARCH_LIMIT]).tolist():
@@ -629,18 +654,16 @@ def adversarial_disjoint_signs(
                 [np.delete(ctx.arrays["signs"], k, axis=0), pieces])
             break
         else:
-            # stuck: supports plus remainder certify the partition
-            cells = [MeasurableSet(space=ctx.space, indices=np.flatnonzero(row))
-                     for row in signs]
-            if remainder.size:
-                cells.append(MeasurableSet(space=ctx.space, indices=remainder))
-            bounds = []
-            exact = []
-            for cell in cells:
-                b, ex = max_sign_image_norm(t, cell)
-                bounds.append(b)
-                exact.append(ex)
-            part = Partition(cells=cells, bounds=bounds, exact=exact, epsilon=epsilon)
+            # stuck: the supports, as cells 0..len(signs)-1, plus the
+            # remainder, as the last cell, certify the partition
+            cell = np.full(t.space.n_atoms, len(signs))
+            rows, atoms = np.nonzero(signs)
+            cell[atoms] = rows
+            bounds, exact = zip(*(
+                max_sign_image_norm(t, t.space.subset(np.flatnonzero(cell == k)))
+                for k in range(len(signs) + bool(remainder.size))))
+            part = Partition(space=t.space, cell=cell, bounds=list(bounds),
+                             exact=list(exact), epsilon=epsilon)
             break
     return AdversarialOutcome(
         signs=[SignVector(space=ctx.space, values=row) for row in ctx.arrays["signs"]],

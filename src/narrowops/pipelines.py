@@ -38,6 +38,7 @@ from .measure import (
 )
 from .narrowness import (
     DEFAULT_REFINE_BUDGET,
+    cell_segments,
     check_budgets,
     check_integers,
     exhaustive_cell_signs,
@@ -70,9 +71,10 @@ class PipelineParams:
     def __post_init__(self):
         check_budgets(sigma=self.sigma, epsilon=self.epsilon,
                       gamma=self.gamma, delta=self.delta)
-        check_integers(seed=self.seed, max_adaptive_rounds=self.max_adaptive_rounds,
-                       refine_budget=self.refine_budget,
-                       sample_budget=self.sample_budget,
+        check_integers(seed=self.seed)
+        check_integers(1, max_adaptive_rounds=self.max_adaptive_rounds,
+                       refine_budget=self.refine_budget)
+        check_integers(0, sample_budget=self.sample_budget,
                        functional_cap=self.functional_cap)
 
 
@@ -436,17 +438,13 @@ def sum_finite_rank(
     # rank the cells by decreasing measure, ties by index (a stable sort),
     # comparing exact int64 numerator sums over the atoms listed by cell
     n_cells = partition.n_cells
-    cell_sizes = np.array([c.size for c in partition.cells])
-    by_cell = np.concatenate([c.indices for c in partition.cells])
-    measures = np.add.reduceat(ctx.space.numerators[by_cell],
-                               np.cumsum(cell_sizes) - cell_sizes)
+    members, _, starts = cell_segments(partition.cell)
+    measures = np.add.reduceat(ctx.space.numerators[members], starts)
     order = np.argsort(-measures, kind="stable")
     rank = np.empty(n_cells, dtype=np.int64)
     rank[order] = np.arange(n_cells)
-    # cell[i] is the measure-order rank of atom i's cell
-    cell = np.empty(ctx.space.n_atoms, dtype=np.int64)
-    cell[by_cell] = np.repeat(rank, cell_sizes)
-    ctx.arrays = {"cell": cell}
+    # the label of atom i is the measure-order rank of its cell
+    ctx.arrays = {"cell": rank[partition.cell]}
     cert_bounds = [partition.bounds[k] for k in order.tolist()]
     if n_cells > 32:
         # one global split makes every cell pairable at once, avoiding a
@@ -477,9 +475,7 @@ def sum_finite_rank(
     # each cell's coefficient image: one segment sum over the atoms sorted
     # by cell
     cell, x_cells = ctx.arrays["cell"], ctx.arrays["x"]
-    members = np.argsort(cell, kind="stable")
-    counts = np.bincount(cell)
-    starts = np.cumsum(counts) - counts
+    members, _, starts = cell_segments(cell)
     vectors = np.add.reduceat((ctx.ops["coeff"].matrix * x_cells).T[members], starts)
     coeff_norms = fnorm_many(coeff_target, vectors)
     over = np.flatnonzero(coeff_norms > delta / m + _TOL)

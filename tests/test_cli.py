@@ -155,6 +155,15 @@ class TestExitCodes:
         assert _run(tmp_path, command, {**config, "sigam": 1e-9}) == 1
         assert "sigam" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("field, value", [("sample_budget", -3),
+                                              ("functional_cap", -1)])
+    def test_count_below_its_minimum_is_usage_error(self, tmp_path, capsys, field, value):
+        # sample_budget -3 used to run on one sample row and exit 0, and
+        # functional_cap -1 to exit 2 as a certified failure
+        config = {**_pipeline_config(), "epsilon": 0.2, field: value}
+        assert _run(tmp_path, "sum-compact", config) == 1
+        assert field in capsys.readouterr().err
+
     def test_truncation_rejects_adaptive_keys(self, tmp_path):
         config = {**_pipeline_config(), "mode": "truncation", "epsilon": 0.2,
                   "tail_values": [0.0] * 4, "params": {"gamma": 0.01}}

@@ -25,11 +25,16 @@ from narrowops import (
 )
 
 
+def _weight(space, atom):
+    """The exact weight of one atom."""
+    return Fraction(int(space.numerators[atom]), 2**space.denom_log2)
+
+
 class TestMeasureSpace:
     def test_single_atom_refine_equal_split(self):
         space = MeasureSpace.from_weights([1])
         refined, rmap = space.refine_atoms([0], 2)
-        assert [refined.weight(i) for i in range(2)] == [Fraction(1, 2)] * 2
+        assert [_weight(refined, i) for i in range(2)] == [Fraction(1, 2)] * 2
         assert rmap.counts == (2,)
 
     def test_refine_conserves_total(self):
@@ -41,7 +46,7 @@ class TestMeasureSpace:
         space = MeasureSpace.from_weights([Fraction(1, 2), Fraction(1, 2)])
         refined, _ = space.refine_atoms([1], 4)
         expected = [Fraction(1, 2)] + [Fraction(1, 8)] * 4
-        assert [refined.weight(i) for i in range(5)] == expected
+        assert [_weight(refined, i) for i in range(5)] == expected
 
     def test_refine_non_power_of_two_rejected(self):
         space = MeasureSpace.from_weights([1])
@@ -211,7 +216,7 @@ def _oracle_lift(counts, values):
 def _oracle_refine_weights(space, atoms, parts):
     out = []
     for i in range(space.n_atoms):
-        w = space.weight(i)
+        w = _weight(space, i)
         out.extend([w / parts] * parts if i in atoms else [w])
     return out
 
@@ -256,7 +261,7 @@ class TestArrayOracle:
         atoms = data.draw(st.sets(st.integers(0, space.n_atoms - 1)))
         refined, rmap = space.refine_atoms(atoms, parts)
         expected = _oracle_refine_weights(space, atoms, parts)
-        assert [refined.weight(i) for i in range(refined.n_atoms)] == expected
+        assert [_weight(refined, i) for i in range(refined.n_atoms)] == expected
         assert rmap.counts.tolist() == [
             parts if i in atoms else 1 for i in range(space.n_atoms)
         ]
@@ -309,11 +314,11 @@ class TestArrayOracle:
         raw_a = data.draw(st.lists(st.integers(0, n - 1), max_size=2 * n))
         a, ta = space.subset(raw_a), _oracle_subset(raw_a)
         assert a.indices.tolist() == list(ta)
-        assert a.measure == sum((space.weight(i) for i in ta), Fraction(0))
+        assert a.measure == sum((_weight(space, i) for i in ta), Fraction(0))
 
         counts = data.draw(st.lists(st.sampled_from([1, 2, 4]), min_size=n, max_size=n))
         fine = MeasureSpace.from_weights(
-            [space.weight(i) / c for i, c in enumerate(counts) for _ in range(c)])
+            [_weight(space, i) / c for i, c in enumerate(counts) for _ in range(c)])
         lifted, tl = a.lift(RefineMap(counts=counts), fine), _oracle_set_lift(counts, ta)
         assert lifted.indices.tolist() == list(tl)
         assert lifted.measure == a.measure
@@ -342,51 +347,6 @@ class TestIndexValidation:
                     np.array([3, 0], dtype=np.int32), np.array([1], dtype=np.uint8)):
             assert space.subset(raw).indices.tolist() == sorted(int(i) for i in raw)
         assert space.refine_atoms([], 2)[1].is_identity
-
-
-class TestFromSlices:
-    @settings(max_examples=100, deadline=None)
-    @given(labels=st.lists(st.integers(0, 6), min_size=1, max_size=40),
-           extra=st.integers(0, 2))
-    def test_matches_the_split_sets(self, labels, extra):
-        # slices of one stable argsort, empty ones included
-        space = MeasureSpace.uniform(64)
-        members = np.argsort(np.array(labels), kind="stable")
-        counts = np.bincount(labels, minlength=max(labels) + 1 + extra)
-        got = MeasurableSet.from_slices(space, members, counts)
-        want = [MeasurableSet(space=space, indices=c)
-                for c in np.split(members, np.cumsum(counts)[:-1])]
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert g.space is space
-            assert g.indices.dtype == np.int64 and not g.indices.flags.writeable
-            assert g.indices.tolist() == w.indices.tolist()
-            assert g.measure == w.measure
-        assert members.flags.writeable  # the caller's array is copied
-
-    @pytest.mark.parametrize("slices", [
-        [[0, 1], [3, 2]], [[1, 0]], [[0, 2], [1, 1]], [[2, 2, 3]],
-        [[0, 1], [4]], [[-1, 0], [2]], [[3], [], [0, 4]],
-    ], ids=["unsorted", "unsorted-first", "duplicate", "duplicate-first",
-            "past-the-end", "negative", "after-an-empty-slice"])
-    def test_bad_slices_raise_like_the_constructor(self, slices):
-        space = MeasureSpace.uniform(4)
-        with pytest.raises(InvalidAtom) as want:
-            for c in slices:
-                MeasurableSet(space=space, indices=np.array(c, dtype=np.int64))
-        with pytest.raises(InvalidAtom) as got:
-            MeasurableSet.from_slices(
-                space, np.concatenate(slices).astype(np.int64), [len(c) for c in slices])
-        assert str(got.value) == str(want.value)
-
-    def test_descent_between_slices_is_allowed(self):
-        sets = MeasurableSet.from_slices(MeasureSpace.uniform(4), [2, 3, 0, 1], [2, 0, 2])
-        assert [m.indices.tolist() for m in sets] == [[2, 3], [], [0, 1]]
-
-    @pytest.mark.parametrize("counts", [[1, 1], [2, 2], [3, -1]])
-    def test_counts_must_cover_the_indices(self, counts):
-        with pytest.raises(InvalidAtom):
-            MeasurableSet.from_slices(MeasureSpace.uniform(4), [0, 1, 2], counts)
 
 
 class TestExactRange:

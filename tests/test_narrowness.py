@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from narrowops import (
     AtomTooLarge,
     DiscreteOperator,
+    InvalidAtom,
     MeasureSpace,
     NoFeasibleSign,
     NoSignFound,
@@ -524,26 +525,39 @@ class TestPartition:
         T = DiscreteOperator(np.zeros((2, 8)), space, sup_norm(dim=2))
         part = partition_small_cells(T, 0.5)
         assert part.n_cells == 1
-        assert part.validate_cover()
+        assert part.cell.tolist() == [0] * 8
 
-    def test_validate_cover_rejects_overlap_and_gap(self):
-        space = MeasureSpace.uniform(4)
+    @pytest.mark.parametrize("cell, n_cells", [
+        ([0, 1, 0], 2), ([0, 1, 0, 1, 0], 2), ([0, 2, 1, -1], 3), ([0, 2, 1, 3], 3),
+        ([0, 2, 2, 0], 3), ([0.0, 1.0, 0.0, 1.0], 2),
+    ], ids=["short", "long", "negative", "past-the-end", "unused", "float"])
+    def test_constructor_rejects_bad_labels(self, cell, n_cells):
+        # overlap cannot be written as labels, and a gap is refused here
+        with pytest.raises(InvalidAtom):
+            Partition(space=MeasureSpace.uniform(4), cell=np.array(cell),
+                      bounds=[0.0] * n_cells, exact=[True] * n_cells, epsilon=1.0)
 
-        def cover(*cells):
-            return Partition(cells=[space.subset(c) for c in cells], bounds=[0.0] * len(cells),
-                             exact=[True] * len(cells), epsilon=1.0).validate_cover()
-
-        assert cover([0, 2], [1, 3])
-        assert not cover([0, 1], [1, 2])         # overlap and gap, four indices
-        assert not cover([0, 1], [1, 2, 3])      # overlap
-        assert not cover([0, 1], [3])            # gap
+    @settings(max_examples=100, deadline=None)
+    @given(labels=st.lists(st.integers(0, 6), min_size=1, max_size=40))
+    def test_cells_and_sizes_agree_with_labels(self, labels):
+        # relabel to 0..k-1 in sorted order, so every label is used
+        cell = np.unique(labels, return_inverse=True)[1].ravel()
+        n_cells = int(cell.max()) + 1
+        space = MeasureSpace.from_weights([Fraction(1, 64)] * len(labels))
+        part = Partition(space=space, cell=cell, bounds=[0.0] * n_cells,
+                         exact=[True] * n_cells, epsilon=1.0)
+        assert [c.indices.tolist() for c in part.cells] == \
+            [np.flatnonzero(cell == k).tolist() for k in range(n_cells)]
+        assert all(c.space is space for c in part.cells)
+        assert part.summary()["cell_sizes"] == [c.size for c in part.cells]
+        assert not part.cell.flags.writeable
 
     def test_row_sum_arithmetic(self):
         space = MeasureSpace.uniform(4)
         m = np.array([[0.4, 0.4, 0.4, 0.4]])
         T = DiscreteOperator(m, space, sup_norm(dim=1))
         part = partition_small_cells(T, 1.0)
-        assert part.validate_cover()
+        assert part.n_cells >= 1
         assert all(c.size <= 2 for c in part.cells)
         assert all(b <= 1.0 + 1e-12 for b in part.bounds)
 
@@ -558,7 +572,7 @@ class TestPartition:
         T = build_l1_example(5)
         eps = 2.0**-3
         part = partition_small_cells(T, eps)
-        assert part.validate_cover()
+        assert part.n_cells >= 1
         for cell, bound in zip(part.cells, part.bounds):
             assert bound <= eps + 1e-12
             if cell.size <= 12:
@@ -586,7 +600,7 @@ class TestAdversarial:
         T = DiscreteOperator(np.zeros((2, 4)), space, sup_norm(dim=2))
         out = adversarial_disjoint_signs(T, 0.5, 3)
         assert out.exhausted
-        assert out.certificate is not None and out.certificate.validate_cover()
+        assert out.certificate is not None and out.certificate.n_cells >= 1
 
     def test_identity_columns(self):
         # identity-style operator: n disjoint singleton signs of image 1,
@@ -633,7 +647,7 @@ class TestAdversarial:
                 out = adversarial_disjoint_signs(T, eps, 2)
                 if out.exhausted:
                     part = out.certificate
-                    assert part is not None and part.validate_cover()
+                    assert part is not None and part.n_cells >= 1
                     assert all(b <= eps + 1e-9 for b in part.bounds)
                 else:
                     assert len(out.signs) >= 2
@@ -760,8 +774,11 @@ def _oracle_adversarial(T, epsilon, count, refine_budget, assume_partition_fails
             if remainder:
                 cells.append(cur_T.space.subset(remainder))
             bounds, exact = zip(*(max_sign_image_norm(cur_T, c) for c in cells))
-            part = Partition(cells=cells, bounds=list(bounds), exact=list(exact),
-                             epsilon=epsilon)
+            labels = np.empty(cur_T.space.n_atoms, dtype=np.int64)
+            for k, c in enumerate(cells):
+                labels[c.indices] = k
+            part = Partition(space=cur_T.space, cell=labels, bounds=list(bounds),
+                             exact=list(exact), epsilon=epsilon)
             return signs, True, part, total_map
     return signs, False, None, total_map
 
@@ -801,8 +818,7 @@ class TestAdversarialOracle:
             assert out.certificate is None
         else:
             cert = out.certificate
-            assert [c.indices.tolist() for c in cert.cells] == \
-                [c.indices.tolist() for c in part.cells]
+            assert cert.cell.tolist() == part.cell.tolist()
             assert cert.bounds == part.bounds and cert.exact == part.exact
 
 

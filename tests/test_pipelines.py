@@ -184,6 +184,16 @@ class TestBudgets:
         with pytest.raises(ValueError, match=name):
             PipelineParams(**{name: value})
 
+    @pytest.mark.parametrize("name, minimum", [
+        ("max_adaptive_rounds", 1), ("refine_budget", 1), ("sample_budget", 0),
+        ("functional_cap", 0)])
+    def test_params_reject_counts_below_their_minimum(self, name, minimum):
+        # sample_budget=-3 used to slice the Rademacher family with [:-3],
+        # and functional_cap=-1 to end in a certified RankTooLarge
+        with pytest.raises(ValueError, match=f"{name} must be >= {minimum}"):
+            PipelineParams(**{name: minimum - 1})
+        assert getattr(PipelineParams(**{name: minimum}), name) == minimum
+
     @pytest.mark.parametrize("sigma,epsilon", [
         (0.1, np.nan),  # used to return status="success"
         (0.1, -1.0),  # used to refine to 131072 atoms before failing
@@ -267,11 +277,12 @@ def _reference_sum_finite_rank(T1, T2, sigma, epsilon):
         except AtomTooLarge:
             too_big = np.flatnonzero(ctx.ops["coeff"].column_norms() > cell_budget)
             ctx.refine_atoms(too_big, 2, 2**16)
-    order = sorted(range(partition.n_cells),
-                   key=lambda k: (-partition.cells[k].measure, k))
+    cells = [ctx.space.subset(np.flatnonzero(partition.cell == k))
+             for k in range(partition.n_cells)]
+    order = sorted(range(partition.n_cells), key=lambda k: (-cells[k].measure, k))
     cell = np.empty(ctx.space.n_atoms, dtype=np.int64)
     for rank_k, k in enumerate(order):
-        cell[partition.cells[k].indices] = rank_k
+        cell[cells[k].indices] = rank_k
     ctx.arrays = {"cell": cell, "x": np.zeros(ctx.space.n_atoms, dtype=np.int8)}
     if partition.n_cells > 32:
         ctx.refine_atoms(range(ctx.space.n_atoms), 2, 2**16)
@@ -363,11 +374,13 @@ class TestSumFiniteRank:
                 sum_finite_rank(t1, t2, 0.1, 0.1)
             except NarrowOpsError:
                 pass
-        cells = seen["partition"].cells
+        part = seen["partition"]
         # the labels are read before any split of every atom
-        assume(len(cells) <= 32)
-        order = sorted(range(len(cells)), key=lambda k: (-cells[k].measure, k))
-        want = np.empty(cells[0].space.n_atoms, dtype=np.int64)
+        assume(part.n_cells <= 32)
+        cells = [part.space.subset(np.flatnonzero(part.cell == k))
+                 for k in range(part.n_cells)]
+        order = sorted(range(part.n_cells), key=lambda k: (-cells[k].measure, k))
+        want = np.empty(part.space.n_atoms, dtype=np.int64)
         for rank_k, k in enumerate(order):
             want[cells[k].indices] = rank_k
         assert seen["cell"].tolist() == want.tolist()
