@@ -200,7 +200,10 @@ class MeasureSpace:
         self, atoms: Iterable[int] | np.ndarray, parts: int
     ) -> tuple["MeasureSpace", RefineMap]:
         """Split each listed atom into `parts` equal children in one pass."""
-        marked = np.unique(_as_indices(atoms))
+        marked = _as_indices(atoms)
+        # a MeasurableSet's indices are already strictly increasing
+        if (marked[1:] <= marked[:-1]).any():
+            marked = np.unique(marked)
         if marked.size and (marked[0] < 0 or marked[-1] >= self.n_atoms):
             raise InvalidAtom(f"atom index out of range [0, {self.n_atoms})")
         if parts < 2:
@@ -325,29 +328,58 @@ class SignVector:
         return SignVector(space=space, values=rmap.lift_values(self.values))
 
 
+def _rademacher_blocks(mset: MeasurableSet) -> np.ndarray:
+    """Block size of each level l >= 1 of the Rademacher family on `mset`,
+    |set| / 2^l for every l with 2^l dividing |set|; the set must be a
+    non-empty set of equal-weight atoms."""
+    nums = mset.space.numerators[mset.indices]
+    if not nums.size or (nums != nums[0]).any():
+        raise UnequalWeights("atoms in the set must have equal weight")
+    s = nums.size
+    # 2^l divides s exactly for l below the bit length of s's lowest set bit
+    return s >> np.arange(1, (s & -s).bit_length())
+
+
 def rademacher_signs(mset: MeasurableSet) -> np.ndarray:
     """Block Rademacher family on a non-empty set of equal-weight atoms, as
     an (L, n_atoms) int8 matrix: row l-1 alternates +-1 blocks of size
     |set| / 2^l on the set, for every l >= 1 with 2^l dividing |set|.  Rows
     have mean-zero pointwise products, the surrogate for independence."""
-    idx = mset.indices
-    nums = mset.space.numerators[idx]
-    if not idx.size or (nums != nums[0]).any():
-        raise UnequalWeights("atoms in the set must have equal weight")
-    s = idx.size
-    # 2^l divides s exactly for l below the bit length of s's lowest set bit
-    block_sizes = s >> np.arange(1, (s & -s).bit_length())
+    block_sizes = _rademacher_blocks(mset)
     family = np.zeros((block_sizes.size, mset.space.n_atoms), dtype=np.int8)
-    family[:, idx] = 1 - 2 * (np.arange(s) // block_sizes[:, None] % 2)
+    family[:, mset.indices] = 1 - 2 * (np.arange(mset.size) // block_sizes[:, None] % 2)
     return family
 
 
+def rademacher_parent_sums(mset: MeasurableSet, rmap: RefineMap) -> np.ndarray:
+    """Per-parent sums of the rows of :func:`rademacher_signs`, without
+    building them: an (L, rmap.n_old) int64 array whose entry [l-1, j] is
+    the sum of row l times the numerator over old atom j's children, where
+    `rmap` maps old atoms to the atoms of the set's space.
+
+    Old atom j's children in the set are consecutive in the set's order, so
+    each entry is a difference of prefix sums, and the prefix sum of a +-1
+    wave with block size b at position t is b - |b - (t mod 2b)|."""
+    if rmap.n_new != mset.space.n_atoms:
+        raise InvalidAtom(f"map has {rmap.n_new} children, space has "
+                          f"{mset.space.n_atoms} atoms")
+    b = _rademacher_blocks(mset)[:, None]
+    idx = mset.indices
+    # the set's positions before old atom j's first child and after its last
+    begins = np.searchsorted(idx, rmap.starts)
+    ends = np.searchsorted(idx, rmap.starts + rmap.counts)
+    prefix_diff = np.abs(b - begins % (2 * b)) - np.abs(b - ends % (2 * b))
+    return mset.space.numerators[idx[0]] * prefix_diff
+
+
 def rademacher_sign(mset: MeasurableSet, level: int) -> SignVector:
-    """The level-`level` row of :func:`rademacher_signs` as a sign; the set
-    size must be divisible by 2^level."""
+    """The level-`level` row of :func:`rademacher_signs` as a sign, built
+    alone; the set size must be divisible by 2^level."""
     if level < 1:
         raise NotDivisible("level must be >= 1")
     if mset.size % 2**level != 0:
         raise NotDivisible(f"set size {mset.size} not divisible by 2^{level}")
-    return SignVector(space=mset.space, values=rademacher_signs(mset)[level - 1])
-
+    block = _rademacher_blocks(mset)[level - 1]
+    values = np.zeros(mset.space.n_atoms, dtype=np.int8)
+    values[mset.indices] = 1 - 2 * (np.arange(mset.size) // block % 2)
+    return SignVector(space=mset.space, values=values)

@@ -34,6 +34,8 @@ from .measure import (
     RefineMap,
     SignVector,
     _is_power_of_two,
+    rademacher_parent_sums,
+    rademacher_sign,
     rademacher_signs,
 )
 from .narrowness import (
@@ -71,7 +73,7 @@ class PipelineParams:
     def __post_init__(self):
         check_budgets(sigma=self.sigma, epsilon=self.epsilon,
                       gamma=self.gamma, delta=self.delta)
-        check_integers(seed=self.seed)
+        check_integers(0, seed=self.seed)
         check_integers(1, max_adaptive_rounds=self.max_adaptive_rounds,
                        refine_budget=self.refine_budget)
         check_integers(0, sample_budget=self.sample_budget,
@@ -119,14 +121,15 @@ def _require_same_space(T1: DiscreteOperator, T2: DiscreteOperator) -> None:
 def _certify(ctx: RefinementContext, values, budgets: dict, stage: int,
              slack: dict | None = None) -> tuple[SignVector, dict]:
     """The verdict every pipeline returns through: `values` is a mean-zero
-    sign with full support on ctx's space, and its image under each operator
-    ctx.ops[key] named in `budgets` has norm <= budget + _TOL * slack[key]
-    (slack 1 by default).  Returns the sign and the achieved norms."""
+    sign with full support on ctx's space, and its exact image
+    (`RefinementContext.image`) under each operator ctx.ops[key] named in
+    `budgets` has norm <= budget + _TOL * slack[key] (slack 1 by default).
+    Returns the sign and the achieved norms."""
     x = SignVector.from_values(ctx.space, values)
     if not (x.mean_zero and x.values.all()):
         raise StageFailed(stage, "final sign is not a mean-zero sign on Omega")
     slack = slack or {}
-    achieved = {k: fnorm(ctx.ops[k].target, ctx.ops[k].apply(x.values))
+    achieved = {k: fnorm(ctx.ops.start[k].target, ctx.image(k, x.values))
                 for k in budgets}
     if any(achieved[k] > budgets[k] + _TOL * slack.get(k, 1.0) for k in budgets):
         raise StageFailed(stage, f"final norms violate the budgets: {achieved}")
@@ -220,6 +223,11 @@ def pairing_construction(
     pair whose half-difference x_j has T2-image below (epsilon-gamma)/2^j and
     support of measure exactly mu(Omega)/2^j.  A tail sign on the remaining
     small set (measure <= delta) finishes the construction.
+
+    The images of the block signs come from their per-parent sums over the
+    live atoms (`rademacher_parent_sums`) and the input matrices, so no
+    operator is refined for the search; only the chosen pair's signs are
+    built on the atoms.
     """
     if not params.gamma < params.epsilon:
         raise ValueError("pairing needs gamma < epsilon")
@@ -257,15 +265,16 @@ def pairing_construction(
         stage_refines = 0
         while True:
             live = ctx.where("stage", 0)
-            t1c, t2c = ctx.ops["t1"], ctx.ops["t2"]
+            # each level's block sign as s / w over the input atoms, so its
+            # image is an input matrix times that
+            shares = rademacher_parent_sums(live, ctx.total_map) / ctx.parent_weights()
             # candidates: the levels whose block sign passes the T1 filter
-            family = rademacher_signs(live)
-            t1_norms = fnorm_many(t1c.target, family @ t1c.matrix.T)
+            t1_norms = fnorm_many(T1.target, shares @ T1.matrix.T)
             cands = np.flatnonzero(t1_norms <= budget_t1 + _TOL)
-            images = family[cands] @ t2c.matrix.T
+            images = shares[cands] @ T2.matrix.T
             pair = None
             if len(cands) >= 2:
-                net = net_cover(images, 0.499 * budget_t2, t2c.target)
+                net = net_cover(images, 0.499 * budget_t2, T2.target)
                 # pairs within a net group first, then every other pair
                 pair_order = [ab for grp in net.groups().values()
                               for ab in combinations(grp, 2)]
@@ -273,27 +282,28 @@ def pairing_construction(
                 pair_order += [ab for ab in combinations(range(len(cands)), 2)
                                if ab not in seen]
                 pair = next(((a, b) for a, b in pair_order if fnorm(
-                    t2c.target, 0.5 * (images[a] - images[b])) < budget_t2), None)
+                    T2.target, 0.5 * (images[a] - images[b])) < budget_t2), None)
             if pair is not None:
                 break
             stage_refines += 1
             try:
                 ctx.refine_atoms(live.indices, 2, params.refine_budget)
             except RefinementBudgetExceeded as exc:
-                best = min((fnorm(t2c.target, 0.5 * (x - y))
+                best = min((fnorm(T2.target, 0.5 * (x - y))
                             for x, y in combinations(images, 2)), default=None)
                 raise StageFailed(
                     j, f"no candidate pair within budgets ({exc})", best=best
                 ) from exc
 
         a, b = cands[pair[0]], cands[pair[1]]
-        x_j = SignVector.from_values(ctx.space, (family[a] - family[b]) // 2)
+        row_a, row_b = (rademacher_sign(live, int(lvl) + 1).values for lvl in (a, b))
+        x_j = SignVector.from_values(ctx.space, (row_a - row_b) // 2)
         if not x_j.mean_zero:
             raise StageFailed(j, "stage sign is not mean zero")
         if x_j.support_set().measure != total / 2**j:
             raise StageFailed(j, "support measure is not exactly mu(Omega)/2^j")
-        t1n = fnorm(t1c.target, t1c.apply(x_j.values))
-        t2n = fnorm(t2c.target, t2c.apply(x_j.values))
+        t1n = fnorm(T1.target, ctx.image("t1", x_j.values))
+        t2n = fnorm(T2.target, ctx.image("t2", x_j.values))
         if t1n > params.sigma / 2**j + _TOL or t2n > eps1 / 2**j + _TOL:
             raise StageFailed(j, "stage norms violate the geometric schedule")
         ctx.arrays["stage"][x_j.values != 0] = j
@@ -316,7 +326,7 @@ def pairing_construction(
     )
     ctx.apply_map(res.refine_map, res.operator.space)
     z = res.sign
-    t2z = fnorm(ctx.ops["t2"].target, ctx.ops["t2"].apply(z.values))
+    t2z = fnorm(T2.target, ctx.image("t2", z.values))
     if t2z > params.gamma + _TOL:
         raise StageFailed(m + 1, f"tail sign T2-image {t2z} exceeds gamma")
     if not z.is_sign_on(ctx.where("stage", 0)):
@@ -375,7 +385,10 @@ def sum_finite_rank(
     The cell signs come from one batched exhaustive search over every cell
     (`exhaustive_cell_signs`); the cells it leaves, too large or without a
     sign within budget, then go through `find_small_sign` in cell order.
-    The coefficient images are segment sums over the atoms sorted by cell.
+    The coefficient images are exact in the atom weights: per-(cell, input
+    atom) int64 sums of sign times numerator, then one product with the
+    coefficient matrix on the input space, so a cell sign that cancels
+    within every input atom has an image of exactly 0.
     Their check, each cell's coefficient norm <= delta/m, runs after every
     cell's search, so a search that raises `NoSignFound` on any cell takes
     precedence over `StageFailed` for a cell's coefficient norm.
@@ -472,11 +485,22 @@ def sum_finite_rank(
         ctx.arrays["x"] += res.sign.values
         t1_norms[rank_k], strategies[rank_k] = res.value, res.strategy
 
-    # each cell's coefficient image: one segment sum over the atoms sorted
-    # by cell
+    # each cell's coefficient image: over the atoms listed by cell, the
+    # input atoms of each cell run in increasing order, so the (cell, input
+    # atom) pairs are the runs of equal (cell, parent); s / w per pair, then
+    # one segment sum per cell
     cell, x_cells = ctx.arrays["cell"], ctx.arrays["x"]
     members, _, starts = cell_segments(cell)
-    vectors = np.add.reduceat((ctx.ops["coeff"].matrix * x_cells).T[members], starts)
+    parent = ctx.total_map.lift_values(np.arange(T1.space.n_atoms))[members]
+    cuts = np.zeros(members.size, dtype=bool)
+    cuts[starts] = True
+    cuts[1:] |= parent[1:] != parent[:-1]
+    pairs = np.flatnonzero(cuts)
+    signed = x_cells.astype(np.int64) * ctx.space.numerators
+    s = np.add.reduceat(signed[members], pairs)
+    shares = s / ctx.parent_weights()[parent[pairs]]
+    vectors = np.add.reduceat(coeff.T[parent[pairs]] * shares[:, None],
+                              np.searchsorted(pairs, starts))
     coeff_norms = fnorm_many(coeff_target, vectors)
     over = np.flatnonzero(coeff_norms > delta / m + _TOL)
     if over.size:

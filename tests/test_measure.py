@@ -23,6 +23,7 @@ from narrowops import (
     rademacher_sign,
     rademacher_signs,
 )
+from narrowops.measure import rademacher_parent_sums
 
 
 def _weight(space, atom):
@@ -281,6 +282,19 @@ class TestArrayOracle:
         for row, values in enumerate(family.tolist()):
             assert values == _oracle_rademacher(32, indices, row + 1)
 
+    @settings(max_examples=100, deadline=None)
+    @given(counts=st.lists(st.integers(1, 8), min_size=1, max_size=8), data=st.data())
+    def test_rademacher_parent_sums_match_the_family(self, counts, data):
+        rmap = RefineMap(counts=counts)
+        space = MeasureSpace(denom_log2=0, numerators=[3] * rmap.n_new)
+        indices = sorted(data.draw(st.sets(st.integers(0, rmap.n_new - 1), min_size=1)))
+        mset = space.subset(indices)
+        family = rademacher_signs(mset).astype(np.int64) * space.numerators
+        want = np.add.reduceat(family, rmap.starts, axis=1) if len(family) else family
+        got = rademacher_parent_sums(mset, rmap)
+        assert got.dtype == np.int64 and got.shape == (len(family), rmap.n_old)
+        assert np.array_equal(got, want.reshape(got.shape))
+
     def test_arrays_are_read_only(self):
         space, rmap = MeasureSpace.uniform(2).refine_atoms([0], 2)
         sign = SignVector.from_values(space, [1, -1, 0])
@@ -347,6 +361,18 @@ class TestIndexValidation:
                     np.array([3, 0], dtype=np.int32), np.array([1], dtype=np.uint8)):
             assert space.subset(raw).indices.tolist() == sorted(int(i) for i in raw)
         assert space.refine_atoms([], 2)[1].is_identity
+
+    def test_refine_atoms_sorts_and_dedupes_other_input(self):
+        # increasing indices skip np.unique; any other order goes through it
+        space = MeasureSpace.from_weights([Fraction(1, 4), Fraction(1, 8), Fraction(1, 2),
+                                           Fraction(1, 8)])
+        want_space, want_map = space.refine_atoms([1, 3], 2)
+        for raw in ([3, 1], [1, 3, 3], [3, 1, 1, 3], np.array([3, 3, 1])):
+            got_space, got_map = space.refine_atoms(raw, 2)
+            assert got_space == want_space
+            assert np.array_equal(got_map.counts, want_map.counts)
+        with pytest.raises(InvalidAtom):
+            space.refine_atoms([2, 4, 1], 2)
 
 
 class TestExactRange:

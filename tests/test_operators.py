@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from narrowops import (
+    DimensionMismatch,
     DiscreteOperator,
     InvalidAtom,
     MeasureSpace,
@@ -24,6 +25,7 @@ from narrowops import (
     sup_norm,
 )
 from narrowops.instances import build_l1_example, l1_example_cells
+from narrowops.operators import RefinementContext
 
 RNG = np.random.default_rng(7)
 
@@ -257,6 +259,64 @@ class TestRefinementCompatibility:
             total = total.compose(rmap)
         composed = T.refine(total, stepwise.space)
         assert np.array_equal(composed.matrix, stepwise.matrix)
+
+    @settings(max_examples=100, deadline=None)
+    @given(exponents=st.lists(st.integers(0, 4), min_size=1, max_size=6),
+           seed=st.integers(0, 2**16), data=st.data())
+    def test_context_refines_through_the_composed_map(self, exponents, seed, data):
+        # the context keeps T on its start space and refines it once, through
+        # the composed map, when read; that must give the bits of refining
+        # at every step, and its exact image must agree with the refined
+        # operator's up to rounding
+        space = MeasureSpace.from_weights([Fraction(1, 2**e) for e in exponents])
+        rng = np.random.default_rng(seed)
+        T = DiscreteOperator(rng.standard_normal((2, space.n_atoms)), space,
+                             lp_norm(1, dim=2))
+        ctx = RefinementContext(space, {"t": T})
+        x = rng.integers(-1, 2, space.n_atoms)
+        assert np.array_equal(ctx.image("t", x), T.apply(x))
+        stepwise = T
+        for _ in range(data.draw(st.integers(1, 3))):
+            atoms = data.draw(st.sets(st.integers(0, ctx.space.n_atoms - 1)))
+            parts = data.draw(st.sampled_from([2, 4]))
+            fine, rmap = stepwise.space.refine_atoms(atoms, parts)
+            stepwise = stepwise.refine(rmap, fine)
+            ctx.refine_atoms(sorted(atoms), parts, 2**16)
+            if data.draw(st.booleans()):
+                assert np.array_equal(ctx.ops["t"].matrix, stepwise.matrix)
+        assert ctx.ops["t"] is ctx.ops["t"]
+        assert np.array_equal(ctx.ops["t"].matrix, stepwise.matrix)
+        x = rng.integers(-1, 2, ctx.space.n_atoms)
+        # relative to the sum of the absolute terms of each coordinate
+        scale = np.abs(stepwise.matrix) @ np.abs(x)
+        assert (np.abs(ctx.image("t", x) - stepwise.apply(x)) <= 1e-12 * scale).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(exponents=st.lists(st.integers(0, 4), min_size=1, max_size=6),
+           seed=st.integers(0, 2**16), data=st.data())
+    def test_sign_cancelling_within_every_parent_has_a_zero_image(
+            self, exponents, seed, data):
+        space = MeasureSpace.from_weights([Fraction(1, 2**e) for e in exponents])
+        rng = np.random.default_rng(seed)
+        T = DiscreteOperator(rng.standard_normal((3, space.n_atoms)) * 10.0**rng.integers(
+            -8, 8, space.n_atoms), space, sup_norm(dim=3))
+        ctx = RefinementContext(space, {"t": T})
+        atoms = data.draw(st.sets(st.integers(0, space.n_atoms - 1)))
+        ctx.refine_atoms(sorted(atoms), data.draw(st.sampled_from([2, 4])), 2**16)
+        # two equal children of every atom, +1 on the first and -1 on the second
+        ctx.refine_atoms(range(ctx.space.n_atoms), 2, 2**16)
+        x = np.tile([1, -1], ctx.space.n_atoms // 2)
+        assert ctx.image("t", x).tolist() == [0.0] * 3
+
+    def test_context_takes_operators_on_its_start_space_only(self):
+        space = MeasureSpace.uniform(2)
+        T = _random_operator(2, 2)
+        ctx = RefinementContext(space, {})
+        ctx.ops["t"] = T
+        ctx.refine_atoms([0], 2, 16)
+        assert ctx.ops["t"].space == ctx.space
+        with pytest.raises(DimensionMismatch):
+            ctx.ops["u"] = T
 
     def test_restrict_rows(self):
         T = _random_operator(4, 8)

@@ -1,6 +1,8 @@
 """Pipeline tests: preconditions, trivial reductions, certified success
 reports, and independent re-validation of every constructed sign."""
 
+import gc
+import weakref
 from fractions import Fraction
 from itertools import combinations
 from unittest import mock
@@ -38,7 +40,7 @@ from narrowops import (
     sum_finite_rank,
     sup_norm,
 )
-from narrowops import pipelines
+from narrowops import narrowness, pipelines, rounding
 from narrowops.instances import build_l1_example, l1_example_tail_bound
 from narrowops.linalg import rank_factorization
 from narrowops.narrowness import exhaustive_cell_signs
@@ -186,10 +188,11 @@ class TestBudgets:
 
     @pytest.mark.parametrize("name, minimum", [
         ("max_adaptive_rounds", 1), ("refine_budget", 1), ("sample_budget", 0),
-        ("functional_cap", 0)])
+        ("functional_cap", 0), ("seed", 0)])
     def test_params_reject_counts_below_their_minimum(self, name, minimum):
         # sample_budget=-3 used to slice the Rademacher family with [:-3],
-        # and functional_cap=-1 to end in a certified RankTooLarge
+        # functional_cap=-1 to end in a certified RankTooLarge, and seed=-1
+        # to fail inside numpy without naming the field
         with pytest.raises(ValueError, match=f"{name} must be >= {minimum}"):
             PipelineParams(**{name: minimum - 1})
         assert getattr(PipelineParams(**{name: minimum}), name) == minimum
@@ -484,6 +487,53 @@ class TestSumCompact:
         else:
             # legitimate success must still satisfy the budget
             assert rep.achieved["t2"] <= 0.05 / 2 + 1e-9
+
+
+class TestExactImages:
+    @pytest.mark.parametrize("seed", [0, 3])
+    def test_level_8_compact_sum_rounds_exact_zero_vectors(self, seed, monkeypatch):
+        # the cell coefficient vectors are per-(cell, input atom) integer
+        # sums, so the cell signs that cancel within every input atom give
+        # exact zero vectors.  As float sums of refined columns, 2,048 of
+        # the 4,096 held noise of about 1e-18 in equal pairs, which reach
+        # their bounds together: the walk then factored at every step, 1,024
+        # times, in about 1 s of a 1.15 s run
+        factor, calls = rounding._factor, []
+        monkeypatch.setattr(rounding, "_factor",
+                            lambda *args: calls.append(1) or factor(*args))
+        t2 = build_l1_example(8)
+        t1 = random_narrow_operator(seed, None, 3, 0.5, space=t2.space)
+        rep = sum_compact_locally_convex(t1, t2, PipelineParams(epsilon=0.05))
+        assert len(calls) <= 2
+        revalidate(rep, t1, t2, 0.025, 0.025)
+
+    @pytest.mark.parametrize("run", [
+        lambda t1, t2: pairing_construction(t1, t2, PipelineParams(delta=1 / 64)),
+        lambda t1, t2: sum_compact_via_truncation(t1, t2, 0.1, 0.125,
+                                                  l1_example_tail_bound(6)),
+        lambda t1, t2: sum_compact_locally_convex(t1, t2, PipelineParams(epsilon=0.1)),
+    ], ids=["pairing", "truncation", "compact"])
+    def test_contexts_are_freed_by_reference_counting(self, run, monkeypatch):
+        # a context's operators on the current space must not refer back to
+        # it: a cycle would hold every refined matrix until the collector
+        # runs, and raise the peak memory
+        refs = []
+
+        class Recorded(RefinementContext):
+            def __init__(self, *args):
+                super().__init__(*args)
+                refs.append(weakref.ref(self))
+
+        for module in (pipelines, narrowness):
+            monkeypatch.setattr(module, "RefinementContext", Recorded)
+        t2 = build_l1_example(6)
+        t1 = random_narrow_operator(1, None, 3, 0.5, space=t2.space)
+        gc.disable()
+        try:
+            run(t1, t2)
+            assert refs and all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
 
 
 class TestTruncation:
