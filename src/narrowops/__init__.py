@@ -63,11 +63,7 @@ from .norms import (
     lp_norm,
     sup_norm,
 )
-from .operators import (
-    DiscreteOperator,
-    brute_force_best_sign,
-    max_sign_image_norm,
-)
+from .operators import DiscreteOperator, max_sign_image_norm
 from .pipelines import (
     AbsContinuityResult,
     PipelineParams,

@@ -22,7 +22,6 @@ from .errors import (
     NoFeasibleSign,
     NoSignFound,
     RefinementBudgetExceeded,
-    SetTooLarge,
     UnequalWeights,
 )
 from .measure import (
@@ -37,19 +36,16 @@ from .measure import (
 from .norms import TargetNorm, fnorm, fnorm_many
 from .operators import (
     DiscreteOperator,
-    FULL_SUPPORT_EXHAUSTIVE_LIMIT,
     RefinementContext,
     TERNARY_EXHAUSTIVE_LIMIT,
-    _sign_patterns,
+    best_signs,
     brute_force_best_sign,
     max_sign_image_norm,
+    require_same_space,
 )
 
 DEFAULT_REFINE_BUDGET = 2**16
 _EXHAUSTIVE_SEARCH_LIMIT = 10
-# bytes of one chunk's image array in `_best_cell_signs`: bounds its
-# memory, whatever the number of cells
-_CELL_BATCH_BYTES = 2**20
 
 
 def check_budgets(**budgets: float) -> None:
@@ -335,66 +331,19 @@ def _rademacher_scan(
     return SignVector(space=T.space, values=family[b]), float(vals[b])
 
 
-def _best_cell_signs(
-    T: DiscreteOperator, idx: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exhaustive search on each row of `idx`, a (cells, s) array of atom
-    indices: of the mean-zero signs with full support on the row's atoms,
-    the one minimising ||Tx||, first in lexicographic order among ties.
-
-    Returns the (cells, s) int8 patterns (0 for a cell without such a sign)
-    and each cell's optimum (inf for a cell without one).  The value is
-    bit-identical to ``brute_force_best_sign(T, cell, require_mean_zero=True,
-    objective="min", full_support=True)``, which takes the same products.
-    """
-    n_cells, s = idx.shape
-    patterns = _sign_patterns(s, 2)
-    fpatterns, ipatterns = patterns.astype(float), patterns.astype(np.int64)
-    best_patterns = np.zeros((n_cells, s), dtype=np.int8)
-    values = np.full(n_cells, np.inf)
-    cols = T.matrix.T
-    step = max(1, _CELL_BATCH_BYTES // (8 * len(patterns) * T.target_dim))
-    for lo in range(0, n_cells, step):
-        chunk = idx[lo:lo + step]
-        balanced = T.space.numerators[chunk] @ ipatterns.T == 0
-        norms = np.where(balanced, fnorm_many(T.target, fpatterns @ cols[chunk]),
-                         np.inf)
-        best = norms.argmin(axis=1)
-        found = balanced[np.arange(len(chunk)), best]
-        rows = lo + np.flatnonzero(found)
-        best_patterns[rows] = patterns[best[found]]
-        values[rows] = norms[found, best[found]]
-    return best_patterns, values
-
-
-def _exhaustive_sign(
-    T: DiscreteOperator, mset: MeasurableSet
-) -> tuple[SignVector, float]:
-    """`_best_cell_signs` on the one cell `mset`, raising as
-    `brute_force_best_sign` does."""
-    if mset.size > FULL_SUPPORT_EXHAUSTIVE_LIMIT:
-        raise SetTooLarge(f"set size {mset.size} exceeds the exhaustive cap "
-                          f"{FULL_SUPPORT_EXHAUSTIVE_LIMIT}")
-    best, values = _best_cell_signs(T, mset.indices[None, :])
-    if values[0] == np.inf:
-        raise NoFeasibleSign(
-            "no mean-zero sign exists on this set (cannot balance weights)"
-        )
-    x = np.zeros(T.space.n_atoms, dtype=np.int8)
-    x[mset.indices] = best[0]
-    return SignVector(space=T.space, values=x), float(values[0])
-
-
 def exhaustive_cell_signs(
     T: DiscreteOperator, cell: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """The exhaustive search of `find_small_sign`, for many cells at once.
 
     `cell[i]` labels atom i with its cell 0..n-1; every label must be used.
-    Runs `_best_cell_signs` once per cell size up to
-    _EXHAUSTIVE_SEARCH_LIMIT.  Returns the signs found as one int8 array
-    over the atoms (0 on the other cells) and each cell's optimum (inf for
-    a cell without one).
+    Runs `best_signs` once per cell size up to _EXHAUSTIVE_SEARCH_LIMIT, so
+    each cell gets the bits of ``brute_force_best_sign(T, cell,
+    full_support=True)``: it tries every mean-zero sign with full support,
+    which is why `sum_finite_rank` splits a cell it rejects before searching
+    it again.  Returns the signs found as one int8 array over the atoms (0
+    on the other cells) and each cell's optimum (inf for a cell without one,
+    or over the limit).
     """
     members, sizes, starts = cell_segments(cell)
     signs = np.zeros(T.space.n_atoms, dtype=np.int8)
@@ -403,7 +352,7 @@ def exhaustive_cell_signs(
         ks = np.flatnonzero(sizes == s)
         # (cells, s) atom indices, increasing along each row
         idx = members[starts[ks][:, None] + np.arange(s)]
-        signs[idx], values[ks] = _best_cell_signs(T, idx)
+        signs[idx], values[ks] = best_signs(T, idx, True, "min", True)
     return signs, values
 
 
@@ -426,6 +375,7 @@ def find_small_sign(
         raise ValueError(f"unknown strategy {strategy!r}")
     check_budgets(epsilon=epsilon)
     check_integers(1, refine_budget=refine_budget)
+    require_same_space(T, mset, "the operator and the set")
     if mset.is_empty:
         raise NoSignFound("the empty set supports no sign")
 
@@ -433,7 +383,7 @@ def find_small_sign(
     if strategy == "exhaustive":
         # single shot: refinement cannot improve an exhaustive optimum
         try:
-            sign, val = _exhaustive_sign(T, mset)
+            sign, val = brute_force_best_sign(T, mset, full_support=True)
         except NoFeasibleSign as exc:
             raise NoSignFound(str(exc)) from exc
         if val < epsilon:
@@ -453,7 +403,7 @@ def find_small_sign(
         cur_T = ctx.ops["t"]
         if strategy == "auto" and cur_set.size <= _EXHAUSTIVE_SEARCH_LIMIT:
             try:
-                sign, val = _exhaustive_sign(cur_T, cur_set)
+                sign, val = brute_force_best_sign(cur_T, cur_set, full_support=True)
                 if val < best_val:
                     best_sign, best_val = sign, val
                 if val < epsilon:
@@ -461,7 +411,7 @@ def find_small_sign(
                         sign=sign, operator=cur_T,
                         refine_map=ctx.total_map, value=val, strategy="exhaustive",
                     )
-            except (NoFeasibleSign, SetTooLarge):
+            except NoFeasibleSign:
                 pass
         if strategy in ("auto", "kernel_pairing"):
             sign = _kernel_pairing(cur_T, cur_set)
@@ -532,12 +482,10 @@ def _best_sign_within(
             return None, 0.0
         return values, T.image_norm(values)
     if idx.size <= TERNARY_EXHAUSTIVE_LIMIT:
-        try:
-            sign, val = brute_force_best_sign(
-                T, T.space.subset(idx), require_mean_zero=False, objective="max"
-            )
-        except NoFeasibleSign:
-            return None, 0.0
+        # a nonempty set always has a nonzero sign, so this cannot raise
+        sign, val = brute_force_best_sign(
+            T, T.space.subset(idx), require_mean_zero=False, objective="max"
+        )
         return sign.values, val
     # too many atoms to enumerate: the full-support all-+1 sign on the set,
     # with no direction matching

@@ -10,6 +10,9 @@ A :class:`RefinementContext` keeps every operator on its starting space.  It
 builds an operator on the current space only when one is read, and it
 computes the image of a sign on the current space exactly in the atom
 weights, from per-parent integer sums, without building the refined operator.
+
+`best_signs` is the one exhaustive sign search: `brute_force_best_sign` runs
+it on one set, ``narrowness.exhaustive_cell_signs`` on many cells at once.
 """
 
 from __future__ import annotations
@@ -30,6 +33,9 @@ from .norms import TargetNorm, fnorm, fnorm_many
 
 TERNARY_EXHAUSTIVE_LIMIT = 13
 FULL_SUPPORT_EXHAUSTIVE_LIMIT = 20
+# bytes of one chunk's image array in `best_signs`: bounds its memory,
+# whatever the number of rows
+_CELL_BATCH_BYTES = 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -200,6 +206,13 @@ class RefinementContext:
         self.apply_map(rmap, space2)
 
 
+def require_same_space(a, b, what: str) -> None:
+    """Raise DimensionMismatch unless `a` and `b` (operators or sets) live
+    on the same space."""
+    if a.space != b.space:
+        raise DimensionMismatch(f"{what} must share the same source space")
+
+
 def max_sign_image_norm(
     T: DiscreteOperator, mset: MeasurableSet
 ) -> tuple[float, bool]:
@@ -209,6 +222,7 @@ def max_sign_image_norm(
     exhaustion up to the ternary cap and otherwise fall back to the column
     norm sum upper bound.
     """
+    require_same_space(T, mset, "the operator and the set")
     idx = mset.indices
     if not idx.size:
         return 0.0, True
@@ -236,6 +250,41 @@ def _sign_patterns(s: int, base: int) -> np.ndarray:
     return digits
 
 
+def best_signs(T: DiscreteOperator, idx: np.ndarray, full_support: bool,
+               objective: str, mean_zero: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Exhaustive search on each row of `idx`, a (rows, s) array of atom
+    indices: of the nonzero signs on the row's atoms, with full support or
+    not and mean-zero or not, the one with the least (objective "min") or
+    greatest ("max") ||Tx||, first in lexicographic order among ties.
+
+    Returns the (rows, s) int8 patterns (0 for a row without such a sign)
+    and each row's optimum (inf for "min", -inf for "max", on a row without
+    one).  Every pattern's image is taken, feasible or not, over the row's
+    gathered columns, so a row's values do not depend on its chunk.
+    """
+    n_rows, s = idx.shape
+    patterns = _sign_patterns(s, 2 if full_support else 3)
+    if not full_support:
+        patterns = patterns[patterns.any(axis=1)]
+    fpatterns = patterns.astype(float)
+    ipatterns = patterns.astype(np.int64) if mean_zero else None
+    worst, pick = (np.inf, np.argmin) if objective == "min" else (-np.inf, np.argmax)
+    best_patterns = np.zeros((n_rows, s), dtype=np.int8)
+    values = np.empty(n_rows)
+    step = max(1, _CELL_BATCH_BYTES // (8 * len(patterns) * T.target_dim))
+    for lo in range(0, n_rows, step):
+        chunk = idx[lo:lo + step]
+        norms = fnorm_many(T.target, fpatterns @ T.matrix.T[chunk])
+        if mean_zero:
+            balanced = T.space.numerators[chunk] @ ipatterns.T == 0
+            norms = np.where(balanced, norms, worst)
+        best = pick(norms, axis=1)
+        values[lo:lo + step] = norms[np.arange(len(chunk)), best]
+        found = np.flatnonzero(values[lo:lo + step] != worst)
+        best_patterns[lo + found] = patterns[best[found]]
+    return best_patterns, values
+
+
 def brute_force_best_sign(
     T: DiscreteOperator,
     mset: MeasurableSet,
@@ -243,14 +292,16 @@ def brute_force_best_sign(
     objective: str = "min",
     full_support: bool = False,
 ) -> tuple[SignVector, float]:
-    """Exhaustive oracle over signs supported in `mset`.
+    """Exhaustive search over the nonzero signs supported in `mset`.
 
     Enumerates {-1,0,+1}^set (or {-1,+1}^set when full support is requested),
     optionally restricted to exactly mean-zero patterns, and returns the
-    optimizer of ||Tx|| with deterministic lexicographic tie-breaking.
+    optimizer of ||Tx|| with deterministic lexicographic tie-breaking: one
+    row of `best_signs`.
     """
     if objective not in ("min", "max"):
         raise ValueError("objective must be 'min' or 'max'")
+    require_same_space(T, mset, "the operator and the set")
     idx = mset.indices
     s = idx.size
     if s == 0:
@@ -258,27 +309,12 @@ def brute_force_best_sign(
     cap = FULL_SUPPORT_EXHAUSTIVE_LIMIT if full_support else TERNARY_EXHAUSTIVE_LIMIT
     if s > cap:
         raise SetTooLarge(f"set size {s} exceeds the exhaustive cap {cap}")
-
-    patterns = _sign_patterns(s, 2 if full_support else 3)
-    if not full_support:
-        nonzero = np.any(patterns != 0, axis=1)
-        patterns = patterns[nonzero]
-    feasible = True
-    if require_mean_zero:
-        feasible = patterns.astype(np.int64) @ T.space.numerators[idx] == 0
-        if not feasible.any():
-            raise NoFeasibleSign(
-                "no mean-zero sign exists on this set (cannot balance weights)"
-            )
-    # the images of every pattern, infeasible ones included, over C-ordered
-    # columns: the products of the exhaustive cell search, row for row, so
-    # as its oracle this returns bit-identical norms (a BLAS product over
-    # only the feasible rows may round differently)
-    norms = fnorm_many(T.target, patterns.astype(float) @ T.matrix.T[idx])
-    if objective == "min":
-        best = int(np.argmin(np.where(feasible, norms, np.inf)))
-    else:
-        best = int(np.argmax(np.where(feasible, norms, -np.inf)))
+    best, value = best_signs(T, idx[None, :], full_support, objective,
+                             require_mean_zero)
+    if not np.isfinite(value[0]):
+        raise NoFeasibleSign(
+            "no mean-zero sign exists on this set (cannot balance weights)"
+        )
     values = np.zeros(T.space.n_atoms, dtype=np.int8)
-    values[idx] = patterns[best]
-    return SignVector(space=T.space, values=values), float(norms[best])
+    values[idx] = best[0]
+    return SignVector(space=T.space, values=values), float(value[0])

@@ -18,8 +18,8 @@ import numpy as np
 from .errors import (
     AdaptiveBudgetExhausted,
     AtomTooLarge,
-    DimensionMismatch,
     NonDyadic,
+    NoSignFound,
     NotLocallyConvex,
     NoTruncationSmallEnough,
     PreconditionFailed,
@@ -39,6 +39,7 @@ from .measure import (
     rademacher_signs,
 )
 from .narrowness import (
+    _EXHAUSTIVE_SEARCH_LIMIT,
     DEFAULT_REFINE_BUDGET,
     cell_segments,
     check_budgets,
@@ -49,7 +50,7 @@ from .narrowness import (
     partition_small_cells,
 )
 from .norms import dual_unit_functional, fnorm, fnorm_many, sup_norm
-from .operators import DiscreteOperator, RefinementContext
+from .operators import DiscreteOperator, RefinementContext, require_same_space
 from .rounding import sign_round
 
 _TOL = 1e-9
@@ -111,11 +112,6 @@ class PipelineReport:
             "space": self.space.to_json(),
             "extras": self.extras,
         }
-
-
-def _require_same_space(T1: DiscreteOperator, T2: DiscreteOperator) -> None:
-    if T1.space != T2.space:
-        raise DimensionMismatch("operators must share the same source space")
 
 
 def _certify(ctx: RefinementContext, values, budgets: dict, stage: int,
@@ -231,7 +227,7 @@ def pairing_construction(
     """
     if not params.gamma < params.epsilon:
         raise ValueError("pairing needs gamma < epsilon")
-    _require_same_space(T1, T2)
+    require_same_space(T1, T2, "operators")
     ctx = RefinementContext(T1.space, {"t1": T1, "t2": T2})
     us, umap = ctx.space.uniformize()
     ctx.apply_map(umap, us)
@@ -385,6 +381,10 @@ def sum_finite_rank(
     The cell signs come from one batched exhaustive search over every cell
     (`exhaustive_cell_signs`); the cells it leaves, too large or without a
     sign within budget, then go through `find_small_sign` in cell order.
+    A rejected cell of at most _EXHAUSTIVE_SEARCH_LIMIT atoms is split in
+    two first, as the batched pass has tried every sign (all mean-zero with
+    full support) that a first round of `find_small_sign` on it would try;
+    a split over the refinement budget raises that search's `NoSignFound`.
     The coefficient images are exact in the atom weights: per-(cell, input
     atom) int64 sums of sign times numerator, then one product with the
     coefficient matrix on the input space, so a cell sign that cancels
@@ -396,7 +396,7 @@ def sum_finite_rank(
     check_budgets(sigma=sigma, epsilon=epsilon)
     check_integers(0, rank_limit=rank_limit)
     check_integers(1, refine_budget=refine_budget)
-    _require_same_space(T1, T2)
+    require_same_space(T1, T2, "operators")
     # decide the rank in the target's norm: each row scaled as the norm
     # weighs it (w for sup, w^(1/p) for lp), so tiny entries under large
     # weights still count
@@ -477,6 +477,23 @@ def sum_finite_rank(
     strategies = ["exhaustive"] * n_cells
     for rank_k in np.flatnonzero(~accepted).tolist():
         cell_set = ctx.where("cell", rank_k)
+        if sizes[rank_k] <= _EXHAUSTIVE_SEARCH_LIMIT:
+            # the first round of find_small_sign would try no sign the
+            # batched pass has not tried on this cell, so split it first
+            try:
+                ctx.refine_atoms(cell_set.indices, 2, refine_budget)
+            except RefinementBudgetExceeded:
+                # no search has refined this cell: its atoms, in order, are
+                # those the batched sign was found on
+                x = np.zeros(ctx.space.n_atoms, dtype=np.int8)
+                x[cell_set.indices] = signs[cell == rank_k]
+                val = float(t1_norms[rank_k])
+                best = SignVector(space=ctx.space, values=x) if val < np.inf else None
+                raise NoSignFound(
+                    f"no sign with image norm < {t1_budgets[rank_k] + _TOL} "
+                    "within the refinement budget", best_sign=best, best_value=val,
+                ) from None
+            cell_set = ctx.where("cell", rank_k)
         res = find_small_sign(
             ctx.ops["t1"], cell_set, t1_budgets[rank_k] + _TOL,
             refine_budget=refine_budget,
@@ -574,7 +591,7 @@ def sum_compact_locally_convex(
     epsilon = params.epsilon
     if not T2.target.locally_convex:
         raise NotLocallyConvex("the compact-sum pipeline needs a locally convex target")
-    _require_same_space(T1, T2)
+    require_same_space(T1, T2, "operators")
     ctx = RefinementContext(T1.space, {"t1": T1, "t2": T2})
     us, umap = ctx.space.uniformize()
     ctx.apply_map(umap, us)
@@ -668,7 +685,7 @@ def sum_compact_via_truncation(
     check_budgets(sigma=sigma, epsilon=epsilon)
     check_integers(0, rank_limit=rank_limit)
     check_integers(1, refine_budget=refine_budget)
-    _require_same_space(T1, T2)
+    require_same_space(T1, T2, "operators")
     level = None
     for n in range(1, T2.target_dim + 1):
         if tail_bound(n) <= epsilon / 2:

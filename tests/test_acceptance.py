@@ -19,7 +19,6 @@ from narrowops import (
     RoundingInstance,
     SignVector,
     adversarial_disjoint_signs,
-    brute_force_best_sign,
     cli,
     find_small_sign,
     fnorm,
@@ -38,6 +37,7 @@ from narrowops import (
 )
 from narrowops.instances import build_l1_example
 from narrowops.serialize import operator_to_json
+from oracles import brute_force_best_sign
 from revalidation import revalidate
 
 

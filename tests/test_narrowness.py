@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from narrowops import (
     AtomTooLarge,
+    DimensionMismatch,
     DiscreteOperator,
     InvalidAtom,
     MeasureSpace,
@@ -20,7 +21,6 @@ from narrowops import (
     SignVector,
     SmallSignResult,
     adversarial_disjoint_signs,
-    brute_force_best_sign,
     find_small_sign,
     fnorm,
     lp_norm,
@@ -30,7 +30,7 @@ from narrowops import (
     rademacher_sign,
     sup_norm,
 )
-from narrowops import narrowness
+from narrowops import operators
 from narrowops.instances import build_l1_example, l1_example_cells
 from narrowops.narrowness import (
     _EXHAUSTIVE_SEARCH_LIMIT,
@@ -40,6 +40,7 @@ from narrowops.narrowness import (
     exhaustive_cell_signs,
 )
 from narrowops.operators import TERNARY_EXHAUSTIVE_LIMIT
+from oracles import brute_force_best_sign
 
 
 class TestFindSmallSign:
@@ -112,6 +113,22 @@ class TestFindSmallSign:
             find_small_sign(T, space.full_set(), 1e-3,
                             strategy="auto", refine_budget=2)
         assert exc.value.best_value == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("search", [
+        lambda T, A: find_small_sign(T, A, 5.0),
+        lambda T, A: operators.brute_force_best_sign(T, A),
+        max_sign_image_norm,
+    ])
+    @pytest.mark.parametrize("op_atoms, set_atoms, indices", [(8, 4, [2, 3]),
+                                                               (4, 8, [6, 7])])
+    def test_a_set_from_another_space_is_rejected(self, search, op_atoms,
+                                                  set_atoms, indices):
+        # a smaller set's atoms used to be read as the operator's own atoms,
+        # and a larger one's ended in a bare IndexError
+        T = DiscreteOperator(np.arange(op_atoms, dtype=float)[None, :],
+                             MeasureSpace.uniform(op_atoms), lp_norm(1, dim=1))
+        with pytest.raises(DimensionMismatch, match="same source space"):
+            search(T, MeasureSpace.uniform(set_atoms).subset(indices))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_operator_rejected(self, bad):
@@ -344,7 +361,7 @@ class TestExhaustiveCellSigns:
             [k for k, size in enumerate(sizes) for _ in range(size)])))
         signs, values = exhaustive_cell_signs(T, cell)
         # a chunk of one cell gives the same result as one chunk
-        with mock.patch.object(narrowness, "_CELL_BATCH_BYTES", 1):
+        with mock.patch.object(operators, "_CELL_BATCH_BYTES", 1):
             signs_1, values_1 = exhaustive_cell_signs(T, cell)
         assert signs_1.tolist() == signs.tolist()
         assert values_1.tolist() == values.tolist()

@@ -18,14 +18,14 @@ from narrowops import (
     NoFeasibleSign,
     SetTooLarge,
     SignVector,
-    brute_force_best_sign,
     fnorm,
     lp_norm,
     max_sign_image_norm,
     sup_norm,
 )
 from narrowops.instances import build_l1_example, l1_example_cells
-from narrowops.operators import RefinementContext
+from narrowops.operators import RefinementContext, brute_force_best_sign
+import oracles
 
 RNG = np.random.default_rng(7)
 
@@ -138,7 +138,7 @@ class TestMaxSignImageNorm:
             indices = sorted(rng.choice(8, size=5, replace=False).tolist())
             value, exact = max_sign_image_norm(T, T.space.subset(indices))
             assert exact
-            sign, bf = brute_force_best_sign(
+            sign, bf = oracles.brute_force_best_sign(
                 T, T.space.subset(indices), require_mean_zero=False, objective="max"
             )
             assert value == pytest.approx(bf, rel=1e-12)
@@ -192,6 +192,49 @@ class TestBruteForce:
         a, _ = brute_force_best_sign(T, space.subset([0, 1]))
         b, _ = brute_force_best_sign(T, space.subset([0, 1]))
         assert a.values.tolist() == b.values.tolist() == [-1, 1, 0, 0]
+
+    @pytest.mark.parametrize("full_support", [False, True])
+    @pytest.mark.parametrize("objective", ["min", "max"])
+    @pytest.mark.parametrize("mean_zero", [False, True])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), kind=st.sampled_from(["sup", "l1", "l2", "l0.5"]),
+           dim=st.sampled_from([1, 3]), size=st.integers(0, 7), uniform=st.booleans())
+    def test_matches_the_oracle_bit_for_bit(self, full_support, objective, mean_zero,
+                                            data, kind, dim, size, uniform):
+        # columns from a small pool with a zero column and duplicates, so
+        # optima tie; unequal weights leave some sets with no balanced
+        # pattern; size 0 is the empty set
+        n = size + 2
+        entries = st.one_of(st.sampled_from([0.0, 0.25, -0.5]),
+                            st.floats(-2, 2, allow_subnormal=False))
+        pool = data.draw(st.lists(st.lists(entries, min_size=dim, max_size=dim),
+                                  min_size=1, max_size=3)) + [[0.0] * dim]
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+        exponents = [1] * n if uniform else data.draw(
+            st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        space = MeasureSpace.from_weights([Fraction(1, 2**e) for e in exponents])
+        target = sup_norm(dim=dim) if kind == "sup" else lp_norm(float(kind[1:]), dim=dim)
+        T = DiscreteOperator(np.array([pool[c] for c in picks]).T, space, target)
+        mset = space.subset(data.draw(st.permutations(range(n)))[:size])
+        kwargs = dict(require_mean_zero=mean_zero, objective=objective,
+                      full_support=full_support)
+        try:
+            want_sign, want = oracles.brute_force_best_sign(T, mset, **kwargs)
+        except NoFeasibleSign as exc:
+            with pytest.raises(NoFeasibleSign) as got:
+                brute_force_best_sign(T, mset, **kwargs)
+            assert str(got.value) == str(exc)
+            return
+        sign, value = brute_force_best_sign(T, mset, **kwargs)
+        assert sign.values.tolist() == want_sign.values.tolist()
+        assert value == want
+
+    @pytest.mark.parametrize("full_support, size", [(False, 14), (True, 21)])
+    def test_over_the_cap_raises_like_the_oracle(self, full_support, size):
+        T = _random_operator(1, 32)
+        for search in (brute_force_best_sign, oracles.brute_force_best_sign):
+            with pytest.raises(SetTooLarge, match=f"cap {size - 1}$"):
+                search(T, T.space.subset(range(size)), full_support=full_support)
 
 
 class TestRefinementCompatibility:

@@ -18,6 +18,7 @@ from narrowops import (
     DiscreteOperator,
     MeasureSpace,
     NarrowOpsError,
+    NoSignFound,
     NotLocallyConvex,
     NoTruncationSmallEnough,
     PipelineParams,
@@ -40,10 +41,10 @@ from narrowops import (
     sum_finite_rank,
     sup_norm,
 )
-from narrowops import narrowness, pipelines, rounding
+from narrowops import narrowness, operators, pipelines, rounding
 from narrowops.instances import build_l1_example, l1_example_tail_bound
 from narrowops.linalg import rank_factorization
-from narrowops.narrowness import exhaustive_cell_signs
+from narrowops.narrowness import _EXHAUSTIVE_SEARCH_LIMIT, exhaustive_cell_signs
 from narrowops.operators import RefinementContext
 from narrowops.pipelines import _TOL, _certify, _knapsack_fractional
 from revalidation import revalidate
@@ -257,7 +258,7 @@ class TestCertify:
             _certify(ctx, [1, -1, 1, -1], {"t": 1.0 - 1.5e-9}, 3)
 
 
-def _reference_sum_finite_rank(T1, T2, sigma, epsilon):
+def _reference_sum_finite_rank(T1, T2, sigma, epsilon, refine_budget=2**16):
     """The per-cell loop the batched cell search replaced, for rank >= 1:
     one find_small_sign per cell in cell order, each cell's coefficient
     image by a full-space apply, and the same rounding and verdict."""
@@ -279,7 +280,7 @@ def _reference_sum_finite_rank(T1, T2, sigma, epsilon):
             break
         except AtomTooLarge:
             too_big = np.flatnonzero(ctx.ops["coeff"].column_norms() > cell_budget)
-            ctx.refine_atoms(too_big, 2, 2**16)
+            ctx.refine_atoms(too_big, 2, refine_budget)
     cells = [ctx.space.subset(np.flatnonzero(partition.cell == k))
              for k in range(partition.n_cells)]
     order = sorted(range(partition.n_cells), key=lambda k: (-cells[k].measure, k))
@@ -288,12 +289,13 @@ def _reference_sum_finite_rank(T1, T2, sigma, epsilon):
         cell[cells[k].indices] = rank_k
     ctx.arrays = {"cell": cell, "x": np.zeros(ctx.space.n_atoms, dtype=np.int8)}
     if partition.n_cells > 32:
-        ctx.refine_atoms(range(ctx.space.n_atoms), 2, 2**16)
+        ctx.refine_atoms(range(ctx.space.n_atoms), 2, refine_budget)
     stages = []
     for rank_k in range(partition.n_cells):
         k = rank_k + 1
         cell_set = ctx.where("cell", rank_k)
-        res = find_small_sign(ctx.ops["t1"], cell_set, sigma * 2.0**-k + _TOL)
+        res = find_small_sign(ctx.ops["t1"], cell_set, sigma * 2.0**-k + _TOL,
+                              refine_budget=refine_budget)
         ctx.apply_map(res.refine_map, res.operator.space)
         p_k = fnorm(coeff_target, ctx.ops["coeff"].apply(res.sign.values))
         if p_k > delta / m + _TOL:
@@ -347,6 +349,41 @@ class TestSumFiniteRank:
             revalidate(ref, t1, t2, 0.1, 0.1)
         assert seen == {"over the exhaustive limit", "rejected by the exhaustive pass",
                         "kernel pairing"}
+
+    def test_each_small_cell_is_searched_once(self):
+        # three cells of at most 10 atoms fail their budget in the batched
+        # pass here; an unrefined cell keeps its columns' bits, so a second
+        # search of one would repeat a row of columns
+        t1 = random_narrow_operator(20, 64, 3, 0.5)
+        t2 = random_finite_rank(21, 3, None, 6, scale=1e-4, space=t1.space)
+        search = mock.Mock(wraps=operators.best_signs)
+        with mock.patch.object(operators, "best_signs", search), \
+                mock.patch.object(narrowness, "best_signs", search):
+            rep = sum_finite_rank(t1, t2, 0.1, 0.1)
+        rows = [c.args[0].matrix[:, row].tobytes()
+                for c in search.call_args_list for row in c.args[1]]
+        small = [s for s in rep.stages if s["size"] <= _EXHAUSTIVE_SEARCH_LIMIT]
+        assert sum(s["strategy"] != "exhaustive" for s in small) == 3
+        assert len(set(rows)) == len(rows) == len(small)
+
+    def test_a_split_over_budget_fails_as_the_per_cell_loop(self):
+        # from 89 atoms on, the budget stops the split of a rejected cell of
+        # at most 10 atoms (10, 8 or 7 atoms; the last has no balanced
+        # sign): the error carries the same message, best sign and value
+        # as the per-cell loop's find_small_sign, whose first round searched
+        # the unrefined cell
+        t1 = random_narrow_operator(20, 64, 3, 0.5)
+        t2 = random_finite_rank(21, 3, None, 6, scale=1e-4, space=t1.space)
+        for budget in range(64, 114):
+            errors = []
+            for pipeline in (sum_finite_rank, _reference_sum_finite_rank):
+                with pytest.raises(NoSignFound) as exc:
+                    pipeline(t1, t2, 0.1, 0.1, refine_budget=budget)
+                best = exc.value.best_sign
+                errors.append((str(exc.value), exc.value.best_value, None if best is None
+                               else (best.space.n_atoms, best.values.tolist())))
+            assert errors[0] == errors[1], budget
+        sum_finite_rank(t1, t2, 0.1, 0.1, refine_budget=114)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), n=st.integers(3, 24), rank=st.integers(1, 3),
