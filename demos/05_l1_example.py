@@ -25,10 +25,7 @@ T = build_l1_example(12)
 cells = l1_example_cells(T)
 print(f"{T.space.n_atoms} atoms across {len(cells)} cells")
 
-exact_zeros = sum(
-    find_small_sign(T, c, 2.0**-60, strategy="kernel_pairing").value == 0.0
-    for c in cells
-)
+exact_zeros = sum(find_small_sign(T, c, 2.0**-60).value == 0.0 for c in cells)
 print(f"strict narrowness: exact-zero signs in {exact_zeros}/{len(cells)} cells")
 
 tail = l1_example_tail_bound(12)

@@ -56,7 +56,6 @@ from .narrowness import (
 )
 from .norms import (
     TargetNorm,
-    coefficient_sup_norm,
     dual_unit_functional,
     fnorm,
     fnorm_many,

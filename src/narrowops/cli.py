@@ -7,8 +7,9 @@ config + seed produce byte-identical files.
 
 Exit codes: 0 success, 2 certified failure (a pipeline reported and
 certified that it could not meet its budgets), 1 usage error (a malformed
-command line or config: a config value of the wrong JSON type, or an
-operator or atom set in the config that the library rejects).
+command line or config: a config value of the wrong JSON type, an operator,
+atom set or rounding instance in the config that the library rejects, or
+two operators on different spaces).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidAtom, NarrowOpsError
+from .errors import InvalidAtom, NarrowOpsError
 from .instances import (
     InstanceSpec,
     build_conditional_expectation,
@@ -66,9 +67,18 @@ def _operator_from_config(value: dict) -> DiscreteOperator:
             return operator_from_json(load_json(value["path"]))
         if "matrix" in value:
             return operator_from_json(value)
-    except (InvalidAtom, DimensionMismatch, TypeError) as exc:
+    except (NarrowOpsError, TypeError) as exc:
         raise UsageError(f"bad operator: {exc}") from None
     raise UsageError("operator entry needs 'instance', 'path', or an inline bundle")
+
+
+def _operator_pair(config: dict) -> tuple[DiscreteOperator, DiscreteOperator]:
+    """The config's t1 and t2, which must share one source space."""
+    t1 = _operator_from_config(config["t1"])
+    t2 = _operator_from_config(config["t2"])
+    if t1.space != t2.space:
+        raise UsageError("'t1' and 't2' must share the same source space")
+    return t1, t2
 
 
 _PARAM_KEYS = tuple(f.name for f in dataclasses.fields(PipelineParams))
@@ -138,11 +148,13 @@ def _emit_pipeline(args, name: str, report) -> None:
 
 def _cmd_round(args, config: dict, seed: int) -> int:
     _check_keys(config, "vectors", "coefficients", "norm")
-    instance = RoundingInstance(
-        vectors=_read(config, "vectors", _float_array),
-        coefficients=_read(config, "coefficients", _float_array),
-        norm=_read(config, "norm", TargetNorm.from_json),
-    )
+    vectors = _read(config, "vectors", _float_array)
+    coefficients = _read(config, "coefficients", _float_array)
+    norm = _read(config, "norm", TargetNorm.from_json)
+    try:
+        instance = RoundingInstance(vectors, coefficients, norm)
+    except NarrowOpsError as exc:
+        raise UsageError(f"bad rounding instance: {exc}") from None
     result = round_half_integer(instance)
     _emit(args, "round", result.to_json_dict())
     return 0
@@ -163,7 +175,7 @@ def _cmd_partition(args, config: dict, seed: int) -> int:
 
 
 def _cmd_find_sign(args, config: dict, seed: int) -> int:
-    _check_keys(config, "operator", "set", "epsilon", "strategy", "refine_budget")
+    _check_keys(config, "operator", "set", "epsilon", "refine_budget")
     T = _operator_from_config(config["operator"])
     try:
         mset = T.space.subset(config["set"]) if "set" in config else T.space.full_set()
@@ -171,7 +183,6 @@ def _cmd_find_sign(args, config: dict, seed: int) -> int:
         raise UsageError(f"bad 'set': {exc}") from None
     res = find_small_sign(
         T, mset, _read(config, "epsilon", _real),
-        strategy=config.get("strategy", "auto"),
         refine_budget=_read(config, "refine_budget", _int, DEFAULT_REFINE_BUDGET),
     )
     report = {
@@ -187,16 +198,14 @@ def _cmd_find_sign(args, config: dict, seed: int) -> int:
 
 def _cmd_pairing(args, config: dict, seed: int) -> int:
     _check_keys(config, "t1", "t2", "params", *_PARAM_KEYS)
-    t1 = _operator_from_config(config["t1"])
-    t2 = _operator_from_config(config["t2"])
+    t1, t2 = _operator_pair(config)
     _emit_pipeline(args, "pairing", pairing_construction(t1, t2, _params(config, seed)))
     return 0
 
 
 def _cmd_sum_finite_rank(args, config: dict, seed: int) -> int:
     _check_keys(config, "t1", "t2", "sigma", "epsilon", "rank_limit", "refine_budget")
-    t1 = _operator_from_config(config["t1"])
-    t2 = _operator_from_config(config["t2"])
+    t1, t2 = _operator_pair(config)
     report = sum_finite_rank(
         t1, t2, _read(config, "sigma", _real), _read(config, "epsilon", _real),
         rank_limit=_read(config, "rank_limit", _int, DEFAULT_RANK_LIMIT),
@@ -216,8 +225,7 @@ def _cmd_sum_compact(args, config: dict, seed: int) -> int:
     if mode not in mode_keys:
         raise UsageError(f"unknown sum-compact mode {mode!r}")
     _check_keys(config, "t1", "t2", "mode", *mode_keys[mode])
-    t1 = _operator_from_config(config["t1"])
-    t2 = _operator_from_config(config["t2"])
+    t1, t2 = _operator_pair(config)
     epsilon = _read(config, "epsilon", _real)
     if mode == "adaptive":
         report = sum_compact_locally_convex(t1, t2, _params(config, seed, epsilon=epsilon))
@@ -254,7 +262,7 @@ def _cmd_example_l1(args, config: dict, seed: int) -> int:
     if args.check == "strict-narrow":
         cells = []
         for k, cell in enumerate(l1_example_cells(T)):
-            res = find_small_sign(T, cell, 2.0**-60, strategy="kernel_pairing")
+            res = find_small_sign(T, cell, 2.0**-60)
             cells.append({
                 "cell": k,
                 "size": cell.size,

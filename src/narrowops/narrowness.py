@@ -360,19 +360,18 @@ def find_small_sign(
     T: DiscreteOperator,
     mset: MeasurableSet,
     epsilon: float,
-    strategy: str = "auto",
     refine_budget: int = DEFAULT_REFINE_BUDGET,
 ) -> SmallSignResult:
     """Mean-zero sign on `mset` (full support) with ||Tx|| < epsilon.
 
-    Strategies: ``exhaustive`` (brute-force optimum, small sets only),
-    ``rademacher_scan`` (block signs at increasing levels, refining the set's
-    atoms as needed within the budget), ``kernel_pairing`` (exact zeros by
-    pairing equal columns, refining as needed), or ``auto`` (all of them).
-    The result may live on a refined space; `refine_map` lifts companions.
+    Each round tries, in this order: the exhaustive optimum when the set has
+    at most _EXHAUSTIVE_SEARCH_LIMIT atoms, kernel pairing (an exact zero by
+    pairing equal columns of equal-weight atoms), and the block Rademacher
+    signs level by level.  When none is below epsilon, every atom of the set
+    is split in two and the round repeats, within `refine_budget` atoms.
+    `strategy` names the step that succeeded.  The result may live on a
+    refined space; `refine_map` lifts companions.
     """
-    if strategy not in ("auto", "exhaustive", "rademacher_scan", "kernel_pairing"):
-        raise ValueError(f"unknown strategy {strategy!r}")
     check_budgets(epsilon=epsilon)
     check_integers(1, refine_budget=refine_budget)
     require_same_space(T, mset, "the operator and the set")
@@ -380,28 +379,13 @@ def find_small_sign(
         raise NoSignFound("the empty set supports no sign")
 
     ctx = RefinementContext(T.space, {"t": T})
-    if strategy == "exhaustive":
-        # single shot: refinement cannot improve an exhaustive optimum
-        try:
-            sign, val = brute_force_best_sign(T, mset, full_support=True)
-        except NoFeasibleSign as exc:
-            raise NoSignFound(str(exc)) from exc
-        if val < epsilon:
-            return SmallSignResult(
-                sign=sign, operator=T, refine_map=ctx.total_map,
-                value=val, strategy="exhaustive",
-            )
-        raise NoSignFound(
-            f"exhaustive optimum {val} >= {epsilon}", best_sign=sign, best_value=val
-        )
-
     cur_set = mset
     best_sign: SignVector | None = None
     best_val = float("inf")
 
     while True:
         cur_T = ctx.ops["t"]
-        if strategy == "auto" and cur_set.size <= _EXHAUSTIVE_SEARCH_LIMIT:
+        if cur_set.size <= _EXHAUSTIVE_SEARCH_LIMIT:
             try:
                 sign, val = brute_force_best_sign(cur_T, cur_set, full_support=True)
                 if val < best_val:
@@ -413,26 +397,24 @@ def find_small_sign(
                     )
             except NoFeasibleSign:
                 pass
-        if strategy in ("auto", "kernel_pairing"):
-            sign = _kernel_pairing(cur_T, cur_set)
-            if sign is not None:
-                # paired atoms have bitwise-equal columns, so the image is
-                # exactly zero (below every positive epsilon); do not let
-                # summation order manufacture noise
-                return SmallSignResult(
-                    sign=sign, operator=cur_T,
-                    refine_map=ctx.total_map, value=0.0, strategy="kernel_pairing",
-                )
-        if strategy in ("auto", "rademacher_scan"):
-            sign, val = _rademacher_scan(cur_T, cur_set, epsilon)
-            if val < epsilon:
-                return SmallSignResult(
-                    sign=sign, operator=cur_T,
-                    refine_map=ctx.total_map, value=cur_T.image_norm(sign.values),
-                    strategy="rademacher_scan",
-                )
-            if val < best_val:
-                best_sign, best_val = sign, val
+        sign = _kernel_pairing(cur_T, cur_set)
+        if sign is not None:
+            # paired atoms have bitwise-equal columns, so the image is
+            # exactly zero (below every positive epsilon); do not let
+            # summation order manufacture noise
+            return SmallSignResult(
+                sign=sign, operator=cur_T,
+                refine_map=ctx.total_map, value=0.0, strategy="kernel_pairing",
+            )
+        sign, val = _rademacher_scan(cur_T, cur_set, epsilon)
+        if val < epsilon:
+            return SmallSignResult(
+                sign=sign, operator=cur_T,
+                refine_map=ctx.total_map, value=cur_T.image_norm(sign.values),
+                strategy="rademacher_scan",
+            )
+        if val < best_val:
+            best_sign, best_val = sign, val
 
         # refine every atom of the working set and retry; the set becomes a
         # label only here, as most searches succeed without refining

@@ -316,10 +316,8 @@ def pairing_construction(
 
     # tail sign z on the remaining small set
     tail = ctx.where("stage", 0)
-    res = find_small_sign(
-        ctx.ops["t1"], tail, params.sigma / 2**m + _TOL,
-        strategy="auto", refine_budget=params.refine_budget,
-    )
+    res = find_small_sign(ctx.ops["t1"], tail, params.sigma / 2**m + _TOL,
+                          refine_budget=params.refine_budget)
     ctx.apply_map(res.refine_map, res.operator.space)
     z = res.sign
     t2z = fnorm(T2.target, ctx.image("t2", z.values))
@@ -403,9 +401,7 @@ def sum_finite_rank(
     w = T2.target.weights
     if T2.target.kind == "lp":
         w = w ** (1.0 / T2.target.p)
-    pivots, _, coeff = rank_factorization(
-        T2.matrix if w is None else T2.matrix * w[:, None]
-    )
+    pivots, _, coeff = rank_factorization(T2.matrix * w[:, None])
     m = len(pivots)
     if m > rank_limit:
         raise RankTooLarge(f"numerical rank {m} exceeds limit {rank_limit}")
@@ -633,7 +629,7 @@ def sum_compact_locally_convex(
             refine_budget=params.refine_budget,
         )
         ctx.apply_map(inner.refine_map, inner.space)
-        t2x = ctx.ops["t2"].apply(inner.sign.values)
+        t2x = ctx.image("t2", inner.sign.values)
         val = fnorm(target, t2x)
         rounds_log.append({
             "round": rnd,
@@ -644,9 +640,8 @@ def sum_compact_locally_convex(
         if val <= epsilon / 2 + _TOL:
             x, achieved = _certify(ctx, inner.sign.values,
                                    {"t1": epsilon / 2, "t2": epsilon / 2}, rnd)
-            if ctx.ops["t1"].target_dim == ctx.ops["t2"].target_dim:
-                total_img = ctx.ops["t1"].apply(x.values) + t2x
-                achieved["sum"] = fnorm(target, total_img)
+            if T1.target_dim == T2.target_dim:
+                achieved["sum"] = fnorm(target, ctx.image("t1", x.values) + t2x)
             return replace(
                 inner,
                 pipeline="sum_compact_locally_convex",

@@ -232,7 +232,7 @@ def test_criterion_7_l1_example_certification():
     # (i) strict narrowness: exact-zero mean-zero sign in every cell
     cells = l1_example_cells(T)
     for cell in cells:
-        res = find_small_sign(T, cell, 2.0**-60, strategy="kernel_pairing")
+        res = find_small_sign(T, cell, 2.0**-60)
         assert res.value == 0.0
     # (ii) tail bound |row_n . z| <= 2^-n for random signs, and exactly
     # by row sum

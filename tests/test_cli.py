@@ -201,12 +201,20 @@ class TestExitCodes:
           for field, value in [("max_adaptive_rounds", 2.5), ("sample_budget", 3.5),
                                ("functional_cap", True)]],
         ("example-l1", {"levels": 4.5}, "levels"),
+        # the sign search has one order, and the coefficient-sup norm is gone
+        ("find-sign", {"operator": {"instance": {"kind": "l1_example", "levels": 4}},
+                       "epsilon": 1e-6, "strategy": "kernel_pairing"}, "strategy"),
+        ("partition", {"operator": {"matrix": [[1.0, 1.0]],
+                                    "space": {"numerators": [1, 1], "denominator_log2": 1},
+                                    "norm": {"kind": "coefficient_sup", "basis": [[1.0]]}},
+                       "epsilon": 0.1}, "unknown norm kind 'coefficient_sup'"),
     ], ids=["missing-levels", "unknown-field", "missing-atoms", "missing-kind",
             "string-levels", "bool-levels", "string-decay", "list-kind",
             "list-epsilon", "scalar-tail-values", "list-refine-budget", "int-norm",
             "scalar-matrix", "float-refine-budget", "bool-refine-budget",
             "float-seed", "bool-epsilon", "float-max-adaptive-rounds",
-            "float-sample-budget", "bool-functional-cap", "float-levels"])
+            "float-sample-budget", "bool-functional-cap", "float-levels",
+            "strategy-key", "coefficient-sup-norm"])
     def test_bad_instance_is_usage_error(self, tmp_path, capsys, command, config, field):
         # an ill-typed instance field or config value used to escape main as
         # a TypeError traceback, to exit 2, or to be truncated or cast and run
@@ -239,6 +247,40 @@ class TestExitCodes:
 
     def test_config_must_be_an_object(self, tmp_path):
         assert _run(tmp_path, "bench", []) == 1
+
+    @pytest.mark.parametrize("command, config", [
+        *[("partition", {"operator": {"instance": instance}, "epsilon": 0.25})
+          for instance in [
+              {"kind": "random_narrow", "seed": 1, "atoms": 3, "target_dim": 3,
+               "decay": 0.5},
+              {"kind": "conditional_expectation", "grid": 3},
+              {"kind": "l1_example", "levels": 4, "atoms_per_level": 3},
+          ]],
+        ("partition", {"operator": {"matrix": [[1.0]],
+                                    "space": {"numerators": [1], "denominator_log2": -1},
+                                    "norm": {"kind": "sup", "weights": [1.0]}},
+                       "epsilon": 0.1}),
+        ("round", {"vectors": [[1.0, 0.0]], "coefficients": [0.5],
+                   "norm": {"kind": "sup", "weights": [1.0]}}),
+        ("round", {"vectors": [[1.0]], "coefficients": [0.5, 0.5],
+                   "norm": {"kind": "sup", "weights": [1.0]}}),
+        ("sum-finite-rank", {**_pipeline_config(),
+                             "t2": {"instance": {"kind": "l1_example", "levels": 5}},
+                             "sigma": 0.1, "epsilon": 0.1}),
+        ("pairing", {**_pipeline_config(),
+                     "t2": {"instance": {"kind": "l1_example", "levels": 5}}}),
+        ("sum-compact", {**_pipeline_config(),
+                         "t2": {"instance": {"kind": "l1_example", "levels": 5}},
+                         "epsilon": 0.2}),
+    ], ids=["random-narrow-atoms", "condexp-grid", "l1-atoms-per-level",
+            "negative-denominator", "round-vector-dim", "round-extra-coefficient",
+            "sum-finite-rank-spaces", "pairing-spaces", "sum-compact-spaces"])
+    def test_malformed_config_is_not_a_certified_failure(self, tmp_path, capsys,
+                                                         command, config):
+        # exit 2 is kept for a pipeline that certifies it cannot meet its
+        # budgets; these configs used to exit 2 with "certified failure"
+        assert _run(tmp_path, command, config) == 1
+        assert "usage error" in capsys.readouterr().err
 
 
 class TestReports:

@@ -66,7 +66,7 @@ class TestL1Example:
         # every cell admits an exact-zero mean-zero sign via pairing
         T = build_l1_example(6)
         for cell in l1_example_cells(T):
-            res = find_small_sign(T, cell, 2.0**-60, strategy="kernel_pairing")
+            res = find_small_sign(T, cell, 2.0**-60)
             assert res.value == 0.0
 
     def test_tail_bound(self):

@@ -54,25 +54,29 @@ class TestFindSmallSign:
     def test_l1_cell_pairing_exact_zero(self):
         T = build_l1_example(4, atoms_per_level=4)
         cell = l1_example_cells(T)[1]
-        res = find_small_sign(T, cell, 1e-12, strategy="kernel_pairing")
+        res = find_small_sign(T, cell, 1e-12)
         assert res.value == 0.0
         assert res.sign.is_sign_on(cell)
         # certify by direct application too
         assert fnorm(T.target, T.apply(res.sign.values)) < 1e-15
 
-    def test_distinct_columns_exhaustive_fails(self):
-        space = MeasureSpace.uniform(2)
-        T = DiscreteOperator(np.array([[1.0, 0.0]]), space, sup_norm(dim=1))
-        with pytest.raises(NoSignFound) as exc:
-            find_small_sign(T, space.full_set(), 0.5, strategy="exhaustive")
-        assert exc.value.best_value == pytest.approx(1.0)
+    @pytest.mark.parametrize("atoms_per_level", [None, 2, 4])
+    def test_l1_cells_exact_zero(self, atoms_per_level):
+        # strict narrowness of the L1 example: every cell has a mean-zero
+        # sign with image exactly 0, and only a one-atom cell needs a split
+        for levels in range(1, 11):
+            T = build_l1_example(levels, atoms_per_level)
+            for cell in l1_example_cells(T):
+                res = find_small_sign(T, cell, 2.0**-60)
+                assert res.value == 0.0
+                assert res.refine_map.is_identity == (cell.size > 1)
 
     def test_refinement_recovers(self):
-        # same operator: under refinement the sibling columns become equal
-        # and pairing reaches an exact zero
+        # the only sign on the input has image 1; under refinement the
+        # sibling columns become equal and pairing reaches an exact zero
         space = MeasureSpace.uniform(2)
         T = DiscreteOperator(np.array([[1.0, 0.0]]), space, sup_norm(dim=1))
-        res = find_small_sign(T, space.full_set(), 0.5, strategy="auto")
+        res = find_small_sign(T, space.full_set(), 0.5)
         assert res.value < 0.5
         assert not res.refine_map.is_identity
         assert res.sign.mean_zero
@@ -82,27 +86,11 @@ class TestFindSmallSign:
         space = MeasureSpace.uniform(8)
         T = DiscreteOperator(rng.standard_normal((3, 8)), space, lp_norm(1, dim=3))
         mset = space.subset([0, 1, 2, 5])
-        res = find_small_sign(T, mset, 1e9, strategy="exhaustive")
+        res = find_small_sign(T, mset, 1e9)
         _, oracle = brute_force_best_sign(
             T, mset, require_mean_zero=True, objective="min", full_support=True
         )
         assert res.value == pytest.approx(oracle)
-
-    def test_exhaustive_refusals_match_oracle(self):
-        # the exhaustive step raises what brute_force_best_sign raises: no
-        # balanced sign on weights 1/2, 1/4, and too many atoms to enumerate
-        space = MeasureSpace.from_weights([Fraction(1, 2), Fraction(1, 4),
-                                           Fraction(1, 4)])
-        T = DiscreteOperator(np.ones((1, 3)), space, sup_norm(dim=1))
-        with pytest.raises(NoFeasibleSign) as oracle:
-            brute_force_best_sign(T, space.subset([0, 1]), full_support=True)
-        with pytest.raises(NoSignFound) as exc:
-            find_small_sign(T, space.subset([0, 1]), 1.0, strategy="exhaustive")
-        assert str(exc.value) == str(oracle.value)
-        big = MeasureSpace.uniform(32)
-        T = DiscreteOperator(np.ones((1, 32)), big, sup_norm(dim=1))
-        with pytest.raises(SetTooLarge):
-            find_small_sign(T, big.subset(range(21)), 1.0, strategy="exhaustive")
 
     def test_budget_exhaustion(self):
         space = MeasureSpace.uniform(2)
@@ -110,8 +98,7 @@ class TestFindSmallSign:
         # the only sign on two atoms has image 1, and the budget forbids
         # the refinement that would make pairing possible
         with pytest.raises(NoSignFound) as exc:
-            find_small_sign(T, space.full_set(), 1e-3,
-                            strategy="auto", refine_budget=2)
+            find_small_sign(T, space.full_set(), 1e-3, refine_budget=2)
         assert exc.value.best_value == pytest.approx(1.0)
 
     @pytest.mark.parametrize("search", [
@@ -199,13 +186,11 @@ class TestFindSmallSign:
         n=st.integers(1, 8),
         uniform=st.booleans(),
         dim=st.integers(1, 2),
-        strategy=st.sampled_from(["auto", "exhaustive", "rademacher_scan",
-                                  "kernel_pairing"]),
         epsilon=st.sampled_from([0.05, 0.25, 1.0]),
         extra_budget=st.integers(2, 64),
     )
     def test_refinement_loop_matches_hand_lifted_loop(
-        self, data, kind, n, uniform, dim, strategy, epsilon, extra_budget
+        self, data, kind, n, uniform, dim, epsilon, extra_budget
     ):
         # distinct integer columns: no two atoms pair and no sign on the
         # input is exactly zero, so most searches refine, and some run out
@@ -220,10 +205,10 @@ class TestFindSmallSign:
         mset = space.subset(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
         budget = n + extra_budget
         try:
-            res = find_small_sign(T, mset, epsilon, strategy, budget)
+            res = find_small_sign(T, mset, epsilon, budget)
         except NoSignFound as exc:
             with pytest.raises(NoSignFound) as expected:
-                _oracle_find_small_sign(T, mset, epsilon, strategy, budget)
+                _oracle_find_small_sign(T, mset, epsilon, budget)
             assert str(exc) == str(expected.value)
             assert exc.best_value == expected.value.best_value
             best, e_best = exc.best_sign, expected.value.best_sign
@@ -231,7 +216,7 @@ class TestFindSmallSign:
             if best is not None:
                 assert best.values.tolist() == e_best.values.tolist()
             return
-        e_res = _oracle_find_small_sign(T, mset, epsilon, strategy, budget)
+        e_res = _oracle_find_small_sign(T, mset, epsilon, budget)
         assert res.sign.values.tolist() == e_res.sign.values.tolist()
         assert res.value == e_res.value
         assert res.strategy == e_res.strategy
@@ -240,27 +225,15 @@ class TestFindSmallSign:
         np.testing.assert_array_equal(res.operator.matrix, e_res.operator.matrix)
 
 
-def _oracle_find_small_sign(T, mset, epsilon, strategy, refine_budget):
+def _oracle_find_small_sign(T, mset, epsilon, refine_budget):
     """The search loop with its working operator, set and composed map
     carried by hand: each retry refines every atom of the set in two, lifts
     operator and set, and composes the map."""
-    identity = RefineMap.identity(T.space.n_atoms)
-    if strategy == "exhaustive":
-        try:
-            sign, val = brute_force_best_sign(
-                T, mset, require_mean_zero=True, objective="min", full_support=True
-            )
-        except NoFeasibleSign as exc:
-            raise NoSignFound(str(exc)) from exc
-        if val < epsilon:
-            return SmallSignResult(sign, T, identity, val, "exhaustive")
-        raise NoSignFound(
-            f"exhaustive optimum {val} >= {epsilon}", best_sign=sign, best_value=val
-        )
-    cur_T, cur_set, total_map = T, mset, identity
+    cur_T, cur_set = T, mset
+    total_map = RefineMap.identity(T.space.n_atoms)
     best_sign, best_val = None, float("inf")
     while True:
-        if strategy == "auto" and cur_set.size <= _EXHAUSTIVE_SEARCH_LIMIT:
+        if cur_set.size <= _EXHAUSTIVE_SEARCH_LIMIT:
             try:
                 sign, val = brute_force_best_sign(
                     cur_T, cur_set, require_mean_zero=True,
@@ -272,17 +245,15 @@ def _oracle_find_small_sign(T, mset, epsilon, strategy, refine_budget):
                     return SmallSignResult(sign, cur_T, total_map, val, "exhaustive")
             except (NoFeasibleSign, SetTooLarge):
                 pass
-        if strategy in ("auto", "kernel_pairing"):
-            sign = _kernel_pairing(cur_T, cur_set)
-            if sign is not None:
-                return SmallSignResult(sign, cur_T, total_map, 0.0, "kernel_pairing")
-        if strategy in ("auto", "rademacher_scan"):
-            sign, val = _rademacher_scan(cur_T, cur_set, epsilon)
-            if val < epsilon:
-                return SmallSignResult(sign, cur_T, total_map,
-                                       cur_T.image_norm(sign.values), "rademacher_scan")
-            if val < best_val:
-                best_sign, best_val = sign, val
+        sign = _kernel_pairing(cur_T, cur_set)
+        if sign is not None:
+            return SmallSignResult(sign, cur_T, total_map, 0.0, "kernel_pairing")
+        sign, val = _rademacher_scan(cur_T, cur_set, epsilon)
+        if val < epsilon:
+            return SmallSignResult(sign, cur_T, total_map,
+                                   cur_T.image_norm(sign.values), "rademacher_scan")
+        if val < best_val:
+            best_sign, best_val = sign, val
         if cur_T.space.n_atoms + cur_set.size > refine_budget:
             raise NoSignFound(
                 f"no sign with image norm < {epsilon} within the refinement budget",

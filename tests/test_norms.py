@@ -7,7 +7,6 @@ from narrowops import (
     NotLocallyConvex,
     TargetNorm,
     ZeroVector,
-    coefficient_sup_norm,
     dual_unit_functional,
     fnorm,
     fnorm_many,
@@ -42,11 +41,6 @@ class TestFnormExamples:
     def test_weighted_sup(self):
         assert fnorm(sup_norm(weights=[2.0, 1.0]), [1.0, 1.5]) == 2.0
 
-    def test_coefficient_sup(self):
-        basis = np.array([[1.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
-        norm = coefficient_sup_norm(basis)
-        assert fnorm(norm, basis @ np.array([3.0, -1.0])) == pytest.approx(3.0)
-
 
 class TestFnormAxioms:
     @pytest.mark.parametrize("dim", [1, 3, 6])
@@ -65,8 +59,6 @@ class TestFnormAxioms:
     @pytest.mark.parametrize("dim", [2, 5])
     def test_monotone(self, dim):
         for norm in _norm_kinds(dim):
-            if norm.kind == "coefficient_sup":
-                continue
             b = RNG.standard_normal((300, dim))
             a = b * RNG.uniform(0, 1, (300, dim))
             assert np.all(fnorm_many(norm, a) <= fnorm_many(norm, b) + 1e-9)
@@ -114,8 +106,7 @@ class TestDualFunctional:
 
 class TestSerialization:
     def test_round_trip(self):
-        for norm in (sup_norm(dim=3), lp_norm(1.5, dim=3),
-                     coefficient_sup_norm(np.eye(3))):
+        for norm in (sup_norm(dim=3), lp_norm(1.5, dim=3)):
             back = TargetNorm.from_json(norm.to_json())
             y = RNG.standard_normal(3)
             assert fnorm(back, y) == pytest.approx(fnorm(norm, y), rel=1e-14)
@@ -134,19 +125,10 @@ class TestValidation:
         with pytest.raises(ValueError):
             lp_norm(p, dim=2)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_non_finite_basis_rejected(self, bad):
-        basis = np.eye(3)[:, :2]
-        basis[1, 0] = bad
-        with pytest.raises(ValueError):
-            coefficient_sup_norm(basis)
-
     @pytest.mark.parametrize("make", [
         lambda: sup_norm(weights=np.zeros(0)),
         lambda: lp_norm(1, weights=np.zeros(0)),
         lambda: lp_norm(2, dim=0),
-        lambda: coefficient_sup_norm(np.zeros((3, 0))),
-        lambda: coefficient_sup_norm(np.zeros((0, 0))),
     ])
     def test_zero_dimensional_rejected(self, make):
         # a zero-dimensional norm used to pass here and fail later inside a
