@@ -10,13 +10,19 @@ dependent, so their coefficients move along the null vector
 one tableau ``B^-1``: it is factored once by Gauss-Jordan elimination,
 and each step that fixes a basic coefficient swaps the entering vector
 into the basis with one rank-one pivot, as in the simplex method's basis
-exchange, so a step costs a few small numpy calls and no factorization.  Every step checks its null vector against the original
-vectors.  The resulting discrepancy is certified by
-``(dim/2) * max ||x_i||``; the +-1 variant doubles the certificate.
+exchange, so no step factors anything.  A step costs one small
+matrix-vector product and its residual check in numpy, plus, when it
+fixes a basic coefficient, one rank-one pivot; the ratio test, the step
+and the snap run on the at most ``dim + 1`` window coefficients as
+Python floats, the same IEEE operations as numpy's in the same order.
+Every step checks its null vector against the original vectors.  The
+resulting discrepancy is certified by ``(dim/2) * max ||x_i||``; the +-1
+variant doubles the certificate.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,9 +90,18 @@ class RoundingResult:
         }
 
 
-def _snap(lam: np.ndarray) -> None:
-    lam[np.abs(lam) <= _SNAP] = 0.0
-    lam[np.abs(lam - 1.0) <= _SNAP] = 1.0
+def _snap(values: list[float]) -> int:
+    """Set the entries of ``values`` within 1e-12 of 0 or 1 to exactly 0.0
+    or 1.0, in place; return how many entries are then 0 or 1."""
+    fixed = 0
+    for j, v in enumerate(values):
+        if abs(v) <= _SNAP:
+            values[j] = 0.0
+            fixed += 1
+        elif abs(v - 1.0) <= _SNAP:
+            values[j] = 1.0
+            fixed += 1
+    return fixed
 
 
 def _factor(a: np.ndarray, d: int) -> tuple[list[int], np.ndarray]:
@@ -115,7 +130,7 @@ def _factor(a: np.ndarray, d: int) -> tuple[list[int], np.ndarray]:
         if p != t:
             g[[t, p]] = g[[p, t]]
         prow = g[t] / g[t, c]
-        g -= np.outer(g[:, c], prow)
+        g -= g[:, c, None] * prow
         g[t] = prow
         basis.append(c)
         c += 1
@@ -149,13 +164,17 @@ def round_half_integer(instance: RoundingInstance) -> RoundingResult:
     coefficient at once, the basis is factored again.  A vector that is
     exactly zero never pivots, so its step is ``u = e_k``: the ratio test
     stops at k itself, which is set to exactly 1 with no numpy call, and
-    the basic coefficients do not move.  Every other step checks
-    ``||W u|| <= 1e-6 max(1, max|W|) ||u||`` on its window W; on a failure
-    the tableau is rebuilt from the original vectors by least squares, and
-    ``DegenerateNullspace`` is raised if the rebuilt direction still fails.
+    the basic coefficients do not move.  Every other step makes numpy
+    calls only for ``u`` and for the check
+    ``||W u|| <= 1e-6 max(1, max|W|) ||u||`` on its window W, whose rows a
+    pivot replaces one at a time; on a failure the tableau is rebuilt from
+    the original vectors by least squares, and ``DegenerateNullspace`` is
+    raised if the rebuilt direction still fails.  The coefficients are a
+    Python list during the walk, and the ratio test, the step and the
+    snap run on the window's at most ``dim + 1`` of them as Python floats.
     """
     x = instance.vectors
-    lam = np.array(instance.coefficients, dtype=float, copy=True)
+    lam = instance.coefficients.tolist()
     d = instance.dim
     _snap(lam)
 
@@ -164,61 +183,70 @@ def round_half_integer(instance: RoundingInstance) -> RoundingResult:
     zero = (~x.any(axis=1)).tolist()
     steps = 0
     while True:
-        floating = np.flatnonzero((lam > 0.0) & (lam < 1.0))
+        lam_now = np.array(lam)
+        floating = np.flatnonzero((lam_now > 0.0) & (lam_now < 1.0))
         n_float = floating.size
         if n_float <= d:
             break
         basis, binv = _factor(x[floating], d)
         r = len(basis)
-        window = np.append(floating[basis], 0)  # the basis, then k
+        window = floating[basis].tolist() + [0]  # the basis, then k
+        # the window's vectors as rows; a pivot replaces one of them
+        w = np.empty((r + 1, d))
+        w[:r] = x[window[:r]]
         # u = (-binv @ x_k, +1) on (basis, k); tab, u's basis part, is
         # neg_binv @ x_k
         u = np.ones(r + 1)
         tab = u[:r]
         neg_binv = -binv
-        with np.errstate(divide="ignore"):
-            for k in np.delete(floating, basis).tolist():
-                if zero[k]:
-                    lam[k] = 1.0
-                    steps += 1
-                    n_float -= 1
-                    if n_float <= d:
-                        break
-                    continue
-                window[r] = k
-                np.matmul(neg_binv, x[k], out=tab)
-                w = x[window]
-                if not _null_enough(w, u):
-                    neg_binv = -np.linalg.lstsq(w[:r].T, np.eye(d), rcond=None)[0]
-                    np.matmul(neg_binv, x[k], out=tab)
-                    if not _null_enough(w, u):
-                        raise DegenerateNullspace(
-                            "no numerically reliable null vector found")
-                # largest step along u keeping the window in [0,1]: each
-                # coordinate's distance to the bound it moves toward, over
-                # its speed (inf where u is 0); the one that stops the step
-                # is set exactly to its bound
-                la = lam[window]
-                ratio = np.abs(((u > 0) - la) / u)
-                i = int(ratio.argmin())
-                la += ratio[i] * u
-                la[i] = 1.0 if u[i] > 0 else 0.0
-                _snap(la)
-                lam[window] = la
+        for k in np.delete(floating, basis).tolist():
+            if zero[k]:
+                lam[k] = 1.0
                 steps += 1
-                at_bound = la.tolist()
-                fixed = at_bound.count(0.0) + at_bound.count(1.0)
-                n_float -= fixed
-                if fixed > 1 or n_float <= d:
+                n_float -= 1
+                if n_float <= d:
                     break
-                if i < r:
-                    # k replaces the basic vector i: one pivot on (i, k)
-                    prow = neg_binv[i] / -u[i]
-                    neg_binv += np.outer(tab, prow)
-                    neg_binv[i] = prow
-                    window[i] = k
+                continue
+            window[r] = k
+            w[r] = xk = x[k]
+            np.matmul(neg_binv, xk, out=tab)
+            if not _null_enough(w, u):
+                neg_binv = -np.linalg.lstsq(w[:r].T, np.eye(d), rcond=None)[0]
+                np.matmul(neg_binv, xk, out=tab)
+                if not _null_enough(w, u):
+                    raise DegenerateNullspace(
+                        "no numerically reliable null vector found")
+            # largest step along u keeping the window in [0,1]: each
+            # coordinate's distance to the bound it moves toward, over its
+            # speed.  A speed of 0 never stops the step (its ratio would be
+            # inf), the first minimum wins a tie, as with argmin, and the
+            # coordinate that stops the step is set exactly to its bound
+            speed = u.tolist()
+            la = [lam[j] for j in window]
+            step = math.inf
+            for j, (s, a) in enumerate(zip(speed, la)):
+                if s:
+                    t = abs(((s > 0) - a) / s)
+                    if t < step:
+                        step, i = t, j
+            la = [a + step * s for a, s in zip(la, speed)]
+            la[i] = 1.0 if speed[i] > 0 else 0.0
+            fixed = _snap(la)
+            for j, a in zip(window, la):
+                lam[j] = a
+            steps += 1
+            n_float -= fixed
+            if fixed > 1 or n_float <= d:
+                break
+            if i < r:
+                # k replaces the basic vector i: one pivot on (i, k)
+                prow = neg_binv[i] / -speed[i]
+                neg_binv += tab[:, None] * prow
+                neg_binv[i] = prow
+                window[i] = k
+                w[i] = xk
 
-    theta = np.where(lam > 0.5, 1, 0).astype(int)  # ties at 1/2 -> 0
+    theta = np.where(np.array(lam) > 0.5, 1, 0).astype(int)  # ties at 1/2 -> 0
     residual = (instance.coefficients - theta) @ x
     discrepancy = fnorm(instance.norm, residual)
     certificate = 0.5 * d * instance.max_vector_norm()

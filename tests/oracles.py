@@ -3,16 +3,34 @@
 ``brute_force_best_sign`` enumerates every pattern of one set with its own
 loop-free numpy code; it shares only ``_sign_patterns`` and the norms with
 the library's search, so a change to that search shows up as a mismatch.
+
+``tableau_round_half_integer`` is the half-integer rounding walk written
+with numpy calls on the whole window at every step.  It carries its own
+``_snap``, ``_factor`` and ``_null_enough``, so a change to the library's
+walk that moves a single bit of theta, the step count or the discrepancy
+shows up as a mismatch.
 """
 
 import numpy as np
 
-from narrowops import NoFeasibleSign, SetTooLarge, SignVector, fnorm_many
+from narrowops import (
+    DegenerateNullspace,
+    NoFeasibleSign,
+    RoundingInstance,
+    SetTooLarge,
+    SignVector,
+    fnorm,
+    fnorm_many,
+)
+from narrowops.linalg import RANK_TOL
 from narrowops.operators import (
     FULL_SUPPORT_EXHAUSTIVE_LIMIT,
     TERNARY_EXHAUSTIVE_LIMIT,
     _sign_patterns,
 )
+from narrowops.rounding import RoundingResult
+
+_SNAP = 1e-12
 
 
 def brute_force_best_sign(
@@ -61,3 +79,131 @@ def brute_force_best_sign(
     values = np.zeros(T.space.n_atoms, dtype=np.int8)
     values[idx] = patterns[best]
     return SignVector(space=T.space, values=values), float(norms[best])
+
+
+def _snap(lam: np.ndarray) -> None:
+    lam[np.abs(lam) <= _SNAP] = 0.0
+    lam[np.abs(lam - 1.0) <= _SNAP] = 1.0
+
+
+def _factor(a: np.ndarray, d: int) -> tuple[list[int], np.ndarray]:
+    """Gauss-Jordan elimination with partial pivoting on the rows of ``a``
+    (the floating vectors), taken as columns in index order.
+
+    A vector pivots when its part outside the span of the earlier pivots
+    exceeds ``RANK_TOL`` times its own largest entry; rows that get no
+    pivot are dropped.  Returns the positions of the r <= d pivot vectors
+    and the (r, d) matrix ``binv`` of the accumulated row operations, so
+    that ``binv @ a[j]`` holds the coordinates of a[j] in the pivot vectors.
+    """
+    m = a.shape[0]
+    g = np.hstack([a.T, np.eye(d)])
+    tol = RANK_TOL * np.abs(a).max(axis=1)
+    basis: list[int] = []
+    c = 0
+    for t in range(d):
+        # rows t and below have no pivot yet; the next pivot vector is the
+        # first with a part outside the span of the pivots so far
+        big = np.flatnonzero(np.abs(g[t:, c:m]).max(axis=0) > tol[c:])
+        if big.size == 0:
+            break
+        c += int(big[0])
+        p = t + int(np.abs(g[t:, c]).argmax())
+        if p != t:
+            g[[t, p]] = g[[p, t]]
+        prow = g[t] / g[t, c]
+        g -= np.outer(g[:, c], prow)
+        g[t] = prow
+        basis.append(c)
+        c += 1
+    return basis, g[: len(basis), m:]
+
+
+def _null_enough(w: np.ndarray, u: np.ndarray) -> bool:
+    """The residual test of a step direction u on its window's vectors w
+    (rows): ||w.T u|| <= 1e-6 max(1, max|w|) ||u||, compared in squares."""
+    res = u @ w
+    res2, size2 = float(res @ res), 1e-12 * float(u @ u)
+    return res2 <= size2 or res2 <= size2 * float(np.abs(w).max()) ** 2
+
+
+def tableau_round_half_integer(instance: RoundingInstance) -> RoundingResult:
+    """The tableau walk as numpy array code: every step gathers its window
+    from ``lam``, runs the ratio test, the step and the snap as numpy calls
+    and scatters the window back.  ``rounding.round_half_integer`` does the
+    same IEEE operations in the same order on Python floats, so the two
+    return the same bits."""
+    x = instance.vectors
+    lam = np.array(instance.coefficients, dtype=float, copy=True)
+    d = instance.dim
+    _snap(lam)
+
+    # a zero vector never pivots, and its step is u = e_k: it sets its own
+    # coefficient to 1 and moves nothing else
+    zero = (~x.any(axis=1)).tolist()
+    steps = 0
+    while True:
+        floating = np.flatnonzero((lam > 0.0) & (lam < 1.0))
+        n_float = floating.size
+        if n_float <= d:
+            break
+        basis, binv = _factor(x[floating], d)
+        r = len(basis)
+        window = np.append(floating[basis], 0)  # the basis, then k
+        # u = (-binv @ x_k, +1) on (basis, k); tab, u's basis part, is
+        # neg_binv @ x_k
+        u = np.ones(r + 1)
+        tab = u[:r]
+        neg_binv = -binv
+        with np.errstate(divide="ignore"):
+            for k in np.delete(floating, basis).tolist():
+                if zero[k]:
+                    lam[k] = 1.0
+                    steps += 1
+                    n_float -= 1
+                    if n_float <= d:
+                        break
+                    continue
+                window[r] = k
+                np.matmul(neg_binv, x[k], out=tab)
+                w = x[window]
+                if not _null_enough(w, u):
+                    neg_binv = -np.linalg.lstsq(w[:r].T, np.eye(d), rcond=None)[0]
+                    np.matmul(neg_binv, x[k], out=tab)
+                    if not _null_enough(w, u):
+                        raise DegenerateNullspace(
+                            "no numerically reliable null vector found")
+                # largest step along u keeping the window in [0,1]: each
+                # coordinate's distance to the bound it moves toward, over
+                # its speed (inf where u is 0); the one that stops the step
+                # is set exactly to its bound
+                la = lam[window]
+                ratio = np.abs(((u > 0) - la) / u)
+                i = int(ratio.argmin())
+                la += ratio[i] * u
+                la[i] = 1.0 if u[i] > 0 else 0.0
+                _snap(la)
+                lam[window] = la
+                steps += 1
+                at_bound = la.tolist()
+                fixed = at_bound.count(0.0) + at_bound.count(1.0)
+                n_float -= fixed
+                if fixed > 1 or n_float <= d:
+                    break
+                if i < r:
+                    # k replaces the basic vector i: one pivot on (i, k)
+                    prow = neg_binv[i] / -u[i]
+                    neg_binv += np.outer(tab, prow)
+                    neg_binv[i] = prow
+                    window[i] = k
+
+    theta = np.where(lam > 0.5, 1, 0).astype(int)  # ties at 1/2 -> 0
+    residual = (instance.coefficients - theta) @ x
+    discrepancy = fnorm(instance.norm, residual)
+    certificate = 0.5 * d * instance.max_vector_norm()
+    return RoundingResult(
+        theta=theta,
+        discrepancy=discrepancy,
+        certificate=certificate,
+        elimination_steps=steps,
+    )

@@ -1,14 +1,14 @@
 """Rounding lemma tests: certificate bound, sum invariance, brute-force
 theta oracle on small instances, the elimination walk against the SVD
-reference walk, robustness on degenerate families, invariances, and the
-null vectors."""
+reference walk and bit for bit against the numpy tableau walk, robustness
+on degenerate families, invariances, and the null vectors."""
 
 from itertools import product
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from narrowops import (
@@ -22,6 +22,7 @@ from narrowops import (
 )
 from narrowops.linalg import null_vector
 from narrowops.rounding import _snap
+import oracles
 
 _NORMS = {
     "sup": lambda d: sup_norm(dim=d),
@@ -184,7 +185,7 @@ def _reference_round_half_integer(instance):
     lam = np.array(instance.coefficients, dtype=float, copy=True)
     d = instance.dim
     nonzero = x.any(axis=1)
-    _snap(lam)
+    oracles._snap(lam)
     steps = 0
     floating = np.flatnonzero((lam > 0.0) & (lam < 1.0))
     while floating.size > d:
@@ -197,7 +198,7 @@ def _reference_round_half_integer(instance):
         with np.errstate(divide="ignore"):
             t = float(np.min(np.where(u > 0, 1.0 - la, la) / np.abs(u)))
         lam[act] = la + t * u
-        _snap(lam)
+        oracles._snap(lam)
         new_floating = np.flatnonzero((lam > 0.0) & (lam < 1.0))
         if new_floating.size >= floating.size:
             lf = lam[new_floating]
@@ -214,20 +215,23 @@ def _check_step_invariants(vectors, coefficients, norm):
     sets at least one of them to 0 or 1.
 
     A step of the first kind snaps exactly the coordinates it moved, after
-    one initial snap of all n coefficients.  Every other step moves only
-    the coefficient of a zero row, to exactly 1.  Those are found by a
-    second run with each fractional zero-row coefficient lowered to 1/4:
-    the walk's steps do not depend on those values, so the run takes the
-    same steps, and the zero rows it rounds to 1 are the ones it moved.
+    one initial snap of all n coefficients, and its snap returns how many
+    of them are then 0 or 1.  Every other step moves only the coefficient
+    of a zero row, to exactly 1.  Those are found by a second run with
+    each fractional zero-row coefficient lowered to 1/4: the walk's steps
+    do not depend on those values, so the run takes the same steps, and
+    the zero rows it rounds to 1 are the ones it moved.
     """
     n, d = vectors.shape
 
     def walk(lam):
         moved = []
 
-        def record(la):
-            _snap(la)
-            moved.append((la.size, np.count_nonzero((la == 0.0) | (la == 1.0))))
+        def record(values):
+            fixed = _snap(values)
+            assert fixed == sum(v == 0.0 or v == 1.0 for v in values)
+            moved.append((len(values), fixed))
+            return fixed
 
         with mock.patch("narrowops.rounding._snap", side_effect=record):
             res = round_half_integer(RoundingInstance(
@@ -239,7 +243,7 @@ def _check_step_invariants(vectors, coefficients, norm):
     assert all(1 <= size <= d + 1 and fixed >= 1 for size, fixed in moved[1:])
 
     snapped = np.array(coefficients, dtype=float)
-    _snap(snapped)
+    oracles._snap(snapped)
     zero_floating = ~vectors.any(axis=1) & (snapped > 0.0) & (snapped < 1.0)
     lowered, lowered_moved = walk(np.where(zero_floating, 0.25, coefficients))
     assert lowered_moved == moved
@@ -405,6 +409,74 @@ class TestRobustness:
         assert spy.called
         assert res.elimination_steps <= n - d
         assert res.discrepancy <= res.certificate
+
+    def test_wrong_rebuilt_tableau_raises(self):
+        # the instance above, with a rebuild that returns a zero tableau:
+        # the rebuilt direction fails the residual check again
+        vectors, coefficients = _degenerate_instance(
+            "near_duplicates", np.random.default_rng(122))
+        d = vectors.shape[1]
+
+        def zero_tableau(a, b, rcond=None):
+            return np.zeros((a.shape[1], b.shape[1])), None, 0, None
+
+        instance = RoundingInstance(
+            vectors=vectors, coefficients=coefficients, norm=sup_norm(dim=d))
+        with mock.patch.object(np.linalg, "lstsq", side_effect=zero_tableau) as stub:
+            with pytest.raises(DegenerateNullspace):
+                round_half_integer(instance)
+        assert stub.call_count == 1
+
+
+def _oracle_instance(kind, rng):
+    """One (vectors, coefficients) draw: a degenerate family, generic rows,
+    generic rows with 1..n of them 0.0 or -0.0, or copies of at most d+1
+    generic rows."""
+    if kind in ("near_duplicates", "small_integers", "half_zero", "rank_below_dim"):
+        return _degenerate_instance(kind, rng)
+    n, d = int(rng.integers(1, 65)), int(rng.integers(1, 9))
+    vectors = rng.standard_normal((n, d))
+    if kind == "zero_rows":
+        rows = rng.permutation(n)[: int(rng.integers(1, n + 1))]
+        vectors[rows] = rng.choice([0.0, -0.0], (rows.size, 1))
+    elif kind == "duplicated_classes":
+        classes = int(rng.integers(1, min(n, d + 1) + 1))
+        vectors = vectors[rng.integers(0, classes, n)]
+    return vectors, rng.uniform(0, 1, n)
+
+
+class TestTableauOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from([
+            "generic", "zero_rows", "duplicated_classes", "near_duplicates",
+            "small_integers", "half_zero", "rank_below_dim"]),
+        seed=st.integers(0, 2**32 - 1),
+        half=st.booleans(),
+        norm=st.sampled_from(sorted(_NORMS)),
+    )
+    # the instance of test_tableau_rebuild_keeps_the_certificate
+    @example(kind="near_duplicates", seed=122, half=False, norm="sup")
+    def test_same_bits_as_the_numpy_walk(self, kind, seed, half, norm):
+        vectors, coefficients = _oracle_instance(kind, np.random.default_rng(seed))
+        n, d = vectors.shape
+        if half:
+            coefficients = np.full(n, 0.5)
+        target = _NORMS[norm](d)
+        instance = RoundingInstance(
+            vectors=vectors, coefficients=coefficients, norm=target)
+        got = round_half_integer(instance)
+        want = oracles.tableau_round_half_integer(instance)
+        assert got.theta.tobytes() == want.theta.tobytes()
+        assert got.elimination_steps == want.elimination_steps
+        assert got.discrepancy == want.discrepancy
+        assert got.certificate == want.certificate
+
+        sigma, achieved, _, _ = sign_round(vectors, target)
+        want_sigma = 1 - 2 * oracles.tableau_round_half_integer(RoundingInstance(
+            vectors=vectors, coefficients=np.full(n, 0.5), norm=target)).theta
+        assert sigma.tobytes() == want_sigma.tobytes()
+        assert achieved == fnorm(target, want_sigma @ vectors)
 
 
 class TestInvariance:
