@@ -10,20 +10,24 @@ dependent, so their coefficients move along the null vector
 one tableau ``B^-1``: it is factored once by Gauss-Jordan elimination,
 and each step that fixes a basic coefficient swaps the entering vector
 into the basis with one rank-one pivot, as in the simplex method's basis
-exchange, so no step factors anything.  A step costs one small
-matrix-vector product and its residual check in numpy, plus, when it
-fixes a basic coefficient, one rank-one pivot; the ratio test, the step
-and the snap run on the at most ``dim + 1`` window coefficients as
-Python floats, the same IEEE operations as numpy's in the same order.
-Every step checks its null vector against the original vectors.  The
-resulting discrepancy is certified by ``(dim/2) * max ||x_i||``; the +-1
-variant doubles the certificate.
+exchange, so no step factors anything.  A step costs two small
+matrix-vector products in numpy, for ``u`` and for its residual on the
+window's vectors, plus, when it fixes a basic coefficient, one rank-one
+pivot.  The scalar-sized work runs on Python floats with the same IEEE
+operations as numpy's in the same order: the factorization, over only
+the columns it reads; the residual verdict, from sums of squares outside
+a narrow band around its threshold; and the ratio test, the step and the
+snap on the at most ``dim + 1`` window coefficients.  Every step checks
+its null vector against the original vectors.  The resulting discrepancy
+is certified by ``(dim/2) * max ||x_i||``; the +-1 variant doubles the
+certificate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -55,7 +59,7 @@ class RoundingInstance:
             raise DimensionMismatch("one coefficient per vector is required")
         if not (np.isfinite(x).all() and np.isfinite(lam).all()):
             raise ValueError("vectors and coefficients must be finite")
-        if np.any(lam < 0.0) or np.any(lam > 1.0):
+        if lam.size and not (0.0 <= lam.min() and lam.max() <= 1.0):
             raise ValueError("coefficients must lie in [0, 1]")
         object.__setattr__(self, "vectors", x)
         object.__setattr__(self, "coefficients", lam)
@@ -71,7 +75,7 @@ class RoundingInstance:
     def max_vector_norm(self) -> float:
         if self.n == 0:
             return 0.0
-        return float(np.max(fnorm_many(self.norm, self.vectors)))
+        return float(fnorm_many(self.norm, self.vectors).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,6 +108,39 @@ def _snap(values: list[float]) -> int:
     return fixed
 
 
+def _replay(col: list[float], pivots: list) -> list[float]:
+    """Apply the recorded Gauss-Jordan pivots, in order, to one column:
+    the row swap, then ``piv = col[t] / pc[t]``, ``col[i] - pc[i] * piv``
+    and ``col[t] = piv``, each pivot's elementwise operations on the whole
+    tableau restricted to this column."""
+    for t, p, pc in pivots:
+        if p != t:
+            col[t], col[p] = col[p], col[t]
+        piv = col[t] / pc[t]
+        col = [v - q * piv for v, q in zip(col, pc)]
+        col[t] = piv
+    return col
+
+
+def _next_pivot(a: np.ndarray, c: int, t: int, pivots: list):
+    """The first vector a[j], j >= c, whose column, brought up to date by
+    the pivots so far, has a part in rows t and below (those without a
+    pivot yet) that exceeds ``RANK_TOL`` times the vector's largest entry:
+    returns j, the pivot row (the first largest magnitude in rows t and
+    below) and the column, or None if no vector has such a part.  A column
+    holding a NaN never pivots, as under numpy's NaN-propagating ``max``."""
+    for j in range(c, a.shape[0]):
+        row = a[j].tolist()
+        tol = RANK_TOL * max(map(abs, row))
+        col = _replay(row, pivots)
+        mag = list(map(abs, col[t:]))
+        top = max(mag)
+        # a NaN makes the sum of the magnitudes NaN; nothing else can
+        if top > tol and sum(mag) == sum(mag):
+            return j, t + mag.index(top), col
+    return None
+
+
 def _factor(a: np.ndarray, d: int) -> tuple[list[int], np.ndarray]:
     """Gauss-Jordan elimination with partial pivoting on the rows of ``a``
     (the floating vectors), taken as columns in index order.
@@ -113,36 +150,88 @@ def _factor(a: np.ndarray, d: int) -> tuple[list[int], np.ndarray]:
     pivot are dropped.  Returns the positions of the r <= d pivot vectors
     and the (r, d) matrix ``binv`` of the accumulated row operations, so
     that ``binv @ a[j]`` holds the coordinates of a[j] in the pivot vectors.
+
+    Elimination acts on each column of the tableau ``[a.T | I]`` apart, so
+    only the columns read are computed, as Python floats: each vector's
+    column when the scan reaches it, and the d identity columns at the end,
+    by replaying the recorded pivots in order.  Every entry gets the same
+    IEEE operations as under whole-tableau numpy elimination, with numpy's
+    NaN and first-maximum rules, so ``binv`` has the same bits.
     """
-    m = a.shape[0]
-    g = np.hstack([a.T, np.eye(d)])
-    tol = RANK_TOL * np.abs(a).max(axis=1)
+    pivots: list = []  # (row, swapped-in row, pivot column after the swap)
     basis: list[int] = []
     c = 0
     for t in range(d):
-        # rows t and below have no pivot yet; the next pivot vector is the
-        # first with a part outside the span of the pivots so far
-        big = np.flatnonzero(np.abs(g[t:, c:m]).max(axis=0) > tol[c:])
-        if big.size == 0:
+        found = _next_pivot(a, c, t, pivots)
+        if found is None:
             break
-        c += int(big[0])
-        p = t + int(np.abs(g[t:, c]).argmax())
+        c, p, col = found
         if p != t:
-            g[[t, p]] = g[[p, t]]
-        prow = g[t] / g[t, c]
-        g -= g[:, c, None] * prow
-        g[t] = prow
+            col[t], col[p] = col[p], col[t]
+        pivots.append((t, p, col))
         basis.append(c)
         c += 1
-    return basis, g[: len(basis), m:]
+    # C order, as numpy's slice of the tableau was: the walk's products
+    # with binv then run the same BLAS kernel
+    binv = np.empty((len(basis), d))
+    for j in range(d):
+        unit = [0.0] * d
+        unit[j] = 1.0
+        binv[:, j] = _replay(unit, pivots)[: len(basis)]
+    return basis, binv
+
+
+# a sum of n non-negative floats is within n * 2**-53 of its exact value,
+# relatively, whatever the order of summation; for the at most 1000 squares
+# a Python sum decides on (d + r + 1 in the walk), its verdict agrees with
+# numpy's outside this relative band around the threshold
+_BAND = 1e-12
 
 
 def _null_enough(w: np.ndarray, u: np.ndarray) -> bool:
     """The residual test of a step direction u on its window's vectors w
-    (rows): ||w.T u|| <= 1e-6 max(1, max|w|) ||u||, compared in squares."""
+    (rows): ||w.T u|| <= 1e-6 max(1, max|w|) ||u||, compared in squares.
+
+    The residual ``u @ w`` comes from numpy, as its bits matter.  The
+    verdict comes from Python sums of squares where they lie outside a
+    relative band of ``_BAND`` around the threshold, and from numpy's sums
+    in ``_numpy_null_enough`` inside it, so it is numpy's verdict
+    throughout."""
     res = u @ w
+    r, v = res.tolist(), u.tolist()
+    rr, uu = sum(map(mul, r, r)), sum(map(mul, v, v))
+    # u.u >= 1 keeps the threshold far above the underflow range, where
+    # the relative error bound does not hold
+    if len(r) + len(v) <= 1000 and rr < math.inf and 1.0 <= uu < math.inf:
+        size2 = 1e-12 * uu
+        if rr < size2 * (1.0 - _BAND):
+            return True
+        m = float(np.abs(w).max())
+        bound = size2 * m * m if m > 1.0 else size2
+        if bound < math.inf:
+            if rr < bound * (1.0 - _BAND):
+                return True
+            if rr > bound * (1.0 + _BAND):
+                return False
+    return _numpy_null_enough(res, u, w)
+
+
+def _numpy_null_enough(res: np.ndarray, u: np.ndarray, w: np.ndarray) -> bool:
+    """The residual verdict from numpy's sums of squares.  A non-finite
+    res.res or u.u fails.  Where max|w|**2 overflows, both sides of the
+    comparison are scaled by the same power of two, which gives the verdict
+    of an unbounded exponent range."""
     res2, size2 = float(res @ res), 1e-12 * float(u @ u)
-    return res2 <= size2 or res2 <= size2 * float(np.abs(w).max()) ** 2
+    if not (res2 < math.inf and size2 < math.inf):
+        return False
+    if res2 <= size2:
+        return True
+    m = float(np.abs(w).max())
+    try:
+        return res2 <= size2 * m ** 2
+    except OverflowError:
+        mant, exp = math.frexp(m)
+        return math.ldexp(res2, -2 * exp) <= size2 * (mant * mant)
 
 
 def round_half_integer(instance: RoundingInstance) -> RoundingResult:
@@ -157,7 +246,8 @@ def round_half_integer(instance: RoundingInstance) -> RoundingResult:
     The walk keeps the tableau ``binv`` of the basis B: ``binv @ x_k`` are
     x_k's coordinates in B, so the step direction is
     ``u = (-binv @ x_k, +1)`` on (basis, k).  The basis is factored once by
-    Gauss-Jordan elimination over the floating vectors in index order; the
+    Gauss-Jordan elimination over the nonzero floating vectors in index
+    order, in Python floats and over only the columns it reads; the
     entering k is the next floating non-basic vector in index order, and
     its coefficient always increases.  When a basic coefficient reaches
     {0,1}, k replaces it by one pivot; when a step fixes more than one
@@ -165,13 +255,18 @@ def round_half_integer(instance: RoundingInstance) -> RoundingResult:
     exactly zero never pivots, so its step is ``u = e_k``: the ratio test
     stops at k itself, which is set to exactly 1 with no numpy call, and
     the basic coefficients do not move.  Every other step makes numpy
-    calls only for ``u`` and for the check
-    ``||W u|| <= 1e-6 max(1, max|W|) ||u||`` on its window W, whose rows a
-    pivot replaces one at a time; on a failure the tableau is rebuilt from
-    the original vectors by least squares, and ``DegenerateNullspace`` is
-    raised if the rebuilt direction still fails.  The coefficients are a
-    Python list during the walk, and the ratio test, the step and the
-    snap run on the window's at most ``dim + 1`` of them as Python floats.
+    calls only for ``u``, for its residual ``W u`` on its window W, whose
+    rows a pivot replaces one at a time, and, when it fixes a basic
+    coefficient, for the pivot.  The check
+    ``||W u|| <= 1e-6 max(1, max|W|) ||u||`` is decided from Python sums
+    of squares away from its threshold and from numpy's sums near it; a
+    non-finite ``||W u||**2`` or ``||u||**2`` fails it, and an overflowing
+    ``max|W|**2`` is compared at a power-of-two scale.  On a failure the
+    tableau is rebuilt from the original vectors by least squares, and
+    ``DegenerateNullspace`` is raised if the rebuilt direction still
+    fails.  The coefficients are a Python list during the walk, and the
+    ratio test, the step and the snap run on the window's at most
+    ``dim + 1`` of them as Python floats.
     """
     x = instance.vectors
     lam = instance.coefficients.tolist()
@@ -183,14 +278,14 @@ def round_half_integer(instance: RoundingInstance) -> RoundingResult:
     zero = (~x.any(axis=1)).tolist()
     steps = 0
     while True:
-        lam_now = np.array(lam)
-        floating = np.flatnonzero((lam_now > 0.0) & (lam_now < 1.0))
-        n_float = floating.size
+        floating = [j for j, a in enumerate(lam) if 0.0 < a < 1.0]
+        n_float = len(floating)
         if n_float <= d:
             break
-        basis, binv = _factor(x[floating], d)
+        live = [j for j in floating if not zero[j]]
+        basis, binv = _factor(x[live], d)
         r = len(basis)
-        window = floating[basis].tolist() + [0]  # the basis, then k
+        window = [live[b] for b in basis] + [0]  # the basis, then k
         # the window's vectors as rows; a pivot replaces one of them
         w = np.empty((r + 1, d))
         w[:r] = x[window[:r]]
@@ -199,7 +294,8 @@ def round_half_integer(instance: RoundingInstance) -> RoundingResult:
         u = np.ones(r + 1)
         tab = u[:r]
         neg_binv = -binv
-        for k in np.delete(floating, basis).tolist():
+        basic = set(window[:r])
+        for k in [j for j in floating if j not in basic]:
             if zero[k]:
                 lam[k] = 1.0
                 steps += 1
@@ -246,7 +342,7 @@ def round_half_integer(instance: RoundingInstance) -> RoundingResult:
                 window[i] = k
                 w[i] = xk
 
-    theta = np.where(np.array(lam) > 0.5, 1, 0).astype(int)  # ties at 1/2 -> 0
+    theta = (np.array(lam) > 0.5).astype(int)  # ties at 1/2 -> 0
     residual = (instance.coefficients - theta) @ x
     discrepancy = fnorm(instance.norm, residual)
     certificate = 0.5 * d * instance.max_vector_norm()

@@ -1,7 +1,8 @@
 """Rounding lemma tests: certificate bound, sum invariance, brute-force
 theta oracle on small instances, the elimination walk against the SVD
-reference walk and bit for bit against the numpy tableau walk, robustness
-on degenerate families, invariances, and the null vectors."""
+reference walk and bit for bit against the numpy tableau walk, the
+factorization and the residual verdict against their numpy oracles,
+robustness on degenerate families, invariances, and the null vectors."""
 
 from itertools import product
 from unittest import mock
@@ -21,7 +22,7 @@ from narrowops import (
     sup_norm,
 )
 from narrowops.linalg import null_vector
-from narrowops.rounding import _snap
+from narrowops.rounding import _factor, _null_enough, _snap
 import oracles
 
 _NORMS = {
@@ -400,10 +401,13 @@ class TestRobustness:
             assert res.discrepancy <= res.certificate + 1e-9 * max(1.0, res.certificate)
 
     def test_tableau_rebuild_keeps_the_certificate(self):
-        vectors, coefficients = _degenerate_instance(
-            "near_duplicates", np.random.default_rng(122))
+        # every factorization returns twice the true tableau, so each
+        # direction it gives misses the null space by -x_k and fails its
+        # residual check whatever BLAS kernel computes it
+        vectors, coefficients = _wrong_tableau_instance()
         n, d = vectors.shape
-        with mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as spy:
+        with mock.patch("narrowops.rounding._factor", side_effect=_doubled_factor), \
+                mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as spy:
             res = round_half_integer(RoundingInstance(
                 vectors=vectors, coefficients=coefficients, norm=sup_norm(dim=d)))
         assert spy.called
@@ -411,10 +415,9 @@ class TestRobustness:
         assert res.discrepancy <= res.certificate
 
     def test_wrong_rebuilt_tableau_raises(self):
-        # the instance above, with a rebuild that returns a zero tableau:
-        # the rebuilt direction fails the residual check again
-        vectors, coefficients = _degenerate_instance(
-            "near_duplicates", np.random.default_rng(122))
+        # the doubled tableau above, with a rebuild that returns a zero
+        # tableau: the rebuilt direction fails the residual check again
+        vectors, coefficients = _wrong_tableau_instance()
         d = vectors.shape[1]
 
         def zero_tableau(a, b, rcond=None):
@@ -422,10 +425,48 @@ class TestRobustness:
 
         instance = RoundingInstance(
             vectors=vectors, coefficients=coefficients, norm=sup_norm(dim=d))
-        with mock.patch.object(np.linalg, "lstsq", side_effect=zero_tableau) as stub:
+        with mock.patch("narrowops.rounding._factor", side_effect=_doubled_factor), \
+                mock.patch.object(np.linalg, "lstsq", side_effect=zero_tableau) as stub:
             with pytest.raises(DegenerateNullspace):
                 round_half_integer(instance)
         assert stub.call_count == 1
+
+    def test_infinite_tableau_is_rebuilt_or_raises(self):
+        # a direction with infinite entries fails the residual check: the
+        # walk rebuilds the tableau, and raises if the rebuild is infinite
+        # too.  Positive vectors keep inf - inf, and so NaN, out of the
+        # products, so res.res and u.u are both inf
+        rng = np.random.default_rng(123)
+        vectors = rng.uniform(0.5, 1.5, (24, 4))
+        instance = RoundingInstance(
+            vectors=vectors, coefficients=rng.uniform(0, 1, 24),
+            norm=sup_norm(dim=4))
+
+        def infinite_factor(a, d):
+            basis, binv = _factor(a, d)
+            return basis, np.full_like(binv, np.inf)
+
+        def infinite_tableau(a, b, rcond=None):
+            return np.full((a.shape[1], b.shape[1]), np.inf), None, 0, None
+
+        with mock.patch("narrowops.rounding._factor", side_effect=infinite_factor):
+            with mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as spy:
+                res = round_half_integer(instance)
+            assert spy.called
+            assert res.discrepancy <= res.certificate
+            with mock.patch.object(np.linalg, "lstsq", side_effect=infinite_tableau):
+                with pytest.raises(DegenerateNullspace):
+                    round_half_integer(instance)
+
+
+def _wrong_tableau_instance():
+    rng = np.random.default_rng(122)
+    return rng.standard_normal((24, 4)), rng.uniform(0, 1, 24)
+
+
+def _doubled_factor(a, d):
+    basis, binv = _factor(a, d)
+    return basis, 2.0 * binv
 
 
 def _oracle_instance(kind, rng):
@@ -455,7 +496,8 @@ class TestTableauOracle:
         half=st.booleans(),
         norm=st.sampled_from(sorted(_NORMS)),
     )
-    # the instance of test_tableau_rebuild_keeps_the_certificate
+    # an instance whose first residual check fails, and is rebuilt, with
+    # the gemv bits of the Haswell, Zen and SkylakeX OpenBLAS kernels
     @example(kind="near_duplicates", seed=122, half=False, norm="sup")
     def test_same_bits_as_the_numpy_walk(self, kind, seed, half, norm):
         vectors, coefficients = _oracle_instance(kind, np.random.default_rng(seed))
@@ -477,6 +519,118 @@ class TestTableauOracle:
             vectors=vectors, coefficients=np.full(n, 0.5), norm=target)).theta
         assert sigma.tobytes() == want_sigma.tobytes()
         assert achieved == fnorm(target, want_sigma @ vectors)
+
+
+def _factor_input(kind, rng):
+    """One (m, d) input of ``_factor``, m <= 64 and d <= 8."""
+    m, d = int(rng.integers(0, 65)), int(rng.integers(1, 9))
+    a = rng.standard_normal((m, d))
+    if kind == "rank_deficient":
+        r = int(rng.integers(0, d))
+        a = rng.standard_normal((m, r)) @ rng.standard_normal((r, d))
+    elif kind == "zero_rows":
+        rows = np.flatnonzero(rng.random(m) < 0.5)
+        a[rows] = rng.choice([0.0, -0.0], (rows.size, 1))
+    elif kind == "duplicated_rows":
+        a = a[rng.integers(0, max(1, min(m, d + 1)), m)]
+    elif kind == "small_integers":
+        a = rng.integers(-2, 3, (m, d)).astype(float)
+    elif kind == "scaled":
+        a *= 2.0 ** rng.choice([-200, 0, 200], (m, 1))
+    elif kind == "overflowing":
+        # quotients and products overflow to inf, and inf - inf gives NaN
+        a *= 2.0 ** rng.choice([-600, 0, 600], (m, 1))
+    return a
+
+
+class TestFactorOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kind=st.sampled_from([
+            "generic", "rank_deficient", "zero_rows", "duplicated_rows",
+            "small_integers", "scaled", "overflowing"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_same_bits_as_the_numpy_elimination(self, kind, seed):
+        a = _factor_input(kind, np.random.default_rng(seed))
+        d = a.shape[1]
+        basis, binv = _factor(a, d)
+        # numpy warns of the overflows the "overflowing" inputs are made for
+        with np.errstate(over="ignore", invalid="ignore"):
+            want_basis, want_binv = oracles._factor(a, d)
+        assert basis == want_basis
+        assert binv.shape == want_binv.shape
+        assert binv.tobytes() == want_binv.tobytes()
+
+
+def _near_threshold_pairs(rng, big):
+    """(w, u) pairs whose res.res lies within a few ulps of the residual
+    threshold: 1e-12 u.u when ``big`` is False (max|w| < 1), and
+    1e-12 u.u max|w|**2 when it is True."""
+    rows, d = int(rng.integers(2, 10)), int(rng.integers(1, 9))
+    # positive entries: u @ w cancels nothing, so its rounding error stays
+    # within a few ulps and an ulp step of w moves res.res by a few ulps
+    u = rng.uniform(0.5, 1.0, rows)
+    u[-1] = 1.0
+    w = rng.uniform(0.5, 1.0, (rows, d))
+    pairs = []
+    if not big:
+        # scale w until res.res meets 1e-12 u.u, then step every entry of
+        # w by a few ulps
+        res = u @ w
+        w *= np.sqrt(1e-12 * float(u @ u) / float(res @ res))
+        for k in range(-6, 7):
+            pairs.append((w * (1.0 + k * 2.0**-52), u))
+    else:
+        # one entry of size m in a row that u weights by 0 sets max|w|
+        # without moving the residual; step m by a few ulps
+        u[0] = 0.0
+        res = u @ w
+        m = np.sqrt(float(res @ res) / (1e-12 * float(u @ u)))
+        for k in range(-6, 7):
+            wk = w.copy()
+            wk[0, 0] = m * (1.0 + k * 2.0**-52)
+            pairs.append((wk, u))
+    return pairs
+
+
+class TestResidualVerdict:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), big=st.booleans())
+    def test_same_verdict_as_the_numpy_sums(self, seed, big):
+        verdicts = set()
+        for w, u in _near_threshold_pairs(np.random.default_rng(seed), big):
+            got = _null_enough(w, u)
+            assert got == oracles._null_enough(w, u)
+            verdicts.add(got)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("j", range(-4, 5))
+    def test_overflowing_threshold_scales_by_a_power_of_two(self, j):
+        # max|w| = 0.75 * 2**e squares exactly; 2**420 more makes its
+        # square overflow while res.res stays finite, and the verdict is
+        # the one at the smaller scale
+        m = 0.75 * 2.0**100
+        w = np.array([[m, 0.0], [1e-6 * m * (1.0 + j * 2.0**-52), 0.0]])
+        u = np.array([0.0, 1.0])
+        want = oracles._null_enough(w, u)
+        assert _null_enough(w, u) == want
+        assert _null_enough(w * 2.0**420, u) == want
+
+    @pytest.mark.parametrize("u", [[np.inf, 1.0], [1.0, -np.inf], [np.nan, 1.0]])
+    def test_non_finite_direction_fails(self, u):
+        assert not _null_enough(np.array([[1.0, 2.0], [1.0, 1.0]]), np.array(u))
+
+    @pytest.mark.parametrize("scale", [1e150, 1e154, 1e160])
+    def test_large_finite_vectors(self, scale):
+        # max|x|**2 overflows from 1e154 on; the sup norm itself does not
+        vectors = np.array([[1.0, -1.0], [6.0, 1.0], [-5.0, 4.0]]) * scale
+        target = sup_norm(dim=2)
+        res = round_half_integer(RoundingInstance(
+            vectors=vectors, coefficients=np.array([0.5, 0.8, 0.8]), norm=target))
+        assert res.discrepancy <= res.certificate
+        _, achieved, certificate, _ = sign_round(vectors, target)
+        assert achieved <= certificate
 
 
 class TestInvariance:
