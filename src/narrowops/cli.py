@@ -7,15 +7,14 @@ config + seed produce byte-identical files.
 
 Exit codes: 0 success, 2 certified failure (a pipeline reported and
 certified that it could not meet its budgets), 1 usage error (a malformed
-command line or config: a config value of the wrong JSON type, an operator,
-atom set or rounding instance in the config that the library rejects, or
-two operators on different spaces).
+command line or config: a config value of the wrong JSON type, a budget,
+operator, atom set or rounding instance in the config that the library
+rejects, or two operators on different spaces).
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import numbers
 import sys
@@ -33,16 +32,10 @@ from .instances import (
     l1_example_tail_bound,
 )
 from .measure import SignVector
-from .narrowness import (
-    DEFAULT_REFINE_BUDGET,
-    check_integers,
-    find_small_sign,
-    partition_small_cells,
-)
+from .narrowness import check_integers, find_small_sign, partition_small_cells
 from .norms import TargetNorm, fnorm
 from .operators import DiscreteOperator
 from .pipelines import (
-    DEFAULT_RANK_LIMIT,
     PipelineParams,
     pairing_construction,
     sum_compact_locally_convex,
@@ -81,9 +74,6 @@ def _operator_pair(config: dict) -> tuple[DiscreteOperator, DiscreteOperator]:
     return t1, t2
 
 
-_PARAM_KEYS = tuple(f.name for f in dataclasses.fields(PipelineParams))
-
-
 def _check_keys(config: dict, *keys: str) -> None:
     """Refuse top-level config keys the subcommand does not read, so a
     misspelt budget is not replaced by its default; `seed` is always read."""
@@ -119,16 +109,10 @@ def _real(value) -> float:
     return float(value)
 
 
-def _params(config: dict, seed: int, **overrides) -> PipelineParams:
-    """PipelineParams from the config's top-level fields, then its "params"
-    object, then `overrides`; the seed is always `seed`."""
-    fields = {k: config[k] for k in _PARAM_KEYS if k in config}
-    try:
-        fields.update(config.get("params", {}))
-        fields.update(overrides, seed=seed)
-        return PipelineParams(**fields)
-    except TypeError as exc:
-        raise UsageError(f"bad pipeline parameters: {exc}") from None
+def _given(config: dict, *keys: str) -> dict:
+    """The config's values for those of `keys` it gives, passed to the
+    library as they are: it checks each one and names the key it refuses."""
+    return {k: config[k] for k in keys if k in config}
 
 
 def _emit(args, name: str, report: dict, csv_rows=None, csv_columns=None) -> None:
@@ -163,7 +147,7 @@ def _cmd_round(args, config: dict, seed: int) -> int:
 def _cmd_partition(args, config: dict, seed: int) -> int:
     _check_keys(config, "operator", "epsilon")
     T = _operator_from_config(config["operator"])
-    part = partition_small_cells(T, _read(config, "epsilon", _real))
+    part = partition_small_cells(T, config["epsilon"])
     report = part.summary()
     report["cells"] = [c.indices.tolist() for c in part.cells]
     rows = [
@@ -181,10 +165,7 @@ def _cmd_find_sign(args, config: dict, seed: int) -> int:
         mset = T.space.subset(config["set"]) if "set" in config else T.space.full_set()
     except InvalidAtom as exc:
         raise UsageError(f"bad 'set': {exc}") from None
-    res = find_small_sign(
-        T, mset, _read(config, "epsilon", _real),
-        refine_budget=_read(config, "refine_budget", _int, DEFAULT_REFINE_BUDGET),
-    )
+    res = find_small_sign(T, mset, config["epsilon"], **_given(config, "refine_budget"))
     report = {
         "sign": res.sign.values.tolist(),
         "value": res.value,
@@ -197,20 +178,19 @@ def _cmd_find_sign(args, config: dict, seed: int) -> int:
 
 
 def _cmd_pairing(args, config: dict, seed: int) -> int:
-    _check_keys(config, "t1", "t2", "params", *_PARAM_KEYS)
+    keys = ("sigma", "epsilon", "gamma", "delta", "refine_budget")
+    _check_keys(config, "t1", "t2", *keys)
     t1, t2 = _operator_pair(config)
-    _emit_pipeline(args, "pairing", pairing_construction(t1, t2, _params(config, seed)))
+    params = PipelineParams(**_given(config, *keys))
+    _emit_pipeline(args, "pairing", pairing_construction(t1, t2, params))
     return 0
 
 
 def _cmd_sum_finite_rank(args, config: dict, seed: int) -> int:
-    _check_keys(config, "t1", "t2", "sigma", "epsilon", "rank_limit", "refine_budget")
+    _check_keys(config, "t1", "t2", "sigma", "epsilon", "refine_budget")
     t1, t2 = _operator_pair(config)
-    report = sum_finite_rank(
-        t1, t2, _read(config, "sigma", _real), _read(config, "epsilon", _real),
-        rank_limit=_read(config, "rank_limit", _int, DEFAULT_RANK_LIMIT),
-        refine_budget=_read(config, "refine_budget", _int, DEFAULT_REFINE_BUDGET),
-    )
+    report = sum_finite_rank(t1, t2, config["sigma"], config["epsilon"],
+                             **_given(config, "refine_budget"))
     _emit_pipeline(args, "sum-finite-rank", report)
     return 0
 
@@ -218,17 +198,18 @@ def _cmd_sum_finite_rank(args, config: dict, seed: int) -> int:
 def _cmd_sum_compact(args, config: dict, seed: int) -> int:
     mode = config.get("mode", "adaptive")
     mode_keys = {
-        "adaptive": ("params", *_PARAM_KEYS),
-        "truncation": ("sigma", "epsilon", "tail_values", "tail", "rank_limit",
-                       "refine_budget"),
+        "adaptive": ("epsilon", "refine_budget"),
+        "truncation": ("sigma", "epsilon", "tail_values", "tail", "refine_budget"),
     }
-    if mode not in mode_keys:
+    if not isinstance(mode, str) or mode not in mode_keys:
         raise UsageError(f"unknown sum-compact mode {mode!r}")
     _check_keys(config, "t1", "t2", "mode", *mode_keys[mode])
     t1, t2 = _operator_pair(config)
-    epsilon = _read(config, "epsilon", _real)
+    epsilon = config["epsilon"]
     if mode == "adaptive":
-        report = sum_compact_locally_convex(t1, t2, _params(config, seed, epsilon=epsilon))
+        params = PipelineParams(epsilon=epsilon, seed=seed,
+                                **_given(config, "refine_budget"))
+        report = sum_compact_locally_convex(t1, t2, params)
     else:
         if "tail_values" in config:
             values = _read(config, "tail_values", lambda v: [_real(x) for x in v])
@@ -242,11 +223,8 @@ def _cmd_sum_compact(args, config: dict, seed: int) -> int:
             tail = l1_example_tail_bound(t2.target_dim)
         else:
             raise UsageError("truncation mode needs 'tail_values' or tail='l1_example'")
-        report = sum_compact_via_truncation(
-            t1, t2, _read(config, "sigma", _real, epsilon), epsilon, tail,
-            rank_limit=_read(config, "rank_limit", _int, DEFAULT_RANK_LIMIT),
-            refine_budget=_read(config, "refine_budget", _int, DEFAULT_REFINE_BUDGET),
-        )
+        report = sum_compact_via_truncation(t1, t2, config.get("sigma", epsilon), epsilon,
+                                            tail, **_given(config, "refine_budget"))
     _emit_pipeline(args, "sum-compact", report)
     return 0
 

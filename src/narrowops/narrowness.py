@@ -50,9 +50,10 @@ _EXHAUSTIVE_SEARCH_LIMIT = 10
 
 def check_budgets(**budgets: float) -> None:
     """Raise ValueError unless every named budget is a finite and positive
-    number (not a bool)."""
+    real number (not a bool or a string)."""
     for name, value in budgets.items():
-        if isinstance(value, bool) or not (math.isfinite(value) and value > 0):
+        if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                or not (math.isfinite(value) and value > 0)):
             raise ValueError(f"{name} must be finite and positive, got {value!r}")
 
 

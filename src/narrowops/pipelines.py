@@ -55,30 +55,35 @@ from .rounding import sign_round
 
 _TOL = 1e-9
 DEFAULT_RANK_LIMIT = 16
+# the compact sum's adaptive rounds, its sampled signs and its cap on
+# separating functionals (the rank limit of each round's finite-rank run)
+_MAX_ADAPTIVE_ROUNDS = 5
+_SAMPLE_BUDGET = 24
+_FUNCTIONAL_CAP = 64
 
 
 @dataclass(frozen=True)
 class PipelineParams:
-    """Budgets and knobs shared by the pipelines."""
+    """Budgets of the pairing construction and the compact sum, each
+    checked once here.
+
+    `pairing_construction` reads sigma, epsilon, gamma, delta and
+    `refine_budget`; `sum_compact_locally_convex` reads epsilon, `seed`
+    and `refine_budget`.
+    """
 
     sigma: float = 0.1
     epsilon: float = 0.1
     gamma: float = 0.05
     delta: float = 0.025
     seed: int = 0
-    max_adaptive_rounds: int = 5
     refine_budget: int = DEFAULT_REFINE_BUDGET
-    sample_budget: int = 24
-    functional_cap: int = 64
 
     def __post_init__(self):
         check_budgets(sigma=self.sigma, epsilon=self.epsilon,
                       gamma=self.gamma, delta=self.delta)
         check_integers(0, seed=self.seed)
-        check_integers(1, max_adaptive_rounds=self.max_adaptive_rounds,
-                       refine_budget=self.refine_budget)
-        check_integers(0, sample_budget=self.sample_budget,
-                       functional_cap=self.functional_cap)
+        check_integers(1, refine_budget=self.refine_budget)
 
 
 @dataclass(eq=False)
@@ -374,7 +379,9 @@ def sum_finite_rank(
     cell's coefficient-norm sign bound is <= delta/(2m), pick a small-T1 sign
     per cell on the geometric schedule sigma/2^k, and balance the coefficient
     images by +-1 rounding so the total coefficient norm stays <= delta,
-    which forces ||T2 x|| <= epsilon.
+    which forces ||T2 x|| <= epsilon.  Here delta = epsilon / sum ||b_i||
+    over the basis columns b_i, or (epsilon / sum ||b_i||)^(1/p) for an lp
+    target with p < 1, whose F-norm is p-homogeneous.
 
     The cell signs come from one batched exhaustive search over every cell
     (`exhaustive_cell_signs`); the cells it leaves, too large or without a
@@ -431,6 +438,10 @@ def sum_finite_rank(
     basis = T2.matrix[:, pivots]
     basis_norms = fnorm_many(T2.target, basis.T)
     delta = epsilon / float(np.sum(basis_norms))
+    if not T2.target.locally_convex:
+        # ||c b|| = |c|^p ||b|| for p < 1, so coefficients within delta
+        # give ||T2 x|| <= delta^p * sum ||b_i||
+        delta **= 1.0 / T2.target.p
     coeff_target = sup_norm(dim=m)
     ctx.ops["coeff"] = DiscreteOperator(coeff, T1.space, coeff_target)
 
@@ -557,12 +568,12 @@ def sum_finite_rank(
     )
 
 
-def _sample_signs(space: MeasureSpace, rng: np.random.Generator, budget: int):
-    """Deterministic sign samples, one int8 row each: block Rademacher
-    family plus random signs."""
+def _sample_signs(space: MeasureSpace, rng: np.random.Generator):
+    """_SAMPLE_BUDGET deterministic sign samples, one int8 row each: block
+    Rademacher family plus random signs."""
     n = space.n_atoms
-    out = list(rademacher_signs(space.full_set())[:budget])
-    while len(out) < budget:
+    out = list(rademacher_signs(space.full_set())[:_SAMPLE_BUDGET])
+    while len(out) < _SAMPLE_BUDGET:
         kind = rng.integers(0, 2)
         if kind == 0:
             out.append(rng.integers(0, 2, n) * 2 - 1)
@@ -581,8 +592,8 @@ def sum_compact_locally_convex(
     epsilon/5; each center yields a normalized dual functional, and the
     stacked functionals reduce the problem to a finite-rank run with sup
     budget 1/2.  If the constructed sign's true T2-image escapes the net,
-    the image is added as a new center and the round repeats.  The budget
-    epsilon is `params.epsilon`.
+    the image is added as a new center and the round repeats, at most
+    _MAX_ADAPTIVE_ROUNDS times.  The budget epsilon is `params.epsilon`.
     """
     epsilon = params.epsilon
     if not T2.target.locally_convex:
@@ -592,20 +603,20 @@ def sum_compact_locally_convex(
     us, umap = ctx.space.uniformize()
     ctx.apply_map(umap, us)
     rng = np.random.default_rng(params.seed)
-    ctx.arrays["samples"] = _sample_signs(ctx.space, rng, params.sample_budget)
+    ctx.arrays["samples"] = _sample_signs(ctx.space, rng)
 
     target = T2.target
     extra_images: list[np.ndarray] = []
     trace: list[dict] = []
     rounds_log: list[dict] = []
-    for rnd in range(1, params.max_adaptive_rounds + 1):
+    for rnd in range(1, _MAX_ADAPTIVE_ROUNDS + 1):
         t2c = ctx.ops["t2"]
         images = np.vstack([ctx.arrays["samples"] @ t2c.matrix.T, *extra_images])
         k1 = images[fnorm_many(target, images) > epsilon / 2]
         centers = net_cover(k1, epsilon / 5, target).centers
-        if len(centers) > params.functional_cap:
+        if len(centers) > _FUNCTIONAL_CAP:
             raise RankTooLarge(
-                f"net produced {len(centers)} functionals > cap {params.functional_cap}"
+                f"net produced {len(centers)} functionals > cap {_FUNCTIONAL_CAP}"
             )
         rows = []
         functional_checks = []
@@ -625,7 +636,7 @@ def sum_compact_locally_convex(
 
         inner = sum_finite_rank(
             ctx.ops["t1"], s1, sigma=epsilon / 2, epsilon=0.5,
-            rank_limit=max(params.functional_cap, 1),
+            rank_limit=_FUNCTIONAL_CAP,
             refine_budget=params.refine_budget,
         )
         ctx.apply_map(inner.refine_map, inner.space)
@@ -656,7 +667,7 @@ def sum_compact_locally_convex(
         trace.append({"round": rnd, "norm": val, "image": [float(v) for v in t2x]})
         extra_images.append(t2x)
     raise AdaptiveBudgetExhausted(
-        f"no success within {params.max_adaptive_rounds} adaptive rounds", trace
+        f"no success within {_MAX_ADAPTIVE_ROUNDS} adaptive rounds", trace
     )
 
 
@@ -666,7 +677,6 @@ def sum_compact_via_truncation(
     sigma: float,
     epsilon: float,
     tail_bound,
-    rank_limit: int = DEFAULT_RANK_LIMIT,
     refine_budget: int = DEFAULT_REFINE_BUDGET,
 ) -> PipelineReport:
     """Finite-rank reduction through a certified truncation schedule.
@@ -678,7 +688,6 @@ def sum_compact_via_truncation(
     operator.
     """
     check_budgets(sigma=sigma, epsilon=epsilon)
-    check_integers(0, rank_limit=rank_limit)
     check_integers(1, refine_budget=refine_budget)
     require_same_space(T1, T2, "operators")
     level = None
@@ -691,9 +700,7 @@ def sum_compact_via_truncation(
             f"no truncation level up to {T2.target_dim} has tail <= {epsilon / 2}"
         )
     s_n = T2.restrict_rows(level)
-    inner = sum_finite_rank(
-        T1, s_n, sigma, epsilon / 2, rank_limit=rank_limit, refine_budget=refine_budget
-    )
+    inner = sum_finite_rank(T1, s_n, sigma, epsilon / 2, refine_budget=refine_budget)
     ctx = RefinementContext(T1.space, {"t1": T1, "t2": T2})
     ctx.apply_map(inner.refine_map, inner.space)
     x, achieved = _certify(ctx, inner.sign.values, {"t1": sigma, "t2": epsilon}, 0)

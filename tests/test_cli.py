@@ -109,7 +109,8 @@ class TestExitCodes:
         assert _run(tmp_path, "find-sign", config) == 2
 
     def test_unknown_pipeline_parameter_is_usage_error(self, tmp_path):
-        # reported as a usage error, not as an uncaught TypeError
+        # reported as a usage error, not as an uncaught TypeError; the
+        # "params" object is no longer read at all
         config = {
             "t1": {"instance": {"kind": "random_narrow", "seed": 4, "atoms": 16,
                                 "target_dim": 3, "decay": 0.5}},
@@ -159,7 +160,8 @@ class TestExitCodes:
                                               ("functional_cap", -1)])
     def test_count_below_its_minimum_is_usage_error(self, tmp_path, capsys, field, value):
         # sample_budget -3 used to run on one sample row and exit 0, and
-        # functional_cap -1 to exit 2 as a certified failure
+        # functional_cap -1 to exit 2 as a certified failure; neither key
+        # is read now
         config = {**_pipeline_config(), "epsilon": 0.2, field: value}
         assert _run(tmp_path, "sum-compact", config) == 1
         assert field in capsys.readouterr().err
@@ -201,6 +203,35 @@ class TestExitCodes:
           for field, value in [("max_adaptive_rounds", 2.5), ("sample_budget", 3.5),
                                ("functional_cap", True)]],
         ("example-l1", {"levels": 4.5}, "levels"),
+        # an unhashable mode used to escape as a TypeError traceback
+        ("sum-compact", {**_pipeline_config(), "mode": ["truncation"], "epsilon": 0.2},
+         "mode"),
+        # keys no pipeline reads any more; each used to exit 0, and pairing
+        # ignored the last three
+        *[(command, {**_pipeline_config(), **config, field: value}, field)
+          for command, config in [
+              ("pairing", {"sigma": 0.1, "epsilon": 0.2, "gamma": 0.15, "delta": 0.0625}),
+              ("sum-compact", {"epsilon": 0.2})]
+          for field, value in [("params", {"gamma": 0.15}), ("max_adaptive_rounds", 1),
+                               ("sample_budget", 0), ("functional_cap", 1)]],
+        ("sum-finite-rank", {**_pipeline_config(), "sigma": 0.1, "epsilon": 0.1,
+                             "rank_limit": 4}, "rank_limit"),
+        ("sum-compact", {**_pipeline_config(), "mode": "truncation", "epsilon": 0.2,
+                         "tail_values": [0.0] * 4, "rank_limit": 4}, "rank_limit"),
+        # the adaptive compact sum reads epsilon alone of the budgets, and
+        # reported budgets.t1 = epsilon/2 whatever sigma was
+        *[("sum-compact", {**_pipeline_config(), "epsilon": 0.2, field: value}, field)
+          for field, value in [("sigma", 1e-9), ("gamma", 7.0), ("delta", 3.0)]],
+        # pipeline parameters reach the library as given, and it names the
+        # one it refuses; a string budget used to escape as a TypeError
+        ("pairing", {**_pipeline_config(), "sigma": "0.1"}, "sigma"),
+        ("pairing", {**_pipeline_config(), "delta": None}, "delta"),
+        ("pairing", {**_pipeline_config(), "refine_budget": 2.5}, "refine_budget"),
+        ("sum-finite-rank", {**_pipeline_config(), "sigma": [0.1], "epsilon": 0.1},
+         "sigma"),
+        ("sum-compact", {**_pipeline_config(), "epsilon": "0.2"}, "epsilon"),
+        ("sum-compact", {**_pipeline_config(), "mode": "truncation", "epsilon": 0.2,
+                         "sigma": True, "tail_values": [0.0] * 4}, "sigma"),
         # the sign search has one order, and the coefficient-sup norm is gone
         ("find-sign", {"operator": {"instance": {"kind": "l1_example", "levels": 4}},
                        "epsilon": 1e-6, "strategy": "kernel_pairing"}, "strategy"),
@@ -213,7 +244,16 @@ class TestExitCodes:
             "list-epsilon", "scalar-tail-values", "list-refine-budget", "int-norm",
             "scalar-matrix", "float-refine-budget", "bool-refine-budget",
             "float-seed", "bool-epsilon", "float-max-adaptive-rounds",
-            "float-sample-budget", "bool-functional-cap", "float-levels",
+            "float-sample-budget", "bool-functional-cap", "float-levels", "list-mode",
+            *[f"{command}-{field}-key"
+              for command in ("pairing", "sum-compact-adaptive")
+              for field in ("params", "max-adaptive-rounds", "sample-budget",
+                            "functional-cap")],
+            "sum-finite-rank-rank-limit-key", "sum-compact-truncation-rank-limit-key",
+            "sum-compact-adaptive-sigma-key", "sum-compact-adaptive-gamma-key",
+            "sum-compact-adaptive-delta-key", "pairing-string-sigma", "pairing-null-delta",
+            "pairing-float-refine-budget", "sum-finite-rank-list-sigma",
+            "sum-compact-adaptive-string-epsilon", "sum-compact-truncation-bool-sigma",
             "strategy-key", "coefficient-sup-norm"])
     def test_bad_instance_is_usage_error(self, tmp_path, capsys, command, config, field):
         # an ill-typed instance field or config value used to escape main as

@@ -174,26 +174,22 @@ class TestPairing:
 
 class TestBudgets:
     @pytest.mark.parametrize("name", ["sigma", "epsilon", "gamma", "delta"])
-    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0, True])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0, -1.0, True, "0.1", [0.1], None])
     def test_params_reject_bad_budget(self, name, value):
-        with pytest.raises(ValueError):
+        # a string used to escape as a bare TypeError from math.isfinite
+        with pytest.raises(ValueError, match=name):
             PipelineParams(**{name: value})
 
-    @pytest.mark.parametrize("name", ["seed", "max_adaptive_rounds", "refine_budget",
-                                      "sample_budget", "functional_cap"])
+    @pytest.mark.parametrize("name", ["seed", "refine_budget"])
     @pytest.mark.parametrize("value", [2.5, 2.0, True, "2"])
     def test_params_reject_non_integer_counts(self, name, value):
         # a float used to be truncated, or to fail later inside range()
         with pytest.raises(ValueError, match=name):
             PipelineParams(**{name: value})
 
-    @pytest.mark.parametrize("name, minimum", [
-        ("max_adaptive_rounds", 1), ("refine_budget", 1), ("sample_budget", 0),
-        ("functional_cap", 0), ("seed", 0)])
+    @pytest.mark.parametrize("name, minimum", [("refine_budget", 1), ("seed", 0)])
     def test_params_reject_counts_below_their_minimum(self, name, minimum):
-        # sample_budget=-3 used to slice the Rademacher family with [:-3],
-        # functional_cap=-1 to end in a certified RankTooLarge, and seed=-1
-        # to fail inside numpy without naming the field
+        # seed=-1 used to fail inside numpy without naming the field
         with pytest.raises(ValueError, match=f"{name} must be >= {minimum}"):
             PipelineParams(**{name: minimum - 1})
         assert getattr(PipelineParams(**{name: minimum}), name) == minimum
@@ -202,6 +198,8 @@ class TestBudgets:
         (0.1, np.nan),  # used to return status="success"
         (0.1, -1.0),  # used to refine to 131072 atoms before failing
         (np.inf, 0.1),
+        ("0.1", 0.1),
+        (0.1, None),
     ])
     def test_sum_pipelines_reject_bad_budget(self, sigma, epsilon):
         t2 = build_l1_example(4)
@@ -215,14 +213,15 @@ class TestBudgets:
     @pytest.mark.parametrize("value", [np.nan, 1.5, True, -1])
     def test_sum_pipelines_reject_bad_integer_params(self, name, value):
         # rank_limit=nan used to skip RankTooLarge, and refine_budget=nan to
-        # turn the refinement budget off
+        # turn the refinement budget off; truncation takes no rank limit
         t2 = build_l1_example(6)
         t1 = random_narrow_operator(1, None, 3, 0.5, space=t2.space)
         with pytest.raises(ValueError, match=name):
             sum_finite_rank(t1, t2, 0.1, 0.125, **{name: value})
-        with pytest.raises(ValueError, match=name):
-            sum_compact_via_truncation(t1, t2, 0.1, 0.125, l1_example_tail_bound(6),
-                                       **{name: value})
+        if name == "refine_budget":
+            with pytest.raises(ValueError, match=name):
+                sum_compact_via_truncation(t1, t2, 0.1, 0.125, l1_example_tail_bound(6),
+                                           refine_budget=value)
 
     @pytest.mark.parametrize("gamma", [0.1, 0.2])
     def test_pairing_needs_gamma_below_epsilon(self, gamma):
@@ -483,6 +482,20 @@ class TestSumFiniteRank:
         b = sum_finite_rank(t1, t2, 0.1, 0.1)
         assert a.to_json_dict() == b.to_json_dict()
 
+    def test_coefficient_budget_under_a_p_below_one_target(self):
+        # the lp F-norm with p < 1 is p-homogeneous, so coefficients within
+        # delta bound ||T2 x|| by delta^p * sum ||b_i||; delta = epsilon /
+        # sum ||b_i|| gave 0.0441 > epsilon here.  The smaller delta refines
+        # to 131,900 atoms, over the default refinement budget
+        space = MeasureSpace.uniform(256)
+        t1 = DiscreteOperator(np.zeros((1, 256)), space, sup_norm(dim=1))
+        r = np.random.default_rng(3).standard_normal(256) / 256
+        t2 = DiscreteOperator(np.vstack([r, r / 2]), space, lp_norm(0.5, dim=2))
+        rep = sum_finite_rank(t1, t2, 0.1, 0.01, refine_budget=2**18)
+        delta, basis_norms = rep.budgets["delta"], rep.extras["basis_norms"]
+        assert delta**0.5 * sum(basis_norms) <= 0.01 * (1 + 1e-12)
+        revalidate(rep, t1, t2, 0.1, 0.01)
+
 
 class TestSumCompact:
     def test_t2_zero(self):
@@ -506,24 +519,18 @@ class TestSumCompact:
         with pytest.raises(NotLocallyConvex):
             sum_compact_locally_convex(t1, t2, PipelineParams(epsilon=0.2))
 
-    def test_exhaustion_carries_trace(self):
-        # an operator whose images always escape: columns so large that any
-        # full sign lands far outside the epsilon/2 ball, with one adaptive
-        # round only
+    def test_exhaustion_carries_trace(self, monkeypatch):
+        # with no sampled sign the first round has no functional, so its
+        # sign, found for T1 = 0 alone, escapes the epsilon/2 ball under
+        # T2; one round allows no second try
+        monkeypatch.setattr(pipelines, "_MAX_ADAPTIVE_ROUNDS", 1)
+        monkeypatch.setattr(pipelines, "_SAMPLE_BUDGET", 0)
         space = MeasureSpace.uniform(4)
         t1 = DiscreteOperator(np.zeros((1, 4)), space, sup_norm(dim=1))
-        m = np.array([[5.0, -5.0, 3.0, -3.0]])
-        t2 = DiscreteOperator(m, space, sup_norm(dim=1))
-        params = PipelineParams(epsilon=0.05, seed=0, max_adaptive_rounds=1,
-                                sample_budget=4)
-        try:
-            rep = sum_compact_locally_convex(t1, t2, params)
-        except AdaptiveBudgetExhausted as exc:
-            assert len(exc.trace) >= 1
-            assert all("image" in entry for entry in exc.trace)
-        else:
-            # legitimate success must still satisfy the budget
-            assert rep.achieved["t2"] <= 0.05 / 2 + 1e-9
+        t2 = DiscreteOperator(np.array([[5.0, 3.0, -5.0, -3.0]]), space, sup_norm(dim=1))
+        with pytest.raises(AdaptiveBudgetExhausted) as info:
+            sum_compact_locally_convex(t1, t2, PipelineParams(epsilon=0.05))
+        assert info.value.trace == [{"round": 1, "norm": 16.0, "image": [-16.0]}]
 
 
 class TestExactImages:
