@@ -28,8 +28,8 @@ from .errors import (
     ZeroVector,
 )
 from .instances import (
-    InstanceSpec,
     build_conditional_expectation,
+    build_instance,
     build_l1_example,
     l1_example_cells,
     l1_example_tail_bound,

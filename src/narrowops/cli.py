@@ -25,8 +25,8 @@ import numpy as np
 
 from .errors import InvalidAtom, NarrowOpsError
 from .instances import (
-    InstanceSpec,
     build_conditional_expectation,
+    build_instance,
     build_l1_example,
     l1_example_cells,
     l1_example_tail_bound,
@@ -55,7 +55,7 @@ def _operator_from_config(value: dict) -> DiscreteOperator:
         raise UsageError("operator entries must be JSON objects")
     try:
         if "instance" in value:
-            return InstanceSpec.from_json(value["instance"]).build()
+            return build_instance(value["instance"])
         if "path" in value:
             return operator_from_json(load_json(value["path"]))
         if "matrix" in value:
@@ -82,24 +82,16 @@ def _check_keys(config: dict, *keys: str) -> None:
         raise UsageError(f"unknown config key(s): {', '.join(unknown)}")
 
 
-def _read(config: dict, key: str, cast, default=None):
-    """`cast(config[key])`, or `cast(default)` when the key is absent and a
-    default is given; a value of the wrong JSON type is a usage error that
-    names the key."""
-    value = config[key] if default is None else config.get(key, default)
+def _read(config: dict, key: str, cast):
+    """`cast(config[key])`; a value of the wrong JSON type is a usage error
+    that names the key."""
     try:
-        return cast(value)
+        return cast(config[key])
     except (TypeError, ValueError) as exc:
         raise UsageError(f"bad {key!r}: {exc}") from None
 
 
 _float_array = partial(np.asarray, dtype=float)
-
-
-def _int(value) -> int:
-    """Cast for integer slots: a float, a bool or a string is refused."""
-    check_integers(value=value)
-    return value
 
 
 def _real(value) -> float:
@@ -231,10 +223,9 @@ def _cmd_sum_compact(args, config: dict, seed: int) -> int:
 
 def _cmd_example_l1(args, config: dict, seed: int) -> int:
     _check_keys(config, "levels", "atoms_per_level")
-    levels = args.levels if args.levels is not None else _read(config, "levels", _int, 12)
-    apl = args.atoms_per_level
-    if apl is None and "atoms_per_level" in config:
-        apl = _read(config, "atoms_per_level", _int)
+    levels = args.levels if args.levels is not None else config.get("levels", 12)
+    apl = (args.atoms_per_level if args.atoms_per_level is not None
+           else config.get("atoms_per_level"))
     T = build_l1_example(levels, apl)
     report = {"operator": operator_to_json(T), "levels": levels}
     if args.check == "strict-narrow":
@@ -257,7 +248,7 @@ def _cmd_example_l1(args, config: dict, seed: int) -> int:
 
 def _cmd_example_condexp(args, config: dict, seed: int) -> int:
     _check_keys(config, "grid")
-    k = args.grid if args.grid is not None else _read(config, "grid", _int, 8)
+    k = args.grid if args.grid is not None else config.get("grid", 8)
     T = build_conditional_expectation(k)
     # strict-narrowness witness: a vertical +1/-1 pair maps to zero
     values = [0] * T.space.n_atoms
@@ -360,7 +351,8 @@ def main(argv=None) -> int:
             config = json.loads(Path(args.config).read_text())
             if not isinstance(config, dict):
                 raise UsageError("a config must be a JSON object")
-        seed = args.seed if args.seed is not None else _read(config, "seed", _int, 0)
+        seed = args.seed if args.seed is not None else config.get("seed", 0)
+        check_integers(seed=seed)
         return _COMMANDS[args.command](args, config, seed)
     except NarrowOpsError as exc:
         print(f"certified failure: {exc}", file=sys.stderr)

@@ -9,79 +9,17 @@ truncation tail ``2^-N``.
 
 from __future__ import annotations
 
+import math
 import numbers
-from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
 
 from .errors import NonDyadic
 from .measure import MeasurableSet, MeasureSpace, _is_power_of_two
+from .narrowness import check_integers
 from .norms import lp_norm, sup_norm
 from .operators import DiscreteOperator
-
-
-# the fields each instance kind needs; the others are optional
-_REQUIRED_FIELDS = {
-    "l1_example": ("levels",),
-    "conditional_expectation": ("grid",),
-    "random_narrow": ("atoms", "target_dim", "decay"),
-    "random_finite_rank": ("rank", "atoms", "target_dim"),
-}
-# the real-valued fields; every other field but `kind` is an integer
-_REAL_FIELDS = ("decay", "scale")
-
-
-@dataclass(frozen=True)
-class InstanceSpec:
-    """Declarative description of a built-in instance (for configs/CLI)."""
-
-    kind: str
-    levels: int | None = None
-    atoms_per_level: int | None = None
-    grid: int | None = None
-    rank: int | None = None
-    atoms: int | None = None
-    target_dim: int | None = None
-    decay: float | None = None
-    scale: float | None = None
-    seed: int = 0
-
-    def __post_init__(self):
-        if not isinstance(self.kind, str) or self.kind not in _REQUIRED_FIELDS:
-            raise ValueError(f"unknown instance kind {self.kind!r}")
-        missing = [f for f in _REQUIRED_FIELDS[self.kind] if getattr(self, f) is None]
-        if missing:
-            raise ValueError(f"a {self.kind} instance needs {', '.join(missing)}")
-        for f in fields(self)[1:]:  # every field after `kind`
-            value = getattr(self, f.name)
-            want, what = ((numbers.Real, "a real number") if f.name in _REAL_FIELDS
-                          else (numbers.Integral, "an integer"))
-            if value is not None and (type(value) is bool or not isinstance(value, want)):
-                raise ValueError(f"instance field {f.name!r} must be {what}, got {value!r}")
-
-    def build(self) -> DiscreteOperator:
-        if self.kind == "l1_example":
-            return build_l1_example(self.levels, self.atoms_per_level)
-        if self.kind == "conditional_expectation":
-            return build_conditional_expectation(self.grid)
-        if self.kind == "random_narrow":
-            return random_narrow_operator(
-                self.seed, self.atoms, self.target_dim, self.decay
-            )
-        return random_finite_rank(
-            self.seed, self.rank, self.atoms, self.target_dim,
-            scale=self.scale if self.scale is not None else 1.0,
-        )
-
-    @staticmethod
-    def from_json(obj: dict) -> "InstanceSpec":
-        if not isinstance(obj, dict) or "kind" not in obj:
-            raise ValueError("an instance needs a 'kind'")
-        unknown = sorted(set(obj) - {f.name for f in fields(InstanceSpec)})
-        if unknown:
-            raise ValueError(f"unknown instance field(s): {', '.join(unknown)}")
-        return InstanceSpec(**obj)
 
 
 def build_l1_example(
@@ -95,35 +33,27 @@ def build_l1_example(
     used: cell n gets 2^(N-n) atoms of weight 2^-N plus one residual atom,
     for exactly 2^N atoms in total.
     """
-    if levels < 1:
-        raise ValueError("levels must be >= 1")
-    n_levels = levels
-    weights: list[Fraction] = []
-    cell_of_atom: list[int] = []  # 1..levels, 0 for the residual
-    if atoms_per_level is None:
-        for n in range(1, n_levels + 1):
-            count = 2 ** (n_levels - n)
-            weights.extend([Fraction(1, 2**n_levels)] * count)
-            cell_of_atom.extend([n] * count)
-        weights.append(Fraction(1, 2**n_levels))
-        cell_of_atom.append(0)
-    else:
+    check_integers(1, levels=levels)
+    if atoms_per_level is not None:
+        check_integers(atoms_per_level=atoms_per_level)
         if atoms_per_level < 2 or not _is_power_of_two(atoms_per_level):
             raise NonDyadic("atoms_per_level must be a power of two >= 2")
-        for n in range(1, n_levels + 1):
-            w = Fraction(1, 2**n * atoms_per_level)
-            weights.extend([w] * atoms_per_level)
-            cell_of_atom.extend([n] * atoms_per_level)
-        weights.append(Fraction(1, 2**n_levels))
-        cell_of_atom.append(0)
+    weights: list[Fraction] = []
+    cell_of_atom: list[int] = []  # 1..levels, 0 for the residual
+    for n in range(1, levels + 1):
+        count = atoms_per_level or 2 ** (levels - n)
+        weights.extend([Fraction(1, 2**n * count)] * count)
+        cell_of_atom.extend([n] * count)
+    weights.append(Fraction(1, 2**levels))
+    cell_of_atom.append(0)
 
     space = MeasureSpace.from_weights(weights)
-    matrix = np.zeros((n_levels, space.n_atoms))
+    matrix = np.zeros((levels, space.n_atoms))
     w = space.weights_float()
     for i, cell in enumerate(cell_of_atom):
         if cell >= 1:
             matrix[cell - 1, i] = w[i]
-    return DiscreteOperator(matrix=matrix, space=space, target=lp_norm(1, dim=n_levels))
+    return DiscreteOperator(matrix=matrix, space=space, target=lp_norm(1, dim=levels))
 
 
 def l1_example_cells(T: DiscreteOperator) -> list[MeasurableSet]:
@@ -158,8 +88,9 @@ def build_conditional_expectation(grid: int) -> DiscreteOperator:
     every entry of row t on column-t atoms is 1/k.  Vertical +1/-1 pairs map
     to zero: the strict-narrowness witness.
     """
+    check_integers(grid=grid)
     k = grid
-    if k is None or not _is_power_of_two(k):
+    if not _is_power_of_two(k):
         raise NonDyadic("grid size must be a power of two")
     space = MeasureSpace.uniform(k * k)
     matrix = np.zeros((k, k * k))
@@ -180,10 +111,15 @@ def random_narrow_operator(
     Column i is scaled to sup-norm decay^(i+1), so single-atom partition
     bounds shrink geometrically and partitioning succeeds at any epsilon
     after bounded refinement.  decay = 0 gives the zero operator.
+    `atoms` is read only when no `space` is given.
     """
-    if decay < 0 or decay >= 1:
-        raise ValueError("decay must be in [0, 1)")
+    check_integers(0, seed=seed)
+    check_integers(1, target_dim=target_dim)
+    if (isinstance(decay, bool) or not isinstance(decay, numbers.Real)
+            or not 0 <= decay < 1):
+        raise ValueError(f"decay must be a real number in [0, 1), got {decay!r}")
     if space is None:
+        check_integers(atoms=atoms)
         space = MeasureSpace.uniform(atoms)
     n = space.n_atoms
     rng = np.random.default_rng(seed)
@@ -205,8 +141,15 @@ def random_finite_rank(
     scale: float = 1.0,
     space: MeasureSpace | None = None,
 ) -> DiscreteOperator:
-    """Random operator of exact numerical rank `rank` into weighted l1."""
+    """Random operator of exact numerical rank `rank` into weighted l1.
+    `atoms` is read only when no `space` is given."""
+    check_integers(0, seed=seed, rank=rank)
+    check_integers(1, target_dim=target_dim)
+    if (isinstance(scale, bool) or not isinstance(scale, numbers.Real)
+            or not math.isfinite(scale)):
+        raise ValueError(f"scale must be a finite real number, got {scale!r}")
     if space is None:
+        check_integers(atoms=atoms)
         space = MeasureSpace.uniform(atoms)
     n = space.n_atoms
     if rank > min(target_dim, n):
@@ -219,3 +162,34 @@ def random_finite_rank(
         right = rng.standard_normal((rank, n))
         matrix = scale * (left @ right)
     return DiscreteOperator(matrix=matrix, space=space, target=lp_norm(1, dim=target_dim))
+
+
+# each instance kind: its builder, and the defaults of its config fields
+# that the builder itself has no default for
+_KINDS = {
+    "l1_example": (build_l1_example, {}),
+    "conditional_expectation": (build_conditional_expectation, {}),
+    "random_narrow": (random_narrow_operator, {"seed": 0}),
+    "random_finite_rank": (random_finite_rank, {"seed": 0}),
+}
+
+
+def build_instance(spec: dict) -> DiscreteOperator:
+    """The operator a config's instance spec describes.
+
+    `spec` is a JSON object: its `kind` names the builder, and its other
+    fields are the builder's keyword arguments, over the kind's defaults.
+    The builder checks each value; Python's TypeError names a field the
+    builder does not take or a required one that is missing.  A `space`
+    is not a config field.
+    """
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise ValueError("an instance must be a JSON object with a 'kind'")
+    fields = dict(spec)
+    kind = fields.pop("kind")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ValueError(f"unknown instance kind {kind!r}")
+    if "space" in fields:
+        raise ValueError("'space' is not an instance field")
+    builder, defaults = _KINDS[kind]
+    return builder(**{**defaults, **fields})

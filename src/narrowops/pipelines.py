@@ -9,6 +9,7 @@ from the input space to the final one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
@@ -437,11 +438,16 @@ def sum_finite_rank(
 
     basis = T2.matrix[:, pivots]
     basis_norms = fnorm_many(T2.target, basis.T)
-    delta = epsilon / float(np.sum(basis_norms))
+    norms_sum = float(np.sum(basis_norms))
+    delta = epsilon / norms_sum
     if not T2.target.locally_convex:
         # ||c b|| = |c|^p ||b|| for p < 1, so coefficients within delta
-        # give ||T2 x|| <= delta^p * sum ||b_i||
-        delta **= 1.0 / T2.target.p
+        # give ||T2 x|| <= delta^p * sum ||b_i||; the root can round that
+        # product above epsilon, so step delta down until it does not
+        p = T2.target.p
+        delta **= 1.0 / p
+        while delta**p * norms_sum > epsilon:
+            delta = math.nextafter(delta, 0.0)
     coeff_target = sup_norm(dim=m)
     ctx.ops["coeff"] = DiscreteOperator(coeff, T1.space, coeff_target)
 

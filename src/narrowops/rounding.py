@@ -216,22 +216,47 @@ def _null_enough(w: np.ndarray, u: np.ndarray) -> bool:
     return _numpy_null_enough(res, u, w)
 
 
+def _square(v: np.ndarray) -> tuple[float, int]:
+    """v.v as s * 4**k, s from numpy's sum: k = 0 unless that sum
+    overflows, and then v is scaled by 2**-k to a largest |entry| in
+    [0.5, 1) first.  A non-finite v gives a non-finite s."""
+    with np.errstate(over="ignore"):
+        s = float(v @ v)
+    if s < math.inf:
+        return s, 0
+    top = float(np.abs(v).max())
+    if not top < math.inf:
+        return math.inf, 0
+    k = math.frexp(top)[1]
+    v = np.ldexp(v, -k)
+    return float(v @ v), k
+
+
 def _numpy_null_enough(res: np.ndarray, u: np.ndarray, w: np.ndarray) -> bool:
     """The residual verdict from numpy's sums of squares.  A non-finite
-    res.res or u.u fails.  Where max|w|**2 overflows, both sides of the
-    comparison are scaled by the same power of two, which gives the verdict
-    of an unbounded exponent range."""
-    res2, size2 = float(res @ res), 1e-12 * float(u @ u)
-    if not (res2 < math.inf and size2 < math.inf):
+    res or u fails.  Where res.res, u.u or max|w|**2 overflows, each is
+    scaled by a power of two and the exponents are compared apart, which
+    gives the verdict of an unbounded exponent range."""
+    (res2, a), (uu, b) = _square(res), _square(u)
+    if not (res2 < math.inf and uu < math.inf):
         return False
-    if res2 <= size2:
-        return True
+    size2 = 1e-12 * uu
     m = float(np.abs(w).max())
+    if a == b == 0:
+        if res2 <= size2:
+            return True
+        # the verdict where nothing overflows squares m with pow, which
+        # may differ from m * m by an ulp
+        try:
+            return res2 <= size2 * m ** 2
+        except OverflowError:
+            pass
+    # res2 4**a <= size2 4**b max(1, m)**2, with max(1, m) = mant 2**exp
+    mant, exp = math.frexp(max(1.0, m))
     try:
-        return res2 <= size2 * m ** 2
+        return math.ldexp(res2, 2 * (a - b - exp)) <= size2 * (mant * mant)
     except OverflowError:
-        mant, exp = math.frexp(m)
-        return math.ldexp(res2, -2 * exp) <= size2 * (mant * mant)
+        return False
 
 
 def round_half_integer(instance: RoundingInstance) -> RoundingResult:
@@ -260,11 +285,10 @@ def round_half_integer(instance: RoundingInstance) -> RoundingResult:
     coefficient, for the pivot.  The check
     ``||W u|| <= 1e-6 max(1, max|W|) ||u||`` is decided from Python sums
     of squares away from its threshold and from numpy's sums near it; a
-    non-finite ``||W u||**2`` or ``||u||**2`` fails it, and an overflowing
-    ``max|W|**2`` is compared at a power-of-two scale.  On a failure the
-    tableau is rebuilt from the original vectors by least squares, and
-    ``DegenerateNullspace`` is raised if the rebuilt direction still
-    fails.  The coefficients are a Python list during the walk, and the
+    non-finite ``W u`` or ``u`` fails it, and overflowing squares are
+    compared at a power-of-two scale.  On a failure the tableau is rebuilt
+    from the original vectors by least squares, and ``DegenerateNullspace``
+    is raised if the rebuilt direction still fails.  The coefficients are a Python list during the walk, and the
     ratio test, the step and the snap run on the window's at most
     ``dim + 1`` of them as Python floats.
     """

@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from narrowops import (
-    InstanceSpec,
     MeasureSpace,
     NonDyadic,
     SignVector,
     build_conditional_expectation,
+    build_instance,
     build_l1_example,
     find_small_sign,
     fnorm,
@@ -147,13 +147,77 @@ class TestRandomFamilies:
 
 
 class TestInstanceSpec:
+    """`build_instance`, on the JSON object a config gives for an operator."""
+
     def test_build_from_json(self):
-        spec = InstanceSpec.from_json(
-            {"kind": "l1_example", "levels": 4, "seed": 0}
-        )
-        T = spec.build()
+        T = build_instance({"kind": "l1_example", "levels": 4})
         assert T.target_dim == 4
 
     def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            InstanceSpec(kind="nope").build()
+        with pytest.raises(ValueError, match="unknown instance kind 'nope'"):
+            build_instance({"kind": "nope"})
+
+    @pytest.mark.parametrize("spec, message", [
+        ({"kind": ["l1_example"], "levels": 4}, "unknown instance kind"),
+        ({"levels": 4}, "'kind'"),
+        ([("kind", "l1_example")], "'kind'"),
+        ({"kind": "random_narrow", "atoms": 16, "target_dim": 3, "decay": 0.5,
+          "space": {"numerators": [1], "denominator_log2": 0}}, "'space'"),
+    ], ids=["list-kind", "missing-kind", "not-an-object", "space"])
+    def test_refused_spec(self, spec, message):
+        with pytest.raises(ValueError, match=message):
+            build_instance(spec)
+
+    @pytest.mark.parametrize("kind, fields", [
+        ("l1_example", {"levels": 4}),
+        ("conditional_expectation", {"grid": 4}),
+    ])
+    def test_seed_on_a_deterministic_kind_is_refused(self, kind, fields):
+        # the builder takes no seed, and Python names the field
+        with pytest.raises(TypeError, match="'seed'"):
+            build_instance({"kind": kind, **fields, "seed": 0})
+
+    @pytest.mark.parametrize("kind, fields", [
+        ("random_narrow", {"atoms": 16, "target_dim": 3, "decay": 0.5}),
+        ("random_finite_rank", {"rank": 2, "atoms": 16, "target_dim": 4}),
+    ])
+    def test_random_kinds_default_to_seed_zero(self, kind, fields):
+        a = build_instance({"kind": kind, **fields})
+        b = build_instance({"kind": kind, **fields, "seed": 0})
+        assert a.matrix.tobytes() == b.matrix.tobytes()
+
+    def test_missing_field_is_named(self):
+        with pytest.raises(TypeError, match="'atoms'"):
+            build_instance({"kind": "random_narrow", "target_dim": 3, "decay": 0.5})
+
+
+# each builder with good arguments; every one but `decay` is an integer
+_BUILDERS = [
+    (build_l1_example, {"levels": 4, "atoms_per_level": 4}),
+    (build_conditional_expectation, {"grid": 4}),
+    (random_narrow_operator, {"seed": 0, "atoms": 16, "target_dim": 3, "decay": 0.5}),
+    (random_finite_rank, {"seed": 0, "rank": 2, "atoms": 16, "target_dim": 4}),
+]
+
+
+class TestBuilderArguments:
+    @pytest.mark.parametrize("builder, kwargs, name, value", [
+        pytest.param(builder, kwargs, name, value,
+                     id=f"{builder.__name__}-{name}-{type(value).__name__}")
+        for builder, kwargs in _BUILDERS
+        for name in kwargs if name != "decay"
+        for value in ("4", True, 4.0)
+    ])
+    def test_ill_typed_integer_names_the_argument(self, builder, kwargs, name, value):
+        # these used to raise a bare TypeError, or to run on a float
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            builder(**{**kwargs, name: value})
+
+    @pytest.mark.parametrize("builder, kwargs, name", [
+        (random_narrow_operator, _BUILDERS[2][1], "decay"),
+        (random_finite_rank, _BUILDERS[3][1], "scale"),
+    ], ids=["decay", "scale"])
+    @pytest.mark.parametrize("value", ["0.5", True, None])
+    def test_ill_typed_real_names_the_argument(self, builder, kwargs, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be a"):
+            builder(**{**kwargs, name: value})

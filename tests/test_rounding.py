@@ -4,6 +4,7 @@ reference walk and bit for bit against the numpy tableau walk, the
 factorization and the residual verdict against their numpy oracles,
 robustness on degenerate families, invariances, and the null vectors."""
 
+import math
 from itertools import product
 from unittest import mock
 
@@ -617,6 +618,24 @@ class TestResidualVerdict:
         assert _null_enough(w, u) == want
         assert _null_enough(w * 2.0**420, u) == want
 
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_overflowing_squares_keep_the_verdict(self, seed):
+        # with max|w| >= 1 the test is homogeneous in w; at 2**j res.res
+        # overflows while res and w stay finite, and it used to fail every
+        # such direction (with numpy's overflow warning, an error here).
+        # A row that u weights by 0 sets max|w| = 1, whose square is exact
+        # at every scale, as pow's square of another max|w| is not
+        verdicts = set()
+        for w, u in _near_threshold_pairs(np.random.default_rng(seed), False):
+            w = np.vstack([np.ones(w.shape[1]), w])
+            u = np.concatenate([[0.0], u])
+            j = 512 - math.frexp(float(np.abs(u @ w).max()))[1]
+            got = _null_enough(w, u)
+            assert _null_enough(w * 2.0**j, u) == got
+            verdicts.add(got)
+        assert verdicts == {True, False}
+
     @pytest.mark.parametrize("u", [[np.inf, 1.0], [1.0, -np.inf], [np.nan, 1.0]])
     def test_non_finite_direction_fails(self, u):
         assert not _null_enough(np.array([[1.0, 2.0], [1.0, 1.0]]), np.array(u))
@@ -654,6 +673,28 @@ class TestInvariance:
         assert scaled.elimination_steps == base.elimination_steps
         assert scaled.discrepancy == base.discrepancy * 2.0**power
         assert scaled.certificate == base.certificate * 2.0**power
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 64),
+        d=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        norm=st.sampled_from(["sup", "l1"]),
+    )
+    def test_scaling_past_the_overflow_of_squares(self, n, d, seed, norm):
+        # at 2**665 the residual's squares overflow, and the walk used to
+        # raise DegenerateNullspace; the l2 norm itself overflows there
+        rng = np.random.default_rng(seed)
+        vectors, coefficients = rng.standard_normal((n, d)), rng.uniform(0, 1, n)
+        base, scaled = (
+            round_half_integer(RoundingInstance(
+                vectors=v, coefficients=coefficients, norm=_NORMS[norm](d)))
+            for v in (vectors, vectors * 2.0**665)
+        )
+        assert scaled.theta.tolist() == base.theta.tolist()
+        assert scaled.elimination_steps == base.elimination_steps
+        assert scaled.discrepancy == base.discrepancy * 2.0**665
+        assert scaled.certificate == base.certificate * 2.0**665
 
     @settings(max_examples=60, deadline=None)
     @given(
