@@ -360,10 +360,15 @@ def rademacher_parent_sums(mset: MeasurableSet, rmap: RefineMap) -> np.ndarray:
     Old atom j's children in the set are consecutive in the set's order, so
     each entry is a difference of prefix sums, and the prefix sum of a +-1
     wave with block size b at position t is b - |b - (t mod 2b)|."""
+    return _wave_sums(mset, rmap, _rademacher_blocks(mset))
+
+
+def _wave_sums(mset: MeasurableSet, rmap: RefineMap, blocks: np.ndarray) -> np.ndarray:
+    """:func:`rademacher_parent_sums` for the block sizes `blocks` alone."""
     if rmap.n_new != mset.space.n_atoms:
         raise InvalidAtom(f"map has {rmap.n_new} children, space has "
                           f"{mset.space.n_atoms} atoms")
-    b = _rademacher_blocks(mset)[:, None]
+    b = blocks[:, None]
     idx = mset.indices
     # the set's positions before old atom j's first child and after its last
     begins = np.searchsorted(idx, rmap.starts)

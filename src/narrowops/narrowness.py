@@ -290,6 +290,16 @@ class SmallSignResult:
     strategy: str
 
 
+def _row_labels(keys: np.ndarray) -> np.ndarray:
+    """The labels of ``np.unique(keys, axis=0, return_inverse=True)`` for 2-d
+    int64 keys, from one lexsort with column 0 as the primary key."""
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    labels = np.empty(len(keys), dtype=np.int64)
+    labels[order] = np.cumsum(np.diff(ranked, axis=0, prepend=ranked[:1]).any(axis=1))
+    return labels
+
+
 def _kernel_pairing(
     T: DiscreteOperator, mset: MeasurableSet
 ) -> SignVector | None:
@@ -303,8 +313,7 @@ def _kernel_pairing(
     # bitwise-equal columns of equal-weight atoms share a group
     cols = np.ascontiguousarray(T.matrix[:, idx].T).view(np.int64)
     keys = np.column_stack([cols, T.space.numerators[idx]])
-    _, group = np.unique(keys, axis=0, return_inverse=True)
-    members, sizes, _ = cell_segments(group.ravel())
+    members, sizes, _ = cell_segments(_row_labels(keys))
     if (sizes % 2).any():
         return None
     # members of each group in index order; every group has even size, so

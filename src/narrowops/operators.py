@@ -28,7 +28,7 @@ from .errors import (
     RefinementBudgetExceeded,
     SetTooLarge,
 )
-from .measure import MeasurableSet, MeasureSpace, RefineMap, SignVector
+from .measure import MeasurableSet, MeasureSpace, RefineMap, SignVector, _read_only
 from .norms import TargetNorm, fnorm, fnorm_many
 
 TERNARY_EXHAUSTIVE_LIMIT = 13
@@ -166,6 +166,7 @@ class RefinementContext:
         self.total_map = RefineMap.identity(space.n_atoms)
         self.arrays: dict[str, np.ndarray] = {}
         self.ops = _RefinedOps(dict(ops), self.total_map, space)
+        self._parent_weights = None
 
     def apply_map(self, rmap: RefineMap, space: MeasureSpace) -> None:
         if rmap.is_identity:
@@ -174,11 +175,15 @@ class RefinementContext:
         self.arrays = {k: rmap.lift_values(v) for k, v in self.arrays.items()}
         self.total_map = self.total_map.compose(rmap)
         self.ops = _RefinedOps(self.ops.start, self.total_map, space)
+        self._parent_weights = None
 
     def parent_weights(self) -> np.ndarray:
-        """Each starting atom's weight, as an int64 numerator over the
-        current space's denominator: the sum of its children's."""
-        return np.add.reduceat(self.space.numerators, self.total_map.starts)
+        """Each starting atom's weight (its children's sum) as an int64
+        numerator over the current space's denominator; read-only, once per space."""
+        if self._parent_weights is None:
+            self._parent_weights = _read_only(
+                np.add.reduceat(self.space.numerators, self.total_map.starts))
+        return self._parent_weights
 
     def image(self, key: str, values) -> np.ndarray:
         """Image of integer step values on the current space under

@@ -35,8 +35,8 @@ from .measure import (
     RefineMap,
     SignVector,
     _is_power_of_two,
-    rademacher_parent_sums,
-    rademacher_sign,
+    _rademacher_blocks,
+    _wave_sums,
     rademacher_signs,
 )
 from .narrowness import (
@@ -152,21 +152,23 @@ def _knapsack_fractional(values: np.ndarray, nums: np.ndarray, budget_num: int):
     max sum(values) subject to sum(nums) <= budget_num, values >= 0."""
     idx = np.flatnonzero(values > 0)
     density = values[idx] / nums[idx]
-    order = idx[np.argsort(-density, kind="stable")].tolist()
-    ub, used, filling = 0.0, 0, True
+    order = idx[np.argsort(-density, kind="stable")]
+    # the items taken before the first one that does not fit; np.cumsum adds
+    # in order, so ub has the bits of adding their values one at a time
+    used, acc = np.cumsum(nums[order]), np.cumsum(values[order])
+    k = int(np.searchsorted(used, budget_num, side="right"))
     greedy = np.zeros(values.size, dtype=bool)
-    for i in order:
-        n = int(nums[i])
-        if used + n <= budget_num:
-            used += n
-            greedy[i] = True
-            if filling:
-                ub += float(values[i])
-        elif filling:
-            # the first item that does not fit closes the fractional bound;
-            # the integral greedy set keeps taking smaller items that fit
-            ub += float(values[i]) * (budget_num - used) / n
-            filling = False
+    greedy[order[:k]] = True
+    ub = float(acc[k - 1]) if k else 0.0
+    if k < order.size:
+        # the first item that does not fit closes the fractional bound; the
+        # integral greedy set keeps taking later items that fit
+        i, left = order[k], budget_num - int(used[k] - nums[order[k]])
+        ub += float(values[i]) * left / int(nums[i])
+        for i in order[k + 1:][nums[order[k + 1:]] <= left].tolist():
+            if nums[i] <= left:
+                left -= int(nums[i])
+                greedy[i] = True
     return ub, np.flatnonzero(greedy)
 
 
@@ -228,8 +230,10 @@ def pairing_construction(
 
     The images of the block signs come from their per-parent sums over the
     live atoms (`rademacher_parent_sums`) and the input matrices, so no
-    operator is refined for the search; only the chosen pair's signs are
-    built on the atoms.
+    operator is refined for the search.  A stage keeps its levels' shares
+    across its refinements and sums only the level each one adds; parent
+    weights are computed once per space.  Only the chosen pair's
+    half-difference is built, on the live atoms.
     """
     if not params.gamma < params.epsilon:
         raise ValueError("pairing needs gamma < epsilon")
@@ -265,11 +269,15 @@ def pairing_construction(
         budget_t1 = params.sigma / 2 ** (j + 1)
         budget_t2 = eps1 / 2**j
         stage_refines = 0
+        shares = np.empty((0, T1.space.n_atoms))
         while True:
             live = ctx.where("stage", 0)
+            blocks = _rademacher_blocks(live)
             # each level's block sign as s / w over the input atoms, so its
-            # image is an input matrix times that
-            shares = rademacher_parent_sums(live, ctx.total_map) / ctx.parent_weights()
+            # image is an input matrix times that.  A retry splits the live atoms
+            # in two: each level keeps its s / w bits, and the one new level is summed
+            shares = np.vstack([shares, _wave_sums(
+                live, ctx.total_map, blocks[len(shares):]) / ctx.parent_weights()])
             # candidates: the levels whose block sign passes the T1 filter
             t1_norms = fnorm_many(T1.target, shares @ T1.matrix.T)
             cands = np.flatnonzero(t1_norms <= budget_t1 + _TOL)
@@ -298,8 +306,11 @@ def pairing_construction(
                 ) from exc
 
         a, b = cands[pair[0]], cands[pair[1]]
-        row_a, row_b = (rademacher_sign(live, int(lvl) + 1).values for lvl in (a, b))
-        x_j = SignVector.from_values(ctx.space, (row_a - row_b) // 2)
+        # (row a - row b) / 2 on the live atoms, row = 1 - 2 (t // block % 2)
+        t = np.arange(live.size)
+        values = np.zeros(ctx.space.n_atoms, dtype=np.int8)
+        values[live.indices] = t // blocks[b] % 2 - t // blocks[a] % 2
+        x_j = SignVector.from_values(ctx.space, values)
         if not x_j.mean_zero:
             raise StageFailed(j, "stage sign is not mean zero")
         if x_j.support_set().measure != total / 2**j:

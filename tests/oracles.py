@@ -9,6 +9,10 @@ with numpy calls on the whole window at every step.  It carries its own
 ``_snap``, ``_factor`` and ``_null_enough``, so a change to the library's
 walk that moves a single bit of theta, the step count or the discrepancy
 shows up as a mismatch.
+
+``knapsack_fractional`` is the one-item-at-a-time greedy loop of
+``check_absolute_continuity``'s knapsack: the library's version must give
+the bits of its bound and the same greedy set.
 """
 
 import numpy as np
@@ -207,3 +211,27 @@ def tableau_round_half_integer(instance: RoundingInstance) -> RoundingResult:
         certificate=certificate,
         elimination_steps=steps,
     )
+
+
+def knapsack_fractional(values: np.ndarray, nums: np.ndarray, budget_num: int):
+    """Fractional upper bound and integral greedy set for the knapsack
+    max sum(values) subject to sum(nums) <= budget_num, values >= 0, one
+    item at a time in order of decreasing density."""
+    idx = np.flatnonzero(values > 0)
+    density = values[idx] / nums[idx]
+    order = idx[np.argsort(-density, kind="stable")].tolist()
+    ub, used, filling = 0.0, 0, True
+    greedy = np.zeros(values.size, dtype=bool)
+    for i in order:
+        n = int(nums[i])
+        if used + n <= budget_num:
+            used += n
+            greedy[i] = True
+            if filling:
+                ub += float(values[i])
+        elif filling:
+            # the first item that does not fit closes the fractional bound;
+            # the integral greedy set keeps taking smaller items that fit
+            ub += float(values[i]) * (budget_num - used) / n
+            filling = False
+    return ub, np.flatnonzero(greedy)

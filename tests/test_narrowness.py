@@ -37,6 +37,7 @@ from narrowops.narrowness import (
     Partition,
     _kernel_pairing,
     _rademacher_scan,
+    _row_labels,
     exhaustive_cell_signs,
 )
 from narrowops.operators import TERNARY_EXHAUSTIVE_LIMIT
@@ -143,10 +144,14 @@ class TestFindSmallSign:
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), log_atoms=st.integers(1, 4))
     def test_kernel_pairing_matches_loop(self, data, log_atoms):
-        # few distinct columns and weights, so groups of every parity occur
+        # few distinct columns and weights, so groups of every parity occur;
+        # negative entries have negative int64 bit patterns, +0.0 and -0.0
+        # columns must stay apart, and equal columns sit on atoms of
+        # unequal weight
         n = 2**log_atoms
-        pool = [np.array([0.0, 1.0]), np.array([0.5, -0.0]), np.array([0.5, 0.0])]
-        cols = data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+        pool = [np.array([0.0, 1.0]), np.array([0.5, -0.0]), np.array([0.5, 0.0]),
+                np.array([-0.0, 1.0]), np.array([-1.5, -2.0]), np.array([-1.5, 2.0])]
+        cols = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
         exps = data.draw(st.lists(st.integers(1, 2), min_size=n, max_size=n))
         space = MeasureSpace.from_weights([Fraction(1, 2**e) for e in exps])
         T = DiscreteOperator(np.stack([pool[c] for c in cols], axis=1), space,
@@ -155,6 +160,11 @@ class TestFindSmallSign:
         sign = _kernel_pairing(T, mset)
         expected = _oracle_kernel_pairing(T, mset)
         assert (sign is None and expected is None) or sign.values.tolist() == expected
+        idx = mset.indices
+        keys = np.column_stack([np.ascontiguousarray(T.matrix[:, idx].T).view(np.int64),
+                                space.numerators[idx]])
+        _, want = np.unique(keys, axis=0, return_inverse=True)
+        assert _row_labels(keys).tolist() == want.ravel().tolist()
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), log_atoms=st.integers(1, 5),

@@ -6,7 +6,7 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from narrowops import (
@@ -24,6 +24,7 @@ from narrowops import (
     sup_norm,
 )
 from narrowops.instances import build_l1_example, l1_example_cells
+from narrowops.measure import rademacher_parent_sums
 from narrowops.operators import RefinementContext, brute_force_best_sign
 import oracles
 
@@ -360,6 +361,83 @@ class TestRefinementCompatibility:
         assert ctx.ops["t"].space == ctx.space
         with pytest.raises(DimensionMismatch):
             ctx.ops["u"] = T
+
+    @settings(max_examples=100, deadline=None)
+    @given(exponents=st.lists(st.integers(0, 3), min_size=1, max_size=5),
+           data=st.data())
+    def test_parent_weights_follow_every_refinement(self, exponents, data):
+        space = MeasureSpace.from_weights([Fraction(1, 2**e) for e in exponents])
+        ctx = RefinementContext(space, {})
+
+        def check():
+            w = ctx.parent_weights()
+            assert w is ctx.parent_weights() and w.dtype == np.int64
+            assert np.array_equal(w, np.add.reduceat(ctx.space.numerators,
+                                                     ctx.total_map.starts))
+            with pytest.raises(ValueError):
+                w[0] = 1
+
+        check()
+        for _ in range(data.draw(st.integers(1, 4))):
+            if data.draw(st.booleans()):
+                atoms = data.draw(st.sets(st.integers(0, ctx.space.n_atoms - 1)))
+                ctx.refine_atoms(sorted(atoms), data.draw(st.sampled_from([2, 4])),
+                                 2**16)
+            else:
+                fine, rmap = ctx.space.uniformize()
+                ctx.apply_map(rmap, fine)
+            check()
+
+    @settings(max_examples=100, deadline=None)
+    @given(parents=st.lists(st.integers(1, 7), min_size=1, max_size=5),
+           data=st.data())
+    def test_splitting_the_live_set_keeps_its_block_shares(self, parents, data):
+        # the fact pairing's stage search rests on: after every live atom is
+        # split in two, each level's per-parent share s / w has the same
+        # bits (s and w scale alike) and exactly one finer level follows
+        counts = data.draw(st.lists(st.integers(1, 4), min_size=len(parents),
+                                    max_size=len(parents)))
+        start = MeasureSpace(denom_log2=3, numerators=parents)
+        # all but the last child of a parent weigh 1/64; the last takes the rest
+        nums = []
+        for n, c in zip(start.numerators.tolist(), counts):
+            nums += [1] * (c - 1) + [8 * n - (c - 1)]
+        ctx = RefinementContext(start, {})
+        ctx.apply_map(RefineMap(counts=counts),
+                      MeasureSpace(denom_log2=start.denom_log2 + 3, numerators=nums))
+        common = np.bincount(ctx.space.numerators).argmax()
+        equal = np.flatnonzero(ctx.space.numerators == common).tolist()
+        assume(len(equal) >= 2)
+        live = sorted(data.draw(st.sets(st.sampled_from(equal), min_size=2)))
+        live = live[:len(live) // 2 * 2]
+        ctx.arrays["live"] = np.isin(np.arange(ctx.space.n_atoms), live)
+        self._assert_splits_keep_shares(ctx, data.draw(st.integers(1, 3)))
+
+    def test_block_shares_survive_a_reduced_denominator(self):
+        # parents 3/8 and 5/8; the live atoms are the six of weight 2/16,
+        # so after the split every numerator is even and the denominator
+        # drops back; the shares 2/3 and -2/5 are not dyadic
+        start = MeasureSpace(denom_log2=3, numerators=[3, 5])
+        ctx = RefinementContext(start, {})
+        ctx.apply_map(RefineMap(counts=[4, 6]), MeasureSpace(
+            denom_log2=4, numerators=[2, 2, 1, 1, 2, 2, 2, 2, 1, 1]))
+        ctx.arrays["live"] = ctx.space.numerators == 2
+        self._assert_splits_keep_shares(ctx, 1)
+        assert ctx.space.denom_log2 == 4
+        shares = rademacher_parent_sums(ctx.where("live", 1), ctx.total_map)
+        assert (shares[0] / ctx.parent_weights()).tolist() == [2 / 3, -2 / 5]
+
+    @staticmethod
+    def _assert_splits_keep_shares(ctx, rounds):
+        for _ in range(rounds):
+            live = ctx.where("live", 1)
+            before = rademacher_parent_sums(live, ctx.total_map) / ctx.parent_weights()
+            assert len(before) >= 1
+            ctx.refine_atoms(live.indices, 2, 2**16)
+            live = ctx.where("live", 1)
+            after = rademacher_parent_sums(live, ctx.total_map) / ctx.parent_weights()
+            assert after.shape == (len(before) + 1, before.shape[1])
+            assert after[:len(before)].tobytes() == before.tobytes()
 
     def test_restrict_rows(self):
         T = _random_operator(4, 8)

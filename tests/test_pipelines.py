@@ -47,6 +47,7 @@ from narrowops.linalg import rank_factorization
 from narrowops.narrowness import _EXHAUSTIVE_SEARCH_LIMIT, exhaustive_cell_signs
 from narrowops.operators import RefinementContext
 from narrowops.pipelines import _TOL, _certify, _knapsack_fractional
+import oracles
 from revalidation import revalidate
 
 
@@ -86,6 +87,26 @@ class TestAbsoluteContinuity:
         budget = data.draw(st.integers(0, int(nums.sum())))
         ub, greedy = _knapsack_fractional(vals, nums, budget)
         assert (ub, greedy.tolist()) == _oracle_knapsack(vals, nums, budget)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), size=st.integers(1, 24))
+    def test_knapsack_has_the_bits_of_the_loop(self, data, size):
+        # values from a small pool (density ties, zeros) or any float, so
+        # the running sum in the bound rounds; small numerators, where later
+        # items often fit exactly, or numerators up to 2^40
+        values = st.one_of(st.sampled_from([0.0, 0.25, 1.0, 3.0, 0.1, 1 / 3]),
+                           st.floats(0.0, 1e6, allow_subnormal=False))
+        vals = np.array(data.draw(st.lists(values, min_size=size, max_size=size)))
+        top = data.draw(st.sampled_from([4, 2**40]))
+        nums = np.array(data.draw(st.lists(st.integers(1, top), min_size=size,
+                                           max_size=size)), dtype=np.int64)
+        total = int(nums.sum())
+        budget = data.draw(st.one_of(st.just(0), st.integers(0, total),
+                                     st.integers(total, 2 * total)))
+        ub, greedy = _knapsack_fractional(vals, nums, budget)
+        want_ub, want_greedy = oracles.knapsack_fractional(vals, nums, budget)
+        assert ub.hex() == want_ub.hex()
+        assert greedy.tolist() == want_greedy.tolist()
 
     def test_zero_operator(self):
         space = MeasureSpace.uniform(8)
