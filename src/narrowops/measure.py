@@ -139,15 +139,20 @@ class MeasureSpace:
             raise InvalidAtom("a measure space needs at least one atom")
         if nums.min() <= 0 or not np.array_equal(nums, self.numerators):
             raise InvalidAtom("atom weights must be positive integers / 2^k")
-        # canonical form: lowest dyadic terms, so repeated refinement of
-        # disjoint regions does not inflate the shared denominator
-        common = int(np.bitwise_or.reduce(nums))
-        shift = min(self.denom_log2, (common & -common).bit_length() - 1)
-        nums >>= shift
-        if _exact_total(nums) >= _EXACT_LIMIT:
+        self._lowest_terms(self.denom_log2, nums)
+        if _exact_total(self.numerators) >= _EXACT_LIMIT:
             raise NonDyadic("total atom numerator exceeds the exact int64 range")
-        object.__setattr__(self, "denom_log2", self.denom_log2 - shift)
+
+    def _lowest_terms(self, denom_log2: int, nums: np.ndarray) -> "MeasureSpace":
+        """Self as positive int64 `nums` / 2^denom_log2 shifted in place to lowest
+        terms, so refining disjoint regions does not inflate the denominator.
+        `refine_atoms` and `uniformize` build their spaces by this alone."""
+        common = int(np.bitwise_or.reduce(nums))
+        shift = min(denom_log2, (common & -common).bit_length() - 1)
+        nums >>= shift
+        object.__setattr__(self, "denom_log2", denom_log2 - shift)
         object.__setattr__(self, "numerators", _read_only(nums))
+        return self
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MeasureSpace):
@@ -218,7 +223,7 @@ class MeasureSpace:
         # marked atoms keep their numerator over the finer denominator (each
         # child is 1/parts of the parent); unmarked ones scale up by parts
         nums = np.repeat(self.numerators * (parts // counts), counts)
-        space = MeasureSpace(denom_log2=self.denom_log2 + t, numerators=nums)
+        space = object.__new__(MeasureSpace)._lowest_terms(self.denom_log2 + t, nums)
         return space, RefineMap(counts=counts)
 
     def uniformize(self) -> tuple["MeasureSpace", RefineMap]:
@@ -235,7 +240,7 @@ class MeasureSpace:
         if (counts == 1).all():
             return self, RefineMap.identity(self.n_atoms)
         nums = np.full(int(counts.sum()), min_num)
-        space = MeasureSpace(denom_log2=self.denom_log2, numerators=nums)
+        space = object.__new__(MeasureSpace)._lowest_terms(self.denom_log2, nums)
         return space, RefineMap(counts=counts)
 
     def to_json(self) -> dict:
@@ -286,6 +291,13 @@ class MeasurableSet:
     def lift(self, rmap: RefineMap, space: MeasureSpace) -> "MeasurableSet":
         return MeasurableSet(space=space, indices=rmap.map_indices(self.indices))
 
+    @staticmethod
+    def _of_mask(space: MeasureSpace, mask: np.ndarray) -> "MeasurableSet":
+        """The atoms where `mask` is nonzero: flatnonzero's indices need no check."""
+        mset = object.__new__(MeasurableSet)
+        mset.__dict__.update(space=space, indices=_read_only(np.flatnonzero(mask)))
+        return mset
+
 
 @dataclass(frozen=True, eq=False)
 class SignVector:
@@ -310,7 +322,7 @@ class SignVector:
         return SignVector(space=space, values=values)
 
     def support_set(self) -> MeasurableSet:
-        return MeasurableSet(space=self.space, indices=np.flatnonzero(self.values))
+        return MeasurableSet._of_mask(self.space, self.values)
 
     @property
     def mean_zero(self) -> bool:
@@ -351,30 +363,22 @@ def rademacher_signs(mset: MeasurableSet) -> np.ndarray:
     return family
 
 
-def rademacher_parent_sums(mset: MeasurableSet, rmap: RefineMap) -> np.ndarray:
-    """Per-parent sums of the rows of :func:`rademacher_signs`, without
-    building them: an (L, rmap.n_old) int64 array whose entry [l-1, j] is
-    the sum of row l times the numerator over old atom j's children, where
-    `rmap` maps old atoms to the atoms of the set's space.
-
-    Old atom j's children in the set are consecutive in the set's order, so
-    each entry is a difference of prefix sums, and the prefix sum of a +-1
-    wave with block size b at position t is b - |b - (t mod 2b)|."""
-    return _wave_sums(mset, rmap, _rademacher_blocks(mset))
-
-
 def _wave_sums(mset: MeasurableSet, rmap: RefineMap, blocks: np.ndarray) -> np.ndarray:
-    """:func:`rademacher_parent_sums` for the block sizes `blocks` alone."""
+    """Per-parent sums of the +-1 waves with block sizes `blocks` on the set
+    (rows of :func:`rademacher_signs`) times the numerator, without building
+    them: an (L, rmap.n_old) int64 array, `rmap` mapping old atoms to the
+    set's space.  Old atom j's children in the set are consecutive, so entry
+    [l, j] is a difference of prefix sums; a wave's prefix sum at position t
+    is b - |b - (t mod 2b)|."""
     if rmap.n_new != mset.space.n_atoms:
         raise InvalidAtom(f"map has {rmap.n_new} children, space has "
                           f"{mset.space.n_atoms} atoms")
     b = blocks[:, None]
     idx = mset.indices
-    # the set's positions before old atom j's first child and after its last
-    begins = np.searchsorted(idx, rmap.starts)
-    ends = np.searchsorted(idx, rmap.starts + rmap.counts)
-    prefix_diff = np.abs(b - begins % (2 * b)) - np.abs(b - ends % (2 * b))
-    return mset.space.numerators[idx[0]] * prefix_diff
+    # the set's position at each cut: old atom j's children lie between cuts j, j + 1
+    cuts = np.searchsorted(idx, np.append(rmap.starts, rmap.n_new))
+    wave = np.abs(b - cuts % (2 * b))
+    return mset.space.numerators[idx[0]] * (wave[:, :-1] - wave[:, 1:])
 
 
 def rademacher_sign(mset: MeasurableSet, level: int) -> SignVector:

@@ -199,8 +199,7 @@ class RefinementContext:
 
     def where(self, key: str, label: int) -> MeasurableSet:
         """The atoms whose `key` label equals `label`."""
-        return MeasurableSet(space=self.space,
-                             indices=np.flatnonzero(self.arrays[key] == label))
+        return MeasurableSet._of_mask(self.space, self.arrays[key] == label)
 
     def refine_atoms(self, indices, parts: int, budget: int) -> None:
         space2, rmap = self.space.refine_atoms(indices, parts)

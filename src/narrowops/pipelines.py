@@ -116,8 +116,15 @@ class PipelineReport:
             "rounding_certificate": self.rounding_certificate,
             "adaptive_rounds": self.adaptive_rounds,
             "space": self.space.to_json(),
-            "extras": self.extras,
+            "extras": {k: _plain(v) for k, v in self.extras.items()},
         }
+
+
+def _plain(v):
+    """An extras value with its int8 rows, alone or in a list, as plain ints."""
+    if isinstance(v, np.ndarray):
+        return v.tolist()
+    return [_plain(u) for u in v] if isinstance(v, list) else v
 
 
 def _certify(ctx: RefinementContext, values, budgets: dict, stage: int,
@@ -229,7 +236,7 @@ def pairing_construction(
     small set (measure <= delta) finishes the construction.
 
     The images of the block signs come from their per-parent sums over the
-    live atoms (`rademacher_parent_sums`) and the input matrices, so no
+    live atoms (`measure._wave_sums`) and the input matrices, so no
     operator is refined for the search.  A stage keeps its levels' shares
     across its refinements and sums only the level each one adds; parent
     weights are computed once per space.  Only the chosen pair's
@@ -369,9 +376,9 @@ def pairing_construction(
             "abs_continuity_bound": ac.upper_bound,
             # stage signs lifted to the final space, for independent
             # verification of disjointness and the exact support measures
-            "stage_signs": [np.where(stage == j, x_stages, 0).tolist()
-                            for j in range(1, m + 1)],
-            "tail_sign": z.values.tolist(),
+            "stage_signs": list(np.where(stage == np.arange(1, m + 1)[:, None],
+                                         x_stages, 0)),
+            "tail_sign": z.values,
         },
     )
 

@@ -13,6 +13,10 @@ shows up as a mismatch.
 ``knapsack_fractional`` is the one-item-at-a-time greedy loop of
 ``check_absolute_continuity``'s knapsack: the library's version must give
 the bits of its bound and the same greedy set.
+
+``wave_sums`` is ``measure._wave_sums`` as two ``searchsorted`` calls, one
+at each old atom's first child and one past its last, with the prefix wave
+taken at both; the library takes it once at the cuts between old atoms.
 """
 
 import numpy as np
@@ -235,3 +239,14 @@ def knapsack_fractional(values: np.ndarray, nums: np.ndarray, budget_num: int):
             ub += float(values[i]) * (budget_num - used) / n
             filling = False
     return ub, np.flatnonzero(greedy)
+
+
+def wave_sums(mset, rmap, blocks: np.ndarray) -> np.ndarray:
+    """Per-parent sums of the +-1 waves with block sizes `blocks` on `mset`,
+    times the set's common numerator: an (L, rmap.n_old) int64 array."""
+    b = blocks[:, None]
+    idx = mset.indices
+    begins = np.searchsorted(idx, rmap.starts)
+    ends = np.searchsorted(idx, rmap.starts + rmap.counts)
+    prefix_diff = np.abs(b - begins % (2 * b)) - np.abs(b - ends % (2 * b))
+    return mset.space.numerators[idx[0]] * prefix_diff

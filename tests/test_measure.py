@@ -23,7 +23,9 @@ from narrowops import (
     rademacher_sign,
     rademacher_signs,
 )
-from narrowops.measure import rademacher_parent_sums
+from narrowops.measure import _rademacher_blocks, _wave_sums
+from narrowops.operators import RefinementContext
+import oracles
 
 
 def _weight(space, atom):
@@ -284,16 +286,34 @@ class TestArrayOracle:
 
     @settings(max_examples=100, deadline=None)
     @given(counts=st.lists(st.integers(1, 8), min_size=1, max_size=8), data=st.data())
-    def test_rademacher_parent_sums_match_the_family(self, counts, data):
+    def test_wave_sums_match_the_family(self, counts, data):
         rmap = RefineMap(counts=counts)
         space = MeasureSpace(denom_log2=0, numerators=[3] * rmap.n_new)
         indices = sorted(data.draw(st.sets(st.integers(0, rmap.n_new - 1), min_size=1)))
         mset = space.subset(indices)
         family = rademacher_signs(mset).astype(np.int64) * space.numerators
         want = np.add.reduceat(family, rmap.starts, axis=1) if len(family) else family
-        got = rademacher_parent_sums(mset, rmap)
+        got = _wave_sums(mset, rmap, _rademacher_blocks(mset))
         assert got.dtype == np.int64 and got.shape == (len(family), rmap.n_old)
         assert np.array_equal(got, want.reshape(got.shape))
+
+    @settings(max_examples=200, deadline=None)
+    @given(counts=st.lists(st.integers(1, 6), min_size=2, max_size=10), data=st.data())
+    def test_wave_sums_match_the_two_searchsorted_oracle(self, counts, data):
+        # the live set skips whole parents (their first and last cut are
+        # the same position) and always ends before the last parent
+        rmap = RefineMap(counts=counts)
+        space = MeasureSpace(denom_log2=2, numerators=[3] * rmap.n_new)
+        kept = data.draw(st.sets(st.integers(0, rmap.n_old - 2), min_size=1))
+        children = [int(rmap.starts[j]) + k for j in sorted(kept) for k in range(counts[j])]
+        mset = space.subset(data.draw(st.sets(st.sampled_from(children), min_size=1)))
+        blocks = _rademacher_blocks(mset)
+        # pairing sums only the levels a stage has not summed yet
+        for first in range(len(blocks) + 1):
+            got = _wave_sums(mset, rmap, blocks[first:])
+            want = oracles.wave_sums(mset, rmap, blocks[first:])
+            assert got.dtype == want.dtype == np.int64
+            assert np.array_equal(got, want)
 
     def test_arrays_are_read_only(self):
         space, rmap = MeasureSpace.uniform(2).refine_atoms([0], 2)
@@ -336,6 +356,73 @@ class TestArrayOracle:
         lifted, tl = a.lift(RefineMap(counts=counts), fine), _oracle_set_lift(counts, ta)
         assert lifted.indices.tolist() == list(tl)
         assert lifted.measure == a.measure
+
+
+def _spaces():
+    """Validated non-uniform spaces: the constructor brings them to lowest terms."""
+    return st.builds(lambda d, nums: MeasureSpace(denom_log2=d, numerators=nums),
+                     st.integers(0, 6), st.lists(st.integers(1, 40), min_size=1, max_size=10))
+
+
+def _assert_same_space(got, want):
+    assert got.denom_log2 == want.denom_log2
+    assert got.numerators.dtype == np.int64 and not got.numerators.flags.writeable
+    assert np.array_equal(got.numerators, want.numerators)
+
+
+class TestDerivedObjects:
+    """Spaces and sets built inside the package skip the public constructors'
+    checks; they must still be what those constructors would build."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(space=_spaces(), parts=st.sampled_from([2, 4, 8]),
+           mode=st.sampled_from(["random", "odd", "even"]), data=st.data())
+    def test_refine_atoms_matches_the_validating_constructor(self, space, parts,
+                                                             mode, data):
+        # marking every odd-numerator atom keeps their odd numerators, so the
+        # finer denominator stays; marking only the even ones (every odd one left
+        # whole, its numerator times parts) makes every child's numerator
+        # even, so the finer denominator reduces
+        nums = space.numerators.tolist()
+        if mode == "random":
+            marked = data.draw(st.sets(st.integers(0, space.n_atoms - 1)))
+        else:
+            marked = {i for i, n in enumerate(nums) if n % 2 == (mode == "odd")}
+        refined, _ = space.refine_atoms(sorted(marked), parts)
+        children = [c for i, n in enumerate(nums)
+                    for c in ([n] * parts if i in marked else [n * parts])]
+        _assert_same_space(refined, MeasureSpace(
+            denom_log2=space.denom_log2 + parts.bit_length() - 1, numerators=children))
+
+    @settings(max_examples=100, deadline=None)
+    @given(d=st.integers(0, 6), base=st.integers(1, 9),
+           exponents=st.lists(st.integers(0, 3), min_size=1, max_size=8))
+    def test_uniformize_matches_the_validating_constructor(self, d, base, exponents):
+        space = MeasureSpace(denom_log2=d, numerators=[base << e for e in exponents])
+        least = min(space.numerators.tolist())
+        n_atoms = sum(n // least for n in space.numerators.tolist())
+        _assert_same_space(space.uniformize()[0], MeasureSpace(
+            denom_log2=space.denom_log2, numerators=[least] * n_atoms))
+
+    @settings(max_examples=100, deadline=None)
+    @given(space=_spaces(), parts=st.sampled_from([2, 4, 8]), data=st.data())
+    def test_where_matches_the_validating_constructor(self, space, parts, data):
+        ctx = RefinementContext(space, {})
+        n = space.n_atoms
+        ctx.arrays["label"] = np.array(
+            data.draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)))
+        for _ in range(2):
+            for label in range(3):
+                got = ctx.where("label", label)
+                want = MeasurableSet(space=ctx.space,
+                                     indices=np.flatnonzero(ctx.arrays["label"] == label))
+                assert got.space is ctx.space
+                assert got.indices.dtype == np.int64 and not got.indices.flags.writeable
+                assert np.array_equal(got.indices, want.indices)
+            ctx.refine_atoms(ctx.where("label", 1).indices, parts, 2**10)
+        values = np.sign(ctx.arrays["label"] - 1)
+        support = SignVector.from_values(ctx.space, values).support_set()
+        assert np.array_equal(support.indices, np.flatnonzero(values))
 
 
 class TestIndexValidation:

@@ -24,7 +24,7 @@ from narrowops import (
     sup_norm,
 )
 from narrowops.instances import build_l1_example, l1_example_cells
-from narrowops.measure import rademacher_parent_sums
+from narrowops.measure import _rademacher_blocks, _wave_sums
 from narrowops.operators import RefinementContext, brute_force_best_sign
 import oracles
 
@@ -38,6 +38,11 @@ def _random_operator(rows, atoms, norm=None, rng=RNG):
     return DiscreteOperator(
         rng.standard_normal((rows, atoms)), space, norm or sup_norm(dim=rows)
     )
+
+
+def _parent_sums(mset, rmap):
+    """Per-parent sums of every row of the block Rademacher family on `mset`."""
+    return _wave_sums(mset, rmap, _rademacher_blocks(mset))
 
 
 def _second_exhaustion(T, indices, require_mean_zero, objective):
@@ -424,18 +429,18 @@ class TestRefinementCompatibility:
         ctx.arrays["live"] = ctx.space.numerators == 2
         self._assert_splits_keep_shares(ctx, 1)
         assert ctx.space.denom_log2 == 4
-        shares = rademacher_parent_sums(ctx.where("live", 1), ctx.total_map)
+        shares = _parent_sums(ctx.where("live", 1), ctx.total_map)
         assert (shares[0] / ctx.parent_weights()).tolist() == [2 / 3, -2 / 5]
 
     @staticmethod
     def _assert_splits_keep_shares(ctx, rounds):
         for _ in range(rounds):
             live = ctx.where("live", 1)
-            before = rademacher_parent_sums(live, ctx.total_map) / ctx.parent_weights()
+            before = _parent_sums(live, ctx.total_map) / ctx.parent_weights()
             assert len(before) >= 1
             ctx.refine_atoms(live.indices, 2, 2**16)
             live = ctx.where("live", 1)
-            after = rademacher_parent_sums(live, ctx.total_map) / ctx.parent_weights()
+            after = _parent_sums(live, ctx.total_map) / ctx.parent_weights()
             assert after.shape == (len(before) + 1, before.shape[1])
             assert after[:len(before)].tobytes() == before.tobytes()
 

@@ -2,6 +2,7 @@
 reports, and independent re-validation of every constructed sign."""
 
 import gc
+import json
 import weakref
 from fractions import Fraction
 from itertools import combinations
@@ -627,3 +628,61 @@ class TestTruncation:
         t2 = random_finite_rank(18, 2, None, 4, scale=1e-3, space=t1.space)
         with pytest.raises(NoTruncationSmallEnough):
             sum_compact_via_truncation(t1, t2, 0.1, 0.1, lambda n: 1.0)
+
+
+def _json_plain(obj, path="report"):
+    """Assert `obj` holds nothing but JSON's own types, all the way down."""
+    if isinstance(obj, dict):
+        for k, v in obj.items():
+            assert type(k) is str, path
+            _json_plain(v, f"{path}.{k}")
+    elif isinstance(obj, list):
+        for i, v in enumerate(obj):
+            _json_plain(v, f"{path}[{i}]")
+    else:
+        assert obj is None or type(obj) in (str, int, float, bool), \
+            f"{path} is {type(obj).__name__}"
+
+
+def _pairing_report():
+    t2 = build_l1_example(4)
+    t1 = random_narrow_operator(2, None, 2, 0.5, space=t2.space)
+    return pairing_construction(
+        t1, t2, PipelineParams(sigma=0.1, epsilon=0.2, gamma=0.15, delta=1 / 16))
+
+
+def _finite_rank_report():
+    t1 = random_narrow_operator(8, 32, 3, 0.5)
+    return sum_finite_rank(
+        t1, random_finite_rank(9, 2, None, 4, scale=1e-3, space=t1.space), 0.1, 0.1)
+
+
+def _compact_report():
+    t1 = random_narrow_operator(1, 16, 3, 0.5)
+    t2 = random_finite_rank(2, 1, None, 4, scale=1e-3, space=t1.space)
+    return sum_compact_locally_convex(t1, t2, PipelineParams(epsilon=0.2, seed=0))
+
+
+def _truncation_report():
+    t2 = build_l1_example(6)
+    t1 = random_narrow_operator(16, None, 3, 0.5, space=t2.space)
+    return sum_compact_via_truncation(t1, t2, 0.1, 1 / 8, l1_example_tail_bound(6))
+
+
+class TestReportJson:
+    @pytest.mark.parametrize("build", [_pairing_report, _finite_rank_report,
+                                       _compact_report, _truncation_report],
+                             ids=["pairing", "finite-rank", "compact", "truncation"])
+    def test_json_dict_holds_only_json_types(self, build):
+        d = build().to_json_dict()
+        json.dumps(d)
+        _json_plain(d)
+
+    def test_pairing_rows_stay_int8_until_json(self):
+        rep = _pairing_report()
+        rows = rep.extras["stage_signs"] + [rep.extras["tail_sign"]]
+        assert len(rows) == rep.extras["n_stages"] + 1
+        assert all(r.dtype == np.int8 and r.shape == (rep.space.n_atoms,) for r in rows)
+        extras = rep.to_json_dict()["extras"]
+        assert extras["stage_signs"] == [r.tolist() for r in rows[:-1]]
+        assert extras["tail_sign"] == rows[-1].tolist()
