@@ -58,14 +58,9 @@ def build_l1_example(
 
 def l1_example_cells(T: DiscreteOperator) -> list[MeasurableSet]:
     """Cells A_1..A_N plus the residual cell, read back from the rows."""
-    cells = []
-    claimed: set[int] = set()
-    for r in range(T.target_dim):
-        idx = [int(i) for i in np.flatnonzero(T.matrix[r])]
-        claimed.update(idx)
-        cells.append(T.space.subset(idx))
-    residual = [i for i in range(T.space.n_atoms) if i not in claimed]
-    if residual:
+    cells = [T.space.subset(np.flatnonzero(row)) for row in T.matrix]
+    residual = np.flatnonzero(~T.matrix.any(axis=0))
+    if residual.size:
         cells.append(T.space.subset(residual))
     return cells
 

@@ -32,9 +32,7 @@ def null_vector(a: np.ndarray) -> np.ndarray:
     return u
 
 
-def rank_factorization(
-    m: np.ndarray, tol: float = RANK_TOL
-) -> tuple[list[int], np.ndarray, np.ndarray]:
+def rank_factorization(m: np.ndarray) -> tuple[list[int], np.ndarray, np.ndarray]:
     """Factor m = b @ c with b a well-conditioned set of pivot columns of m.
 
     Pivots are selected greedily by largest residual norm (column-pivoted
@@ -50,7 +48,7 @@ def rank_factorization(
     for _ in range(min(m.shape)):
         norms = np.linalg.norm(resid, axis=0)
         j = int(np.argmax(norms))
-        if norms[j] <= tol * max(scale, 1.0):
+        if norms[j] <= RANK_TOL * max(scale, 1.0):
             break
         q = resid[:, j] / norms[j]
         pivots.append(j)

@@ -62,7 +62,8 @@ class RefineMap:
 
     Old atom ``i`` is replaced by ``counts[i]`` consecutive children starting
     at ``starts[i]``.  Order of atoms is preserved.  ``counts`` and
-    ``starts`` are read-only int64 arrays; ``starts`` is computed on first use.
+    ``starts`` are read-only int64 arrays; ``starts``, ``n_new`` and
+    ``is_identity`` are computed on first use.
     """
 
     counts: np.ndarray
@@ -81,11 +82,11 @@ class RefineMap:
     def n_old(self) -> int:
         return len(self.counts)
 
-    @property
+    @cached_property
     def n_new(self) -> int:
         return int(self.counts.sum())
 
-    @property
+    @cached_property
     def is_identity(self) -> bool:
         return bool((self.counts == 1).all())
 
@@ -177,12 +178,11 @@ class MeasureSpace:
         return MeasureSpace(denom_log2=k, numerators=nums)
 
     @staticmethod
-    def uniform(n_atoms: int, total: Fraction | int = 1) -> "MeasureSpace":
-        """n_atoms equal atoms; n_atoms must be a power of two in exact mode."""
+    def uniform(n_atoms: int) -> "MeasureSpace":
+        """n_atoms equal atoms of total weight 1; n_atoms must be a power of two."""
         if not _is_power_of_two(n_atoms):
             raise NonDyadic("uniform spaces need a power-of-two atom count")
-        w = Fraction(total, n_atoms)
-        return MeasureSpace.from_weights([w] * n_atoms)
+        return MeasureSpace.from_weights([Fraction(1, n_atoms)] * n_atoms)
 
     @property
     def n_atoms(self) -> int:

@@ -394,7 +394,7 @@ def find_small_sign(
     best_val = float("inf")
 
     while True:
-        cur_T = ctx.ops["t"]
+        cur_T = ctx.op("t")
         if cur_set.size <= _EXHAUSTIVE_SEARCH_LIMIT:
             try:
                 sign, val = brute_force_best_sign(cur_T, cur_set, full_support=True)
@@ -502,7 +502,7 @@ def _split_support(
     ctx = RefinementContext(T.space, {"t": T})
     ctx.arrays["sign"] = sign
     while True:
-        t, x = ctx.ops["t"], ctx.arrays["sign"]
+        t, x = ctx.op("t"), ctx.arrays["sign"]
         if t.image_norm(x) <= epsilon:
             return None
         support = np.flatnonzero(x)
@@ -574,7 +574,7 @@ def adversarial_disjoint_signs(
     ctx.arrays["signs"] = np.zeros((0, T.space.n_atoms), dtype=np.int8)
     part = None
     while len(ctx.arrays["signs"]) < count:
-        t, signs = ctx.ops["t"], ctx.arrays["signs"]
+        t, signs = ctx.op("t"), ctx.arrays["signs"]
         remainder = np.flatnonzero(~signs.any(axis=0))
         cand, val = _best_sign_within(t, remainder)
         if cand is not None and val >= epsilon / 2:
@@ -608,5 +608,5 @@ def adversarial_disjoint_signs(
     return AdversarialOutcome(
         signs=[SignVector(space=ctx.space, values=row) for row in ctx.arrays["signs"]],
         exhausted=part is not None, certificate=part,
-        operator=ctx.ops["t"], refine_map=ctx.total_map,
+        operator=ctx.op("t"), refine_map=ctx.total_map,
     )

@@ -6,10 +6,11 @@ parent's weight (the integral-operator rule), so applying the refined
 operator to a lifted sign reproduces the original image exactly up to
 rounding.
 
-A :class:`RefinementContext` keeps every operator on its starting space.  It
-builds an operator on the current space only when one is read, and it
-computes the image of a sign on the current space exactly in the atom
-weights, from per-parent integer sums, without building the refined operator.
+A :class:`RefinementContext` takes its operators once, on its starting
+space, and keeps them there.  ``ctx.op(key)`` builds an operator on the
+current space only when it is read; ``ctx.image`` computes the image of a
+sign on the current space exactly in the atom weights, from per-parent
+integer sums, without building the refined operator.
 
 `best_signs` is the one exhaustive sign search: `brute_force_best_sign` runs
 it on one set, ``narrowness.exhaustive_cell_signs`` on many cells at once.
@@ -123,50 +124,34 @@ class DiscreteOperator:
         return DiscreteOperator(matrix=m, space=self.space, target=self.target)
 
 
-class _RefinedOps(dict):
-    """The operators of a context on its current space, keyed as at the
-    start: each one is refined from its start operator through the composed
-    map when first read, and kept until the next refinement replaces this
-    mapping.  It holds no reference to its context, so a context is freed by
-    reference counting alone."""
-
-    def __init__(self, start: dict, rmap: RefineMap, space: MeasureSpace):
-        super().__init__()
-        self.start, self.rmap, self.space = start, rmap, space
-        if rmap.is_identity:
-            self.update(start)
-
-    def __missing__(self, key: str) -> DiscreteOperator:
-        op = self.start[key].refine(self.rmap, self.space)
-        super().__setitem__(key, op)
-        return op
-
-    def __setitem__(self, key: str, op: DiscreteOperator) -> None:
-        """Add an operator on the starting space, before any refinement."""
-        if not self.rmap.is_identity or op.space != self.space:
-            raise DimensionMismatch("an operator joins a context on its starting space")
-        self.start[key] = op
-        super().__setitem__(key, op)
-
-
 class RefinementContext:
     """A space, its operators, the map from the starting space, and per-atom
     arrays (labels, signs, rows of signs); a refinement lifts the arrays and
     composes the map at once.  Every refine-and-lift loop of the package runs
     through one.
 
-    The operators stay on the starting space.  ``ctx.ops[key]`` is the
-    operator on the current space, built when first read by one
-    ``refine(total_map, space)``; with the power-of-two shares of this
+    Operators enter only through the constructor, on the starting space, and
+    stay there as ``ctx.start``.  ``ctx.op(key)`` is the operator on the
+    current space, built when first read by one ``refine(total_map, space)``
+    and kept until the next refinement; with the power-of-two shares of this
     package that has the bits of refining step by step.  ``ctx.image`` gives
     the image of a sign on the current space without building it."""
 
     def __init__(self, space: MeasureSpace, ops: dict):
+        if any(op.space != space for op in ops.values()):
+            raise DimensionMismatch("a context's operators live on its starting space")
         self.space = space
+        self.start = dict(ops)
         self.total_map = RefineMap.identity(space.n_atoms)
         self.arrays: dict[str, np.ndarray] = {}
-        self.ops = _RefinedOps(dict(ops), self.total_map, space)
+        self._ops = dict(ops)
         self._parent_weights = None
+
+    def op(self, key: str) -> DiscreteOperator:
+        """The operator `key` on the current space."""
+        if key not in self._ops:
+            self._ops[key] = self.start[key].refine(self.total_map, self.space)
+        return self._ops[key]
 
     def apply_map(self, rmap: RefineMap, space: MeasureSpace) -> None:
         if rmap.is_identity:
@@ -174,7 +159,7 @@ class RefinementContext:
         self.space = space
         self.arrays = {k: rmap.lift_values(v) for k, v in self.arrays.items()}
         self.total_map = self.total_map.compose(rmap)
-        self.ops = _RefinedOps(self.ops.start, self.total_map, space)
+        self._ops = {}
         self._parent_weights = None
 
     def parent_weights(self) -> np.ndarray:
@@ -187,7 +172,7 @@ class RefinementContext:
 
     def image(self, key: str, values) -> np.ndarray:
         """Image of integer step values on the current space under
-        ``ops[key]``, as ``M @ (s / w)`` with M the starting matrix, s_j the
+        ``op(key)``, as ``M @ (s / w)`` with M the starting matrix, s_j the
         int64 sum of value times numerator over starting atom j's children
         and w_j its weight.  s is exact, so values that cancel within every
         starting atom map to exactly 0; before any refinement this has the
@@ -195,7 +180,7 @@ class RefinementContext:
         nums = self.space.numerators
         s = np.add.reduceat(np.asarray(values, dtype=np.int64) * nums,
                             self.total_map.starts)
-        return self.ops.start[key].matrix @ (s / self.parent_weights())
+        return self.start[key].matrix @ (s / self.parent_weights())
 
     def where(self, key: str, label: int) -> MeasurableSet:
         """The atoms whose `key` label equals `label`."""

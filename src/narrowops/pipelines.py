@@ -131,14 +131,14 @@ def _certify(ctx: RefinementContext, values, budgets: dict, stage: int,
              slack: dict | None = None) -> tuple[SignVector, dict]:
     """The verdict every pipeline returns through: `values` is a mean-zero
     sign with full support on ctx's space, and its exact image
-    (`RefinementContext.image`) under each operator ctx.ops[key] named in
+    (`RefinementContext.image`) under each operator ctx.op(key) named in
     `budgets` has norm <= budget + _TOL * slack[key] (slack 1 by default).
     Returns the sign and the achieved norms."""
     x = SignVector.from_values(ctx.space, values)
     if not (x.mean_zero and x.values.all()):
         raise StageFailed(stage, "final sign is not a mean-zero sign on Omega")
     slack = slack or {}
-    achieved = {k: fnorm(ctx.ops.start[k].target, ctx.image(k, x.values))
+    achieved = {k: fnorm(ctx.start[k].target, ctx.image(k, x.values))
                 for k in budgets}
     if any(achieved[k] > budgets[k] + _TOL * slack.get(k, 1.0) for k in budgets):
         raise StageFailed(stage, f"final norms violate the budgets: {achieved}")
@@ -251,7 +251,7 @@ def pairing_construction(
     if not _is_power_of_two(ctx.space.n_atoms):
         raise NonDyadic("pairing needs a power-of-two atom count after uniformize")
 
-    ac = check_absolute_continuity(ctx.ops["t2"], params.delta)
+    ac = check_absolute_continuity(ctx.op("t2"), params.delta)
     if ac.upper_bound > params.gamma / 2 + _TOL:
         raise PreconditionFailed(
             f"||T2 1_A|| can reach {ac.upper_bound} > gamma/2 = {params.gamma / 2} "
@@ -267,10 +267,10 @@ def pairing_construction(
         if m > 60:
             raise PreconditionFailed("delta too small: would need > 60 stages")
 
-    # stage[i] is 0 while atom i is live and j once stage j covers it; x is
-    # the sum of the disjoint stage signs so far
+    # stage[i] is 0 while atom i is live and j <= m <= 60 once stage j covers
+    # it, so int8 holds it; x is the sum of the disjoint stage signs so far
     n = ctx.space.n_atoms
-    ctx.arrays = {"stage": np.zeros(n, dtype=np.int64), "x": np.zeros(n, dtype=np.int8)}
+    ctx.arrays = {"stage": np.zeros(n, dtype=np.int8), "x": np.zeros(n, dtype=np.int8)}
     stages: list[dict] = []
     for j in range(1, m + 1):
         budget_t1 = params.sigma / 2 ** (j + 1)
@@ -340,7 +340,7 @@ def pairing_construction(
 
     # tail sign z on the remaining small set
     tail = ctx.where("stage", 0)
-    res = find_small_sign(ctx.ops["t1"], tail, params.sigma / 2**m + _TOL,
+    res = find_small_sign(ctx.op("t1"), tail, params.sigma / 2**m + _TOL,
                           refine_budget=params.refine_budget)
     ctx.apply_map(res.refine_map, res.operator.space)
     z = res.sign
@@ -433,10 +433,10 @@ def sum_finite_rank(
         raise RankTooLarge(f"numerical rank {m} exceeds limit {rank_limit}")
 
     budgets = {"sigma": sigma, "epsilon": epsilon}
-    ctx = RefinementContext(T1.space, {"t1": T1, "t2": T2})
     # the T2 allowance scales with its largest entry times the final atom count
     t2_max = float(np.max(np.abs(T2.matrix)))
     if m == 0:
+        ctx = RefinementContext(T1.space, {"t1": T1, "t2": T2})
         res = find_small_sign(
             T1, T1.space.full_set(), sigma + _TOL, refine_budget=refine_budget
         )
@@ -467,15 +467,16 @@ def sum_finite_rank(
         while delta**p * norms_sum > epsilon:
             delta = math.nextafter(delta, 0.0)
     coeff_target = sup_norm(dim=m)
-    ctx.ops["coeff"] = DiscreteOperator(coeff, T1.space, coeff_target)
+    ctx = RefinementContext(T1.space, {
+        "t1": T1, "t2": T2, "coeff": DiscreteOperator(coeff, T1.space, coeff_target)})
 
     cell_budget = delta / (2 * m)
     while True:
         try:
-            partition = partition_small_cells(ctx.ops["coeff"], cell_budget)
+            partition = partition_small_cells(ctx.op("coeff"), cell_budget)
             break
         except AtomTooLarge:
-            bounds = ctx.ops["coeff"].column_norms()
+            bounds = ctx.op("coeff").column_norms()
             too_big = np.flatnonzero(bounds > cell_budget)
             ctx.refine_atoms(too_big, 2, refine_budget)
 
@@ -501,7 +502,7 @@ def sum_finite_rank(
     # signs, each on its own cell
     t1_budgets = [sigma * 2.0**-k for k in range(1, n_cells + 1)]
     cell = ctx.arrays["cell"]
-    signs, t1_norms = exhaustive_cell_signs(ctx.ops["t1"], cell)
+    signs, t1_norms = exhaustive_cell_signs(ctx.op("t1"), cell)
     accepted = t1_norms < np.array(t1_budgets) + _TOL
     ctx.arrays["x"] = signs * accepted[cell]
     sizes = np.bincount(cell).tolist()
@@ -526,7 +527,7 @@ def sum_finite_rank(
                 ) from None
             cell_set = ctx.where("cell", rank_k)
         res = find_small_sign(
-            ctx.ops["t1"], cell_set, t1_budgets[rank_k] + _TOL,
+            ctx.op("t1"), cell_set, t1_budgets[rank_k] + _TOL,
             refine_budget=refine_budget,
         )
         ctx.apply_map(res.refine_map, res.operator.space)
@@ -634,7 +635,7 @@ def sum_compact_locally_convex(
     trace: list[dict] = []
     rounds_log: list[dict] = []
     for rnd in range(1, _MAX_ADAPTIVE_ROUNDS + 1):
-        t2c = ctx.ops["t2"]
+        t2c = ctx.op("t2")
         images = np.vstack([ctx.arrays["samples"] @ t2c.matrix.T, *extra_images])
         k1 = images[fnorm_many(target, images) > epsilon / 2]
         centers = net_cover(k1, epsilon / 5, target).centers
@@ -659,7 +660,7 @@ def sum_compact_locally_convex(
         s1 = DiscreteOperator(s1_matrix, ctx.space, sup_norm(dim=s1_matrix.shape[0]))
 
         inner = sum_finite_rank(
-            ctx.ops["t1"], s1, sigma=epsilon / 2, epsilon=0.5,
+            ctx.op("t1"), s1, sigma=epsilon / 2, epsilon=0.5,
             rank_limit=_FUNCTIONAL_CAP,
             refine_budget=params.refine_budget,
         )

@@ -17,6 +17,9 @@ the bits of its bound and the same greedy set.
 ``wave_sums`` is ``measure._wave_sums`` as two ``searchsorted`` calls, one
 at each old atom's first child and one past its last, with the prefix wave
 taken at both; the library takes it once at the cuts between old atoms.
+
+``l1_example_cells`` reads the cells row by row with a Python set of the
+claimed atoms; the library reads them with whole-matrix numpy calls.
 """
 
 import numpy as np
@@ -250,3 +253,17 @@ def wave_sums(mset, rmap, blocks: np.ndarray) -> np.ndarray:
     ends = np.searchsorted(idx, rmap.starts + rmap.counts)
     prefix_diff = np.abs(b - begins % (2 * b)) - np.abs(b - ends % (2 * b))
     return mset.space.numerators[idx[0]] * prefix_diff
+
+
+def l1_example_cells(T) -> list:
+    """One cell per row (its nonzero columns), plus the atoms no row claims."""
+    cells = []
+    claimed: set[int] = set()
+    for r in range(T.target_dim):
+        idx = [int(i) for i in np.flatnonzero(T.matrix[r])]
+        claimed.update(idx)
+        cells.append(T.space.subset(idx))
+    residual = [i for i in range(T.space.n_atoms) if i not in claimed]
+    if residual:
+        cells.append(T.space.subset(residual))
+    return cells

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from narrowops import (
+    DiscreteOperator,
     MeasureSpace,
     NonDyadic,
     SignVector,
@@ -19,8 +20,10 @@ from narrowops import (
     l1_example_tail_bound,
     random_finite_rank,
     random_narrow_operator,
+    sup_norm,
 )
 from narrowops.linalg import rank_factorization
+import oracles
 
 
 class TestL1Example:
@@ -61,6 +64,23 @@ class TestL1Example:
         seen = sorted(i for c in cells for i in c.indices)
         assert seen == list(range(T.space.n_atoms))
         assert cells[0].measure == Fraction(1, 2)
+
+    @pytest.mark.parametrize("atoms_per_level", [None, 2, 4])
+    def test_cells_match_the_loop_oracle(self, atoms_per_level):
+        rng = np.random.default_rng(atoms_per_level or 0)
+        ops = [build_l1_example(n, atoms_per_level=atoms_per_level) for n in range(1, 13)]
+        # random rows with zero columns and -0.0 entries (a zero, as in the loop)
+        for _ in range(20):
+            n, d = 2 ** int(rng.integers(0, 7)), int(rng.integers(1, 6))
+            m = rng.standard_normal((d, n)) * (rng.random((d, n)) < 0.4)
+            m[:, rng.random(n) < 0.3] = 0.0
+            m[rng.random((d, n)) < 0.1] = -0.0
+            ops.append(DiscreteOperator(m, MeasureSpace.uniform(n), sup_norm(dim=d)))
+        for T in ops:
+            got, want = l1_example_cells(T), oracles.l1_example_cells(T)
+            assert len(got) == len(want)
+            for g, w in zip(got, want):
+                assert g.space is T.space and np.array_equal(g.indices, w.indices)
 
     def test_strict_narrowness_certified(self):
         # every cell admits an exact-zero mean-zero sign via pairing

@@ -332,9 +332,9 @@ class TestRefinementCompatibility:
             stepwise = stepwise.refine(rmap, fine)
             ctx.refine_atoms(sorted(atoms), parts, 2**16)
             if data.draw(st.booleans()):
-                assert np.array_equal(ctx.ops["t"].matrix, stepwise.matrix)
-        assert ctx.ops["t"] is ctx.ops["t"]
-        assert np.array_equal(ctx.ops["t"].matrix, stepwise.matrix)
+                assert np.array_equal(ctx.op("t").matrix, stepwise.matrix)
+        assert ctx.op("t") is ctx.op("t")
+        assert np.array_equal(ctx.op("t").matrix, stepwise.matrix)
         x = rng.integers(-1, 2, ctx.space.n_atoms)
         # relative to the sum of the absolute terms of each coordinate
         scale = np.abs(stepwise.matrix) @ np.abs(x)
@@ -358,14 +358,39 @@ class TestRefinementCompatibility:
         assert ctx.image("t", x).tolist() == [0.0] * 3
 
     def test_context_takes_operators_on_its_start_space_only(self):
-        space = MeasureSpace.uniform(2)
         T = _random_operator(2, 2)
-        ctx = RefinementContext(space, {})
-        ctx.ops["t"] = T
-        ctx.refine_atoms([0], 2, 16)
-        assert ctx.ops["t"].space == ctx.space
+        fine, rmap = T.space.refine_atoms([0], 2)
         with pytest.raises(DimensionMismatch):
-            ctx.ops["u"] = T
+            RefinementContext(fine, {"t": T})
+        with pytest.raises(DimensionMismatch):
+            RefinementContext(T.space, {"t": T, "u": T.refine(rmap, fine)})
+        assert RefinementContext(T.space, {"t": T}).start == {"t": T}
+
+    def test_context_refines_an_operator_only_when_it_is_read(self, monkeypatch):
+        calls = []
+        refine = DiscreteOperator.refine
+
+        def spy(op, rmap, space):
+            calls.append(space)
+            return refine(op, rmap, space)
+
+        monkeypatch.setattr(DiscreteOperator, "refine", spy)
+        T = _random_operator(2, 4)
+        ctx = RefinementContext(T.space, {"t": T})
+        assert ctx.op("t") is T
+        ctx.refine_atoms([0, 2], 2, 16)
+        # 1/8 1/8 1/4 1/8 1/8 1/4: uniformize splits the two quarters
+        fine, rmap = ctx.space.uniformize()
+        ctx.apply_map(rmap, fine)
+        ctx.image("t", np.tile([1, -1], 4))
+        assert calls == []
+        first = ctx.op("t")
+        assert calls == [ctx.space] and first.space == ctx.space
+        assert ctx.op("t") is first and len(calls) == 1
+        ctx.refine_atoms([0], 2, 16)
+        assert len(calls) == 1
+        second = ctx.op("t")
+        assert len(calls) == 2 and second is not first and second.space == ctx.space
 
     @settings(max_examples=100, deadline=None)
     @given(exponents=st.lists(st.integers(0, 3), min_size=1, max_size=5),

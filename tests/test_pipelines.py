@@ -289,18 +289,18 @@ def _reference_sum_finite_rank(T1, T2, sigma, epsilon, refine_budget=2**16):
     pivots, _, coeff = rank_factorization(T2.matrix * w[:, None])
     m = len(pivots)
     assert m >= 1
-    ctx = RefinementContext(T1.space, {"t1": T1, "t2": T2})
     t2_max = float(np.max(np.abs(T2.matrix)))
     delta = epsilon / float(np.sum(fnorm_many(T2.target, T2.matrix[:, pivots].T)))
     coeff_target = sup_norm(dim=m)
-    ctx.ops["coeff"] = DiscreteOperator(coeff, T1.space, coeff_target)
+    ctx = RefinementContext(T1.space, {
+        "t1": T1, "t2": T2, "coeff": DiscreteOperator(coeff, T1.space, coeff_target)})
     cell_budget = delta / (2 * m)
     while True:
         try:
-            partition = partition_small_cells(ctx.ops["coeff"], cell_budget)
+            partition = partition_small_cells(ctx.op("coeff"), cell_budget)
             break
         except AtomTooLarge:
-            too_big = np.flatnonzero(ctx.ops["coeff"].column_norms() > cell_budget)
+            too_big = np.flatnonzero(ctx.op("coeff").column_norms() > cell_budget)
             ctx.refine_atoms(too_big, 2, refine_budget)
     cells = [ctx.space.subset(np.flatnonzero(partition.cell == k))
              for k in range(partition.n_cells)]
@@ -315,10 +315,10 @@ def _reference_sum_finite_rank(T1, T2, sigma, epsilon, refine_budget=2**16):
     for rank_k in range(partition.n_cells):
         k = rank_k + 1
         cell_set = ctx.where("cell", rank_k)
-        res = find_small_sign(ctx.ops["t1"], cell_set, sigma * 2.0**-k + _TOL,
+        res = find_small_sign(ctx.op("t1"), cell_set, sigma * 2.0**-k + _TOL,
                               refine_budget=refine_budget)
         ctx.apply_map(res.refine_map, res.operator.space)
-        p_k = fnorm(coeff_target, ctx.ops["coeff"].apply(res.sign.values))
+        p_k = fnorm(coeff_target, ctx.op("coeff").apply(res.sign.values))
         if p_k > delta / m + _TOL:
             raise StageFailed(k, f"cell coefficient norm {p_k} exceeds delta/m")
         ctx.arrays["x"] += res.sign.values
@@ -326,7 +326,7 @@ def _reference_sum_finite_rank(T1, T2, sigma, epsilon, refine_budget=2**16):
                        "t1_norm": res.value, "coeff_norm": p_k,
                        "strategy": res.strategy})
     cell, x_cells = ctx.arrays["cell"], ctx.arrays["x"]
-    vectors = np.stack([ctx.ops["coeff"].apply(np.where(cell == rank_k, x_cells, 0))
+    vectors = np.stack([ctx.op("coeff").apply(np.where(cell == rank_k, x_cells, 0))
                         for rank_k in range(partition.n_cells)])
     theta, achieved_p, certificate, _ = sign_round(vectors, coeff_target)
     assert certificate <= delta + _TOL and achieved_p <= delta + _TOL
