@@ -26,8 +26,10 @@ rep = pairing_construction(t1, t2, params)
 print(f"status: {rep.status}")
 print(f"achieved ||T1 x|| = {rep.achieved['t1']:.6f} (budget {params.sigma})")
 print(f"achieved ||T2 x|| = {rep.achieved['t2']:.6f} (budget {params.epsilon})")
-for j, values in enumerate(rep.extras["stage_signs"], start=1):
-    stage = SignVector.from_values(rep.space, values)
+# one stage label per atom: stage j's sign is the sign where the label is j
+label = rep.extras["stage"]
+for j in range(1, rep.extras["n_stages"] + 1):
+    stage = SignVector.from_values(rep.space, rep.sign.values * (label == j))
     print(f"stage {j}: mu(B_{j}) = {stage.support_set().measure} "
           f"(target {rep.space.total / 2**j})")
 

@@ -171,9 +171,11 @@ class MeasureSpace:
         fracs = [Fraction(w) for w in weights]
         k = 0
         for f in fracs:
-            if not _is_power_of_two(f.denominator):
+            # a Fraction keeps a numpy integer denominator as it is
+            d = int(f.denominator)
+            if not _is_power_of_two(d):
                 raise NonDyadic(f"weight {f} is not dyadic")
-            k = max(k, f.denominator.bit_length() - 1)
+            k = max(k, d.bit_length() - 1)
         nums = [int(f * 2**k) for f in fracs]
         return MeasureSpace(denom_log2=k, numerators=nums)
 

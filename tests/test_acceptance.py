@@ -162,10 +162,14 @@ def test_criterion_4_pairing_pipeline():
         rep = pairing_construction(t1, t2, params)
         assert rep.status == "success"
         revalidate(rep, t1, t2, 0.1, 0.1)
-        total = rep.space.total
-        for j, values in enumerate(rep.extras["stage_signs"], start=1):
-            sign = SignVector.from_values(rep.space, values)
+        total, m, stage = rep.space.total, rep.extras["n_stages"], rep.extras["stage"]
+        assert ((stage >= 1) & (stage <= m + 1)).all()
+        for j in range(1, m + 1):
+            sign = SignVector.from_values(rep.space, rep.sign.values * (stage == j))
+            assert sign.mean_zero
             assert sign.support_set().measure == total / 2**j  # exact Fraction
+        tail = SignVector.from_values(rep.space, rep.sign.values * (stage == m + 1))
+        assert tail.is_sign_on(rep.space.subset(np.flatnonzero(stage == m + 1)))
         successes += 1
     elapsed = time.perf_counter() - start
     _report(

@@ -20,8 +20,10 @@ from narrowops import (
     RefineMap,
     SignVector,
     UnequalWeights,
+    build_conditional_expectation,
     rademacher_sign,
     rademacher_signs,
+    random_narrow_operator,
 )
 from narrowops.measure import _rademacher_blocks, _wave_sums
 from narrowops.operators import RefinementContext
@@ -81,6 +83,17 @@ class TestMeasureSpace:
     def test_json_round_trip(self):
         space = MeasureSpace.from_weights([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)])
         assert MeasureSpace.from_json(space.to_json()) == space
+
+    @pytest.mark.parametrize("build, expected", [
+        (lambda: MeasureSpace.uniform(np.int64(4)), MeasureSpace.uniform(4)),
+        (lambda: random_narrow_operator(1, np.int64(16), 3, 0.5).space,
+         MeasureSpace.uniform(16)),
+        (lambda: build_conditional_expectation(np.int64(4)).space,
+         MeasureSpace.uniform(16)),
+    ], ids=["uniform", "random-narrow", "conditional-expectation"])
+    def test_numpy_integer_sizes(self, build, expected):
+        # a numpy integer size puts numpy denominators into the weights
+        assert build() == expected
 
     def test_uniformize(self):
         space = MeasureSpace.from_weights([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)])

@@ -3,6 +3,7 @@ reports, and independent re-validation of every constructed sign."""
 
 import gc
 import json
+import re
 import weakref
 from fractions import Fraction
 from itertools import combinations
@@ -174,14 +175,14 @@ class TestPairing:
                                 delta=1 / 64, refine_budget=2**14)
         rep = pairing_construction(t1, t2, params)
         revalidate(rep, t1, t2, 0.1, 0.1)
-        total = rep.space.total
-        for j, values in enumerate(rep.extras["stage_signs"], start=1):
-            sign = SignVector.from_values(rep.space, values)
+        total, m, stage = rep.space.total, rep.extras["n_stages"], rep.extras["stage"]
+        # one label per atom: stages 1..m, then the tail, which holds the
+        # rest of the measure
+        assert np.isin(stage, np.arange(1, m + 2)).all()
+        for j in range(1, m + 2):
+            sign = SignVector.from_values(rep.space, rep.sign.values * (stage == j))
             assert sign.mean_zero
-            assert sign.support_set().measure == total / 2**j
-        # supports are pairwise disjoint and the tail covers the rest
-        signs = np.array(rep.extras["stage_signs"] + [rep.extras["tail_sign"]])
-        assert (np.count_nonzero(signs, axis=0) == 1).all()
+            assert sign.support_set().measure == total / 2**min(j, m)
 
     def test_determinism(self):
         t2 = build_l1_example(4)
@@ -273,10 +274,27 @@ class TestCertify:
             _certify(ctx, [1, -1, 1, -1], {"t": 0.5}, 3)
         x, achieved = _certify(ctx, [1, -1, 1, -1], {"t": 1.0}, 3)
         assert x.values.tolist() == [1, -1, 1, -1] and achieved == {"t": 1.0}
-        # the slack scales only the tolerance
-        _certify(ctx, [1, -1, 1, -1], {"t": 1.0 - 1.5e-9}, 3, {"t": 2.0})
         with pytest.raises(StageFailed):
             _certify(ctx, [1, -1, 1, -1], {"t": 1.0 - 1.5e-9}, 3)
+
+    def test_finite_rank_gives_large_entries_no_extra_tolerance(self):
+        # row 0 has entries of 1000 under weight 1e-12, so the rank decision,
+        # on the weighted rows, keeps rank 1 and drops the 144 equal rows of
+        # entries below its 1e-10 tolerance; the sign they see on atoms 3-14
+        # gives them an image of epsilon + 4e-9, and row 0 adds 1e-9
+        n, rows, eps = 16, 144, 8e-9
+        space = MeasureSpace.uniform(n)
+        t1 = DiscreteOperator(np.zeros((1, n)), space, sup_norm(dim=1))
+        m = np.zeros((rows + 1, n))
+        m[0] = 1000.0
+        m[0, 0] = 2000.0
+        m[1:, 3:15] = (eps + 4e-9) / (rows * 12) * np.tile([1, 1, -1, -1], 3)
+        t2 = DiscreteOperator(m, space, lp_norm(1, weights=[1e-12] + [1.0] * rows))
+        assert np.abs(m).max() * n > 5
+        with pytest.raises(StageFailed, match="final norms") as exc:
+            sum_finite_rank(t1, t2, 0.1, eps)
+        t2_norm = float(re.search(r"'t2': ([^,}]+)", str(exc.value)).group(1))
+        assert t2_norm == pytest.approx(eps + 5e-9, abs=1e-15)
 
 
 def _reference_sum_finite_rank(T1, T2, sigma, epsilon, refine_budget=2**16):
@@ -289,7 +307,6 @@ def _reference_sum_finite_rank(T1, T2, sigma, epsilon, refine_budget=2**16):
     pivots, _, coeff = rank_factorization(T2.matrix * w[:, None])
     m = len(pivots)
     assert m >= 1
-    t2_max = float(np.max(np.abs(T2.matrix)))
     delta = epsilon / float(np.sum(fnorm_many(T2.target, T2.matrix[:, pivots].T)))
     coeff_target = sup_norm(dim=m)
     ctx = RefinementContext(T1.space, {
@@ -330,8 +347,7 @@ def _reference_sum_finite_rank(T1, T2, sigma, epsilon, refine_budget=2**16):
                         for rank_k in range(partition.n_cells)])
     theta, achieved_p, certificate, _ = sign_round(vectors, coeff_target)
     assert certificate <= delta + _TOL and achieved_p <= delta + _TOL
-    x, achieved = _certify(ctx, theta[cell] * x_cells, {"t1": sigma, "t2": epsilon}, 0,
-                           {"t2": max(1.0, t2_max * ctx.space.n_atoms)})
+    x, achieved = _certify(ctx, theta[cell] * x_cells, {"t1": sigma, "t2": epsilon}, 0)
     return PipelineReport(pipeline="sum_finite_rank", sign=x, achieved=achieved,
                           budgets={}, stages=stages, refine_map=ctx.total_map,
                           space=ctx.space)
@@ -680,9 +696,8 @@ class TestReportJson:
 
     def test_pairing_rows_stay_int8_until_json(self):
         rep = _pairing_report()
-        rows = rep.extras["stage_signs"] + [rep.extras["tail_sign"]]
-        assert len(rows) == rep.extras["n_stages"] + 1
-        assert all(r.dtype == np.int8 and r.shape == (rep.space.n_atoms,) for r in rows)
+        stage = rep.extras["stage"]
+        assert stage.dtype == np.int8 and stage.shape == (rep.space.n_atoms,)
         extras = rep.to_json_dict()["extras"]
-        assert extras["stage_signs"] == [r.tolist() for r in rows[:-1]]
-        assert extras["tail_sign"] == rows[-1].tolist()
+        assert extras.keys() == {"n_stages", "abs_continuity_bound", "stage"}
+        assert extras["stage"] == stage.tolist()
