@@ -75,8 +75,16 @@ class RefineMap:
         object.__setattr__(self, "counts", _read_only(c))
 
     @staticmethod
+    def _of_counts(counts: np.ndarray) -> "RefineMap":
+        """Map of a fresh int64 array of counts >= 1 that refinement or
+        composition derived: it needs no check and no copy."""
+        rmap = object.__new__(RefineMap)
+        rmap.__dict__.update(counts=_read_only(counts))
+        return rmap
+
+    @staticmethod
     def identity(n: int) -> "RefineMap":
-        return RefineMap(counts=np.ones(n, dtype=np.int64))
+        return RefineMap._of_counts(np.ones(n, dtype=np.int64))
 
     @property
     def n_old(self) -> int:
@@ -114,7 +122,7 @@ class RefineMap:
         """Map refining self's output further; returns old -> newest mapping."""
         if later.n_old != self.n_new:
             raise InvalidAtom("maps are not composable")
-        return RefineMap(counts=np.add.reduceat(later.counts, self.starts))
+        return RefineMap._of_counts(np.add.reduceat(later.counts, self.starts))
 
 
 @dataclass(frozen=True, eq=False)
@@ -226,7 +234,7 @@ class MeasureSpace:
         # child is 1/parts of the parent); unmarked ones scale up by parts
         nums = np.repeat(self.numerators * (parts // counts), counts)
         space = object.__new__(MeasureSpace)._lowest_terms(self.denom_log2 + t, nums)
-        return space, RefineMap(counts=counts)
+        return space, RefineMap._of_counts(counts)
 
     def uniformize(self) -> tuple["MeasureSpace", RefineMap]:
         """Refine every atom down to the minimum atom weight.
@@ -243,7 +251,7 @@ class MeasureSpace:
             return self, RefineMap.identity(self.n_atoms)
         nums = np.full(int(counts.sum()), min_num)
         space = object.__new__(MeasureSpace)._lowest_terms(self.denom_log2, nums)
-        return space, RefineMap(counts=counts)
+        return space, RefineMap._of_counts(counts)
 
     def to_json(self) -> dict:
         return {

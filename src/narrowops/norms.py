@@ -93,10 +93,24 @@ def fnorm(norm: TargetNorm, y) -> float:
 
 
 def fnorm_many(norm: TargetNorm, ys: np.ndarray) -> np.ndarray:
-    """Evaluate the F-norm of each row of a (N, dim) array."""
+    """Evaluate the F-norm along the last axis of `ys` (shape (..., dim)).
+
+    The sup norm is one elementwise maximum across the dim weighted
+    columns, not a reduction over each short row, which numpy runs row by
+    row.  A maximum is exact and propagates NaN, so every value has the
+    bits of ``fnorm`` on its own row whatever the batch shape.  The lp sum
+    is a BLAS product instead, whose last bit can depend on the batch
+    shape: a row's value may differ from ``fnorm`` of that row by an ulp.
+    """
     ys = _check_dim(norm, ys)
     if norm.kind == _SUP:
-        return np.max(norm.weights * np.abs(ys), axis=-1)
+        t = np.abs(ys)
+        t *= norm.weights
+        m = t[..., 0].copy()
+        for j in range(1, norm.dim):
+            np.maximum(m, t[..., j], out=m)
+        # a 1-d input gives a numpy scalar, as a reduction would
+        return m[()]
     s = np.abs(ys) ** norm.p @ norm.weights
     if norm.p >= 1:
         return s ** (1.0 / norm.p)

@@ -20,6 +20,10 @@ taken at both; the library takes it once at the cuts between old atoms.
 
 ``l1_example_cells`` reads the cells row by row with a Python set of the
 claimed atoms; the library reads them with whole-matrix numpy calls.
+
+``sup_fnorm_many`` is the weighted sup norm as one ``np.max`` reduction
+along the last axis; the library folds the weighted columns together with
+an elementwise maximum instead.
 """
 
 import numpy as np
@@ -267,3 +271,8 @@ def l1_example_cells(T) -> list:
     if residual:
         cells.append(T.space.subset(residual))
     return cells
+
+
+def sup_fnorm_many(weights: np.ndarray, ys) -> np.ndarray:
+    """max_i w_i |y_i| along the last axis of `ys`, as one reduction."""
+    return np.max(weights * np.abs(np.asarray(ys, dtype=float)), axis=-1)

@@ -121,6 +121,11 @@ class TestRefineMap:
         with pytest.raises(InvalidAtom):
             RefineMap(counts=(2, 1, 3)).map_indices([index])
 
+    @pytest.mark.parametrize("counts", [[0], [2, 0, 1], [-1], [[1, 2]]])
+    def test_public_constructor_still_checks_counts(self, counts):
+        with pytest.raises(ValueError):
+            RefineMap(counts=counts)
+
     def test_lift_through_a_smaller_map_is_refused(self):
         # the set lives on 4 atoms; a map for 3 atoms has no children for atom 3
         space = MeasureSpace.uniform(4)
@@ -416,6 +421,31 @@ class TestDerivedObjects:
         n_atoms = sum(n // least for n in space.numerators.tolist())
         _assert_same_space(space.uniformize()[0], MeasureSpace(
             denom_log2=space.denom_log2, numerators=[least] * n_atoms))
+
+    @settings(max_examples=100, deadline=None)
+    @given(space=_spaces(), parts=st.sampled_from([2, 4, 8]), data=st.data())
+    def test_derived_maps_match_the_validating_constructor(self, space, parts, data):
+        marked = sorted(data.draw(st.sets(st.integers(0, space.n_atoms - 1))))
+        fine, first = space.refine_atoms(marked, parts)
+        later = fine.refine_atoms(
+            sorted(data.draw(st.sets(st.integers(0, fine.n_atoms - 1)))), 2)[1]
+        exponents = data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=8))
+        lumpy = MeasureSpace(denom_log2=3, numerators=[3 << e for e in exponents])
+        least = min(exponents)
+        for rmap, counts in [
+            (first, [parts if i in marked else 1 for i in range(space.n_atoms)]),
+            (first.compose(later), [int(later.counts[first.starts[i]:][:c].sum())
+                                    for i, c in enumerate(first.counts.tolist())]),
+            (RefineMap.identity(space.n_atoms), [1] * space.n_atoms),
+            (lumpy.uniformize()[1], [1 << (e - least) for e in exponents]),
+        ]:
+            want = RefineMap(counts=counts)
+            assert rmap.counts.dtype == np.int64 and not rmap.counts.flags.writeable
+            assert np.array_equal(rmap.counts, want.counts)
+            assert np.array_equal(rmap.starts, want.starts)
+            assert (rmap.n_new, rmap.is_identity) == (want.n_new, want.is_identity)
+            with pytest.raises(ValueError):
+                rmap.counts[0] = 0
 
     @settings(max_examples=100, deadline=None)
     @given(space=_spaces(), parts=st.sampled_from([2, 4, 8]), data=st.data())

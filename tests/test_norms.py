@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from narrowops import (
     NotLocallyConvex,
@@ -13,6 +16,7 @@ from narrowops import (
     lp_norm,
     sup_norm,
 )
+import oracles
 
 RNG = np.random.default_rng(2024)
 
@@ -67,6 +71,64 @@ class TestFnormAxioms:
         for norm in _norm_kinds(4):
             y = np.array([0.0, 1e-9, 0.0, 0.0])
             assert fnorm(norm, y) > 0.0
+
+
+_SPECIAL = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324,
+            2.2250738585072009e-308, -1e-310, 1.7976931348623157e308]
+
+
+def _sup_batches():
+    """A weighted sup norm over d coordinates, weights spread over 2^+-500,
+    and a batch of shape (..., d) with 0 to 2 batch axes, empty ones among
+    them, holding signed zeros, infinities, NaN and subnormals."""
+    def batch(d):
+        weights = st.lists(st.builds(lambda m, e: m * 2.0**e,
+                                     st.floats(1.0, 2.0, exclude_max=True),
+                                     st.integers(-500, 500)),
+                           min_size=d, max_size=d)
+        shape = hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=5)
+        entries = st.one_of(st.sampled_from(_SPECIAL), st.floats(width=64))
+        ys = shape.flatmap(lambda s: hnp.arrays(np.float64, s + (d,), elements=entries))
+        return st.tuples(weights.map(lambda w: sup_norm(weights=w)), ys)
+    return st.integers(1, 10).flatmap(batch)
+
+
+def _same_bits(got, want) -> bool:
+    """Equal shape, NaN in the same places and every other value bit for bit;
+    which of several NaNs a maximum passes on is left open."""
+    got, want = np.asarray(got), np.asarray(want)
+    nan = np.isnan(want)
+    return (got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+            and np.array_equal(got[~nan].view(np.int64), want[~nan].view(np.int64)))
+
+
+class TestSupKernel:
+    """The sup branch of fnorm_many folds the weighted columns with an
+    elementwise maximum; it must give the bits of one np.max reduction."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_sup_batches())
+    # a NaN beside a larger value: np.fmax would return that value
+    @example(case=(sup_norm(dim=3), np.array([[np.nan, 2.0, 1.0], [1.0, 2.0, np.nan]])))
+    def test_matches_the_reduction_bit_for_bit(self, case):
+        norm, ys = case
+        with np.errstate(over="ignore"):  # w |y| past the float range is inf
+            got = fnorm_many(norm, ys)
+            want = oracles.sup_fnorm_many(norm.weights, ys)
+        assert type(got) is type(want)
+        assert _same_bits(got, want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=_sup_batches())
+    def test_each_row_is_its_own_norm(self, case):
+        norm, ys = case
+        rows = ys.reshape(-1, norm.dim)
+        with np.errstate(over="ignore"):
+            got = np.reshape(fnorm_many(norm, ys), -1)
+            want = [fnorm(norm, row) for row in rows]
+        assert got.size == len(want)
+        for g, w in zip(got, want):
+            assert _same_bits(g, w)
 
 
 class TestDualFunctional:
