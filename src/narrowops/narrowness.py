@@ -300,10 +300,21 @@ def _row_labels(keys: np.ndarray) -> np.ndarray:
     return labels
 
 
+def _pair_equal_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """int8 signs +1, -1, +1, ... in index order within each class of
+    bitwise-equal rows of the 2-d int64 `keys`, so that consecutive members
+    cancel, and the rows left unpaired (each odd class's last), ascending."""
+    members, sizes, starts = cell_segments(_row_labels(keys))
+    rank = np.arange(members.size) - np.repeat(starts, sizes)
+    signs = np.empty(members.size, dtype=np.int8)
+    signs[members] = 1 - 2 * (rank % 2)
+    return signs, np.sort(members[(starts + sizes - 1)[sizes % 2 == 1]])
+
+
 def _kernel_pairing(
     T: DiscreteOperator, mset: MeasurableSet
 ) -> SignVector | None:
-    """Pair equal-weight atoms with equal columns; +1/-1 per pair.
+    """Pair equal-weight atoms with equal columns by `_pair_equal_rows`.
 
     Returns a full-support mean-zero sign with exactly zero image when every
     atom of the set can be paired, else None.
@@ -312,14 +323,12 @@ def _kernel_pairing(
     # key: the column's bit pattern plus the atom's numerator, so only
     # bitwise-equal columns of equal-weight atoms share a group
     cols = np.ascontiguousarray(T.matrix[:, idx].T).view(np.int64)
-    keys = np.column_stack([cols, T.space.numerators[idx]])
-    members, sizes, _ = cell_segments(_row_labels(keys))
-    if (sizes % 2).any():
+    signs, unpaired = _pair_equal_rows(
+        np.column_stack([cols, T.space.numerators[idx]]))
+    if unpaired.size:
         return None
-    # members of each group in index order; every group has even size, so
-    # alternating +1/-1 over the concatenation pairs consecutive members
     values = np.zeros(T.space.n_atoms, dtype=np.int8)
-    values[idx[members]] = 1 - 2 * (np.arange(idx.size) % 2)
+    values[idx] = signs
     return SignVector(space=T.space, values=values)
 
 

@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import (
     AdaptiveBudgetExhausted,
-    AtomTooLarge,
     NonDyadic,
     NoSignFound,
     NotLocallyConvex,
@@ -42,6 +41,7 @@ from .measure import (
 from .narrowness import (
     _EXHAUSTIVE_SEARCH_LIMIT,
     DEFAULT_REFINE_BUDGET,
+    _pair_equal_rows,
     cell_segments,
     check_budgets,
     check_integers,
@@ -391,10 +391,14 @@ def sum_finite_rank(
     Factor T2 through its pivot-column basis, partition the atoms so every
     cell's coefficient-norm sign bound is <= delta/(2m), pick a small-T1 sign
     per cell on the geometric schedule sigma/2^k, and balance the coefficient
-    images by +-1 rounding so the total coefficient norm stays <= delta,
-    which forces ||T2 x|| <= epsilon.  Here delta = epsilon / sum ||b_i||
-    over the basis columns b_i, or (epsilon / sum ||b_i||)^(1/p) for an lp
-    target with p < 1, whose F-norm is p-homogeneous.
+    images by +-1 signs so the total coefficient norm stays <= delta,
+    which forces ||T2 x|| <= epsilon: equal images cancel in pairs
+    (`_pair_equal_rows`), and `sign_round` signs the rest, one per odd
+    class, with `rounding_certificate` its certificate (0.0 if none is
+    left).  Atoms over the cell budget are split before the partition.  Here
+    delta = epsilon / sum ||b_i|| over the basis columns b_i, or
+    (epsilon / sum ||b_i||)^(1/p) for an lp target with p < 1, whose F-norm
+    is p-homogeneous.
 
     The cell signs come from one batched exhaustive search over every cell
     (`exhaustive_cell_signs`); the cells it leaves, too large or without a
@@ -462,14 +466,9 @@ def sum_finite_rank(
         "t1": T1, "t2": T2, "coeff": DiscreteOperator(coeff, T1.space, coeff_target)})
 
     cell_budget = delta / (2 * m)
-    while True:
-        try:
-            partition = partition_small_cells(ctx.op("coeff"), cell_budget)
-            break
-        except AtomTooLarge:
-            bounds = ctx.op("coeff").column_norms()
-            too_big = np.flatnonzero(bounds > cell_budget)
-            ctx.refine_atoms(too_big, 2, refine_budget)
+    while (too_big := ctx.op("coeff").column_norms() > cell_budget).any():
+        ctx.refine_atoms(np.flatnonzero(too_big), 2, refine_budget)
+    partition = partition_small_cells(ctx.op("coeff"), cell_budget)
 
     # rank the cells by decreasing measure, ties by index (a stable sort),
     # comparing exact int64 numerator sums over the atoms listed by cell
@@ -547,7 +546,11 @@ def sum_finite_rank(
         raise StageFailed(int(over[0]) + 1, f"cell coefficient norm "
                           f"{coeff_norms[over[0]]} exceeds delta/m")
 
-    theta_signs, achieved_p, certificate, _ = sign_round(vectors, coeff_target)
+    theta_signs, unpaired = _pair_equal_rows(vectors.view(np.int64))
+    achieved_p = certificate = 0.0
+    if unpaired.size:
+        theta_signs[unpaired], achieved_p, certificate, _ = sign_round(
+            vectors[unpaired], coeff_target)
     if certificate > delta + _TOL:
         raise StageFailed(0, f"rounding certificate {certificate} exceeds delta")
     if achieved_p > delta + _TOL:

@@ -271,45 +271,39 @@ def round_half_integer(instance: RoundingInstance) -> RoundingResult:
     The walk keeps the tableau ``binv`` of the basis B: ``binv @ x_k`` are
     x_k's coordinates in B, so the step direction is
     ``u = (-binv @ x_k, +1)`` on (basis, k).  The basis is factored once by
-    Gauss-Jordan elimination over the nonzero floating vectors in index
-    order, in Python floats and over only the columns it reads; the
-    entering k is the next floating non-basic vector in index order, and
-    its coefficient always increases.  When a basic coefficient reaches
-    {0,1}, k replaces it by one pivot; when a step fixes more than one
-    coefficient at once, the basis is factored again.  A vector that is
-    exactly zero never pivots, so its step is ``u = e_k``: the ratio test
-    stops at k itself, which is set to exactly 1 with no numpy call, and
-    the basic coefficients do not move.  Every other step makes numpy
-    calls only for ``u``, for its residual ``W u`` on its window W, whose
-    rows a pivot replaces one at a time, and, when it fixes a basic
-    coefficient, for the pivot.  The check
+    Gauss-Jordan elimination over the floating vectors in index order, in
+    Python floats and over only the columns it reads; the entering k is the
+    next floating non-basic vector in index order, and its coefficient
+    always increases.  When a basic coefficient reaches {0,1}, k replaces
+    it by one pivot; when a step fixes more than one coefficient at once,
+    the basis is factored again.  Zero and repeated vectors take this same
+    step; `sum_finite_rank` pairs equal vectors off before it rounds.  A
+    step makes numpy calls only for ``u``, for its residual ``W u`` on its
+    window W, whose rows a pivot replaces one at a time, and, when it fixes
+    a basic coefficient, for the pivot.  The check
     ``||W u|| <= 1e-6 max(1, max|W|) ||u||`` is decided from Python sums
     of squares away from its threshold and from numpy's sums near it; a
     non-finite ``W u`` or ``u`` fails it, and overflowing squares are
     compared at a power-of-two scale.  On a failure the tableau is rebuilt
     from the original vectors by least squares, and ``DegenerateNullspace``
-    is raised if the rebuilt direction still fails.  The coefficients are a Python list during the walk, and the
-    ratio test, the step and the snap run on the window's at most
-    ``dim + 1`` of them as Python floats.
+    is raised if the rebuilt direction still fails.  The coefficients are a
+    Python list during the walk, and the ratio test, the step and the snap
+    run on the window's at most ``dim + 1`` of them as Python floats.
     """
     x = instance.vectors
     lam = instance.coefficients.tolist()
     d = instance.dim
     _snap(lam)
 
-    # a zero vector never pivots, and its step is u = e_k: it sets its own
-    # coefficient to 1 and moves nothing else
-    zero = (~x.any(axis=1)).tolist()
     steps = 0
     while True:
         floating = [j for j, a in enumerate(lam) if 0.0 < a < 1.0]
         n_float = len(floating)
         if n_float <= d:
             break
-        live = [j for j in floating if not zero[j]]
-        basis, binv = _factor(x[live], d)
+        basis, binv = _factor(x[floating], d)
         r = len(basis)
-        window = [live[b] for b in basis] + [0]  # the basis, then k
+        window = [floating[b] for b in basis] + [0]  # the basis, then k
         # the window's vectors as rows; a pivot replaces one of them
         w = np.empty((r + 1, d))
         w[:r] = x[window[:r]]
@@ -320,13 +314,6 @@ def round_half_integer(instance: RoundingInstance) -> RoundingResult:
         neg_binv = -binv
         basic = set(window[:r])
         for k in [j for j in floating if j not in basic]:
-            if zero[k]:
-                lam[k] = 1.0
-                steps += 1
-                n_float -= 1
-                if n_float <= d:
-                    break
-                continue
             window[r] = k
             w[r] = xk = x[k]
             np.matmul(neg_binv, xk, out=tab)

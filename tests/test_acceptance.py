@@ -368,8 +368,8 @@ def test_truncation_golden_report(tmp_path):
     example, T1 from `random_narrow_operator` seed 0 on its space, matches
     tests/golden/sum-compact-truncation.json (regenerate it by running
     `narrowops sum-compact --seed 0` on the config below).  Every cell's
-    coefficient image is 0 there, so this pins the rounding's theta on
-    zero vectors."""
+    coefficient image is 0 there, so this pins the signs that pair zero
+    vectors off."""
     t2 = build_l1_example(6)
     t1 = random_narrow_operator(0, None, 3, 0.5, space=t2.space)
     cfg = tmp_path / "config.json"

@@ -36,8 +36,10 @@ from narrowops.narrowness import (
     _EXHAUSTIVE_SEARCH_LIMIT,
     Partition,
     _kernel_pairing,
+    _pair_equal_rows,
     _rademacher_scan,
     _row_labels,
+    cell_segments,
     exhaustive_cell_signs,
 )
 from narrowops.operators import TERNARY_EXHAUSTIVE_LIMIT
@@ -165,6 +167,42 @@ class TestFindSmallSign:
                                 space.numerators[idx]])
         _, want = np.unique(keys, axis=0, return_inverse=True)
         assert _row_labels(keys).tolist() == want.ravel().tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n=st.integers(1, 16), even=st.booleans())
+    def test_pair_equal_rows(self, data, n, even):
+        # rows from a few bitwise-distinct classes, three of them equal to
+        # 0 as floats; with `even`, every class is drawn an even number of
+        # times
+        pool = np.array([[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [0.1, 0.2], [0.3, -0.7]])
+        picks = data.draw(st.lists(st.integers(0, len(pool) - 1), min_size=n, max_size=n))
+        if even:
+            picks = data.draw(st.permutations(picks * 2))
+        picks = np.array(picks)
+        rows = pool[picks]
+        keys = rows.view(np.int64)
+        signs, unpaired = _pair_equal_rows(keys)
+        assert signs.dtype == np.int8 and set(signs.tolist()) <= {-1, 1}
+        last = []
+        for c in np.unique(picks).tolist():
+            members = np.flatnonzero(picks == c)
+            # +1, -1, +1, ... over the class in index order
+            assert (signs[members] == 1 - 2 * (np.arange(members.size) % 2)).all()
+            if members.size % 2:
+                last.append(int(members[-1]))
+                continue
+            total = np.zeros(2)
+            for i in members.tolist():
+                total += signs[i] * rows[i]
+            assert (total == 0.0).all()
+        assert unpaired.tolist() == sorted(last)
+        if even:
+            # the alternation over the concatenated classes that
+            # `_kernel_pairing` used before
+            members, _, _ = cell_segments(_row_labels(keys))
+            old = np.empty(picks.size, dtype=np.int8)
+            old[members] = 1 - 2 * (np.arange(picks.size) % 2)
+            assert signs.tolist() == old.tolist()
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), log_atoms=st.integers(1, 5),

@@ -288,7 +288,8 @@ class TestCertify:
         m = np.zeros((rows + 1, n))
         m[0] = 1000.0
         m[0, 0] = 2000.0
-        m[1:, 3:15] = (eps + 4e-9) / (rows * 12) * np.tile([1, 1, -1, -1], 3)
+        m[1:, 3:15] = (eps + 4e-9) / (rows * 12) * np.array(
+            [-1, -1, 1, 1, 1, 1, -1, -1, -1, -1, 1, 1])
         t2 = DiscreteOperator(m, space, lp_norm(1, weights=[1e-12] + [1.0] * rows))
         assert np.abs(m).max() * n > 5
         with pytest.raises(StageFailed, match="final norms") as exc:
@@ -575,18 +576,22 @@ class TestSumCompact:
 
 
 class TestExactImages:
-    @pytest.mark.parametrize("seed", [0, 3])
-    def test_level_8_compact_sum_rounds_exact_zero_vectors(self, seed, monkeypatch):
+    @pytest.mark.parametrize("level, seed", [(8, 0), (8, 3), (11, 1)],
+                             ids=["0", "3", "level-11-1"])
+    def test_level_8_compact_sum_rounds_exact_zero_vectors(self, level, seed, monkeypatch):
         # the cell coefficient vectors are per-(cell, input atom) integer
         # sums, so the cell signs that cancel within every input atom give
         # exact zero vectors.  As float sums of refined columns, 2,048 of
         # the 4,096 held noise of about 1e-18 in equal pairs, which reach
         # their bounds together: the walk then factored at every step, 1,024
-        # times, in about 1 s of a 1.15 s run
+        # times, in about 1 s of a 1.15 s run.  At level 11, 3,584 of the
+        # 16,384 vectors are copies of 4 nonzero vectors; rounded together,
+        # they took 1,793 factorizations and about 17 s, and paired before
+        # the rounding they take none
         factor, calls = rounding._factor, []
         monkeypatch.setattr(rounding, "_factor",
                             lambda *args: calls.append(1) or factor(*args))
-        t2 = build_l1_example(8)
+        t2 = build_l1_example(level)
         t1 = random_narrow_operator(seed, None, 3, 0.5, space=t2.space)
         rep = sum_compact_locally_convex(t1, t2, PipelineParams(epsilon=0.05))
         assert len(calls) <= 2
@@ -637,6 +642,19 @@ class TestTruncation:
         )
         # 2^-4 = 1/16 <= 1/16 = eps/2, and 2^-3 = 1/8 > 1/16
         assert rep.extras["truncation_level"] == 4
+        revalidate(rep, t1, t2, 0.1, 1 / 8)
+
+    def test_partition_runs_once(self, monkeypatch):
+        # the truncation golden config: the atoms whose coefficient bound
+        # exceeds the cell budget are split first, so the partition that
+        # follows never raises AtomTooLarge
+        partition, calls = pipelines.partition_small_cells, []
+        monkeypatch.setattr(pipelines, "partition_small_cells",
+                            lambda *args: calls.append(1) or partition(*args))
+        t2 = build_l1_example(6)
+        t1 = random_narrow_operator(0, None, 3, 0.5, space=t2.space)
+        rep = sum_compact_via_truncation(t1, t2, 0.1, 1 / 8, l1_example_tail_bound(6))
+        assert len(calls) == 1
         revalidate(rep, t1, t2, 0.1, 1 / 8)
 
     def test_no_level_small_enough(self):
