@@ -228,11 +228,12 @@ class MeasureSpace:
         t = parts.bit_length() - 1
         if int(self.numerators.sum()) << t >= _EXACT_LIMIT:
             raise NonDyadic(f"refining into {parts} parts leaves the exact int64 range")
-        counts = np.ones(self.n_atoms, dtype=np.int64)
-        counts[marked] = parts
         # marked atoms keep their numerator over the finer denominator (each
         # child is 1/parts of the parent); unmarked ones scale up by parts
-        nums = np.repeat(self.numerators * (parts // counts), counts)
+        counts = np.ones(self.n_atoms, dtype=np.int64)
+        scale = np.full(self.n_atoms, parts, dtype=np.int64)
+        counts[marked], scale[marked] = parts, 1
+        nums = np.repeat(self.numerators * scale, counts)
         space = object.__new__(MeasureSpace)._lowest_terms(self.denom_log2 + t, nums)
         return space, RefineMap._of_counts(counts)
 
@@ -373,22 +374,41 @@ def rademacher_signs(mset: MeasurableSet) -> np.ndarray:
     return family
 
 
-def _wave_sums(mset: MeasurableSet, rmap: RefineMap, blocks: np.ndarray) -> np.ndarray:
+def _parent_cuts(mset: MeasurableSet, rmap: RefineMap) -> np.ndarray:
+    """The set's position at each cut between old atoms, `rmap` mapping old
+    atoms to the set's space: old atom j's children in the set are its
+    positions cuts[j] to cuts[j + 1] - 1."""
+    if rmap.n_new != mset.space.n_atoms:
+        raise InvalidAtom(f"map has {rmap.n_new} children, space has "
+                          f"{mset.space.n_atoms} atoms")
+    return np.searchsorted(mset.indices, np.append(rmap.starts, rmap.n_new))
+
+
+def _cut_sums(cuts: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """Per-old-atom sums of int64 `terms`, one per atom of a set whose
+    `_parent_cuts` are `cuts`, as differences of exact prefix sums: the
+    int64 sums that ``np.add.reduceat`` forms over the whole space when
+    every atom outside the set contributes 0."""
+    prefix = np.concatenate(([0], np.cumsum(terms)))
+    return prefix[cuts[1:]] - prefix[cuts[:-1]]
+
+
+def _wave_sums(mset: MeasurableSet, rmap: RefineMap, blocks: np.ndarray,
+               cuts: np.ndarray | None = None) -> np.ndarray:
     """Per-parent sums of the +-1 waves with block sizes `blocks` on the set
     (rows of :func:`rademacher_signs`) times the numerator, without building
     them: an (L, rmap.n_old) int64 array, `rmap` mapping old atoms to the
     set's space.  Old atom j's children in the set are consecutive, so entry
     [l, j] is a difference of prefix sums; a wave's prefix sum at position t
-    is b - |b - (t mod 2b)|."""
-    if rmap.n_new != mset.space.n_atoms:
-        raise InvalidAtom(f"map has {rmap.n_new} children, space has "
-                          f"{mset.space.n_atoms} atoms")
+    is b - |b - (t mod 2b)|.  `cuts` are the set's `_parent_cuts` under
+    `rmap`, if the caller has them.  When the set size is a power of two,
+    so is every block size, and t mod 2b is the mask t & (2b - 1)."""
+    if cuts is None:
+        cuts = _parent_cuts(mset, rmap)
     b = blocks[:, None]
-    idx = mset.indices
-    # the set's position at each cut: old atom j's children lie between cuts j, j + 1
-    cuts = np.searchsorted(idx, np.append(rmap.starts, rmap.n_new))
-    wave = np.abs(b - cuts % (2 * b))
-    return mset.space.numerators[idx[0]] * (wave[:, :-1] - wave[:, 1:])
+    phase = cuts & (2 * b - 1) if _is_power_of_two(mset.size) else cuts % (2 * b)
+    wave = np.abs(b - phase)
+    return mset.space.numerators[mset.indices[0]] * (wave[:, :-1] - wave[:, 1:])
 
 
 def rademacher_sign(mset: MeasurableSet, level: int) -> SignVector:

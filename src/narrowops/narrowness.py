@@ -307,7 +307,7 @@ def _pair_equal_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     members, sizes, starts = cell_segments(_row_labels(keys))
     rank = np.arange(members.size) - np.repeat(starts, sizes)
     signs = np.empty(members.size, dtype=np.int8)
-    signs[members] = 1 - 2 * (rank % 2)
+    signs[members] = 1 - 2 * (rank & 1)
     return signs, np.sort(members[(starts + sizes - 1)[sizes % 2 == 1]])
 
 

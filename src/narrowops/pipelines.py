@@ -33,7 +33,9 @@ from .measure import (
     MeasureSpace,
     RefineMap,
     SignVector,
+    _cut_sums,
     _is_power_of_two,
+    _parent_cuts,
     _rademacher_blocks,
     _wave_sums,
     rademacher_signs,
@@ -216,6 +218,17 @@ def check_absolute_continuity(T: DiscreteOperator, delta: float) -> AbsContinuit
     )
 
 
+def _stage_row(size: int, block_a: int, block_b: int) -> np.ndarray:
+    """(row a - row b) / 2 of the block Rademacher family on `size` live
+    atoms, as int8: row = 1 - 2 (t // block % 2) at position t.  The space
+    is dyadic after uniformize, a stage halves the live set and a retry
+    doubles it, so its size and every block are powers of two, and
+    t // block % 2 is bit log2(block) of t."""
+    t = np.arange(size)
+    bit_a, bit_b = int(block_a).bit_length() - 1, int(block_b).bit_length() - 1
+    return (((t >> bit_b) & 1) - ((t >> bit_a) & 1)).astype(np.int8)
+
+
 def pairing_construction(
     T1: DiscreteOperator, T2: DiscreteOperator, params: PipelineParams
 ) -> PipelineReport:
@@ -232,8 +245,14 @@ def pairing_construction(
     live atoms (`measure._wave_sums`) and the input matrices, so no
     operator is refined for the search.  A stage keeps its levels' shares
     across its refinements and sums only the level each one adds; parent
-    weights are computed once per space.  Only the chosen pair's
-    half-difference is built, on the live atoms.
+    weights are computed once per space.  The live set's positions at the
+    input-atom boundaries (`measure._parent_cuts`) are found once per live
+    set and shared by `_wave_sums` and the stage check.  Only the chosen
+    pair's half-difference is built, as an int8 row on the live atoms, and
+    the stage's checks run on it there: mean zero and the support measure
+    from its int64 sums of value times numerator, and the T1 and T2 norms
+    from its per-input-atom sums between the cuts, which are the exact
+    sums ``ctx.image`` would form on the whole space.
     """
     if not params.gamma < params.epsilon:
         raise ValueError("pairing needs gamma < epsilon")
@@ -274,11 +293,12 @@ def pairing_construction(
         while True:
             live = ctx.where("stage", 0)
             blocks = _rademacher_blocks(live)
+            cuts = _parent_cuts(live, ctx.total_map)
             # each level's block sign as s / w over the input atoms, so its
             # image is an input matrix times that.  A retry splits the live atoms
             # in two: each level keeps its s / w bits, and the one new level is summed
             shares = np.vstack([shares, _wave_sums(
-                live, ctx.total_map, blocks[len(shares):]) / ctx.parent_weights()])
+                live, ctx.total_map, blocks[len(shares):], cuts) / ctx.parent_weights()])
             # candidates: the levels whose block sign passes the T1 filter
             t1_norms = fnorm_many(T1.target, shares @ T1.matrix.T)
             cands = np.flatnonzero(t1_norms <= budget_t1 + _TOL)
@@ -307,21 +327,22 @@ def pairing_construction(
                 ) from exc
 
         a, b = cands[pair[0]], cands[pair[1]]
-        # (row a - row b) / 2 on the live atoms, row = 1 - 2 (t // block % 2)
-        t = np.arange(live.size)
-        values = np.zeros(ctx.space.n_atoms, dtype=np.int8)
-        values[live.indices] = t // blocks[b] % 2 - t // blocks[a] % 2
-        x_j = SignVector.from_values(ctx.space, values)
-        if not x_j.mean_zero:
+        v = _stage_row(live.size, blocks[a], blocks[b])
+        nums = ctx.space.numerators[live.indices]
+        terms = v * nums
+        if terms.sum() != 0:
             raise StageFailed(j, "stage sign is not mean zero")
-        if x_j.support_set().measure != total / 2**j:
+        support = v != 0
+        if Fraction(int(nums[support].sum()), 2**ctx.space.denom_log2) != total / 2**j:
             raise StageFailed(j, "support measure is not exactly mu(Omega)/2^j")
-        t1n = fnorm(T1.target, ctx.image("t1", x_j.values))
-        t2n = fnorm(T2.target, ctx.image("t2", x_j.values))
+        sums = _cut_sums(cuts, terms)
+        t1n = fnorm(T1.target, ctx.image_of_sums("t1", sums))
+        t2n = fnorm(T2.target, ctx.image_of_sums("t2", sums))
         if t1n > params.sigma / 2**j + _TOL or t2n > eps1 / 2**j + _TOL:
             raise StageFailed(j, "stage norms violate the geometric schedule")
-        ctx.arrays["stage"][x_j.values != 0] = j
-        ctx.arrays["x"] += x_j.values
+        # x is 0 on the live atoms
+        ctx.arrays["stage"][live.indices[support]] = j
+        ctx.arrays["x"][live.indices] = v
         stages.append({
             "stage": j,
             "levels": [int(a) + 1, int(b) + 1],

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from narrowops import (
@@ -333,6 +333,23 @@ class TestArrayOracle:
             assert got.dtype == want.dtype == np.int64
             assert np.array_equal(got, want)
 
+    @settings(max_examples=200, deadline=None)
+    @given(counts=st.lists(st.integers(1, 8), min_size=1, max_size=10),
+           size=st.integers(1, 80), seed=st.integers(0, 2**16))
+    # the whole space of 32 atoms: a power-of-two set, so the waves take the
+    # mask path, with cuts up to 32 past every period 2b <= 32
+    @example(counts=[4] * 8, size=32, seed=0)
+    def test_wave_sums_mask_path_matches_the_oracle(self, counts, size, seed):
+        # a set of every size up to the space's, power of two or not
+        rmap = RefineMap(counts=counts)
+        space = MeasureSpace(denom_log2=1, numerators=[5] * rmap.n_new)
+        rng = np.random.default_rng(seed)
+        mset = space.subset(rng.choice(rmap.n_new, min(size, rmap.n_new), replace=False))
+        blocks = _rademacher_blocks(mset)
+        for first in range(len(blocks) + 1):
+            got = _wave_sums(mset, rmap, blocks[first:])
+            assert np.array_equal(got, oracles.wave_sums(mset, rmap, blocks[first:]))
+
     def test_arrays_are_read_only(self):
         space, rmap = MeasureSpace.uniform(2).refine_atoms([0], 2)
         sign = SignVector.from_values(space, [1, -1, 0])
@@ -411,6 +428,19 @@ class TestDerivedObjects:
                     for c in ([n] * parts if i in marked else [n * parts])]
         _assert_same_space(refined, MeasureSpace(
             denom_log2=space.denom_log2 + parts.bit_length() - 1, numerators=children))
+
+    @settings(max_examples=200, deadline=None)
+    @given(space=_spaces(), parts=st.sampled_from([2, 4, 8, 16, 64]), data=st.data())
+    def test_refine_atoms_scales_the_unmarked_numerators(self, space, parts, data):
+        marked = data.draw(st.lists(st.integers(0, space.n_atoms - 1)))
+        refined, rmap = space.refine_atoms(marked, parts)
+        counts = np.ones(space.n_atoms, dtype=np.int64)
+        counts[marked] = parts
+        want = np.repeat(space.numerators * (parts // counts), counts)
+        # the refined space is in lowest terms: undo its shift
+        shift = space.denom_log2 + parts.bit_length() - 1 - refined.denom_log2
+        assert np.array_equal(rmap.counts, counts)
+        assert np.array_equal(refined.numerators << shift, want)
 
     @settings(max_examples=100, deadline=None)
     @given(d=st.integers(0, 6), base=st.integers(1, 9),

@@ -24,7 +24,7 @@ from narrowops import (
     sup_norm,
 )
 from narrowops.instances import build_l1_example, l1_example_cells
-from narrowops.measure import _rademacher_blocks, _wave_sums
+from narrowops.measure import _cut_sums, _parent_cuts, _rademacher_blocks, _wave_sums
 from narrowops.operators import RefinementContext, brute_force_best_sign
 import oracles
 
@@ -356,6 +356,47 @@ class TestRefinementCompatibility:
         ctx.refine_atoms(range(ctx.space.n_atoms), 2, 2**16)
         x = np.tile([1, -1], ctx.space.n_atoms // 2)
         assert ctx.image("t", x).tolist() == [0.0] * 3
+
+    @settings(max_examples=200, deadline=None)
+    @given(counts=st.lists(st.integers(1, 6), min_size=1, max_size=8),
+           seed=st.integers(0, 2**16), power_of_two=st.booleans(), data=st.data())
+    def test_live_atom_image_matches_the_whole_space_image(
+            self, counts, seed, power_of_two, data):
+        # pairing's stage check: a row on the live atoms only, summed per
+        # input atom between the live set's cuts, must give the int64 sums
+        # and the image bits of ctx.image on the row spread over the space
+        start = MeasureSpace(denom_log2=3, numerators=data.draw(st.lists(
+            st.integers(1, 9), min_size=len(counts), max_size=len(counts))))
+        # all but the last child of a parent weigh one unit of the finer
+        # denominator, 2^3 times the start's; the last takes the rest
+        nums = []
+        for n, c in zip(start.numerators.tolist(), counts):
+            nums += [1] * (c - 1) + [8 * n - (c - 1)]
+        rng = np.random.default_rng(seed)
+        ops = {"t1": DiscreteOperator(rng.standard_normal((3, start.n_atoms)), start,
+                                      sup_norm(dim=3)),
+               "t2": DiscreteOperator(rng.standard_normal((2, start.n_atoms)), start,
+                                      lp_norm(1, dim=2))}
+        ctx = RefinementContext(start, ops)
+        ctx.apply_map(RefineMap(counts=counts),
+                      MeasureSpace(denom_log2=start.denom_log2 + 3, numerators=nums))
+        n = ctx.space.n_atoms
+        live = sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1)))
+        if power_of_two:
+            live = live[:1 << (len(live).bit_length() - 1)]
+        live = ctx.space.subset(live)
+        v = np.array(data.draw(st.lists(st.integers(-1, 1), min_size=live.size,
+                                        max_size=live.size)), dtype=np.int8)
+        sums = _cut_sums(_parent_cuts(live, ctx.total_map),
+                         v * ctx.space.numerators[live.indices])
+        spread = np.zeros(n, dtype=np.int8)
+        spread[live.indices] = v
+        want = np.add.reduceat(spread.astype(np.int64) * ctx.space.numerators,
+                               ctx.total_map.starts)
+        assert sums.dtype == np.int64 and np.array_equal(sums, want)
+        for key in ops:
+            assert (ctx.image_of_sums(key, sums).tobytes()
+                    == ctx.image(key, spread).tobytes())
 
     def test_context_takes_operators_on_its_start_space_only(self):
         T = _random_operator(2, 2)

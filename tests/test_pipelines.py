@@ -184,6 +184,21 @@ class TestPairing:
             assert sign.mean_zero
             assert sign.support_set().measure == total / 2**min(j, m)
 
+    @pytest.mark.parametrize("name, forged, message", [
+        ("_stage_row", lambda row: lambda *args: np.abs(row(*args)),
+         "stage sign is not mean zero"),
+        ("_stage_row", lambda row: lambda *args: np.zeros_like(row(*args)),
+         "support measure is not exactly mu\\(Omega\\)/2\\^j"),
+        ("_cut_sums", lambda sums: lambda *args: sums(*args) + 2**40,
+         "stage norms violate the geometric schedule"),
+    ], ids=["mean-zero", "support", "norms"])
+    def test_stage_checks(self, monkeypatch, name, forged, message):
+        # the level-4 pairing report's first stage, with its row or its
+        # per-input-atom sums forged so that exactly one check fails
+        monkeypatch.setattr(pipelines, name, forged(getattr(pipelines, name)))
+        with pytest.raises(StageFailed, match=f"^stage 1: {message}$"):
+            _pairing_report()
+
     def test_determinism(self):
         t2 = build_l1_example(4)
         t1 = random_narrow_operator(2, None, 2, 0.5, space=t2.space)
