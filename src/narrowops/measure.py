@@ -305,8 +305,14 @@ class MeasurableSet:
     @staticmethod
     def _of_mask(space: MeasureSpace, mask: np.ndarray) -> "MeasurableSet":
         """The atoms where `mask` is nonzero: flatnonzero's indices need no check."""
+        return MeasurableSet._of_indices(space, np.flatnonzero(mask))
+
+    @staticmethod
+    def _of_indices(space: MeasureSpace, indices: np.ndarray) -> "MeasurableSet":
+        """The set of a fresh int64 array of sorted, distinct atom indices of
+        `space`, such as a subsequence of another set's: it needs no check."""
         mset = object.__new__(MeasurableSet)
-        mset.__dict__.update(space=space, indices=_read_only(np.flatnonzero(mask)))
+        mset.__dict__.update(space=space, indices=_read_only(indices))
         return mset
 
 

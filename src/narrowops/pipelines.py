@@ -252,7 +252,9 @@ def pairing_construction(
     the stage's checks run on it there: mean zero and the support measure
     from its int64 sums of value times numerator, and the T1 and T2 norms
     from its per-input-atom sums between the cuts, which are the exact
-    sums ``ctx.image`` would form on the whole space.
+    sums ``ctx.image`` would form on the whole space.  After a stage, the
+    next live set is the live atoms its sign leaves at 0, read off the
+    stage row; only a refinement has it read back from the stage labels.
     """
     if not params.gamma < params.epsilon:
         raise ValueError("pairing needs gamma < epsilon")
@@ -285,13 +287,13 @@ def pairing_construction(
     n = ctx.space.n_atoms
     ctx.arrays = {"stage": np.zeros(n, dtype=np.int8), "x": np.zeros(n, dtype=np.int8)}
     stages: list[dict] = []
+    live = ctx.where("stage", 0)
     for j in range(1, m + 1):
         budget_t1 = params.sigma / 2 ** (j + 1)
         budget_t2 = eps1 / 2**j
         stage_refines = 0
         shares = np.empty((0, T1.space.n_atoms))
         while True:
-            live = ctx.where("stage", 0)
             blocks = _rademacher_blocks(live)
             cuts = _parent_cuts(live, ctx.total_map)
             # each level's block sign as s / w over the input atoms, so its
@@ -325,6 +327,7 @@ def pairing_construction(
                 raise StageFailed(
                     j, f"no candidate pair within budgets ({exc})", best=best
                 ) from exc
+            live = ctx.where("stage", 0)
 
         a, b = cands[pair[0]], cands[pair[1]]
         v = _stage_row(live.size, blocks[a], blocks[b])
@@ -343,6 +346,7 @@ def pairing_construction(
         # x is 0 on the live atoms
         ctx.arrays["stage"][live.indices[support]] = j
         ctx.arrays["x"][live.indices] = v
+        live = MeasurableSet._of_indices(ctx.space, live.indices[~support])
         stages.append({
             "stage": j,
             "levels": [int(a) + 1, int(b) + 1],
@@ -354,19 +358,19 @@ def pairing_construction(
         })
 
     # tail sign z on the remaining small set
-    tail = ctx.where("stage", 0)
-    res = find_small_sign(ctx.op("t1"), tail, params.sigma / 2**m + _TOL,
+    res = find_small_sign(ctx.op("t1"), live, params.sigma / 2**m + _TOL,
                           refine_budget=params.refine_budget)
     ctx.apply_map(res.refine_map, res.operator.space)
+    tail = ctx.where("stage", 0)
     z = res.sign
     t2z = fnorm(T2.target, ctx.image("t2", z.values))
     if t2z > params.gamma + _TOL:
         raise StageFailed(m + 1, f"tail sign T2-image {t2z} exceeds gamma")
-    if not z.is_sign_on(ctx.where("stage", 0)):
+    if not z.is_sign_on(tail):
         raise StageFailed(m + 1, "tail sign does not have full support on the rest")
 
     stage = ctx.arrays["stage"]
-    stage[stage == 0] = m + 1
+    stage[tail.indices] = m + 1
     x, achieved = _certify(ctx, ctx.arrays["x"] + z.values,
                            {"t1": params.sigma, "t2": params.epsilon}, m + 1)
 

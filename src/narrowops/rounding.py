@@ -10,22 +10,26 @@ dependent, so their coefficients move along the null vector
 one tableau ``B^-1``: it is factored once by Gauss-Jordan elimination,
 and each step that fixes a basic coefficient swaps the entering vector
 into the basis with one rank-one pivot, as in the simplex method's basis
-exchange, so no step factors anything.  A step costs two small
-matrix-vector products in numpy, for ``u`` and for its residual on the
-window's vectors, plus, when it fixes a basic coefficient, one rank-one
-pivot.  The scalar-sized work runs on Python floats with the same IEEE
-operations as numpy's in the same order: the factorization, over only
-the columns it reads; the residual verdict, from sums of squares outside
-a narrow band around its threshold; and the ratio test, the step and the
-snap on the at most ``dim + 1`` window coefficients.  Every step checks
-its null vector against the original vectors.  The resulting discrepancy
-is certified by ``(dim/2) * max ||x_i||``; the +-1 variant doubles the
-certificate.
+exchange, so no step factors anything.  A step costs one small
+matrix-vector product in numpy, for ``u``, plus, when it fixes a basic
+coefficient, one rank-one pivot.  The steps between two factorizations, a
+segment, have their residuals on the original vectors checked together:
+one stacked ``np.matmul`` per block of steps gives them, each with the
+bits of its own product, since numpy runs one gemv per stacked item; a
+segment that fails is rolled back and walked again with the check before
+every step.  The scalar-sized work runs on Python floats with the same
+IEEE operations as numpy's in the same order: the factorization, over
+only the columns it reads; the residual verdict, from sums of squares
+outside a narrow band around its threshold; and the ratio test, the step
+and the snap on the at most ``dim + 1`` window coefficients.  The
+resulting discrepancy is certified by ``(dim/2) * max ||x_i||``; the +-1
+variant doubles the certificate.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from operator import mul
 
@@ -187,6 +191,9 @@ def _factor(a: np.ndarray, d: int) -> tuple[list[int], np.ndarray]:
 # numpy's outside this relative band around the threshold
 _BAND = 1e-12
 
+# the most steps a segment's check stacks at once
+_BLOCK = 1024
+
 
 def _null_enough(w: np.ndarray, u: np.ndarray) -> bool:
     """The residual test of a step direction u on its window's vectors w
@@ -259,6 +266,127 @@ def _numpy_null_enough(res: np.ndarray, u: np.ndarray, w: np.ndarray) -> bool:
         return False
 
 
+def _null_enough_rows(ws: np.ndarray, us: np.ndarray) -> Iterator[bool]:
+    """The residual verdicts of the directions us[s] on their windows'
+    vectors ws[s] (rows), one per s, in order.
+
+    The residuals come from one stacked ``np.matmul``: numpy runs one gemv
+    per stacked item, with the strides of ``us[s] @ ws[s]``, so each
+    residual has that product's bits.  A row passes here when numpy's sums
+    of squares lie below the threshold by more than the relative
+    ``_BAND``: first 1e-12 u.u, then, only if that leaves a row undecided,
+    1e-12 u.u max(1, max|w|)**2, the two bounds ``_null_enough`` tries
+    first.  Every other row is decided by ``_null_enough`` itself when the
+    iteration reaches it, so each verdict is numpy's, and a caller that
+    stops at the first failure has it check no later row."""
+    with np.errstate(all="ignore"):
+        res = np.matmul(us[:, None, :], ws)
+        rr = np.einsum("sij,sij->s", res, res)
+        uu = np.einsum("ij,ij->i", us, us)
+        bound = 1e-12 * uu
+        sure = (rr < bound * (1.0 - _BAND)) & (uu >= 1.0)
+        if not sure.all():
+            m = np.maximum(np.abs(ws).max(axis=(1, 2)), 1.0)
+            bound *= m * m
+            sure = (rr < bound * (1.0 - _BAND)) & (uu >= 1.0) & (bound < math.inf)
+    # the band holds for sums of at most 1000 squares, as in _null_enough
+    if ws.shape[1] + ws.shape[2] > 1000:
+        sure[:] = False
+    for s, ok in enumerate(sure.tolist()):
+        yield ok or _null_enough(ws[s], us[s])
+
+
+def _segment_null_enough(x: np.ndarray, windows: list[int],
+                         us: np.ndarray) -> bool:
+    """Whether every direction us[s] passes ``_null_enough_rows`` on its
+    window: the rows of x at entries s*k to s*k + k - 1 of ``windows``,
+    k = us.shape[1].  The steps are checked in order, in blocks of at most
+    ``_BLOCK``, so that a long segment's stacked vectors stay small."""
+    r1, d = us.shape[1], x.shape[1]
+    for a in range(0, len(us), _BLOCK):
+        ws = x.take(windows[a * r1:(a + _BLOCK) * r1], axis=0).reshape(-1, r1, d)
+        if not all(_null_enough_rows(ws, us[a:a + _BLOCK])):
+            return False
+    return True
+
+
+def _walk(x: np.ndarray, lam: list[float], floating: list[int],
+          basis: list[int], binv: np.ndarray,
+          windows: list[int] | None) -> np.ndarray | None:
+    """Take the steps of one tableau ``binv`` of the basis ``floating[b]``,
+    b in ``basis``, updating ``lam`` in place; return their directions,
+    one row each.
+
+    With ``windows`` None, every direction is checked before its step, and
+    a failure rebuilds the tableau by least squares or raises
+    ``DegenerateNullspace``.  Otherwise no direction is checked: each
+    step's window indices are appended to ``windows``, and the walk returns
+    None, with ``lam`` partly updated, at the first non-finite direction.
+    """
+    d = x.shape[1]
+    r = len(basis)
+    window = [floating[b] for b in basis] + [0]  # the basis, then k
+    basic = set(window[:r])
+    ks = [j for j in floating if j not in basic]
+    # one direction u = (-binv @ x_k, +1) on (basis, k) per step; its
+    # basis part is neg_binv @ x_k
+    us = np.ones((len(ks), r + 1))
+    la = [lam[j] for j in window]  # the window's coefficients
+    n_float = len(floating)
+    neg_binv = -binv
+    for s, k in enumerate(ks):
+        window[r] = k
+        la[r] = lam[k]
+        u = us[s]
+        tab = u[:r]
+        xk = x[k]
+        np.matmul(neg_binv, xk, out=tab)
+        if windows is None:
+            w = x[window]
+            if not _null_enough(w, u):
+                neg_binv = -np.linalg.lstsq(w[:r].T, np.eye(d), rcond=None)[0]
+                np.matmul(neg_binv, xk, out=tab)
+                if not _null_enough(w, u):
+                    raise DegenerateNullspace(
+                        "no numerically reliable null vector found")
+        speed = u.tolist()
+        if windows is not None:
+            # before the ratio test, which needs finite speeds; an infinite
+            # sum of finite speeds returns None too
+            if not abs(sum(speed)) < math.inf:
+                return None
+            windows += window
+        # largest step along u keeping the window in [0,1]: each
+        # coordinate's distance to the bound it moves toward, over its
+        # speed.  A speed of 0 never stops the step (its ratio would be
+        # inf), the first minimum wins a tie, as with argmin, and the
+        # coordinate that stops the step is set exactly to its bound
+        step = math.inf
+        for j, (v, a) in enumerate(zip(speed, la)):
+            if v:
+                t = abs(((v > 0) - a) / v)
+                if t < step:
+                    step, i = t, j
+        la = [a + step * v for a, v in zip(la, speed)]
+        la[i] = 1.0 if speed[i] > 0 else 0.0
+        fixed = _snap(la)
+        n_float -= fixed
+        if fixed > 1 or n_float <= d:
+            break
+        # the coefficient fixed at i leaves the window
+        lam[window[i]] = la[i]
+        if i < r:
+            # k replaces the basic vector i: one pivot on (i, k)
+            prow = neg_binv[i] / -speed[i]
+            neg_binv += tab[:, None] * prow
+            neg_binv[i] = prow
+            window[i] = k
+            la[i] = la[r]
+    for j, a in zip(window, la):
+        lam[j] = a
+    return us[: s + 1]
+
+
 def round_half_integer(instance: RoundingInstance) -> RoundingResult:
     """Round coefficients in [0,1] to {0,1} with certified discrepancy.
 
@@ -277,18 +405,23 @@ def round_half_integer(instance: RoundingInstance) -> RoundingResult:
     always increases.  When a basic coefficient reaches {0,1}, k replaces
     it by one pivot; when a step fixes more than one coefficient at once,
     the basis is factored again.  Zero and repeated vectors take this same
-    step; `sum_finite_rank` pairs equal vectors off before it rounds.  A
-    step makes numpy calls only for ``u``, for its residual ``W u`` on its
-    window W, whose rows a pivot replaces one at a time, and, when it fixes
-    a basic coefficient, for the pivot.  The check
-    ``||W u|| <= 1e-6 max(1, max|W|) ||u||`` is decided from Python sums
-    of squares away from its threshold and from numpy's sums near it; a
-    non-finite ``W u`` or ``u`` fails it, and overflowing squares are
-    compared at a power-of-two scale.  On a failure the tableau is rebuilt
-    from the original vectors by least squares, and ``DegenerateNullspace``
-    is raised if the rebuilt direction still fails.  The coefficients are a
-    Python list during the walk, and the ratio test, the step and the snap
-    run on the window's at most ``dim + 1`` of them as Python floats.
+    step; `sum_finite_rank` pairs equal vectors off before it rounds.
+
+    Each direction u must pass ``||W u|| <= 1e-6 max(1, max|W|) ||u||``
+    on its window W, the vectors it moves.  The steps of one
+    factorization, a segment, are checked together when it ends
+    (``_segment_null_enough``): one stacked ``np.matmul`` per block of
+    steps gives every residual with the bits of its own product, since
+    numpy runs one gemv per stacked item with that product's strides, and
+    every verdict is the one ``_null_enough`` gives.  A segment with a failing or non-finite
+    direction is rolled back to its start and walked again with the check
+    before every step, where a failure rebuilds the tableau from the
+    original vectors by least squares, and ``DegenerateNullspace`` is
+    raised if the rebuilt direction still fails.  A step makes numpy calls
+    only for ``u`` and, when it fixes a basic coefficient, for the pivot.
+    The coefficients are a Python list, written only when one leaves the
+    window or the segment ends; the ratio test, the step and the snap run
+    on the window's at most ``dim + 1`` of them as Python floats.
     """
     x = instance.vectors
     lam = instance.coefficients.tolist()
@@ -298,60 +431,19 @@ def round_half_integer(instance: RoundingInstance) -> RoundingResult:
     steps = 0
     while True:
         floating = [j for j, a in enumerate(lam) if 0.0 < a < 1.0]
-        n_float = len(floating)
-        if n_float <= d:
+        if len(floating) <= d:
             break
         basis, binv = _factor(x[floating], d)
-        r = len(basis)
-        window = [floating[b] for b in basis] + [0]  # the basis, then k
-        # the window's vectors as rows; a pivot replaces one of them
-        w = np.empty((r + 1, d))
-        w[:r] = x[window[:r]]
-        # u = (-binv @ x_k, +1) on (basis, k); tab, u's basis part, is
-        # neg_binv @ x_k
-        u = np.ones(r + 1)
-        tab = u[:r]
-        neg_binv = -binv
-        basic = set(window[:r])
-        for k in [j for j in floating if j not in basic]:
-            window[r] = k
-            w[r] = xk = x[k]
-            np.matmul(neg_binv, xk, out=tab)
-            if not _null_enough(w, u):
-                neg_binv = -np.linalg.lstsq(w[:r].T, np.eye(d), rcond=None)[0]
-                np.matmul(neg_binv, xk, out=tab)
-                if not _null_enough(w, u):
-                    raise DegenerateNullspace(
-                        "no numerically reliable null vector found")
-            # largest step along u keeping the window in [0,1]: each
-            # coordinate's distance to the bound it moves toward, over its
-            # speed.  A speed of 0 never stops the step (its ratio would be
-            # inf), the first minimum wins a tie, as with argmin, and the
-            # coordinate that stops the step is set exactly to its bound
-            speed = u.tolist()
-            la = [lam[j] for j in window]
-            step = math.inf
-            for j, (s, a) in enumerate(zip(speed, la)):
-                if s:
-                    t = abs(((s > 0) - a) / s)
-                    if t < step:
-                        step, i = t, j
-            la = [a + step * s for a, s in zip(la, speed)]
-            la[i] = 1.0 if speed[i] > 0 else 0.0
-            fixed = _snap(la)
-            for j, a in zip(window, la):
-                lam[j] = a
-            steps += 1
-            n_float -= fixed
-            if fixed > 1 or n_float <= d:
-                break
-            if i < r:
-                # k replaces the basic vector i: one pivot on (i, k)
-                prow = neg_binv[i] / -speed[i]
-                neg_binv += tab[:, None] * prow
-                neg_binv[i] = prow
-                window[i] = k
-                w[i] = xk
+        start, windows = lam[:], []
+        # a step the check would have failed may overflow in numpy where
+        # no checked step does; the rerun of a failed segment warns
+        # wherever the walk with the check before every step warns
+        with np.errstate(all="ignore"):
+            us = _walk(x, lam, floating, basis, binv, windows)
+        if us is None or not _segment_null_enough(x, windows, us):
+            lam[:] = start
+            us = _walk(x, lam, floating, basis, binv, None)
+        steps += len(us)
 
     theta = (np.array(lam) > 0.5).astype(int)  # ties at 1/2 -> 0
     residual = (instance.coefficients - theta) @ x

@@ -1,8 +1,10 @@
 """Rounding lemma tests: certificate bound, sum invariance, brute-force
 theta oracle on small instances, the elimination walk against the SVD
 reference walk and bit for bit against the numpy tableau walk, the
-factorization and the residual verdict against their numpy oracles,
-robustness on degenerate families, invariances, and the null vectors."""
+factorization and the residual verdict against their numpy oracles, the
+batched verdict of a segment's steps row by row, the rollback of a
+segment that fails, robustness on degenerate families, invariances, and
+the null vectors."""
 
 import math
 from itertools import product
@@ -23,7 +25,8 @@ from narrowops import (
     sup_norm,
 )
 from narrowops.linalg import null_vector
-from narrowops.rounding import _factor, _null_enough, _snap
+from narrowops.rounding import (
+    _BLOCK, _factor, _null_enough, _null_enough_rows, _snap)
 import oracles
 
 _NORMS = {
@@ -218,7 +221,10 @@ def _check_step_invariants(vectors, coefficients, norm):
 
     After one initial snap of all n coefficients, every step snaps exactly
     the coordinates it moved, and its snap returns how many of them are
-    then 0 or 1.
+    then 0 or 1.  The snaps of a segment that fails its residual check
+    and is walked again are not steps, so the count below holds only
+    without a rollback; none of the instances here rolls back, under the
+    default OpenBLAS kernel or the Nehalem one.
     """
     n, d = vectors.shape
     moved = []
@@ -431,14 +437,85 @@ class TestRobustness:
         def infinite_tableau(a, b, rcond=None):
             return np.full((a.shape[1], b.shape[1]), np.inf), None, 0, None
 
-        with mock.patch("narrowops.rounding._factor", side_effect=infinite_factor):
+        # the walk that checks its segment at the end stops at the first
+        # infinite direction, before the ratio test: its snaps, which
+        # follow the ratio test and precede the pivot, are the steps'
+        snaps = []
+
+        def record(values):
+            snaps.append(len(values))
+            return _snap(values)
+
+        with mock.patch("narrowops.rounding._factor", side_effect=infinite_factor), \
+                mock.patch("narrowops.rounding._snap", side_effect=record):
             with mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as spy:
                 res = round_half_integer(instance)
             assert spy.called
             assert res.discrepancy <= res.certificate
+            assert len(snaps) == 1 + res.elimination_steps
+            snaps.clear()
             with mock.patch.object(np.linalg, "lstsq", side_effect=infinite_tableau):
                 with pytest.raises(DegenerateNullspace):
                     round_half_integer(instance)
+            assert snaps == [24]
+
+    def test_failed_segment_is_walked_again_step_by_step(self):
+        # the first factorization's tableau is wrong in its last column, and
+        # the first entering vector, x_4 after the basis x_0..x_3, is 0
+        # there: its step passes the residual check, and the next one
+        # fails.  The walk that checks the segment at the end takes every
+        # step of the segment, rolls back and walks it again with the
+        # check before every step, as the oracle walk does throughout
+        rng = np.random.default_rng(5)
+        vectors = rng.standard_normal((24, 4))
+        vectors[4, -1] = 0.0
+        instance = RoundingInstance(
+            vectors=vectors, coefficients=rng.uniform(0.05, 0.95, 24),
+            norm=sup_norm(dim=4))
+
+        def first_tableau_wrong(factor):
+            calls = []
+
+            def wrong(a, d):
+                basis, binv = factor(a, d)
+                if not calls:
+                    binv = binv.copy()
+                    binv[0, -1] += 1.0
+                calls.append(d)
+                return basis, binv
+            return wrong
+
+        verdicts = []
+        oracles_null_enough = oracles._null_enough
+
+        def oracle_verdict(w, u):
+            verdicts.append(oracles_null_enough(w, u))
+            return verdicts[-1]
+
+        with mock.patch("oracles._factor",
+                        side_effect=first_tableau_wrong(oracles._factor)), \
+                mock.patch("oracles._null_enough", side_effect=oracle_verdict), \
+                mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as spy:
+            want = oracles.tableau_round_half_integer(instance)
+        assert verdicts[:2] == [True, False]
+        want_rebuilds = spy.call_count
+
+        snaps = []
+
+        def record(values):
+            snaps.append(len(values))
+            return _snap(values)
+
+        with mock.patch("narrowops.rounding._factor",
+                        side_effect=first_tableau_wrong(_factor)), \
+                mock.patch("narrowops.rounding._snap", side_effect=record), \
+                mock.patch.object(np.linalg, "lstsq", wraps=np.linalg.lstsq) as spy:
+            got = round_half_integer(instance)
+        assert got.theta.tobytes() == want.theta.tobytes()
+        assert got.elimination_steps == want.elimination_steps
+        assert spy.call_count == want_rebuilds == 1
+        # the discarded segment's steps, the passing first one among them
+        assert len(snaps) - 1 - got.elimination_steps >= 2
 
 
 def _wrong_tableau_instance():
@@ -576,6 +653,35 @@ def _near_threshold_pairs(rng, big):
     return pairs
 
 
+def _verdict_stack(rng, big):
+    """(ws, us, want): a shuffled stack of (w, u) rows of one shape and the
+    verdict each must get.  Each near-threshold pair comes with its oracle
+    verdict, again at a power-of-two scale where res.res is near or past
+    the overflow, with the same verdict, and again with a non-finite
+    direction, which fails.  A least-squares direction (-B^+ x, 1) on
+    generic rows B and x, whose residual cancels where B spans x, comes
+    with its oracle verdict, at scale 1 and at 2**40, where only max|w|
+    lifts the threshold above such a residual.  Every w gets a first row
+    of ones that u weights by 0: that keeps every verdict and makes the
+    test homogeneous in w."""
+    ws, us, want = [], [], []
+    for w, u in _near_threshold_pairs(rng, big):
+        w = np.vstack([np.ones(w.shape[1]), w])
+        u = np.concatenate([[0.0], u])
+        verdict = oracles._null_enough(w, u)
+        j = 512 - math.frexp(float(np.abs(u @ w).max()))[1]
+        bad = u.copy()
+        bad[1] = rng.choice([np.inf, -np.inf, np.nan])
+        null = rng.standard_normal(w.shape)
+        v = np.append(-np.linalg.lstsq(null[:-1].T, null[-1], rcond=None)[0], 1.0)
+        ws += [w, w * 2.0**j, w, null, null * 2.0**40]
+        us += [u, u, bad, v, v]
+        want += [verdict, verdict, False, oracles._null_enough(null, v),
+                 oracles._null_enough(null * 2.0**40, v)]
+    order = rng.permutation(len(ws))
+    return np.stack(ws)[order], np.stack(us)[order], [want[i] for i in order]
+
+
 class TestResidualVerdict:
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), big=st.booleans())
@@ -631,6 +737,45 @@ class TestResidualVerdict:
         assert res.discrepancy <= res.certificate
         _, achieved, certificate, _ = sign_round(vectors, target)
         assert achieved <= certificate
+
+
+class TestSegmentVerdict:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), big=st.booleans())
+    def test_stacked_verdicts_match_the_oracle_row_by_row(self, seed, big):
+        # the batched check relies on numpy's matmul running one gemv per
+        # stacked item, with the strides of the single product
+        ws, us, want = _verdict_stack(np.random.default_rng(seed), big)
+        res = np.matmul(us[:, None, :], ws)[:, 0]
+        for r, w, u in zip(res, ws, us):
+            if np.isfinite(u).all():
+                assert r.tobytes() == (u @ w).tobytes()
+        assert list(_null_enough_rows(ws, us)) == want
+        # each row alone, where the first bound decides a stack it passes
+        assert [next(_null_enough_rows(ws[i:i + 1], us[i:i + 1]))
+                for i in range(len(want))] == want
+        assert set(want) == {True, False}
+
+    def test_long_segment_is_checked_in_blocks(self):
+        # one factorization and 2,497 steps: the check stacks at most
+        # _BLOCK of them at a time, sees each step once, and the walk has
+        # the oracle walk's bits
+        rng = np.random.default_rng(7)
+        instance = RoundingInstance(
+            vectors=rng.standard_normal((2500, 3)),
+            coefficients=rng.uniform(0, 1, 2500), norm=sup_norm(dim=3))
+        blocks = []
+
+        def record(ws, us):
+            blocks.append(len(us))
+            return _null_enough_rows(ws, us)
+
+        with mock.patch("narrowops.rounding._null_enough_rows", side_effect=record):
+            got = round_half_integer(instance)
+        want = oracles.tableau_round_half_integer(instance)
+        assert got.theta.tobytes() == want.theta.tobytes()
+        assert got.elimination_steps == want.elimination_steps == 2497
+        assert blocks == [_BLOCK, _BLOCK, 2497 - 2 * _BLOCK]
 
 
 class TestInvariance:
