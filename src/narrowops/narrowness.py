@@ -124,7 +124,9 @@ class Partition:
 
     ``cell`` is a read-only int64 array labelling each atom with its cell;
     the labels are exactly 0..n_cells-1, each one used, where n_cells is
-    the number of bounds.
+    the number of bounds.  `partition_small_cells` keeps every bound within
+    `epsilon`; the cells of `sum_finite_rank` add one-atom cells whose bound
+    is the atom's exact single-atom bound, which exceeds it.
     """
 
     space: MeasureSpace

@@ -43,6 +43,7 @@ from .measure import (
 from .narrowness import (
     _EXHAUSTIVE_SEARCH_LIMIT,
     DEFAULT_REFINE_BUDGET,
+    Partition,
     _pair_equal_rows,
     cell_segments,
     check_budgets,
@@ -402,6 +403,29 @@ def pairing_construction(
     )
 
 
+def _coefficient_cells(coeff: DiscreteOperator, cell_budget: float) -> Partition:
+    """The cells of `sum_finite_rank` over its coefficient operator: the
+    first-fit cells (`partition_small_cells`) of the atoms whose column
+    norm is within `cell_budget`, labelled first, then each atom over it as
+    a cell of its own, in atom order, whose bound is the atom's exact
+    single-atom bound."""
+    bounds = coeff.column_norms()
+    over = bounds > cell_budget
+    small = np.flatnonzero(~over)
+    cell = np.empty(coeff.space.n_atoms, dtype=np.int64)
+    cell_bounds, exact = [], []
+    if small.size:
+        space = MeasureSpace(coeff.space.denom_log2, coeff.space.numerators[small])
+        part = partition_small_cells(
+            DiscreteOperator(coeff.matrix[:, small], space, coeff.target), cell_budget)
+        cell[small], cell_bounds, exact = part.cell, part.bounds, part.exact
+    singles = np.flatnonzero(over)
+    cell[singles] = len(cell_bounds) + np.arange(singles.size)
+    return Partition(space=coeff.space, cell=cell,
+                     bounds=cell_bounds + bounds[singles].tolist(),
+                     exact=exact + [True] * singles.size, epsilon=cell_budget)
+
+
 def sum_finite_rank(
     T1: DiscreteOperator,
     T2: DiscreteOperator,
@@ -420,10 +444,18 @@ def sum_finite_rank(
     which forces ||T2 x|| <= epsilon: equal images cancel in pairs
     (`_pair_equal_rows`), and `sign_round` signs the rest, one per odd
     class, with `rounding_certificate` its certificate (0.0 if none is
-    left).  Atoms over the cell budget are split before the partition.  Here
-    delta = epsilon / sum ||b_i|| over the basis columns b_i, or
-    (epsilon / sum ||b_i||)^(1/p) for an lp target with p < 1, whose F-norm
-    is p-homogeneous.
+    left).  Here delta = epsilon / sum ||b_i|| over the basis columns b_i,
+    or (epsilon / sum ||b_i||)^(1/p) for an lp target with p < 1, whose
+    F-norm is p-homogeneous.
+
+    An atom whose coefficient column alone exceeds the cell budget
+    delta/(2m) becomes a cell of its own (`_coefficient_cells`), and the
+    report's `partition` gives that cell the atom's exact single-atom
+    bound, above the cell budget.  A one-atom cell has no mean-zero sign
+    with full support, so the search below splits it; each child carries
+    its parent's share of every column, so the split sign's T1 and
+    coefficient images are exactly 0.  The check of each cell's achieved
+    coefficient norm against delta/m stays the verdict.
 
     The cell signs come from one batched exhaustive search over every cell
     (`exhaustive_cell_signs`); the cells it leaves, too large or without a
@@ -491,9 +523,7 @@ def sum_finite_rank(
         "t1": T1, "t2": T2, "coeff": DiscreteOperator(coeff, T1.space, coeff_target)})
 
     cell_budget = delta / (2 * m)
-    while (too_big := ctx.op("coeff").column_norms() > cell_budget).any():
-        ctx.refine_atoms(np.flatnonzero(too_big), 2, refine_budget)
-    partition = partition_small_cells(ctx.op("coeff"), cell_budget)
+    partition = _coefficient_cells(ctx.op("coeff"), cell_budget)
 
     # rank the cells by decreasing measure, ties by index (a stable sort),
     # comparing exact int64 numerator sums over the atoms listed by cell

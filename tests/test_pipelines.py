@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 from narrowops import (
     AdaptiveBudgetExhausted,
-    AtomTooLarge,
     DiscreteOperator,
     MeasureSpace,
     NarrowOpsError,
@@ -34,7 +33,6 @@ from narrowops import (
     fnorm_many,
     lp_norm,
     pairing_construction,
-    partition_small_cells,
     random_finite_rank,
     random_narrow_operator,
     sign_round,
@@ -48,7 +46,7 @@ from narrowops.instances import build_l1_example, l1_example_tail_bound
 from narrowops.linalg import rank_factorization
 from narrowops.narrowness import _EXHAUSTIVE_SEARCH_LIMIT, exhaustive_cell_signs
 from narrowops.operators import RefinementContext
-from narrowops.pipelines import _TOL, _certify, _knapsack_fractional
+from narrowops.pipelines import _TOL, _certify, _coefficient_cells, _knapsack_fractional
 import oracles
 from revalidation import revalidate
 
@@ -327,14 +325,9 @@ def _reference_sum_finite_rank(T1, T2, sigma, epsilon, refine_budget=2**16):
     coeff_target = sup_norm(dim=m)
     ctx = RefinementContext(T1.space, {
         "t1": T1, "t2": T2, "coeff": DiscreteOperator(coeff, T1.space, coeff_target)})
-    cell_budget = delta / (2 * m)
-    while True:
-        try:
-            partition = partition_small_cells(ctx.op("coeff"), cell_budget)
-            break
-        except AtomTooLarge:
-            too_big = np.flatnonzero(ctx.op("coeff").column_norms() > cell_budget)
-            ctx.refine_atoms(too_big, 2, refine_budget)
+    # the same cells: first-fit cells of the atoms within the cell budget,
+    # then each atom over it as a cell of its own
+    partition = _coefficient_cells(ctx.op("coeff"), delta / (2 * m))
     cells = [ctx.space.subset(np.flatnonzero(partition.cell == k))
              for k in range(partition.n_cells)]
     order = sorted(range(partition.n_cells), key=lambda k: (-cells[k].measure, k))
@@ -452,14 +445,14 @@ class TestSumFiniteRank:
         seen = {}
 
         def record_partition(*args):
-            seen["partition"] = partition_small_cells(*args)
+            seen["partition"] = _coefficient_cells(*args)
             return seen["partition"]
 
         def record_cells(T, cell):
             seen["cell"] = cell.copy()
             return exhaustive_cell_signs(T, cell)
 
-        with mock.patch.object(pipelines, "partition_small_cells",
+        with mock.patch.object(pipelines, "_coefficient_cells",
                                side_effect=record_partition), \
                 mock.patch.object(pipelines, "exhaustive_cell_signs",
                                   side_effect=record_cells):
@@ -477,6 +470,44 @@ class TestSumFiniteRank:
         for rank_k, k in enumerate(order):
             want[cells[k].indices] = rank_k
         assert seen["cell"].tolist() == want.tolist()
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    @pytest.mark.parametrize("scale", [0.1, 1.0])
+    def test_atoms_over_the_cell_budget_are_cells_of_their_own(self, rank, scale):
+        # each atom over the cell budget is a cell of its own, which its
+        # search splits once, so the output stays within 2n atoms however
+        # large ||T2|| / epsilon is
+        t1 = random_narrow_operator(17 + rank, 64, 3, 0.5)
+        t2 = random_finite_rank(29 + rank, rank, None, 6, scale, space=t1.space)
+        rep = sum_finite_rank(t1, t2, 0.1, 0.1)
+        assert rep.space.n_atoms <= 128
+        revalidate(rep, t1, t2, 0.1, 0.1)
+        part, budget = rep.partition_summary, rep.budgets["cell_budget"]
+        assert part["n_cells"] == len(rep.stages)
+        assert sum(part["cell_sizes"]) == 64
+        assert any(b > budget for b in part["bounds"])
+        assert all(size == 1 for size, b in zip(part["cell_sizes"], part["bounds"])
+                   if b > budget)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n=st.integers(2, 64), rank=st.integers(1, 3),
+           seed=st.integers(0, 2**16), log_scale=st.floats(-4.0, 0.5))
+    def test_any_scale_certifies_or_fails_with_a_package_error(
+            self, data, n, rank, seed, log_scale):
+        exponents = data.draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+        space = MeasureSpace.from_weights([Fraction(1, 2**e) for e in exponents])
+        t1 = random_narrow_operator(seed, None, 3, 0.5, space=space)
+        t2 = random_finite_rank(seed + 1, min(rank, n), None, 4,
+                                scale=10.0**log_scale, space=space)
+        try:
+            rep = sum_finite_rank(t1, t2, 0.1, 0.1)
+        except NarrowOpsError:
+            return
+        revalidate(rep, t1, t2, 0.1, 0.1)
+        # a cell over the cell budget is one atom, split by its search into
+        # two children that cancel every column
+        over = [s for s in rep.stages if s["cert_bound"] > rep.budgets["cell_budget"]]
+        assert all(s["coeff_norm"] == 0.0 for s in over)
 
     def test_rank_zero(self):
         t1 = random_narrow_operator(3, 16, 3, 0.5)
@@ -540,15 +571,16 @@ class TestSumFiniteRank:
     def test_coefficient_budget_under_a_p_below_one_target(self, epsilon):
         # the lp F-norm with p < 1 is p-homogeneous, so coefficients within
         # delta bound ||T2 x|| by delta^p * sum ||b_i||; delta = epsilon /
-        # sum ||b_i|| gave 0.0441 > 0.01 here.  The smaller delta refines
-        # to 131,900 atoms at 0.01, over the default refinement budget.  At
-        # 0.05 the root (epsilon / sum ||b_i||)^2 alone gave a bound one ulp
-        # over epsilon
+        # sum ||b_i|| gave 0.0441 > 0.01 here.  At 0.05 the root
+        # (epsilon / sum ||b_i||)^2 alone gave a bound one ulp over epsilon.
+        # The smaller delta puts every atom over the cell budget at 0.01, and
+        # each one-atom cell is split once, within the default budget
         space = MeasureSpace.uniform(256)
         t1 = DiscreteOperator(np.zeros((1, 256)), space, sup_norm(dim=1))
         r = np.random.default_rng(3).standard_normal(256) / 256
         t2 = DiscreteOperator(np.vstack([r, r / 2]), space, lp_norm(0.5, dim=2))
-        rep = sum_finite_rank(t1, t2, 0.1, epsilon, refine_budget=2**18)
+        rep = sum_finite_rank(t1, t2, 0.1, epsilon)
+        assert rep.space.n_atoms == 512
         delta, basis_norms = rep.budgets["delta"], rep.extras["basis_norms"]
         assert delta**0.5 * sum(basis_norms) <= epsilon
         revalidate(rep, t1, t2, 0.1, epsilon)
@@ -661,8 +693,8 @@ class TestTruncation:
 
     def test_partition_runs_once(self, monkeypatch):
         # the truncation golden config: the atoms whose coefficient bound
-        # exceeds the cell budget are split first, so the partition that
-        # follows never raises AtomTooLarge
+        # exceeds the cell budget are cells of their own, so the partition
+        # runs once, on the other atoms, and never raises AtomTooLarge
         partition, calls = pipelines.partition_small_cells, []
         monkeypatch.setattr(pipelines, "partition_small_cells",
                             lambda *args: calls.append(1) or partition(*args))
