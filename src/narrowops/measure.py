@@ -39,6 +39,13 @@ def _exact_total(nums: np.ndarray) -> int:
     return (int(hi.sum()) << 31) + int(lo.sum())
 
 
+def _check_split(total: int, parts: int) -> None:
+    """Refuse to split the atoms of a space of lowest-terms total numerator
+    `total` into `parts` children if that can leave the exact int64 range."""
+    if total << (parts.bit_length() - 1) >= _EXACT_LIMIT:
+        raise NonDyadic(f"refining into {parts} parts leaves the exact int64 range")
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -155,7 +162,7 @@ class MeasureSpace:
     def _lowest_terms(self, denom_log2: int, nums: np.ndarray) -> "MeasureSpace":
         """Self as positive int64 `nums` / 2^denom_log2 shifted in place to lowest
         terms, so refining disjoint regions does not inflate the denominator.
-        `refine_atoms` and `uniformize` build their spaces by this alone."""
+        `refine_atoms`, `_tile` and `uniformize` build their spaces by this alone."""
         common = int(np.bitwise_or.reduce(nums))
         shift = min(denom_log2, (common & -common).bit_length() - 1)
         nums >>= shift
@@ -225,9 +232,8 @@ class MeasureSpace:
             raise InvalidAtom("parts must be >= 2")
         if not _is_power_of_two(parts):
             raise NonDyadic(f"parts={parts} is not a power of two")
+        _check_split(int(self.numerators.sum()), parts)
         t = parts.bit_length() - 1
-        if int(self.numerators.sum()) << t >= _EXACT_LIMIT:
-            raise NonDyadic(f"refining into {parts} parts leaves the exact int64 range")
         # marked atoms keep their numerator over the finer denominator (each
         # child is 1/parts of the parent); unmarked ones scale up by parts
         counts = np.ones(self.n_atoms, dtype=np.int64)
@@ -236,6 +242,25 @@ class MeasureSpace:
         nums = np.repeat(self.numerators * scale, counts)
         space = object.__new__(MeasureSpace)._lowest_terms(self.denom_log2 + t, nums)
         return space, RefineMap._of_counts(counts)
+
+    def _tile(self, denom_log2: int, pieces) -> tuple["MeasureSpace", RefineMap, list]:
+        """The refinement of self into the atoms of `pieces`, each a tuple
+        (k, num, lefts, *columns) of atoms [l, l + num) / 2^k with
+        self.denom_log2 <= k <= denom_log2, one at each int64 left end l,
+        that together tile self's atoms.  Returns the space of them in order
+        of their left ends, in lowest terms, the map from self, and each
+        column of per-atom values laid out alike."""
+        ks, nums, lefts, *columns = zip(*pieces)
+        shifts = [denom_log2 - k for k in ks]
+        nums = np.repeat(np.array([num << s for num, s in zip(nums, shifts)], dtype=np.int64),
+                         [l.size for l in lefts])
+        lefts = np.concatenate([l << s for l, s in zip(lefts, shifts)])
+        order = np.argsort(lefts)
+        space = object.__new__(MeasureSpace)._lowest_terms(denom_log2, nums[order])
+        # self's atoms begin where their children do
+        firsts = (np.cumsum(self.numerators) - self.numerators) << (denom_log2 - self.denom_log2)
+        counts = np.diff(np.searchsorted(lefts[order], firsts), append=lefts.size)
+        return space, RefineMap._of_counts(counts), [np.concatenate(c)[order] for c in columns]
 
     def uniformize(self) -> tuple["MeasureSpace", RefineMap]:
         """Refine every atom down to the minimum atom weight.
@@ -305,14 +330,8 @@ class MeasurableSet:
     @staticmethod
     def _of_mask(space: MeasureSpace, mask: np.ndarray) -> "MeasurableSet":
         """The atoms where `mask` is nonzero: flatnonzero's indices need no check."""
-        return MeasurableSet._of_indices(space, np.flatnonzero(mask))
-
-    @staticmethod
-    def _of_indices(space: MeasureSpace, indices: np.ndarray) -> "MeasurableSet":
-        """The set of a fresh int64 array of sorted, distinct atom indices of
-        `space`, such as a subsequence of another set's: it needs no check."""
         mset = object.__new__(MeasurableSet)
-        mset.__dict__.update(space=space, indices=_read_only(indices))
+        mset.__dict__.update(space=space, indices=_read_only(np.flatnonzero(mask)))
         return mset
 
 
@@ -380,41 +399,28 @@ def rademacher_signs(mset: MeasurableSet) -> np.ndarray:
     return family
 
 
-def _parent_cuts(mset: MeasurableSet, rmap: RefineMap) -> np.ndarray:
-    """The set's position at each cut between old atoms, `rmap` mapping old
-    atoms to the set's space: old atom j's children in the set are its
-    positions cuts[j] to cuts[j + 1] - 1."""
-    if rmap.n_new != mset.space.n_atoms:
-        raise InvalidAtom(f"map has {rmap.n_new} children, space has "
-                          f"{mset.space.n_atoms} atoms")
-    return np.searchsorted(mset.indices, np.append(rmap.starts, rmap.n_new))
-
-
 def _cut_sums(cuts: np.ndarray, terms: np.ndarray) -> np.ndarray:
     """Per-old-atom sums of int64 `terms`, one per atom of a set whose
-    `_parent_cuts` are `cuts`, as differences of exact prefix sums: the
-    int64 sums that ``np.add.reduceat`` forms over the whole space when
-    every atom outside the set contributes 0."""
+    positions at the cuts between old atoms are `cuts`, as differences of
+    exact prefix sums: the int64 sums that ``np.add.reduceat`` forms over
+    the whole space when every atom outside the set contributes 0."""
     prefix = np.concatenate(([0], np.cumsum(terms)))
     return prefix[cuts[1:]] - prefix[cuts[:-1]]
 
 
-def _wave_sums(mset: MeasurableSet, rmap: RefineMap, blocks: np.ndarray,
-               cuts: np.ndarray | None = None) -> np.ndarray:
-    """Per-parent sums of the +-1 waves with block sizes `blocks` on the set
-    (rows of :func:`rademacher_signs`) times the numerator, without building
-    them: an (L, rmap.n_old) int64 array, `rmap` mapping old atoms to the
-    set's space.  Old atom j's children in the set are consecutive, so entry
-    [l, j] is a difference of prefix sums; a wave's prefix sum at position t
-    is b - |b - (t mod 2b)|.  `cuts` are the set's `_parent_cuts` under
-    `rmap`, if the caller has them.  When the set size is a power of two,
-    so is every block size, and t mod 2b is the mask t & (2b - 1)."""
-    if cuts is None:
-        cuts = _parent_cuts(mset, rmap)
+def _wave_sums(num: int, size: int, blocks: np.ndarray, cuts: np.ndarray) -> np.ndarray:
+    """Per-parent sums of the +-1 waves with block sizes `blocks` on a set
+    of `size` atoms of numerator `num` (rows of :func:`rademacher_signs`)
+    times the numerator, without building them: an (L, len(cuts) - 1) int64
+    array, old atom j's children in the set being its positions cuts[j] to
+    cuts[j + 1] - 1.  Entry [l, j] is a difference of prefix sums; a wave's
+    prefix sum at position t is b - |b - (t mod 2b)|.  When the set size is
+    a power of two, so is every block size, and t mod 2b is the mask
+    t & (2b - 1)."""
     b = blocks[:, None]
-    phase = cuts & (2 * b - 1) if _is_power_of_two(mset.size) else cuts % (2 * b)
+    phase = cuts & (2 * b - 1) if _is_power_of_two(size) else cuts % (2 * b)
     wave = np.abs(b - phase)
-    return mset.space.numerators[mset.indices[0]] * (wave[:, :-1] - wave[:, 1:])
+    return num * (wave[:, :-1] - wave[:, 1:])
 
 
 def rademacher_sign(mset: MeasurableSet, level: int) -> SignVector:

@@ -180,12 +180,7 @@ class RefinementContext:
         nums = self.space.numerators
         s = np.add.reduceat(np.asarray(values, dtype=np.int64) * nums,
                             self.total_map.starts)
-        return self.image_of_sums(key, s)
-
-    def image_of_sums(self, key: str, sums: np.ndarray) -> np.ndarray:
-        """``image`` of the values whose int64 sums of value times numerator
-        over each starting atom's children are `sums`."""
-        return self.start[key].matrix @ (sums / self.parent_weights())
+        return self.start[key].matrix @ (s / self.parent_weights())
 
     def where(self, key: str, label: int) -> MeasurableSet:
         """The atoms whose `key` label equals `label`."""

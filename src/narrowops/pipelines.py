@@ -33,10 +33,9 @@ from .measure import (
     MeasureSpace,
     RefineMap,
     SignVector,
+    _check_split,
     _cut_sums,
     _is_power_of_two,
-    _parent_cuts,
-    _rademacher_blocks,
     _wave_sums,
     rademacher_signs,
 )
@@ -242,20 +241,18 @@ def pairing_construction(
     support of measure exactly mu(Omega)/2^j.  A tail sign on the remaining
     small set (measure <= delta) finishes the construction.
 
-    The images of the block signs come from their per-parent sums over the
-    live atoms (`measure._wave_sums`) and the input matrices, so no
-    operator is refined for the search.  A stage keeps its levels' shares
-    across its refinements and sums only the level each one adds; parent
-    weights are computed once per space.  The live set's positions at the
-    input-atom boundaries (`measure._parent_cuts`) are found once per live
-    set and shared by `_wave_sums` and the stage check.  Only the chosen
-    pair's half-difference is built, as an int8 row on the live atoms, and
-    the stage's checks run on it there: mean zero and the support measure
-    from its int64 sums of value times numerator, and the T1 and T2 norms
-    from its per-input-atom sums between the cuts, which are the exact
-    sums ``ctx.image`` would form on the whole space.  After a stage, the
-    next live set is the live atoms its sign leaves at 0, read off the
-    stage row; only a refinement has it read back from the stage labels.
+    The stages run on the live atoms alone: a retry splits each of them in
+    two in O(live) and a stage freezes its support as a piece, so the
+    refined space and its map are laid out once, after stage m
+    (`MeasureSpace._tile`).  The images of the block signs come from their
+    per-parent sums over the live atoms (`measure._wave_sums`) and the input
+    matrices, so no operator is refined for the search; a stage keeps its
+    levels' shares across its retries and sums only the level each one
+    adds.  Only the chosen pair's half-difference is built, as an int8 row
+    on the live atoms, and the stage's checks run on it there: mean zero
+    and the support measure from its int64 sums of value times numerator,
+    and the T1 and T2 norms from its per-input-atom sums between the cuts,
+    which are the exact sums ``ctx.image`` would form on the whole space.
     """
     if not params.gamma < params.epsilon:
         raise ValueError("pairing needs gamma < epsilon")
@@ -282,26 +279,29 @@ def pairing_construction(
         if m > 60:
             raise PreconditionFailed("delta too small: would need > 60 stages")
 
-    # stage[i] is 0 while atom i is live, j <= m <= 60 once stage j covers
-    # it and m + 1 on the tail, so int8 holds it; x is the sum of the
-    # disjoint stage signs so far
-    n = ctx.space.n_atoms
-    ctx.arrays = {"stage": np.zeros(n, dtype=np.int8), "x": np.zeros(n, dtype=np.int8)}
-    stages: list[dict] = []
-    live = ctx.where("stage", 0)
+    # the live atoms are [lefts, lefts + num) / 2^d, at positions cuts[k] to
+    # cuts[k + 1] - 1 inside input atom k of weight weights[k] / 2^d, in the
+    # lowest terms (num odd or d 0) that ctx.refine_atoms would keep; stage
+    # j freezes its support as a piece (d, num, lefts, stage label j, sign
+    # values) for `_tile`
+    n = atoms = ctx.space.n_atoms
+    d, num = ctx.space.denom_log2, int(ctx.space.numerators[0])
+    lefts = np.arange(n) * num
+    cuts, weights = np.append(ctx.total_map.starts, n), ctx.parent_weights()
+    pieces, stages = [], []
     for j in range(1, m + 1):
         budget_t1 = params.sigma / 2 ** (j + 1)
         budget_t2 = eps1 / 2**j
         stage_refines = 0
         shares = np.empty((0, T1.space.n_atoms))
         while True:
-            blocks = _rademacher_blocks(live)
-            cuts = _parent_cuts(live, ctx.total_map)
+            # the live set size is a power of two
+            blocks = lefts.size >> np.arange(1, lefts.size.bit_length())
             # each level's block sign as s / w over the input atoms, so its
             # image is an input matrix times that.  A retry splits the live atoms
             # in two: each level keeps its s / w bits, and the one new level is summed
             shares = np.vstack([shares, _wave_sums(
-                live, ctx.total_map, blocks[len(shares):], cuts) / ctx.parent_weights()])
+                num, lefts.size, blocks[len(shares):], cuts) / weights])
             # candidates: the levels whose block sign passes the T1 filter
             t1_norms = fnorm_many(T1.target, shares @ T1.matrix.T)
             cands = np.flatnonzero(t1_norms <= budget_t1 + _TOL)
@@ -319,35 +319,37 @@ def pairing_construction(
                     T2.target, 0.5 * (images[a] - images[b])) < budget_t2), None)
             if pair is not None:
                 break
+            # a retry splits every live atom in two, with ctx.refine_atoms's
+            # refusals: the int64 range first, then the budget
             stage_refines += 1
-            try:
-                ctx.refine_atoms(live.indices, 2, params.refine_budget)
-            except RefinementBudgetExceeded as exc:
+            _check_split(int(weights.sum()), 2)
+            atoms += lefts.size
+            if atoms > params.refine_budget:
                 best = min((fnorm(T2.target, 0.5 * (x - y))
                             for x, y in combinations(images, 2)), default=None)
-                raise StageFailed(
-                    j, f"no candidate pair within budgets ({exc})", best=best
-                ) from exc
-            live = ctx.where("stage", 0)
+                raise StageFailed(j, f"no candidate pair within budgets (refinement to "
+                                  f"{atoms} atoms exceeds budget {params.refine_budget})",
+                                  best=best)
+            if num % 2:
+                lefts, weights, d = 2 * lefts, 2 * weights, d + 1
+            else:
+                num //= 2
+            lefts = np.stack([lefts, lefts + num], axis=1).ravel()
+            cuts = 2 * cuts
 
         a, b = cands[pair[0]], cands[pair[1]]
-        v = _stage_row(live.size, blocks[a], blocks[b])
-        nums = ctx.space.numerators[live.indices]
-        terms = v * nums
+        v = _stage_row(lefts.size, blocks[a], blocks[b])
+        terms = num * v.astype(np.int64)
         if terms.sum() != 0:
             raise StageFailed(j, "stage sign is not mean zero")
         support = v != 0
-        if Fraction(int(nums[support].sum()), 2**ctx.space.denom_log2) != total / 2**j:
+        if Fraction(num * int(support.sum()), 2**d) != total / 2**j:
             raise StageFailed(j, "support measure is not exactly mu(Omega)/2^j")
         sums = _cut_sums(cuts, terms)
-        t1n = fnorm(T1.target, ctx.image_of_sums("t1", sums))
-        t2n = fnorm(T2.target, ctx.image_of_sums("t2", sums))
+        t1n = fnorm(T1.target, T1.matrix @ (sums / weights))
+        t2n = fnorm(T2.target, T2.matrix @ (sums / weights))
         if t1n > params.sigma / 2**j + _TOL or t2n > eps1 / 2**j + _TOL:
             raise StageFailed(j, "stage norms violate the geometric schedule")
-        # x is 0 on the live atoms
-        ctx.arrays["stage"][live.indices[support]] = j
-        ctx.arrays["x"][live.indices] = v
-        live = MeasurableSet._of_indices(ctx.space, live.indices[~support])
         stages.append({
             "stage": j,
             "levels": [int(a) + 1, int(b) + 1],
@@ -355,8 +357,22 @@ def pairing_construction(
             "t2_norm": t2n,
             "support_measure": str(total / 2**j),
             "refinements": stage_refines,
-            "n_atoms": ctx.space.n_atoms,
+            "n_atoms": atoms,
         })
+        # the atoms its sign leaves at 0 stay live; each cut moves to the
+        # count of them before it
+        pieces.append((d, num, lefts[support], np.full(support.sum(), j, dtype=np.int8),
+                       v[support]))
+        cuts = np.concatenate(([0], np.cumsum(~support)))[cuts]
+        lefts = lefts[~support]
+
+    # stage labels are 0 on the live atoms, j <= m <= 60 on stage j's and
+    # m + 1 on the tail, so int8 holds them; x is the sum of the stage signs
+    zeros = np.zeros(lefts.size, dtype=np.int8)
+    space, rmap, (stage, x) = ctx.space._tile(d, pieces + [(d, num, lefts, zeros, zeros)])
+    ctx.apply_map(rmap, space)
+    ctx.arrays = {"stage": stage, "x": x}
+    live = ctx.where("stage", 0)
 
     # tail sign z on the remaining small set
     res = find_small_sign(ctx.op("t1"), live, params.sigma / 2**m + _TOL,

@@ -311,7 +311,8 @@ class TestArrayOracle:
         mset = space.subset(indices)
         family = rademacher_signs(mset).astype(np.int64) * space.numerators
         want = np.add.reduceat(family, rmap.starts, axis=1) if len(family) else family
-        got = _wave_sums(mset, rmap, _rademacher_blocks(mset))
+        got = _wave_sums(space.numerators[0], mset.size, _rademacher_blocks(mset),
+                         np.searchsorted(mset.indices, np.append(rmap.starts, rmap.n_new)))
         assert got.dtype == np.int64 and got.shape == (len(family), rmap.n_old)
         assert np.array_equal(got, want.reshape(got.shape))
 
@@ -326,9 +327,10 @@ class TestArrayOracle:
         children = [int(rmap.starts[j]) + k for j in sorted(kept) for k in range(counts[j])]
         mset = space.subset(data.draw(st.sets(st.sampled_from(children), min_size=1)))
         blocks = _rademacher_blocks(mset)
+        cuts = np.searchsorted(mset.indices, np.append(rmap.starts, rmap.n_new))
         # pairing sums only the levels a stage has not summed yet
         for first in range(len(blocks) + 1):
-            got = _wave_sums(mset, rmap, blocks[first:])
+            got = _wave_sums(space.numerators[0], mset.size, blocks[first:], cuts)
             want = oracles.wave_sums(mset, rmap, blocks[first:])
             assert got.dtype == want.dtype == np.int64
             assert np.array_equal(got, want)
@@ -346,8 +348,9 @@ class TestArrayOracle:
         rng = np.random.default_rng(seed)
         mset = space.subset(rng.choice(rmap.n_new, min(size, rmap.n_new), replace=False))
         blocks = _rademacher_blocks(mset)
+        cuts = np.searchsorted(mset.indices, np.append(rmap.starts, rmap.n_new))
         for first in range(len(blocks) + 1):
-            got = _wave_sums(mset, rmap, blocks[first:])
+            got = _wave_sums(space.numerators[0], mset.size, blocks[first:], cuts)
             assert np.array_equal(got, oracles.wave_sums(mset, rmap, blocks[first:]))
 
     def test_arrays_are_read_only(self):

@@ -24,7 +24,7 @@ from narrowops import (
     sup_norm,
 )
 from narrowops.instances import build_l1_example, l1_example_cells
-from narrowops.measure import _cut_sums, _parent_cuts, _rademacher_blocks, _wave_sums
+from narrowops.measure import _cut_sums, _rademacher_blocks, _wave_sums
 from narrowops.operators import RefinementContext, brute_force_best_sign
 import oracles
 
@@ -40,9 +40,15 @@ def _random_operator(rows, atoms, norm=None, rng=RNG):
     )
 
 
+def _parent_cuts(mset, rmap):
+    """The set's position at each cut between the old atoms of `rmap`."""
+    return np.searchsorted(mset.indices, np.append(rmap.starts, rmap.n_new))
+
+
 def _parent_sums(mset, rmap):
     """Per-parent sums of every row of the block Rademacher family on `mset`."""
-    return _wave_sums(mset, rmap, _rademacher_blocks(mset))
+    return _wave_sums(mset.space.numerators[mset.indices[0]], mset.size,
+                      _rademacher_blocks(mset), _parent_cuts(mset, rmap))
 
 
 def _second_exhaustion(T, indices, require_mean_zero, objective):
@@ -395,7 +401,7 @@ class TestRefinementCompatibility:
                                ctx.total_map.starts)
         assert sums.dtype == np.int64 and np.array_equal(sums, want)
         for key in ops:
-            assert (ctx.image_of_sums(key, sums).tobytes()
+            assert ((ops[key].matrix @ (sums / ctx.parent_weights())).tobytes()
                     == ctx.image(key, spread).tobytes())
 
     def test_context_takes_operators_on_its_start_space_only(self):

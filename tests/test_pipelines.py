@@ -5,6 +5,7 @@ import gc
 import json
 import re
 import weakref
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
 from unittest import mock
@@ -21,10 +22,12 @@ from narrowops import (
     NarrowOpsError,
     NoSignFound,
     NotLocallyConvex,
+    NonDyadic,
     NoTruncationSmallEnough,
     PipelineParams,
     PipelineReport,
     PreconditionFailed,
+    RefinementBudgetExceeded,
     SignVector,
     StageFailed,
     check_absolute_continuity,
@@ -32,9 +35,11 @@ from narrowops import (
     fnorm,
     fnorm_many,
     lp_norm,
+    net_cover,
     pairing_construction,
     random_finite_rank,
     random_narrow_operator,
+    rademacher_signs,
     sign_round,
     sum_compact_locally_convex,
     sum_compact_via_truncation,
@@ -144,6 +149,105 @@ class TestAbsoluteContinuity:
         assert res.upper_bound <= 1 / 32 + 1e-12
 
 
+def _reference_pairing_construction(T1, T2, params):
+    """The stage loop that refines the whole space at every retry, which the
+    loop on the live atoms replaced: the live set is read back from the
+    stage labels after each retry, every level's share is summed from the
+    full block Rademacher family, a stage's norms come from its full-space
+    image, and the same tail search and verdict follow."""
+    ctx = RefinementContext(T1.space, {"t1": T1, "t2": T2})
+    us, umap = ctx.space.uniformize()
+    ctx.apply_map(umap, us)
+    assert ctx.space.n_atoms & (ctx.space.n_atoms - 1) == 0
+    ac = check_absolute_continuity(ctx.op("t2"), params.delta)
+    assert ac.upper_bound <= params.gamma / 2 + _TOL
+    eps1, total, m = params.epsilon - params.gamma, ctx.space.total, 1
+    while total / 2**m > Fraction(params.delta):
+        m += 1
+    n = ctx.space.n_atoms
+    ctx.arrays = {"stage": np.zeros(n, dtype=np.int8), "x": np.zeros(n, dtype=np.int8)}
+    stages = []
+    for j in range(1, m + 1):
+        stage_refines = 0
+        while True:
+            live = ctx.where("stage", 0)
+            family = rademacher_signs(live).astype(np.int64) * ctx.space.numerators
+            shares = np.add.reduceat(family, ctx.total_map.starts, axis=1) \
+                / ctx.parent_weights()
+            t1_norms = fnorm_many(T1.target, shares @ T1.matrix.T)
+            cands = np.flatnonzero(t1_norms <= params.sigma / 2 ** (j + 1) + _TOL)
+            images = shares[cands] @ T2.matrix.T
+            pair = None
+            if len(cands) >= 2:
+                net = net_cover(images, 0.499 * eps1 / 2**j, T2.target)
+                pair_order = [ab for grp in net.groups().values()
+                              for ab in combinations(grp, 2)]
+                seen = set(pair_order)
+                pair_order += [ab for ab in combinations(range(len(cands)), 2)
+                               if ab not in seen]
+                pair = next(((a, b) for a, b in pair_order if fnorm(
+                    T2.target, 0.5 * (images[a] - images[b])) < eps1 / 2**j), None)
+            if pair is not None:
+                break
+            stage_refines += 1
+            try:
+                ctx.refine_atoms(live.indices, 2, params.refine_budget)
+            except RefinementBudgetExceeded as exc:
+                best = min((fnorm(T2.target, 0.5 * (x - y))
+                            for x, y in combinations(images, 2)), default=None)
+                raise StageFailed(
+                    j, f"no candidate pair within budgets ({exc})", best=best) from exc
+        a, b = cands[pair[0]], cands[pair[1]]
+        blocks = live.size >> np.arange(1, live.size.bit_length())
+        t = np.arange(live.size)
+        v = ((t // blocks[b] % 2) - (t // blocks[a] % 2)).astype(np.int8)
+        n = ctx.space.n_atoms
+        values = np.zeros(n, dtype=np.int8)
+        values[live.indices] = v
+        x_j = SignVector.from_values(ctx.space, values)
+        assert x_j.mean_zero and x_j.support_set().measure == total / 2**j
+        t1n = fnorm(T1.target, ctx.image("t1", values))
+        t2n = fnorm(T2.target, ctx.image("t2", values))
+        assert t1n <= params.sigma / 2**j + _TOL and t2n <= eps1 / 2**j + _TOL
+        ctx.arrays["stage"][live.indices[v != 0]] = j
+        ctx.arrays["x"] += values
+        stages.append({"stage": j, "levels": [int(a) + 1, int(b) + 1],
+                       "t1_norm": t1n, "t2_norm": t2n,
+                       "support_measure": str(total / 2**j),
+                       "refinements": stage_refines, "n_atoms": n})
+    res = find_small_sign(ctx.op("t1"), ctx.where("stage", 0),
+                          params.sigma / 2**m + _TOL, refine_budget=params.refine_budget)
+    ctx.apply_map(res.refine_map, res.operator.space)
+    tail = ctx.where("stage", 0)
+    t2z = fnorm(T2.target, ctx.image("t2", res.sign.values))
+    if t2z > params.gamma + _TOL:
+        raise StageFailed(m + 1, f"tail sign T2-image {t2z} exceeds gamma")
+    assert res.sign.is_sign_on(tail)
+    ctx.arrays["stage"][tail.indices] = m + 1
+    x, achieved = _certify(ctx, ctx.arrays["x"] + res.sign.values,
+                           {"t1": params.sigma, "t2": params.epsilon}, m + 1)
+    stages.append({"stage": m + 1, "role": "tail", "t1_norm": res.value,
+                   "t2_norm": t2z, "strategy": res.strategy,
+                   "n_atoms": ctx.space.n_atoms})
+    return PipelineReport(
+        pipeline="pairing_construction", sign=x, achieved=achieved,
+        budgets={"sigma": params.sigma, "epsilon": params.epsilon,
+                 "gamma": params.gamma, "delta": params.delta},
+        stages=stages, refine_map=ctx.total_map, space=ctx.space,
+        extras={"n_stages": m, "abs_continuity_bound": ac.upper_bound,
+                "stage": ctx.arrays["stage"]})
+
+
+def _pairing_outcome(pipeline, t1, t2, params):
+    """A pairing run's report, refine map and space, or its error's type,
+    message and best pair value."""
+    try:
+        rep = pipeline(t1, t2, params)
+    except NarrowOpsError as exc:
+        return type(exc), str(exc), getattr(exc, "best", None)
+    return rep.to_json_dict(), rep.refine_map.counts.tolist(), rep.space
+
+
 class TestPairing:
     def test_both_zero(self):
         space = MeasureSpace.uniform(8)
@@ -181,6 +285,74 @@ class TestPairing:
             sign = SignVector.from_values(rep.space, rep.sign.values * (stage == j))
             assert sign.mean_zero
             assert sign.support_set().measure == total / 2**min(j, m)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**16))
+    def test_stages_match_the_refine_per_retry_loop(self, data, seed):
+        # reports, maps and spaces, or errors with their best pair, equal
+        # those of refining the whole space at every retry, on the L1
+        # example and on uniformizable spaces of unequal dyadic weights,
+        # with budgets on both sides of the atoms a run needs
+        if data.draw(st.booleans()):
+            t2 = build_l1_example(data.draw(st.integers(3, 9)))
+            t1 = random_narrow_operator(seed, None, 3, 0.5, space=t2.space)
+            params = PipelineParams(delta=1 / 64)
+        else:
+            # an atom of 2^k equal ones split in halves, at random, into 2
+            # or more input atoms of unequal weights
+            exps = [data.draw(st.integers(3, 5))]
+            for _ in range(data.draw(st.integers(1, 6))):
+                i = data.draw(st.sampled_from([i for i, e in enumerate(exps) if e]))
+                exps[i:i + 1] = [exps[i] - 1] * 2
+            num = data.draw(st.sampled_from([1, 2, 3, 5, 6]))
+            space = MeasureSpace(data.draw(st.integers(0, 8)), [num << e for e in exps])
+            rng = np.random.default_rng(seed)
+            k = space.n_atoms
+            t1 = DiscreteOperator(rng.standard_normal((2, k)) * data.draw(
+                st.sampled_from([1e-4, 1e-3, 0.03, 1.0])), space, sup_norm(dim=2))
+            t2 = DiscreteOperator(rng.standard_normal((2, k)) * 1e-5, space,
+                                  lp_norm(1, dim=2))
+            params = PipelineParams(delta=float(space.total) / data.draw(
+                st.sampled_from([2, 8, 64])))
+        rep = _pairing_outcome(pairing_construction, t1, t2,
+                               replace(params, refine_budget=2**16))
+        if isinstance(rep[2], MeasureSpace):
+            n = rep[2].n_atoms
+            params = replace(params, refine_budget=data.draw(st.sampled_from(
+                [max(1, n // 2), max(1, n - 1), n, 2 * n])))
+        got = _pairing_outcome(pairing_construction, t1, t2, params)
+        want = _pairing_outcome(_reference_pairing_construction, t1, t2, params)
+        assert got == want
+
+    def test_stages_refine_no_space(self, monkeypatch):
+        # the level-10 shape of the benchmark: its seven retries split the
+        # live atoms alone, and the space is laid out once, after the stages
+        calls = []
+        for owner in (MeasureSpace, RefinementContext):
+            refine = owner.refine_atoms
+            monkeypatch.setattr(owner, "refine_atoms", lambda *args, refine=refine:
+                                calls.append(args) or refine(*args))
+        t2 = build_l1_example(10)
+        t1 = random_narrow_operator(1, None, 3, 0.5, space=t2.space)
+        rep = pairing_construction(t1, t2, PipelineParams(delta=1 / 64))
+        assert sum(s.get("refinements", 0) for s in rep.stages) == 7
+        assert rep.space.n_atoms == 14336 and calls == []
+
+    def test_a_retry_past_the_int64_range_is_refused(self):
+        # total 1 + 2^-60: two halves of it need a 2^62 numerator
+        z = DiscreteOperator(np.zeros((1, 2)), MeasureSpace(61, [2**60 + 1] * 2),
+                             sup_norm(dim=1))
+        with pytest.raises(NonDyadic, match="^refining into 2 parts leaves the "
+                                            "exact int64 range$"):
+            pairing_construction(z, z, PipelineParams(delta=0.25))
+        # integer weights of 2^59 halve the shared numerator at each retry,
+        # in the lowest terms of refining the whole space, and stay clear of it
+        z = DiscreteOperator(np.zeros((1, 2)), MeasureSpace(0, [2**59] * 2),
+                             sup_norm(dim=1))
+        params = PipelineParams(delta=2.0**58)
+        got = _pairing_outcome(pairing_construction, z, z, params)
+        assert sum(s.get("refinements", 0) for s in got[0]["stages"]) == 2
+        assert got == _pairing_outcome(_reference_pairing_construction, z, z, params)
 
     @pytest.mark.parametrize("name, forged, message", [
         ("_stage_row", lambda row: lambda *args: np.abs(row(*args)),
