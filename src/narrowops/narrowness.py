@@ -292,25 +292,19 @@ class SmallSignResult:
     strategy: str
 
 
-def _row_labels(keys: np.ndarray) -> np.ndarray:
-    """The labels of ``np.unique(keys, axis=0, return_inverse=True)`` for 2-d
-    int64 keys, from one lexsort with column 0 as the primary key."""
-    order = np.lexsort(keys.T[::-1])
-    ranked = keys[order]
-    labels = np.empty(len(keys), dtype=np.int64)
-    labels[order] = np.cumsum(np.diff(ranked, axis=0, prepend=ranked[:1]).any(axis=1))
-    return labels
-
-
 def _pair_equal_rows(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """int8 signs +1, -1, +1, ... in index order within each class of
     bitwise-equal rows of the 2-d int64 `keys`, so that consecutive members
-    cancel, and the rows left unpaired (each odd class's last), ascending."""
-    members, sizes, starts = cell_segments(_row_labels(keys))
-    rank = np.arange(members.size) - np.repeat(starts, sizes)
-    signs = np.empty(members.size, dtype=np.int8)
-    signs[members] = 1 - 2 * (rank & 1)
-    return signs, np.sort(members[(starts + sizes - 1)[sizes % 2 == 1]])
+    cancel, and the rows left unpaired (each odd class's last), ascending.
+    One stable lexsort lists the classes, each one's members in index order."""
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    starts = np.flatnonzero(np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)])
+    sizes = np.diff(starts, append=order.size)
+    rank = np.arange(order.size) - np.repeat(starts, sizes)
+    signs = np.empty(order.size, dtype=np.int8)
+    signs[order] = 1 - 2 * (rank & 1)
+    return signs, np.sort(order[(starts + sizes - 1)[sizes % 2 == 1]])
 
 
 def _kernel_pairing(

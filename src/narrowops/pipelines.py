@@ -33,6 +33,7 @@ from .measure import (
     MeasureSpace,
     RefineMap,
     SignVector,
+    _EXACT_LIMIT,
     _check_split,
     _cut_sums,
     _is_power_of_two,
@@ -229,6 +230,23 @@ def _stage_row(size: int, block_a: int, block_b: int) -> np.ndarray:
     return (((t >> bit_b) & 1) - ((t >> bit_a) & 1)).astype(np.int8)
 
 
+def _pair_order(images: np.ndarray, radius: float, norm) -> list[tuple[int, int]]:
+    """The order in which a pairing stage tries its candidate pairs: the
+    pairs within a group of the greedy net of `radius` over the candidates'
+    images, then every other pair.  Two candidates make the one pair (0, 1)
+    whatever the net, so theirs is not built; a bad radius and non-finite
+    images still raise `net_cover`'s ValueError."""
+    if len(images) == 2:
+        check_budgets(radius=radius)
+        if not np.isfinite(images).all():
+            raise ValueError("net points must be finite")
+        return [(0, 1)]
+    net = net_cover(images, radius, norm)
+    order = [ab for grp in net.groups().values() for ab in combinations(grp, 2)]
+    seen = set(order)
+    return order + [ab for ab in combinations(range(len(images)), 2) if ab not in seen]
+
+
 def pairing_construction(
     T1: DiscreteOperator, T2: DiscreteOperator, params: PipelineParams
 ) -> PipelineReport:
@@ -241,10 +259,10 @@ def pairing_construction(
     support of measure exactly mu(Omega)/2^j.  A tail sign on the remaining
     small set (measure <= delta) finishes the construction.
 
-    The stages run on the live atoms alone: a retry splits each of them in
-    two in O(live) and a stage freezes its support as a piece, so the
-    refined space and its map are laid out once, after stage m
-    (`MeasureSpace._tile`).  The images of the block signs come from their
+    The stages and the tail run on the live atoms alone: a retry splits
+    each of them in two in O(live) and a stage freezes its support as a
+    piece, so the refined space and its map are laid out once, after the
+    tail (`MeasureSpace._tile`).  The images of the block signs come from their
     per-parent sums over the live atoms (`measure._wave_sums`) and the input
     matrices, so no operator is refined for the search; a stage keeps its
     levels' shares across its retries and sums only the level each one
@@ -253,6 +271,17 @@ def pairing_construction(
     and the support measure from its int64 sums of value times numerator,
     and the T1 and T2 norms from its per-input-atom sums between the cuts,
     which are the exact sums ``ctx.image`` would form on the whole space.
+
+    The tail search (`find_small_sign`) runs on a space of the live atoms
+    alone, with T1's columns on them (each input column times the atom's
+    exact power-of-two share), so no operator is refined; its T2 check uses
+    the same sums as the stages'.  Its `refine_budget` is the pipeline's
+    less the other atoms (at least 1), and it is capped where refining the
+    whole space would first leave the int64 range, which then raises
+    `NonDyadic`, so it refuses where a search on the whole space would.
+    It splits every atom of its set each round, so the tail's piece is
+    each live atom's 2^t equal children.  A tail `NoSignFound` carries its
+    `best_sign` on the live atoms' space.
     """
     if not params.gamma < params.epsilon:
         raise ValueError("pairing needs gamma < epsilon")
@@ -308,14 +337,8 @@ def pairing_construction(
             images = shares[cands] @ T2.matrix.T
             pair = None
             if len(cands) >= 2:
-                net = net_cover(images, 0.499 * budget_t2, T2.target)
-                # pairs within a net group first, then every other pair
-                pair_order = [ab for grp in net.groups().values()
-                              for ab in combinations(grp, 2)]
-                seen = set(pair_order)
-                pair_order += [ab for ab in combinations(range(len(cands)), 2)
-                               if ab not in seen]
-                pair = next(((a, b) for a, b in pair_order if fnorm(
+                pair = next(((a, b) for a, b in _pair_order(
+                    images, 0.499 * budget_t2, T2.target) if fnorm(
                     T2.target, 0.5 * (images[a] - images[b])) < budget_t2), None)
             if pair is not None:
                 break
@@ -366,30 +389,54 @@ def pairing_construction(
         cuts = np.concatenate(([0], np.cumsum(~support)))[cuts]
         lefts = lefts[~support]
 
-    # stage labels are 0 on the live atoms, j <= m <= 60 on stage j's and
-    # m + 1 on the tail, so int8 holds them; x is the sum of the stage signs
-    zeros = np.zeros(lefts.size, dtype=np.int8)
-    space, rmap, (stage, x) = ctx.space._tile(d, pieces + [(d, num, lefts, zeros, zeros)])
-    ctx.apply_map(rmap, space)
-    ctx.arrays = {"stage": stage, "x": x}
-    live = ctx.where("stage", 0)
+    # the tail sign z on the live atoms, searched on a space of their own:
+    # each one's T1 column is its input atom's times its exact power-of-two
+    # share, the bits ctx.op("t1") gives it on the whole space
+    n_live = lefts.size
+    parent = np.repeat(np.arange(cuts.size - 1), np.diff(cuts))
+    live_t1 = DiscreteOperator(T1.matrix[:, parent] * (num / weights[parent]),
+                               MeasureSpace(d, np.full(n_live, num)), T1.target)
+    # the search splits every atom of its set each round.  The whole space
+    # would refuse a split past the int64 range of its lowest-terms total
+    # first (the total doubles while the shared numerator k is odd), then
+    # past the budget, which the other atoms share: cap the search at the
+    # first split past the range, and raise refine_atoms's NonDyadic there
+    budget = max(1, params.refine_budget - (atoms - n_live))
+    total_num, k, cap = int(weights.sum()), num, n_live
+    while total_num << 1 < _EXACT_LIMIT and cap << 1 <= budget:
+        if k % 2:
+            total_num <<= 1
+        else:
+            k >>= 1
+        cap <<= 1
+    try:
+        res = find_small_sign(live_t1, live_t1.space.full_set(), params.sigma / 2**m + _TOL,
+                              refine_budget=cap if total_num << 1 >= _EXACT_LIMIT else budget)
+    except NoSignFound:
+        _check_split(total_num, 2)
+        raise
 
-    # tail sign z on the remaining small set
-    res = find_small_sign(ctx.op("t1"), live, params.sigma / 2**m + _TOL,
-                          refine_budget=params.refine_budget)
-    ctx.apply_map(res.refine_map, res.operator.space)
-    tail = ctx.where("stage", 0)
-    z = res.sign
-    t2z = fnorm(T2.target, ctx.image("t2", z.values))
+    # each live atom has 2^t equal children in the search's space, of
+    # numerator num_t over 2^d_t; z's T2 image comes from its sums between
+    # the cuts, the exact sums ctx.image forms on the whole space
+    sub, z = res.operator.space, res.sign.values
+    t = (sub.n_atoms // n_live).bit_length() - 1
+    d_t, num_t = sub.denom_log2, int(sub.numerators[0])
+    weights = weights << (d_t - d)
+    sums = _cut_sums(cuts << t, num_t * z.astype(np.int64))
+    t2z = fnorm(T2.target, T2.matrix @ (sums / weights))
     if t2z > params.gamma + _TOL:
         raise StageFailed(m + 1, f"tail sign T2-image {t2z} exceeds gamma")
-    if not z.is_sign_on(tail):
+    if not z.all():
         raise StageFailed(m + 1, "tail sign does not have full support on the rest")
 
-    stage = ctx.arrays["stage"]
-    stage[tail.indices] = m + 1
-    x, achieved = _certify(ctx, ctx.arrays["x"] + z.values,
-                           {"t1": params.sigma, "t2": params.epsilon}, m + 1)
+    # stage labels are j <= m <= 60 on stage j's atoms and m + 1 on the
+    # tail's, so int8 holds them; x is the sum of the stage and tail signs
+    kids = ((lefts << (d_t - d))[:, None] + num_t * np.arange(1 << t)).ravel()
+    space, rmap, (stage, x) = ctx.space._tile(d_t, pieces + [
+        (d_t, num_t, kids, np.full(kids.size, m + 1, dtype=np.int8), z)])
+    ctx.apply_map(rmap, space)
+    x, achieved = _certify(ctx, x, {"t1": params.sigma, "t2": params.epsilon}, m + 1)
 
     stages.append({
         "stage": m + 1,
@@ -460,8 +507,10 @@ def sum_finite_rank(
     which forces ||T2 x|| <= epsilon: equal images cancel in pairs
     (`_pair_equal_rows`), and `sign_round` signs the rest, one per odd
     class, with `rounding_certificate` its certificate (0.0 if none is
-    left).  Here delta = epsilon / sum ||b_i|| over the basis columns b_i,
-    or (epsilon / sum ||b_i||)^(1/p) for an lp target with p < 1, whose
+    left, or if at most rank-many are left and all are exactly zero: the
+    walk would take no step and give each theta +1).  Here delta =
+    epsilon / sum ||b_i|| over the basis columns b_i, or
+    (epsilon / sum ||b_i||)^(1/p) for an lp target with p < 1, whose
     F-norm is p-homogeneous.
 
     An atom whose coefficient column alone exceeds the cell budget
@@ -617,9 +666,12 @@ def sum_finite_rank(
         raise StageFailed(int(over[0]) + 1, f"cell coefficient norm "
                           f"{coeff_norms[over[0]]} exceeds delta/m")
 
+    # the walk steps only while more than m coefficients float, so on at
+    # most m unpaired images, all exactly zero, it would keep theta +1 and
+    # certify 0.0
     theta_signs, unpaired = _pair_equal_rows(vectors.view(np.int64))
     achieved_p = certificate = 0.0
-    if unpaired.size:
+    if unpaired.size > m or vectors[unpaired].any():
         theta_signs[unpaired], achieved_p, certificate, _ = sign_round(
             vectors[unpaired], coeff_target)
     if certificate > delta + _TOL:

@@ -38,7 +38,6 @@ from narrowops.narrowness import (
     _kernel_pairing,
     _pair_equal_rows,
     _rademacher_scan,
-    _row_labels,
     cell_segments,
     exhaustive_cell_signs,
 )
@@ -165,8 +164,11 @@ class TestFindSmallSign:
         idx = mset.indices
         keys = np.column_stack([np.ascontiguousarray(T.matrix[:, idx].T).view(np.int64),
                                 space.numerators[idx]])
-        _, want = np.unique(keys, axis=0, return_inverse=True)
-        assert _row_labels(keys).tolist() == want.ravel().tolist()
+        _, labels = np.unique(keys, axis=0, return_inverse=True)
+        signs, unpaired = _pair_equal_rows(keys)
+        want_signs, want_unpaired = _pairing_of_classes(labels.ravel())
+        assert signs.dtype == np.int8
+        assert signs.tolist() == want_signs and unpaired.tolist() == want_unpaired
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), n=st.integers(1, 16), even=st.booleans())
@@ -199,7 +201,8 @@ class TestFindSmallSign:
         if even:
             # the alternation over the concatenated classes that
             # `_kernel_pairing` used before
-            members, _, _ = cell_segments(_row_labels(keys))
+            _, labels = np.unique(keys, axis=0, return_inverse=True)
+            members, _, _ = cell_segments(labels.ravel())
             old = np.empty(picks.size, dtype=np.int8)
             old[members] = 1 - 2 * (np.arange(picks.size) % 2)
             assert signs.tolist() == old.tolist()
@@ -331,6 +334,19 @@ def _oracle_rademacher_scan(T, mset, epsilon):
             return sign, best, val
         level += 1
     return None, best, best_val
+
+
+def _pairing_of_classes(labels):
+    """Signs +1, -1, +1, ... over each class of `labels` in index order, and
+    the last member of each odd class, ascending."""
+    signs, last = [0] * labels.size, []
+    for c in np.unique(labels).tolist():
+        members = np.flatnonzero(labels == c).tolist()
+        for k, i in enumerate(members):
+            signs[i] = 1 - 2 * (k % 2)
+        if len(members) % 2:
+            last.append(members[-1])
+    return signs, sorted(last)
 
 
 def _oracle_kernel_pairing(T, mset):

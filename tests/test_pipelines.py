@@ -5,6 +5,7 @@ import gc
 import json
 import re
 import weakref
+from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations
@@ -149,12 +150,18 @@ class TestAbsoluteContinuity:
         assert res.upper_bound <= 1 / 32 + 1e-12
 
 
-def _reference_pairing_construction(T1, T2, params):
+def _reference_pairing_construction(T1, T2, params, whole_space_tail=False):
     """The stage loop that refines the whole space at every retry, which the
     loop on the live atoms replaced: the live set is read back from the
     stage labels after each retry, every level's share is summed from the
     full block Rademacher family, a stage's norms come from its full-space
-    image, and the same tail search and verdict follow."""
+    image, and the same tail search and verdict follow.
+
+    The tail search runs on a space of the live atoms alone, with T1's
+    columns on them and the budget less the other atoms, and its
+    refinement is applied to the whole space after it; with
+    `whole_space_tail` it runs on the whole space, as before the tail moved
+    onto the live atoms."""
     ctx = RefinementContext(T1.space, {"t1": T1, "t2": T2})
     us, umap = ctx.space.uniformize()
     ctx.apply_map(umap, us)
@@ -215,16 +222,30 @@ def _reference_pairing_construction(T1, T2, params):
                        "t1_norm": t1n, "t2_norm": t2n,
                        "support_measure": str(total / 2**j),
                        "refinements": stage_refines, "n_atoms": n})
-    res = find_small_sign(ctx.op("t1"), ctx.where("stage", 0),
-                          params.sigma / 2**m + _TOL, refine_budget=params.refine_budget)
-    ctx.apply_map(res.refine_map, res.operator.space)
+    live, budget_t1 = ctx.where("stage", 0), params.sigma / 2**m + _TOL
+    if whole_space_tail:
+        res = find_small_sign(ctx.op("t1"), live, budget_t1,
+                              refine_budget=params.refine_budget)
+        ctx.apply_map(res.refine_map, res.operator.space)
+        z = res.sign.values
+    else:
+        sub = MeasureSpace(ctx.space.denom_log2, ctx.space.numerators[live.indices])
+        res = find_small_sign(
+            DiscreteOperator(ctx.op("t1").matrix[:, live.indices], sub, T1.target),
+            sub.full_set(), budget_t1,
+            refine_budget=max(1, params.refine_budget - (n - live.size)))
+        parts = res.operator.space.n_atoms // live.size
+        if parts > 1:
+            ctx.refine_atoms(live.indices, parts, params.refine_budget)
+        z = np.zeros(ctx.space.n_atoms, dtype=np.int8)
+        z[ctx.arrays["stage"] == 0] = res.sign.values
     tail = ctx.where("stage", 0)
-    t2z = fnorm(T2.target, ctx.image("t2", res.sign.values))
+    t2z = fnorm(T2.target, ctx.image("t2", z))
     if t2z > params.gamma + _TOL:
         raise StageFailed(m + 1, f"tail sign T2-image {t2z} exceeds gamma")
-    assert res.sign.is_sign_on(tail)
+    assert SignVector(ctx.space, z).is_sign_on(tail)
     ctx.arrays["stage"][tail.indices] = m + 1
-    x, achieved = _certify(ctx, ctx.arrays["x"] + res.sign.values,
+    x, achieved = _certify(ctx, ctx.arrays["x"] + z,
                            {"t1": params.sigma, "t2": params.epsilon}, m + 1)
     stages.append({"stage": m + 1, "role": "tail", "t1_norm": res.value,
                    "t2_norm": t2z, "strategy": res.strategy,
@@ -246,6 +267,80 @@ def _pairing_outcome(pipeline, t1, t2, params):
     except NarrowOpsError as exc:
         return type(exc), str(exc), getattr(exc, "best", None)
     return rep.to_json_dict(), rep.refine_map.counts.tolist(), rep.space
+
+
+def _draw_pairing_config(data, seed):
+    """(t1, t2, params): the L1 example, or a uniformizable space of unequal
+    dyadic weights, with a `refine_budget` drawn on both sides of the atoms
+    the run needs."""
+    if data.draw(st.booleans()):
+        t2 = build_l1_example(data.draw(st.integers(3, 9)))
+        t1 = random_narrow_operator(seed, None, 3, 0.5, space=t2.space)
+        params = PipelineParams(delta=1 / 64)
+    else:
+        # an atom of 2^k equal ones split in halves, at random, into 2
+        # or more input atoms of unequal weights
+        exps = [data.draw(st.integers(3, 5))]
+        for _ in range(data.draw(st.integers(1, 6))):
+            i = data.draw(st.sampled_from([i for i, e in enumerate(exps) if e]))
+            exps[i:i + 1] = [exps[i] - 1] * 2
+        num = data.draw(st.sampled_from([1, 2, 3, 5, 6]))
+        space = MeasureSpace(data.draw(st.integers(0, 8)), [num << e for e in exps])
+        rng = np.random.default_rng(seed)
+        k = space.n_atoms
+        t1 = DiscreteOperator(rng.standard_normal((2, k)) * data.draw(
+            st.sampled_from([1e-4, 1e-3, 0.03, 1.0])), space, sup_norm(dim=2))
+        t2 = DiscreteOperator(rng.standard_normal((2, k)) * 1e-5, space,
+                              lp_norm(1, dim=2))
+        params = PipelineParams(delta=float(space.total) / data.draw(
+            st.sampled_from([2, 8, 64])))
+    rep = _pairing_outcome(pairing_construction, t1, t2,
+                           replace(params, refine_budget=2**16))
+    if isinstance(rep[2], MeasureSpace):
+        n = rep[2].n_atoms
+        params = replace(params, refine_budget=data.draw(st.sampled_from(
+            [max(1, n // 2), max(1, n - 1), n, 2 * n])))
+    return t1, t2, params
+
+
+def _whole_space_tail(t1, t2, params):
+    return _reference_pairing_construction(t1, t2, params, whole_space_tail=True)
+
+
+def _assert_same_but_the_scan_bits(got, want):
+    """Pairing outcomes equal, but for the last bits of the T1 norm of a
+    tail that a Rademacher scan found, a product over other columns."""
+    if isinstance(want[0], dict) and isinstance(got[0], dict):
+        tail, want_tail = got[0]["stages"][-1], want[0]["stages"][-1]
+        if tail["strategy"] == "rademacher_scan":
+            assert tail["t1_norm"] == pytest.approx(want_tail["t1_norm"], rel=1e-12)
+            tail["t1_norm"] = want_tail["t1_norm"]
+    assert got == want
+
+
+@contextmanager
+def _unrefined_set_refused(pairs=True, refused=1):
+    """Kernel pairing and the Rademacher scan find nothing in the first
+    round of a search, on its unrefined set (in the first `refused`
+    rounds), so a tail on more than _EXHAUSTIVE_SEARCH_LIMIT atoms must
+    split them; the scan's sign stays the best one seen, and kernel pairing
+    finds nothing in any round unless `pairs`.  On a pairing's tail both
+    succeed unwrapped: half the sum of the last stage's two block signs is
+    a sign on the tail within its budget, which the scan finds whenever it
+    is a level."""
+    kernel, scan, rounds = narrowness._kernel_pairing, narrowness._rademacher_scan, []
+
+    def kernel_pairing(T, mset):
+        rounds.append(mset.size)
+        return kernel(T, mset) if pairs and len(rounds) > refused else None
+
+    def rademacher_scan(T, mset, epsilon):
+        sign, value = scan(T, mset, epsilon)
+        return sign, value if len(rounds) > refused else max(value, epsilon)
+
+    with mock.patch.object(narrowness, "_kernel_pairing", kernel_pairing), \
+            mock.patch.object(narrowness, "_rademacher_scan", rademacher_scan):
+        yield rounds
 
 
 class TestPairing:
@@ -293,33 +388,7 @@ class TestPairing:
         # those of refining the whole space at every retry, on the L1
         # example and on uniformizable spaces of unequal dyadic weights,
         # with budgets on both sides of the atoms a run needs
-        if data.draw(st.booleans()):
-            t2 = build_l1_example(data.draw(st.integers(3, 9)))
-            t1 = random_narrow_operator(seed, None, 3, 0.5, space=t2.space)
-            params = PipelineParams(delta=1 / 64)
-        else:
-            # an atom of 2^k equal ones split in halves, at random, into 2
-            # or more input atoms of unequal weights
-            exps = [data.draw(st.integers(3, 5))]
-            for _ in range(data.draw(st.integers(1, 6))):
-                i = data.draw(st.sampled_from([i for i, e in enumerate(exps) if e]))
-                exps[i:i + 1] = [exps[i] - 1] * 2
-            num = data.draw(st.sampled_from([1, 2, 3, 5, 6]))
-            space = MeasureSpace(data.draw(st.integers(0, 8)), [num << e for e in exps])
-            rng = np.random.default_rng(seed)
-            k = space.n_atoms
-            t1 = DiscreteOperator(rng.standard_normal((2, k)) * data.draw(
-                st.sampled_from([1e-4, 1e-3, 0.03, 1.0])), space, sup_norm(dim=2))
-            t2 = DiscreteOperator(rng.standard_normal((2, k)) * 1e-5, space,
-                                  lp_norm(1, dim=2))
-            params = PipelineParams(delta=float(space.total) / data.draw(
-                st.sampled_from([2, 8, 64])))
-        rep = _pairing_outcome(pairing_construction, t1, t2,
-                               replace(params, refine_budget=2**16))
-        if isinstance(rep[2], MeasureSpace):
-            n = rep[2].n_atoms
-            params = replace(params, refine_budget=data.draw(st.sampled_from(
-                [max(1, n // 2), max(1, n - 1), n, 2 * n])))
+        t1, t2, params = _draw_pairing_config(data, seed)
         got = _pairing_outcome(pairing_construction, t1, t2, params)
         want = _pairing_outcome(_reference_pairing_construction, t1, t2, params)
         assert got == want
@@ -353,6 +422,139 @@ class TestPairing:
         got = _pairing_outcome(pairing_construction, z, z, params)
         assert sum(s.get("refinements", 0) for s in got[0]["stages"]) == 2
         assert got == _pairing_outcome(_reference_pairing_construction, z, z, params)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), seed=st.integers(0, 2**16))
+    def test_tail_matches_the_whole_space_tail(self, data, seed):
+        # the tail searched on the live atoms alone gives the outcome of the
+        # search on the whole refined space, but for the last bits of a
+        # Rademacher tail's T1 norm, a product over the live columns alone
+        t1, t2, params = _draw_pairing_config(data, seed)
+        _assert_same_but_the_scan_bits(
+            _pairing_outcome(pairing_construction, t1, t2, params),
+            _pairing_outcome(_whole_space_tail, t1, t2, params))
+
+    def test_tail_refines_no_operator(self, monkeypatch):
+        # the level-10 shape of the benchmark: the tail search reads the
+        # 2,048 live atoms' T1 columns alone, not an operator refined onto
+        # all 14,336 atoms
+        calls = []
+        refine = DiscreteOperator.refine
+        monkeypatch.setattr(DiscreteOperator, "refine", lambda op, rmap, space:
+                            calls.append(space.n_atoms) or refine(op, rmap, space))
+        t2 = build_l1_example(10)
+        t1 = random_narrow_operator(1, None, 3, 0.5, space=t2.space)
+        rep = pairing_construction(t1, t2, PipelineParams(delta=1 / 64))
+        tail = rep.stages[-1]
+        assert tail["strategy"] == "kernel_pairing" and tail["n_atoms"] == 14336
+        assert (rep.extras["stage"] == rep.extras["n_stages"] + 1).sum() == 2048
+        assert calls == []
+
+    @pytest.mark.parametrize("extra, pairs", [(0, True), (127, True), (128, True),
+                                              (384, True), (128, False)],
+                             ids=["stages-budget", "one-short", "exact", "room", "scan"])
+    def test_a_tail_that_refines_matches_the_whole_space_tail(self, extra, pairs):
+        # level 6 leaves 128 live atoms among 896; with its first round
+        # refused, the tail splits them once when the budget, shared with
+        # the 768 other atoms, has room for 128 more, and kernel pairing
+        # then pairs each atom's two children, or, where it may not, the
+        # scan takes a level of nonzero T2 image (T1 a tenth as large lets
+        # it pass a coarse one); else it raises NoSignFound, whose best sign
+        # lives on the live atoms' space
+        split = extra >= 128
+        t2 = build_l1_example(6)
+        t1 = random_narrow_operator(1, None, 3, 0.5, space=t2.space)
+        t1 = DiscreteOperator(t1.matrix * (1.0 if pairs else 0.1), t1.space, t1.target)
+        params = PipelineParams(delta=1 / 64, refine_budget=896 + extra)
+        outcomes = []
+        for pipeline in (pairing_construction, _whole_space_tail):
+            with _unrefined_set_refused(pairs) as rounds:
+                outcomes.append(_pairing_outcome(pipeline, t1, t2, params))
+            assert rounds == [128] + [256] * split
+        got, want = outcomes
+        _assert_same_but_the_scan_bits(got, want)
+        if split:
+            tail = got[0]["stages"][-1]
+            assert tail["n_atoms"] == 1024
+            assert (tail["strategy"], tail["t2_norm"] > 0) == (
+                ("kernel_pairing", False) if pairs else ("rademacher_scan", True))
+            return
+        assert got[:2] == (NoSignFound, f"no sign with image norm < "
+                                        f"{0.1 / 2**6 + _TOL} within the refinement budget")
+        errors = []
+        for pipeline in (pairing_construction, _whole_space_tail):
+            with _unrefined_set_refused(), pytest.raises(NoSignFound) as exc:
+                pipeline(t1, t2, params)
+            errors.append(exc.value)
+        sub, whole = (e.best_sign for e in errors)
+        live = whole.values != 0
+        assert whole.space.n_atoms == 896 and live.sum() == 128
+        assert sub.space == MeasureSpace(whole.space.denom_log2, whole.space.numerators[live])
+        assert sub.values.tolist() == whole.values[live].tolist()
+        assert errors[0].best_value == errors[1].best_value
+
+    @pytest.mark.parametrize("num, denom_log2, splits", [
+        (2**56 + 1, 61, 1), (2**56, 0, 1), (4, 0, 1), (2**55, 0, 2)],
+        ids=["odd-past-the-range", "even-at-the-range", "small-even", "even-twice"])
+    def test_a_tail_split_keeps_the_lowest_terms(self, num, denom_log2, splits):
+        # 32 atoms of numerator num over 2^denom_log2: stage 1 needs no
+        # retry and leaves 16.  Splitting them doubles the whole space's
+        # total while num is odd, 2^61 + 32 to past 2^62 here, which their
+        # own total would not reach, and halves num while it is even and
+        # the denominator 1; the whole space refuses a split whose total
+        # doubled would reach 2^62 either way
+        space = MeasureSpace(denom_log2, [num] * 32)
+        z = DiscreteOperator(np.zeros((1, 32)), space, sup_norm(dim=1))
+        params = PipelineParams(delta=0.75 * float(space.total))
+        assert pairing_construction(z, z, params).stages[-1]["strategy"] == "kernel_pairing"
+        outcomes = []
+        for pipeline in (pairing_construction, _whole_space_tail):
+            with _unrefined_set_refused(refused=splits):
+                outcomes.append(_pairing_outcome(pipeline, z, z, params))
+        got, want = outcomes
+        assert got == want
+        if num >= 2**56:
+            assert got == (NonDyadic, "refining into 2 parts leaves the exact "
+                                      "int64 range", None)
+        else:
+            assert got[2].denom_log2 == 0
+            assert sorted(got[2].numerators.tolist()) == sorted(
+                [num] * 16 + [num >> splits] * (16 << splits))
+
+    @pytest.mark.parametrize("near", [True, False])
+    def test_two_candidates_take_the_pair_order_of_the_net(self, near):
+        # with two candidates the net orders the one pair (0, 1) either way:
+        # in one group when the images are near, else as the other pair
+        images = np.array([[1e-3, 0.0], [1e-3, 2e-3 if near else 0.5]])
+        radius = 0.499 * 0.05
+        net = net_cover(images, radius, lp_norm(1, dim=2))
+        assert net.size == (1 if near else 2)
+        order = [ab for grp in net.groups().values() for ab in combinations(grp, 2)]
+        order += [ab for ab in combinations(range(2), 2) if ab not in order]
+        assert pipelines._pair_order(images, radius, lp_norm(1, dim=2)) == order == [(0, 1)]
+
+    @pytest.mark.parametrize("images, radius", [
+        (np.array([[np.inf], [0.0]]), 0.01), (np.array([[np.nan], [0.0]]), 0.01),
+        (np.zeros((2, 1)), 0.0), (np.array([[np.inf], [0.0], [1.0]]), 0.01),
+    ], ids=["inf", "nan", "zero-radius", "three"])
+    def test_pair_order_keeps_the_net_checks(self, images, radius):
+        with pytest.raises(ValueError) as want:
+            net_cover(images, radius, sup_norm(dim=1))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            pipelines._pair_order(images, radius, sup_norm(dim=1))
+
+    def test_two_overflowing_candidates_fail_as_the_net_did(self):
+        # T2 entries near the float maximum: the level-1 block sign's image
+        # overflows, and with the two candidates of 4 atoms the stage
+        # raises the ValueError of the net it no longer builds
+        space = MeasureSpace.uniform(4)
+        t1 = DiscreteOperator(np.zeros((1, 4)), space, sup_norm(dim=1))
+        t2 = DiscreteOperator(np.full((1, 4), 1.5e308), space, sup_norm(dim=1))
+        params = PipelineParams(delta=1 / 8)
+        for pipeline in (pairing_construction, _reference_pairing_construction):
+            with np.errstate(over="ignore", invalid="ignore"), \
+                    pytest.raises(ValueError, match="^net points must be finite$"):
+                pipeline(t1, t2, params)
 
     @pytest.mark.parametrize("name, forged, message", [
         ("_stage_row", lambda row: lambda *args: np.abs(row(*args)),
@@ -756,6 +958,41 @@ class TestSumFiniteRank:
         delta, basis_norms = rep.budgets["delta"], rep.extras["basis_norms"]
         assert delta**0.5 * sum(basis_norms) <= epsilon
         revalidate(rep, t1, t2, 0.1, epsilon)
+
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_zero_images_within_the_rank_take_no_step(self, rank):
+        # on at most rank-many images, all exactly zero, the walk takes no
+        # step and signs each +1 with certificate 0.0, which sum_finite_rank
+        # keeps without calling it; on one more it steps, so those go to it
+        for k in range(1, rank + 2):
+            for norm in (sup_norm(dim=rank), lp_norm(1, dim=rank), lp_norm(0.5, dim=rank)):
+                theta, achieved_p, certificate, res = sign_round(np.zeros((k, rank)), norm)
+                assert (res.elimination_steps == 0) == (k <= rank)
+                if k <= rank:
+                    assert theta.tolist() == [1] * k
+                    assert achieved_p == certificate == 0.0
+
+    @pytest.mark.parametrize("case", ["truncation", "rank-1"])
+    def test_zero_images_reach_the_walk_only_past_the_rank(self, case, monkeypatch):
+        # the level-8 truncation run of the benchmark leaves one unpaired
+        # image, exactly 0; the rank-1 run on 64 atoms leaves two, which
+        # differ only in the signs of their zeros, and a walk over them steps
+        calls = []
+        monkeypatch.setattr(pipelines, "sign_round", lambda vectors, norm:
+                            calls.append(vectors) or sign_round(vectors, norm))
+        if case == "truncation":
+            t2 = build_l1_example(8)
+            t1 = random_narrow_operator(1, None, 3, 0.5, space=t2.space)
+            rep = sum_compact_via_truncation(t1, t2, 0.1, 0.125, l1_example_tail_bound(8))
+            assert calls == [] and rep.rounding_certificate == 0.0
+            assert rep.space.n_atoms == 512
+        else:
+            t1 = random_narrow_operator(18, 64, 3, 0.5)
+            t2 = random_finite_rank(30, 1, None, 6, 0.1, space=t1.space)
+            rep = sum_finite_rank(t1, t2, 0.1, 0.1)
+            assert [v.shape for v in calls] == [(2, 1)] and not calls[0].any()
+        revalidate(rep, t1, t2, 0.1, rep.budgets["epsilon"])
 
 
 class TestSumCompact:
