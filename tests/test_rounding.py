@@ -653,11 +653,24 @@ def _near_threshold_pairs(rng, big):
     return pairs
 
 
+def _product_verdict(w, u):
+    """The oracle verdict with max(1, max|w|)**2 taken as one product, as
+    ``_null_enough`` squares it where max|w|**2 overflows.  That square
+    scales exactly with w; the oracle's pow square can differ from it by
+    an ulp, and then a pair on the threshold gets the other verdict."""
+    res = u @ w
+    res2, size2 = float(res @ res), 1e-12 * float(u @ u)
+    m = max(1.0, float(np.abs(w).max()))
+    return res2 <= size2 * (m * m)
+
+
 def _verdict_stack(rng, big):
     """(ws, us, want): a shuffled stack of (w, u) rows of one shape and the
     verdict each must get.  Each near-threshold pair comes with its oracle
     verdict, again at a power-of-two scale where res.res is near or past
-    the overflow, with the same verdict, and again with a non-finite
+    the overflow, with its ``_product_verdict``, which is the oracle
+    verdict unless ``big``: without it max|w| = 1 squares exactly, and
+    again with a non-finite
     direction, which fails.  A least-squares direction (-B^+ x, 1) on
     generic rows B and x, whose residual cancels where B spans x, comes
     with its oracle verdict, at scale 1 and at 2**40, where only max|w|
@@ -676,7 +689,8 @@ def _verdict_stack(rng, big):
         v = np.append(-np.linalg.lstsq(null[:-1].T, null[-1], rcond=None)[0], 1.0)
         ws += [w, w * 2.0**j, w, null, null * 2.0**40]
         us += [u, u, bad, v, v]
-        want += [verdict, verdict, False, oracles._null_enough(null, v),
+        want += [verdict, _product_verdict(w, u), False,
+                 oracles._null_enough(null, v),
                  oracles._null_enough(null * 2.0**40, v)]
     order = rng.permutation(len(ws))
     return np.stack(ws)[order], np.stack(us)[order], [want[i] for i in order]
@@ -742,6 +756,8 @@ class TestResidualVerdict:
 class TestSegmentVerdict:
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), big=st.booleans())
+    # a pair on the threshold whose pow square of max|w| is an ulp off
+    @example(seed=6378329, big=True)
     def test_stacked_verdicts_match_the_oracle_row_by_row(self, seed, big):
         # the batched check relies on numpy's matmul running one gemv per
         # stacked item, with the strides of the single product
