@@ -46,6 +46,17 @@ def _check_split(total: int, parts: int) -> None:
         raise NonDyadic(f"refining into {parts} parts leaves the exact int64 range")
 
 
+def _split_in_two(total: int, num: int, d: int) -> tuple[int, int, int]:
+    """(total, num, d) after splitting in two every atom of numerator `num`
+    in a space of lowest-terms total numerator `total` over 2^d, refused as
+    `_check_split` refuses it.  The split keeps the lowest terms: an odd
+    `num` doubles the total and the denominator, an even one is halved."""
+    _check_split(total, 2)
+    if num % 2:
+        return total << 1, num, d + 1
+    return total, num >> 1, d
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a

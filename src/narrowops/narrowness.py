@@ -86,13 +86,20 @@ class NetCover:
         return out
 
 
-def net_cover(points, radius: float, norm: TargetNorm) -> NetCover:
-    """Greedy net over the rows of `points`: scan them in order, joining the
-    first center within `radius`, else opening a new center."""
+def _net_points(points, radius: float) -> np.ndarray:
+    """`points` as a float array, after `net_cover`'s checks: a positive
+    finite `radius`, then finite points."""
     check_budgets(radius=radius)
     points = np.asarray(points, dtype=float)
     if not np.isfinite(points).all():
         raise ValueError("net points must be finite")
+    return points
+
+
+def net_cover(points, radius: float, norm: TargetNorm) -> NetCover:
+    """Greedy net over the rows of `points`: scan them in order, joining the
+    first center within `radius`, else opening a new center."""
+    points = _net_points(points, radius)
     # rows [0, n_centers) are the centers opened so far
     centers = np.empty_like(points)
     n_centers = 0

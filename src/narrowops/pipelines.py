@@ -33,10 +33,9 @@ from .measure import (
     MeasureSpace,
     RefineMap,
     SignVector,
-    _EXACT_LIMIT,
-    _check_split,
     _cut_sums,
     _is_power_of_two,
+    _split_in_two,
     _wave_sums,
     rademacher_signs,
 )
@@ -44,6 +43,7 @@ from .narrowness import (
     _EXHAUSTIVE_SEARCH_LIMIT,
     DEFAULT_REFINE_BUDGET,
     Partition,
+    _net_points,
     _pair_equal_rows,
     cell_segments,
     check_budgets,
@@ -237,9 +237,7 @@ def _pair_order(images: np.ndarray, radius: float, norm) -> list[tuple[int, int]
     whatever the net, so theirs is not built; a bad radius and non-finite
     images still raise `net_cover`'s ValueError."""
     if len(images) == 2:
-        check_budgets(radius=radius)
-        if not np.isfinite(images).all():
-            raise ValueError("net points must be finite")
+        _net_points(images, radius)
         return [(0, 1)]
     net = net_cover(images, radius, norm)
     order = [ab for grp in net.groups().values() for ab in combinations(grp, 2)]
@@ -345,7 +343,7 @@ def pairing_construction(
             # a retry splits every live atom in two, with ctx.refine_atoms's
             # refusals: the int64 range first, then the budget
             stage_refines += 1
-            _check_split(int(weights.sum()), 2)
+            _, num_next, d_next = _split_in_two(int(weights.sum()), num, d)
             atoms += lefts.size
             if atoms > params.refine_budget:
                 best = min((fnorm(T2.target, 0.5 * (x - y))
@@ -353,10 +351,8 @@ def pairing_construction(
                 raise StageFailed(j, f"no candidate pair within budgets (refinement to "
                                   f"{atoms} atoms exceeds budget {params.refine_budget})",
                                   best=best)
-            if num % 2:
-                lefts, weights, d = 2 * lefts, 2 * weights, d + 1
-            else:
-                num //= 2
+            lefts, weights = lefts << (d_next - d), weights << (d_next - d)
+            num, d = num_next, d_next
             lefts = np.stack([lefts, lefts + num], axis=1).ravel()
             cuts = 2 * cuts
 
@@ -397,23 +393,22 @@ def pairing_construction(
     live_t1 = DiscreteOperator(T1.matrix[:, parent] * (num / weights[parent]),
                                MeasureSpace(d, np.full(n_live, num)), T1.target)
     # the search splits every atom of its set each round.  The whole space
-    # would refuse a split past the int64 range of its lowest-terms total
-    # first (the total doubles while the shared numerator k is odd), then
-    # past the budget, which the other atoms share: cap the search at the
-    # first split past the range, and raise refine_atoms's NonDyadic there
+    # would refuse a split past the int64 range first, then past the
+    # budget, which the other atoms share: cap the search at the last split
+    # within the range, and raise refine_atoms's NonDyadic where it stops
     budget = max(1, params.refine_budget - (atoms - n_live))
-    total_num, k, cap = int(weights.sum()), num, n_live
-    while total_num << 1 < _EXACT_LIMIT and cap << 1 <= budget:
-        if k % 2:
-            total_num <<= 1
-        else:
-            k >>= 1
-        cap <<= 1
+    split, cap = (int(weights.sum()), num, d), n_live
+    try:
+        while cap << 1 <= budget:
+            split = _split_in_two(*split)
+            cap <<= 1
+    except NonDyadic:
+        budget = cap
     try:
         res = find_small_sign(live_t1, live_t1.space.full_set(), params.sigma / 2**m + _TOL,
-                              refine_budget=cap if total_num << 1 >= _EXACT_LIMIT else budget)
+                              refine_budget=budget)
     except NoSignFound:
-        _check_split(total_num, 2)
+        _split_in_two(*split)
         raise
 
     # each live atom has 2^t equal children in the search's space, of
@@ -507,10 +502,8 @@ def sum_finite_rank(
     which forces ||T2 x|| <= epsilon: equal images cancel in pairs
     (`_pair_equal_rows`), and `sign_round` signs the rest, one per odd
     class, with `rounding_certificate` its certificate (0.0 if none is
-    left, or if at most rank-many are left and all are exactly zero: the
-    walk would take no step and give each theta +1).  Here delta =
-    epsilon / sum ||b_i|| over the basis columns b_i, or
-    (epsilon / sum ||b_i||)^(1/p) for an lp target with p < 1, whose
+    left).  Here delta = epsilon / sum ||b_i|| over the basis columns b_i,
+    or (epsilon / sum ||b_i||)^(1/p) for an lp target with p < 1, whose
     F-norm is p-homogeneous.
 
     An atom whose coefficient column alone exceeds the cell budget
@@ -666,12 +659,9 @@ def sum_finite_rank(
         raise StageFailed(int(over[0]) + 1, f"cell coefficient norm "
                           f"{coeff_norms[over[0]]} exceeds delta/m")
 
-    # the walk steps only while more than m coefficients float, so on at
-    # most m unpaired images, all exactly zero, it would keep theta +1 and
-    # certify 0.0
     theta_signs, unpaired = _pair_equal_rows(vectors.view(np.int64))
     achieved_p = certificate = 0.0
-    if unpaired.size > m or vectors[unpaired].any():
+    if unpaired.size:
         theta_signs[unpaired], achieved_p, certificate, _ = sign_round(
             vectors[unpaired], coeff_target)
     if certificate > delta + _TOL:

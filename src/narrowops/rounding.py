@@ -252,12 +252,11 @@ def _numpy_null_enough(res: np.ndarray, u: np.ndarray, w: np.ndarray) -> bool:
     if a == b == 0:
         if res2 <= size2:
             return True
-        # the verdict where nothing overflows squares m with pow, which
-        # may differ from m * m by an ulp
-        try:
-            return res2 <= size2 * m ** 2
-        except OverflowError:
-            pass
+        # m * m, not pow: a product scales exactly with w, where pow can
+        # round m**2 an ulp away and flip a verdict on the threshold
+        square = m * m
+        if square < math.inf:
+            return res2 <= size2 * square
     # res2 4**a <= size2 4**b max(1, m)**2, with max(1, m) = mant 2**exp
     mant, exp = math.frexp(max(1.0, m))
     try:
@@ -464,6 +463,8 @@ def sign_round(
 
     Reduction to half-integer rounding at lambda = 1/2: sigma = 1 - 2 theta,
     and the certificate doubles because sum sigma x = 2 sum (1/2 - theta) x.
+    At most d vectors, all exactly zero, are signed +1 with certificate 0.0
+    without the walk, which would take no step and give the same.
     """
     x = np.asarray(vectors, dtype=float)
     if x.ndim != 2 or x.shape[0] < 1:
@@ -471,6 +472,10 @@ def sign_round(
     instance = RoundingInstance(
         vectors=x, coefficients=np.full(x.shape[0], 0.5), norm=norm
     )
+    if x.shape[0] <= x.shape[1] and not x.any():
+        theta = np.zeros(x.shape[0], dtype=int)
+        return 1 - 2 * theta, 0.0, 0.0, RoundingResult(
+            theta=theta, discrepancy=0.0, certificate=0.0, elimination_steps=0)
     result = round_half_integer(instance)
     sigma = 1 - 2 * result.theta
     achieved = fnorm(norm, sigma @ x)

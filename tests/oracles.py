@@ -136,10 +136,12 @@ def _factor(a: np.ndarray, d: int) -> tuple[list[int], np.ndarray]:
 
 def _null_enough(w: np.ndarray, u: np.ndarray) -> bool:
     """The residual test of a step direction u on its window's vectors w
-    (rows): ||w.T u|| <= 1e-6 max(1, max|w|) ||u||, compared in squares."""
+    (rows): ||w.T u|| <= 1e-6 max(1, max|w|) ||u||, compared in squares,
+    with max|w|**2 taken as one product."""
     res = u @ w
     res2, size2 = float(res @ res), 1e-12 * float(u @ u)
-    return res2 <= size2 or res2 <= size2 * float(np.abs(w).max()) ** 2
+    m = float(np.abs(w).max())
+    return res2 <= size2 or res2 <= size2 * (m * m)
 
 
 def tableau_round_half_integer(instance: RoundingInstance) -> RoundingResult:

@@ -959,28 +959,16 @@ class TestSumFiniteRank:
         assert delta**0.5 * sum(basis_norms) <= epsilon
         revalidate(rep, t1, t2, 0.1, epsilon)
 
-
-    @pytest.mark.parametrize("rank", [1, 2, 3])
-    def test_zero_images_within_the_rank_take_no_step(self, rank):
-        # on at most rank-many images, all exactly zero, the walk takes no
-        # step and signs each +1 with certificate 0.0, which sum_finite_rank
-        # keeps without calling it; on one more it steps, so those go to it
-        for k in range(1, rank + 2):
-            for norm in (sup_norm(dim=rank), lp_norm(1, dim=rank), lp_norm(0.5, dim=rank)):
-                theta, achieved_p, certificate, res = sign_round(np.zeros((k, rank)), norm)
-                assert (res.elimination_steps == 0) == (k <= rank)
-                if k <= rank:
-                    assert theta.tolist() == [1] * k
-                    assert achieved_p == certificate == 0.0
-
     @pytest.mark.parametrize("case", ["truncation", "rank-1"])
     def test_zero_images_reach_the_walk_only_past_the_rank(self, case, monkeypatch):
         # the level-8 truncation run of the benchmark leaves one unpaired
-        # image, exactly 0; the rank-1 run on 64 atoms leaves two, which
-        # differ only in the signs of their zeros, and a walk over them steps
+        # image, exactly 0, of rank 4; the rank-1 run on 64 atoms leaves
+        # two, which differ only in the signs of their zeros, and a walk
+        # over them steps
         calls = []
-        monkeypatch.setattr(pipelines, "sign_round", lambda vectors, norm:
-                            calls.append(vectors) or sign_round(vectors, norm))
+        walk = rounding.round_half_integer
+        monkeypatch.setattr(rounding, "round_half_integer", lambda instance:
+                            calls.append(instance.vectors) or walk(instance))
         if case == "truncation":
             t2 = build_l1_example(8)
             t1 = random_narrow_operator(1, None, 3, 0.5, space=t2.space)

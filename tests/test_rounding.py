@@ -24,6 +24,7 @@ from narrowops import (
     sign_round,
     sup_norm,
 )
+from narrowops import rounding
 from narrowops.linalg import null_vector
 from narrowops.rounding import (
     _BLOCK, _factor, _null_enough, _null_enough_rows, _snap)
@@ -178,6 +179,29 @@ class TestSignRound:
                 for s in product((-1, 1), repeat=n)
             )
             assert best <= achieved + 1e-9
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_zero_vectors_within_the_dimension_skip_the_walk(self, d, monkeypatch):
+        # on at most d vectors, all exactly zero (some of them -0.0), the
+        # walk takes no step, and sign_round gives what it would give
+        # without calling it; on d + 1 of them the walk steps
+        for n in range(1, d + 2):
+            x = np.zeros((n, d))
+            x[::2] = -0.0
+            for norm in (sup_norm(dim=d), lp_norm(1, dim=d), lp_norm(0.5, dim=d)):
+                walk = round_half_integer(
+                    RoundingInstance(vectors=x, coefficients=np.full(n, 0.5), norm=norm))
+                sigma = 1 - 2 * walk.theta
+                want = (sigma, fnorm(norm, sigma @ x), 2.0 * walk.certificate)
+                calls = []
+                with monkeypatch.context() as mp:
+                    mp.setattr(rounding, "round_half_integer",
+                               lambda instance: calls.append(instance) or walk)
+                    *got, res = sign_round(x, norm)
+                assert (calls == []) == (n <= d) == (walk.elimination_steps == 0)
+                assert got[0].dtype == sigma.dtype and got[0].tolist() == sigma.tolist()
+                assert repr(got[1:]) == repr(list(want[1:]))
+                assert res.to_json_dict() == walk.to_json_dict()
 
 
 def _reference_round_half_integer(instance):
@@ -653,24 +677,11 @@ def _near_threshold_pairs(rng, big):
     return pairs
 
 
-def _product_verdict(w, u):
-    """The oracle verdict with max(1, max|w|)**2 taken as one product, as
-    ``_null_enough`` squares it where max|w|**2 overflows.  That square
-    scales exactly with w; the oracle's pow square can differ from it by
-    an ulp, and then a pair on the threshold gets the other verdict."""
-    res = u @ w
-    res2, size2 = float(res @ res), 1e-12 * float(u @ u)
-    m = max(1.0, float(np.abs(w).max()))
-    return res2 <= size2 * (m * m)
-
-
 def _verdict_stack(rng, big):
     """(ws, us, want): a shuffled stack of (w, u) rows of one shape and the
     verdict each must get.  Each near-threshold pair comes with its oracle
     verdict, again at a power-of-two scale where res.res is near or past
-    the overflow, with its ``_product_verdict``, which is the oracle
-    verdict unless ``big``: without it max|w| = 1 squares exactly, and
-    again with a non-finite
+    the overflow, with the same verdict, and again with a non-finite
     direction, which fails.  A least-squares direction (-B^+ x, 1) on
     generic rows B and x, whose residual cancels where B spans x, comes
     with its oracle verdict, at scale 1 and at 2**40, where only max|w|
@@ -689,8 +700,7 @@ def _verdict_stack(rng, big):
         v = np.append(-np.linalg.lstsq(null[:-1].T, null[-1], rcond=None)[0], 1.0)
         ws += [w, w * 2.0**j, w, null, null * 2.0**40]
         us += [u, u, bad, v, v]
-        want += [verdict, _product_verdict(w, u), False,
-                 oracles._null_enough(null, v),
+        want += [verdict, verdict, False, oracles._null_enough(null, v),
                  oracles._null_enough(null * 2.0**40, v)]
     order = rng.permutation(len(ws))
     return np.stack(ws)[order], np.stack(us)[order], [want[i] for i in order]
@@ -725,8 +735,7 @@ class TestResidualVerdict:
         # with max|w| >= 1 the test is homogeneous in w; at 2**j res.res
         # overflows while res and w stay finite, and it used to fail every
         # such direction (with numpy's overflow warning, an error here).
-        # A row that u weights by 0 sets max|w| = 1, whose square is exact
-        # at every scale, as pow's square of another max|w| is not
+        # A row that u weights by 0 sets max|w| = 1
         verdicts = set()
         for w, u in _near_threshold_pairs(np.random.default_rng(seed), False):
             w = np.vstack([np.ones(w.shape[1]), w])
@@ -756,7 +765,8 @@ class TestResidualVerdict:
 class TestSegmentVerdict:
     @settings(max_examples=100, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), big=st.booleans())
-    # a pair on the threshold whose pow square of max|w| is an ulp off
+    # a pair on the threshold where pow would round max|w|**2 an ulp away
+    # from the product, so that its scaled copy got the other verdict
     @example(seed=6378329, big=True)
     def test_stacked_verdicts_match_the_oracle_row_by_row(self, seed, big):
         # the batched check relies on numpy's matmul running one gemv per
