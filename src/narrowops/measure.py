@@ -266,7 +266,7 @@ class MeasureSpace:
         nums = np.repeat(np.array([num << s for num, s in zip(nums, shifts)], dtype=np.int64),
                          [l.size for l in lefts])
         lefts = np.concatenate([l << s for l, s in zip(lefts, shifts)])
-        order = np.argsort(lefts)
+        order = np.argsort(lefts, kind="stable")
         space = object.__new__(MeasureSpace)._lowest_terms(denom_log2, nums[order])
         # self's atoms begin where their children do
         firsts = (np.cumsum(self.numerators) - self.numerators) << (denom_log2 - self.denom_log2)
@@ -410,13 +410,15 @@ def rademacher_signs(mset: MeasurableSet) -> np.ndarray:
     return family
 
 
-def _cut_sums(cuts: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """Per-old-atom sums of int64 `terms`, one per atom of a set whose
-    positions at the cuts between old atoms are `cuts`, as differences of
-    exact prefix sums: the int64 sums that ``np.add.reduceat`` forms over
-    the whole space when every atom outside the set contributes 0."""
+def _shares(cuts: np.ndarray, terms: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Per-old-atom shares s / w of int64 `terms`, one per atom of a set
+    whose positions at the cuts between old atoms are `cuts`, over the old
+    atoms' int64 `weights`: s as differences of exact prefix sums, the
+    int64 sums that ``np.add.reduceat`` forms over the whole space when
+    every atom outside the set contributes 0, so these are the shares
+    ``RefinementContext.shares`` gives."""
     prefix = np.concatenate(([0], np.cumsum(terms)))
-    return prefix[cuts[1:]] - prefix[cuts[:-1]]
+    return (prefix[cuts[1:]] - prefix[cuts[:-1]]) / weights
 
 
 def _wave_sums(num: int, size: int, blocks: np.ndarray, cuts: np.ndarray) -> np.ndarray:
@@ -435,13 +437,10 @@ def _wave_sums(num: int, size: int, blocks: np.ndarray, cuts: np.ndarray) -> np.
 
 
 def rademacher_sign(mset: MeasurableSet, level: int) -> SignVector:
-    """The level-`level` row of :func:`rademacher_signs` as a sign, built
-    alone; the set size must be divisible by 2^level."""
+    """The level-`level` row of :func:`rademacher_signs` as a sign; the set
+    size must be divisible by 2^level."""
     if level < 1:
         raise NotDivisible("level must be >= 1")
     if mset.size % 2**level != 0:
         raise NotDivisible(f"set size {mset.size} not divisible by 2^{level}")
-    block = _rademacher_blocks(mset)[level - 1]
-    values = np.zeros(mset.space.n_atoms, dtype=np.int8)
-    values[mset.indices] = 1 - 2 * (np.arange(mset.size) // block % 2)
-    return SignVector(space=mset.space, values=values)
+    return SignVector(space=mset.space, values=rademacher_signs(mset)[level - 1])

@@ -8,9 +8,10 @@ rounding.
 
 A :class:`RefinementContext` takes its operators once, on its starting
 space, and keeps them there.  ``ctx.op(key)`` builds an operator on the
-current space only when it is read; ``ctx.image`` computes the image of a
-sign on the current space exactly in the atom weights, from per-parent
-integer sums, without building the refined operator.
+current space only when it is read; ``ctx.shares`` gives a sign's exact
+share of each starting atom, from per-parent integer sums, and
+``ctx.image`` the starting matrix times them, without building the refined
+operator.
 
 `best_signs` is the one exhaustive sign search: `brute_force_best_sign` runs
 it on one set, ``narrowness.exhaustive_cell_signs`` on many cells at once.
@@ -134,8 +135,9 @@ class RefinementContext:
     stay there as ``ctx.start``.  ``ctx.op(key)`` is the operator on the
     current space, built when first read by one ``refine(total_map, space)``
     and kept until the next refinement; with the power-of-two shares of this
-    package that has the bits of refining step by step.  ``ctx.image`` gives
-    the image of a sign on the current space without building it."""
+    package that has the bits of refining step by step.  ``ctx.shares``
+    gives a sign's exact share of each starting atom, and ``ctx.image`` its
+    image under a starting matrix, without building the operator."""
 
     def __init__(self, space: MeasureSpace, ops: dict):
         if any(op.space != space for op in ops.values()):
@@ -170,17 +172,20 @@ class RefinementContext:
                 np.add.reduceat(self.space.numerators, self.total_map.starts))
         return self._parent_weights
 
+    def shares(self, values) -> np.ndarray:
+        """Each starting atom's exact share s / w of integer step values on
+        the current space: s_j the int64 sum of value times numerator over
+        starting atom j's children, w_j its weight.  s is exact, so values
+        that cancel within every starting atom have shares of exactly 0."""
+        s = np.add.reduceat(np.asarray(values, dtype=np.int64) * self.space.numerators,
+                            self.total_map.starts)
+        return s / self.parent_weights()
+
     def image(self, key: str, values) -> np.ndarray:
         """Image of integer step values on the current space under
-        ``op(key)``, as ``M @ (s / w)`` with M the starting matrix, s_j the
-        int64 sum of value times numerator over starting atom j's children
-        and w_j its weight.  s is exact, so values that cancel within every
-        starting atom map to exactly 0; before any refinement this has the
-        bits of ``apply``."""
-        nums = self.space.numerators
-        s = np.add.reduceat(np.asarray(values, dtype=np.int64) * nums,
-                            self.total_map.starts)
-        return self.start[key].matrix @ (s / self.parent_weights())
+        ``op(key)``, as ``M @ shares(values)`` with M the starting matrix;
+        before any refinement this has the bits of ``apply``."""
+        return self.start[key].matrix @ self.shares(values)
 
     def where(self, key: str, label: int) -> MeasurableSet:
         """The atoms whose `key` label equals `label`."""

@@ -33,8 +33,8 @@ from .measure import (
     MeasureSpace,
     RefineMap,
     SignVector,
-    _cut_sums,
     _is_power_of_two,
+    _shares,
     _split_in_two,
     _wave_sums,
     rademacher_signs,
@@ -267,13 +267,14 @@ def pairing_construction(
     adds.  Only the chosen pair's half-difference is built, as an int8 row
     on the live atoms, and the stage's checks run on it there: mean zero
     and the support measure from its int64 sums of value times numerator,
-    and the T1 and T2 norms from its per-input-atom sums between the cuts,
-    which are the exact sums ``ctx.image`` would form on the whole space.
+    and the T1 and T2 norms from its per-input-atom shares between the cuts
+    (`measure._shares`), the exact shares ``ctx.shares`` would give on the
+    whole space, computed once for both.
 
     The tail search (`find_small_sign`) runs on a space of the live atoms
     alone, with T1's columns on them (each input column times the atom's
     exact power-of-two share), so no operator is refined; its T2 check uses
-    the same sums as the stages'.  Its `refine_budget` is the pipeline's
+    the same shares as the stages'.  Its `refine_budget` is the pipeline's
     less the other atoms (at least 1), and it is capped where refining the
     whole space would first leave the int64 range, which then raises
     `NonDyadic`, so it refuses where a search on the whole space would.
@@ -364,9 +365,9 @@ def pairing_construction(
         support = v != 0
         if Fraction(num * int(support.sum()), 2**d) != total / 2**j:
             raise StageFailed(j, "support measure is not exactly mu(Omega)/2^j")
-        sums = _cut_sums(cuts, terms)
-        t1n = fnorm(T1.target, T1.matrix @ (sums / weights))
-        t2n = fnorm(T2.target, T2.matrix @ (sums / weights))
+        v_shares = _shares(cuts, terms, weights)
+        t1n = fnorm(T1.target, T1.matrix @ v_shares)
+        t2n = fnorm(T2.target, T2.matrix @ v_shares)
         if t1n > params.sigma / 2**j + _TOL or t2n > eps1 / 2**j + _TOL:
             raise StageFailed(j, "stage norms violate the geometric schedule")
         stages.append({
@@ -412,14 +413,13 @@ def pairing_construction(
         raise
 
     # each live atom has 2^t equal children in the search's space, of
-    # numerator num_t over 2^d_t; z's T2 image comes from its sums between
-    # the cuts, the exact sums ctx.image forms on the whole space
+    # numerator num_t over 2^d_t; z's T2 image comes from its shares
+    # between the cuts, the exact shares ctx.shares gives on the whole space
     sub, z = res.operator.space, res.sign.values
     t = (sub.n_atoms // n_live).bit_length() - 1
     d_t, num_t = sub.denom_log2, int(sub.numerators[0])
-    weights = weights << (d_t - d)
-    sums = _cut_sums(cuts << t, num_t * z.astype(np.int64))
-    t2z = fnorm(T2.target, T2.matrix @ (sums / weights))
+    t2z = fnorm(T2.target, T2.matrix @ _shares(
+        cuts << t, num_t * z.astype(np.int64), weights << (d_t - d)))
     if t2z > params.gamma + _TOL:
         raise StageFailed(m + 1, f"tail sign T2-image {t2z} exceeds gamma")
     if not z.all():
@@ -522,10 +522,11 @@ def sum_finite_rank(
     two first, as the batched pass has tried every sign (all mean-zero with
     full support) that a first round of `find_small_sign` on it would try;
     a split over the refinement budget raises that search's `NoSignFound`.
-    The coefficient images are exact in the atom weights: per-(cell, input
-    atom) int64 sums of sign times numerator, then one product with the
-    coefficient matrix on the input space, so a cell sign that cancels
-    within every input atom has an image of exactly 0.
+    The coefficient images are exact in the atom weights: every input atom
+    lies in one cell, so a cell's image is the sum, over its input atoms, of
+    their coefficient columns times the cell sign's exact shares of them
+    (`RefinementContext.shares`), and a cell sign that cancels within every
+    input atom has an image of exactly 0.
     Their check, each cell's coefficient norm <= delta/m, runs after every
     cell's search, so a search that raises `NoSignFound` on any cell takes
     precedence over `StageFailed` for a cell's coefficient norm.
@@ -637,22 +638,13 @@ def sum_finite_rank(
         ctx.arrays["x"] += res.sign.values
         t1_norms[rank_k], strategies[rank_k] = res.value, res.strategy
 
-    # each cell's coefficient image: over the atoms listed by cell, the
-    # input atoms of each cell run in increasing order, so the (cell, input
-    # atom) pairs are the runs of equal (cell, parent); s / w per pair, then
-    # one segment sum per cell
-    cell, x_cells = ctx.arrays["cell"], ctx.arrays["x"]
-    members, _, starts = cell_segments(cell)
-    parent = ctx.total_map.lift_values(np.arange(T1.space.n_atoms))[members]
-    cuts = np.zeros(members.size, dtype=bool)
-    cuts[starts] = True
-    cuts[1:] |= parent[1:] != parent[:-1]
-    pairs = np.flatnonzero(cuts)
-    signed = x_cells.astype(np.int64) * ctx.space.numerators
-    s = np.add.reduceat(signed[members], pairs)
-    shares = s / ctx.parent_weights()[parent[pairs]]
-    vectors = np.add.reduceat(coeff.T[parent[pairs]] * shares[:, None],
-                              np.searchsorted(pairs, starts))
+    # each cell's coefficient image: every input atom lies in one cell, so
+    # it is one segment sum, over the input atoms listed by cell for the
+    # measure ranking, of their coefficient columns times the cell sign's
+    # exact shares of them, taken in measure order
+    x_cells = ctx.arrays["x"]
+    shares = ctx.shares(x_cells)
+    vectors = np.add.reduceat(coeff.T[members] * shares[members, None], starts)[order]
     coeff_norms = fnorm_many(coeff_target, vectors)
     over = np.flatnonzero(coeff_norms > delta / m + _TOL)
     if over.size:
@@ -669,7 +661,7 @@ def sum_finite_rank(
     if achieved_p > delta + _TOL:
         raise StageFailed(0, f"rounded coefficient norm {achieved_p} exceeds delta")
 
-    x, achieved = _certify(ctx, theta_signs[cell] * x_cells,
+    x, achieved = _certify(ctx, theta_signs[ctx.arrays["cell"]] * x_cells,
                            {"t1": sigma, "t2": epsilon}, 0)
 
     columns = zip(sizes, t1_budgets, t1_norms.tolist(), coeff_norms.tolist(),

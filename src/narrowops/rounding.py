@@ -17,13 +17,14 @@ segment, have their residuals on the original vectors checked together:
 one stacked ``np.matmul`` per block of steps gives them, each with the
 bits of its own product, since numpy runs one gemv per stacked item; a
 segment that fails is rolled back and walked again with the check before
-every step.  The scalar-sized work runs on Python floats with the same
-IEEE operations as numpy's in the same order: the factorization, over
-only the columns it reads; the residual verdict, from sums of squares
-outside a narrow band around its threshold; and the ratio test, the step
-and the snap on the at most ``dim + 1`` window coefficients.  The
-resulting discrepancy is certified by ``(dim/2) * max ||x_i||``; the +-1
-variant doubles the certificate.
+every step.  Every residual verdict is numpy's: a stacked check passes a
+row whose sums of squares lie clearly below the threshold, and numpy's
+sums of squares of that row's own product decide every other one.  The
+other scalar-sized work runs on Python floats with the same IEEE
+operations as numpy's in the same order: the factorization, over only the
+columns it reads, and the ratio test, the step and the snap on the at most
+``dim + 1`` window coefficients.  The resulting discrepancy is certified
+by ``(dim/2) * max ||x_i||``; the +-1 variant doubles the certificate.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from operator import mul
 
 import numpy as np
 
@@ -187,40 +187,14 @@ def _factor(a: np.ndarray, d: int) -> tuple[list[int], np.ndarray]:
 
 # a sum of n non-negative floats is within n * 2**-53 of its exact value,
 # relatively, whatever the order of summation; for the at most 1000 squares
-# a Python sum decides on (d + r + 1 in the walk), its verdict agrees with
-# numpy's outside this relative band around the threshold
+# of a stacked check (d + r + 1 in the walk), a row whose sums lie below the
+# threshold by more than this relative band passes under numpy's sums of its
+# own product too.  u.u >= 1 keeps the threshold far above the underflow
+# range, where the relative error bound does not hold
 _BAND = 1e-12
 
 # the most steps a segment's check stacks at once
 _BLOCK = 1024
-
-
-def _null_enough(w: np.ndarray, u: np.ndarray) -> bool:
-    """The residual test of a step direction u on its window's vectors w
-    (rows): ||w.T u|| <= 1e-6 max(1, max|w|) ||u||, compared in squares.
-
-    The residual ``u @ w`` comes from numpy, as its bits matter.  The
-    verdict comes from Python sums of squares where they lie outside a
-    relative band of ``_BAND`` around the threshold, and from numpy's sums
-    in ``_numpy_null_enough`` inside it, so it is numpy's verdict
-    throughout."""
-    res = u @ w
-    r, v = res.tolist(), u.tolist()
-    rr, uu = sum(map(mul, r, r)), sum(map(mul, v, v))
-    # u.u >= 1 keeps the threshold far above the underflow range, where
-    # the relative error bound does not hold
-    if len(r) + len(v) <= 1000 and rr < math.inf and 1.0 <= uu < math.inf:
-        size2 = 1e-12 * uu
-        if rr < size2 * (1.0 - _BAND):
-            return True
-        m = float(np.abs(w).max())
-        bound = size2 * m * m if m > 1.0 else size2
-        if bound < math.inf:
-            if rr < bound * (1.0 - _BAND):
-                return True
-            if rr > bound * (1.0 + _BAND):
-                return False
-    return _numpy_null_enough(res, u, w)
 
 
 def _square(v: np.ndarray) -> tuple[float, int]:
@@ -239,11 +213,14 @@ def _square(v: np.ndarray) -> tuple[float, int]:
     return float(v @ v), k
 
 
-def _numpy_null_enough(res: np.ndarray, u: np.ndarray, w: np.ndarray) -> bool:
-    """The residual verdict from numpy's sums of squares.  A non-finite
-    res or u fails.  Where res.res, u.u or max|w|**2 overflows, each is
-    scaled by a power of two and the exponents are compared apart, which
-    gives the verdict of an unbounded exponent range."""
+def _null_enough(w: np.ndarray, u: np.ndarray) -> bool:
+    """The residual test of a step direction u on its window's vectors w
+    (rows): ||w.T u|| <= 1e-6 max(1, max|w|) ||u||, compared in squares,
+    from numpy's sums of squares of the residual ``u @ w`` and of u.  A
+    non-finite residual or u fails.  Where res.res, u.u or max|w|**2
+    overflows, each is scaled by a power of two and the exponents are
+    compared apart, which gives the verdict of an unbounded exponent range."""
+    res = u @ w
     (res2, a), (uu, b) = _square(res), _square(u)
     if not (res2 < math.inf and uu < math.inf):
         return False
@@ -271,24 +248,18 @@ def _null_enough_rows(ws: np.ndarray, us: np.ndarray) -> Iterator[bool]:
 
     The residuals come from one stacked ``np.matmul``: numpy runs one gemv
     per stacked item, with the strides of ``us[s] @ ws[s]``, so each
-    residual has that product's bits.  A row passes here when numpy's sums
-    of squares lie below the threshold by more than the relative
-    ``_BAND``: first 1e-12 u.u, then, only if that leaves a row undecided,
-    1e-12 u.u max(1, max|w|)**2, the two bounds ``_null_enough`` tries
-    first.  Every other row is decided by ``_null_enough`` itself when the
-    iteration reaches it, so each verdict is numpy's, and a caller that
-    stops at the first failure has it check no later row."""
+    residual has that product's bits.  A row passes here when its sums of
+    squares lie below 1e-12 u.u by more than the relative ``_BAND``, as
+    ``_null_enough`` would pass it.  Every other row is decided by
+    ``_null_enough`` itself when the iteration reaches it, so each verdict
+    is numpy's, and a caller that stops at the first failure has it check
+    no later row."""
     with np.errstate(all="ignore"):
         res = np.matmul(us[:, None, :], ws)
         rr = np.einsum("sij,sij->s", res, res)
         uu = np.einsum("ij,ij->i", us, us)
-        bound = 1e-12 * uu
-        sure = (rr < bound * (1.0 - _BAND)) & (uu >= 1.0)
-        if not sure.all():
-            m = np.maximum(np.abs(ws).max(axis=(1, 2)), 1.0)
-            bound *= m * m
-            sure = (rr < bound * (1.0 - _BAND)) & (uu >= 1.0) & (bound < math.inf)
-    # the band holds for sums of at most 1000 squares, as in _null_enough
+        sure = (rr < 1e-12 * uu * (1.0 - _BAND)) & (uu >= 1.0)
+    # the band holds for sums of at most 1000 squares
     if ws.shape[1] + ws.shape[2] > 1000:
         sure[:] = False
     for s, ok in enumerate(sure.tolist()):
@@ -411,13 +382,15 @@ def round_half_integer(instance: RoundingInstance) -> RoundingResult:
     factorization, a segment, are checked together when it ends
     (``_segment_null_enough``): one stacked ``np.matmul`` per block of
     steps gives every residual with the bits of its own product, since
-    numpy runs one gemv per stacked item with that product's strides, and
-    every verdict is the one ``_null_enough`` gives.  A segment with a failing or non-finite
-    direction is rolled back to its start and walked again with the check
-    before every step, where a failure rebuilds the tableau from the
-    original vectors by least squares, and ``DegenerateNullspace`` is
-    raised if the rebuilt direction still fails.  A step makes numpy calls
-    only for ``u`` and, when it fixes a basic coefficient, for the pivot.
+    numpy runs one gemv per stacked item with that product's strides.  A
+    row clearly below the threshold passes there, and ``_null_enough``
+    decides every other one from numpy's sums of squares, so every verdict
+    is numpy's.  A segment with a failing or non-finite direction is rolled
+    back to its start and walked again with the check before every step,
+    where a failure rebuilds the tableau from the original vectors by least
+    squares, and ``DegenerateNullspace`` is raised if the rebuilt direction
+    still fails.  A step makes numpy calls only for ``u`` and, when it
+    fixes a basic coefficient, for the pivot.
     The coefficients are a Python list, written only when one leaves the
     window or the segment ends; the ratio test, the step and the snap run
     on the window's at most ``dim + 1`` of them as Python floats.

@@ -24,7 +24,7 @@ from narrowops import (
     sup_norm,
 )
 from narrowops.instances import build_l1_example, l1_example_cells
-from narrowops.measure import _cut_sums, _rademacher_blocks, _wave_sums
+from narrowops.measure import _rademacher_blocks, _shares, _wave_sums
 from narrowops.operators import RefinementContext, brute_force_best_sign
 import oracles
 
@@ -393,16 +393,23 @@ class TestRefinementCompatibility:
         live = ctx.space.subset(live)
         v = np.array(data.draw(st.lists(st.integers(-1, 1), min_size=live.size,
                                         max_size=live.size)), dtype=np.int8)
-        sums = _cut_sums(_parent_cuts(live, ctx.total_map),
-                         v * ctx.space.numerators[live.indices])
+        cuts, terms = _parent_cuts(live, ctx.total_map), v * ctx.space.numerators[live.indices]
         spread = np.zeros(n, dtype=np.int8)
         spread[live.indices] = v
         want = np.add.reduceat(spread.astype(np.int64) * ctx.space.numerators,
                                ctx.total_map.starts)
-        assert sums.dtype == np.int64 and np.array_equal(sums, want)
+        # over unit weights the shares are the sums, below 2^53 here
+        assert np.array_equal(_shares(cuts, terms, np.ones_like(want)), want)
+        shares = _shares(cuts, terms, ctx.parent_weights())
+        assert shares.tobytes() == ctx.shares(spread).tobytes()
         for key in ops:
-            assert ((ops[key].matrix @ (sums / ctx.parent_weights())).tobytes()
+            assert ((ops[key].matrix @ shares).tobytes()
                     == ctx.image(key, spread).tobytes())
+
+    def test_live_atom_shares_sum_in_int64(self):
+        # 2^61 + 1 - 2^61 is 1 in int64 and 0 in float64 sums
+        terms = np.array([2**61 + 1, -2**61, 3], dtype=np.int64)
+        assert _shares(np.array([0, 2, 3]), terms, np.array([2, 4])).tolist() == [0.5, 0.75]
 
     def test_context_takes_operators_on_its_start_space_only(self):
         T = _random_operator(2, 2)

@@ -50,7 +50,7 @@ from narrowops import (
 from narrowops import narrowness, operators, pipelines, rounding
 from narrowops.instances import build_l1_example, l1_example_tail_bound
 from narrowops.linalg import rank_factorization
-from narrowops.narrowness import _EXHAUSTIVE_SEARCH_LIMIT, exhaustive_cell_signs
+from narrowops.narrowness import _EXHAUSTIVE_SEARCH_LIMIT, cell_segments, exhaustive_cell_signs
 from narrowops.operators import RefinementContext
 from narrowops.pipelines import _TOL, _certify, _coefficient_cells, _knapsack_fractional
 import oracles
@@ -561,12 +561,14 @@ class TestPairing:
          "stage sign is not mean zero"),
         ("_stage_row", lambda row: lambda *args: np.zeros_like(row(*args)),
          "support measure is not exactly mu\\(Omega\\)/2\\^j"),
-        ("_cut_sums", lambda sums: lambda *args: sums(*args) + 2**40,
+        ("_shares", lambda shares: lambda cuts, terms, weights:
+            shares(cuts, terms, weights) + 2**40 / weights,
          "stage norms violate the geometric schedule"),
     ], ids=["mean-zero", "support", "norms"])
     def test_stage_checks(self, monkeypatch, name, forged, message):
         # the level-4 pairing report's first stage, with its row or its
-        # per-input-atom sums forged so that exactly one check fails
+        # per-input-atom shares forged (each sum raised by 2^40) so that
+        # exactly one check fails
         monkeypatch.setattr(pipelines, name, forged(getattr(pipelines, name)))
         with pytest.raises(StageFailed, match=f"^stage 1: {message}$"):
             _pairing_report()
@@ -688,7 +690,9 @@ class TestCertify:
 def _reference_sum_finite_rank(T1, T2, sigma, epsilon, refine_budget=2**16):
     """The per-cell loop the batched cell search replaced, for rank >= 1:
     one find_small_sign per cell in cell order, each cell's coefficient
-    image by a full-space apply, and the same rounding and verdict."""
+    image by a full-space apply, and the same rounding and verdict.  Each
+    stage's `pair_coeff_norm` is its cell's coefficient norm summed over
+    (cell, input atom) pairs instead."""
     w = T2.target.weights
     if T2.target.kind == "lp":
         w = w ** (1.0 / T2.target.p)
@@ -728,6 +732,21 @@ def _reference_sum_finite_rank(T1, T2, sigma, epsilon, refine_budget=2**16):
     cell, x_cells = ctx.arrays["cell"], ctx.arrays["x"]
     vectors = np.stack([ctx.op("coeff").apply(np.where(cell == rank_k, x_cells, 0))
                         for rank_k in range(partition.n_cells)])
+    # over the atoms listed by cell, the input atoms of each cell run in
+    # increasing order, so the (cell, input atom) pairs are the runs of
+    # equal (cell, parent); s / w per pair, then one segment sum per cell
+    members, _, starts = cell_segments(cell)
+    parent = ctx.total_map.lift_values(np.arange(T1.space.n_atoms))[members]
+    cuts = np.zeros(members.size, dtype=bool)
+    cuts[starts] = True
+    cuts[1:] |= parent[1:] != parent[:-1]
+    pairs = np.flatnonzero(cuts)
+    signed = x_cells.astype(np.int64) * ctx.space.numerators
+    shares = np.add.reduceat(signed[members], pairs) / ctx.parent_weights()[parent[pairs]]
+    pair_vectors = np.add.reduceat(coeff.T[parent[pairs]] * shares[:, None],
+                                   np.searchsorted(pairs, starts))
+    for stage, norm in zip(stages, fnorm_many(coeff_target, pair_vectors).tolist()):
+        stage["pair_coeff_norm"] = norm
     theta, achieved_p, certificate, _ = sign_round(vectors, coeff_target)
     assert certificate <= delta + _TOL and achieved_p <= delta + _TOL
     x, achieved = _certify(ctx, theta[cell] * x_cells, {"t1": sigma, "t2": epsilon}, 0)
@@ -759,6 +778,7 @@ class TestSumFiniteRank:
                 for key in ("cell", "size", "t1_budget", "t1_norm", "strategy"):
                     assert got[key] == want[key], (seed, got["cell"], key)
                 assert got["coeff_norm"] == pytest.approx(want["coeff_norm"], abs=1e-12)
+                assert got["coeff_norm"] == want["pair_coeff_norm"], (seed, got["cell"])
                 if got["size"] > 10:
                     seen.add("over the exhaustive limit")
                 elif got["strategy"] != "exhaustive":
