@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import numbers
 import sys
 from functools import partial
@@ -95,9 +96,10 @@ _float_array = partial(np.asarray, dtype=float)
 
 
 def _real(value) -> float:
-    """Cast for real slots: a bool or a string is refused."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"value must be a real number, got {value!r}")
+    """Cast for a tail bound, a supremum of norms: finite and >= 0."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not 0 <= value < math.inf):
+        raise ValueError(f"a tail bound must be a finite real number >= 0, got {value!r}")
     return float(value)
 
 

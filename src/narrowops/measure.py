@@ -20,6 +20,7 @@ from .errors import (
     InvalidAtom,
     NonDyadic,
     NotDivisible,
+    RefinementBudgetExceeded,
     UnequalWeights,
 )
 
@@ -273,10 +274,11 @@ class MeasureSpace:
         counts = np.diff(np.searchsorted(lefts[order], firsts), append=lefts.size)
         return space, RefineMap._of_counts(counts), [np.concatenate(c)[order] for c in columns]
 
-    def uniformize(self) -> tuple["MeasureSpace", RefineMap]:
+    def uniformize(self, budget: int) -> tuple["MeasureSpace", RefineMap]:
         """Refine every atom down to the minimum atom weight.
 
-        Requires every weight to be a power-of-two multiple of the smallest.
+        Requires every weight to be a power-of-two multiple of the smallest,
+        and refuses more than `budget` atoms before it builds any.
         """
         min_num = self.numerators.min()
         counts, rest = np.divmod(self.numerators, min_num)
@@ -286,7 +288,11 @@ class MeasureSpace:
             )
         if (counts == 1).all():
             return self, RefineMap.identity(self.n_atoms)
-        nums = np.full(int(counts.sum()), min_num)
+        n_new = int(counts.sum())
+        if n_new > budget:
+            raise RefinementBudgetExceeded(
+                f"refinement to {n_new} atoms exceeds budget {budget}")
+        nums = np.full(n_new, min_num)
         space = object.__new__(MeasureSpace)._lowest_terms(self.denom_log2, nums)
         return space, RefineMap._of_counts(counts)
 

@@ -10,6 +10,7 @@ from the input space to the final one.
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import combinations
@@ -286,7 +287,7 @@ def pairing_construction(
         raise ValueError("pairing needs gamma < epsilon")
     require_same_space(T1, T2, "operators")
     ctx = RefinementContext(T1.space, {"t1": T1, "t2": T2})
-    us, umap = ctx.space.uniformize()
+    us, umap = ctx.space.uniformize(params.refine_budget)
     ctx.apply_map(umap, us)
     if not _is_power_of_two(ctx.space.n_atoms):
         raise NonDyadic("pairing needs a power-of-two atom count after uniformize")
@@ -521,7 +522,8 @@ def sum_finite_rank(
     A rejected cell of at most _EXHAUSTIVE_SEARCH_LIMIT atoms is split in
     two first, as the batched pass has tried every sign (all mean-zero with
     full support) that a first round of `find_small_sign` on it would try;
-    a split over the refinement budget raises that search's `NoSignFound`.
+    a split over the refinement budget leaves the cell to that search,
+    whose own split of it raises `NoSignFound`.
     The coefficient images are exact in the atom weights: every input atom
     lies in one cell, so a cell's image is the sum, over its input atoms, of
     their coefficient columns times the cell sign's exact shares of them
@@ -614,22 +616,11 @@ def sum_finite_rank(
     for rank_k in np.flatnonzero(~accepted).tolist():
         cell_set = ctx.where("cell", rank_k)
         if sizes[rank_k] <= _EXHAUSTIVE_SEARCH_LIMIT:
-            # the first round of find_small_sign would try no sign the
-            # batched pass has not tried on this cell, so split it first
-            try:
+            # the batched pass has tried every sign a first round of find_small_sign
+            # would try on this cell: split it, and past the budget let the search refuse
+            with suppress(RefinementBudgetExceeded):
                 ctx.refine_atoms(cell_set.indices, 2, refine_budget)
-            except RefinementBudgetExceeded:
-                # no search has refined this cell: its atoms, in order, are
-                # those the batched sign was found on
-                x = np.zeros(ctx.space.n_atoms, dtype=np.int8)
-                x[cell_set.indices] = signs[cell == rank_k]
-                val = float(t1_norms[rank_k])
-                best = SignVector(space=ctx.space, values=x) if val < np.inf else None
-                raise NoSignFound(
-                    f"no sign with image norm < {t1_budgets[rank_k] + _TOL} "
-                    "within the refinement budget", best_sign=best, best_value=val,
-                ) from None
-            cell_set = ctx.where("cell", rank_k)
+                cell_set = ctx.where("cell", rank_k)
         res = find_small_sign(
             ctx.op("t1"), cell_set, t1_budgets[rank_k] + _TOL,
             refine_budget=refine_budget,
@@ -691,14 +682,12 @@ def sum_finite_rank(
     )
 
 
-def _sample_signs(space: MeasureSpace, rng: np.random.Generator):
-    """_SAMPLE_BUDGET deterministic sign samples, one int8 row each: block
-    Rademacher family plus random signs."""
-    n = space.n_atoms
-    out = list(rademacher_signs(space.full_set())[:_SAMPLE_BUDGET])
+def _sample_signs(n: int, rng: np.random.Generator):
+    """_SAMPLE_BUDGET deterministic probes of n atoms, one int8 row each: the
+    block Rademacher rows by atom position, whatever the weights, then random signs."""
+    out = list(rademacher_signs(MeasureSpace(0, [1] * n).full_set())[:_SAMPLE_BUDGET])
     while len(out) < _SAMPLE_BUDGET:
-        kind = rng.integers(0, 2)
-        if kind == 0:
+        if rng.integers(0, 2) == 0:
             out.append(rng.integers(0, 2, n) * 2 - 1)
         else:
             out.append(rng.integers(-1, 2, n))
@@ -717,16 +706,15 @@ def sum_compact_locally_convex(
     budget 1/2.  If the constructed sign's true T2-image escapes the net,
     the image is added as a new center and the round repeats, at most
     _MAX_ADAPTIVE_ROUNDS times.  The budget epsilon is `params.epsilon`.
+    It runs on the space it is given, whatever its dyadic weights.
     """
     epsilon = params.epsilon
     if not T2.target.locally_convex:
         raise NotLocallyConvex("the compact-sum pipeline needs a locally convex target")
     require_same_space(T1, T2, "operators")
     ctx = RefinementContext(T1.space, {"t1": T1, "t2": T2})
-    us, umap = ctx.space.uniformize()
-    ctx.apply_map(umap, us)
     rng = np.random.default_rng(params.seed)
-    ctx.arrays["samples"] = _sample_signs(ctx.space, rng)
+    ctx.arrays["samples"] = _sample_signs(ctx.space.n_atoms, rng)
 
     target = T2.target
     extra_images: list[np.ndarray] = []

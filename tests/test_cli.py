@@ -188,6 +188,12 @@ class TestExitCodes:
                        "epsilon": [1]}, "epsilon"),
         ("sum-compact", {**_pipeline_config(), "mode": "truncation", "epsilon": 0.2,
                          "tail_values": 0.5}, "tail_values"),
+        # a tail bound is a supremum of norms: -1 used to exit 0 and report
+        # budgets.tail_bound -1.0, and NaN to exit 2 as a certified failure
+        *[("sum-compact", {**_pipeline_config(), "mode": "truncation", "epsilon": 0.2,
+                           "tail_values": values}, "tail_values")
+          for values in ([-1, 0, 0, 0], [float("nan")] * 4, [float("inf")] * 4,
+                         [-float("inf"), 0, 0, 0])],
         ("find-sign", {"operator": {"instance": {"kind": "l1_example", "levels": 4}},
                        "epsilon": 0.1, "refine_budget": [3]}, "refine_budget"),
         ("round", {"vectors": [[1.0]], "coefficients": [0.5], "norm": 5}, "norm"),
@@ -241,7 +247,9 @@ class TestExitCodes:
                        "epsilon": 0.1}, "unknown norm kind 'coefficient_sup'"),
     ], ids=["missing-levels", "unknown-field", "missing-atoms", "missing-kind",
             "string-levels", "bool-levels", "string-decay", "list-kind",
-            "list-epsilon", "scalar-tail-values", "list-refine-budget", "int-norm",
+            "list-epsilon", "scalar-tail-values", "negative-tail-value", "nan-tail-values",
+            "infinite-tail-values", "minus-infinite-tail-value", "list-refine-budget",
+            "int-norm",
             "scalar-matrix", "float-refine-budget", "bool-refine-budget",
             "float-seed", "bool-epsilon", "float-max-adaptive-rounds",
             "float-sample-budget", "bool-functional-cap", "float-levels", "list-mode",

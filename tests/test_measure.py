@@ -18,6 +18,7 @@ from narrowops import (
     NonDyadic,
     NotDivisible,
     RefineMap,
+    RefinementBudgetExceeded,
     SignVector,
     UnequalWeights,
     build_conditional_expectation,
@@ -97,10 +98,22 @@ class TestMeasureSpace:
 
     def test_uniformize(self):
         space = MeasureSpace.from_weights([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)])
-        uni, rmap = space.uniformize()
+        uni, rmap = space.uniformize(4)
         assert uni.n_atoms == 4
         assert len(set(uni.numerators)) == 1
         assert rmap.counts.tolist() == [2, 1, 1]
+
+    def test_uniformize_within_its_budget(self):
+        space = MeasureSpace.from_weights([Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)])
+        with pytest.raises(RefinementBudgetExceeded,
+                           match="^refinement to 4 atoms exceeds budget 3$"):
+            space.uniformize(3)
+        # weights it cannot uniformize are refused as such first
+        with pytest.raises(NonDyadic):
+            MeasureSpace(2, [1, 3]).uniformize(1)
+        # an equal-weight space is left as it is, whatever the budget
+        uniform = MeasureSpace.uniform(8)
+        assert uniform.uniformize(1)[0] is uniform
 
 
 class TestRefineMap:
@@ -452,7 +465,7 @@ class TestDerivedObjects:
         space = MeasureSpace(denom_log2=d, numerators=[base << e for e in exponents])
         least = min(space.numerators.tolist())
         n_atoms = sum(n // least for n in space.numerators.tolist())
-        _assert_same_space(space.uniformize()[0], MeasureSpace(
+        _assert_same_space(space.uniformize(n_atoms)[0], MeasureSpace(
             denom_log2=space.denom_log2, numerators=[least] * n_atoms))
 
     @settings(max_examples=100, deadline=None)
@@ -470,7 +483,7 @@ class TestDerivedObjects:
             (first.compose(later), [int(later.counts[first.starts[i]:][:c].sum())
                                     for i, c in enumerate(first.counts.tolist())]),
             (RefineMap.identity(space.n_atoms), [1] * space.n_atoms),
-            (lumpy.uniformize()[1], [1 << (e - least) for e in exponents]),
+            (lumpy.uniformize(64)[1], [1 << (e - least) for e in exponents]),
         ]:
             want = RefineMap(counts=counts)
             assert rmap.counts.dtype == np.int64 and not rmap.counts.flags.writeable

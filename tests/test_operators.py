@@ -434,7 +434,7 @@ class TestRefinementCompatibility:
         assert ctx.op("t") is T
         ctx.refine_atoms([0, 2], 2, 16)
         # 1/8 1/8 1/4 1/8 1/8 1/4: uniformize splits the two quarters
-        fine, rmap = ctx.space.uniformize()
+        fine, rmap = ctx.space.uniformize(16)
         ctx.apply_map(rmap, fine)
         ctx.image("t", np.tile([1, -1], 4))
         assert calls == []
@@ -468,7 +468,7 @@ class TestRefinementCompatibility:
                 ctx.refine_atoms(sorted(atoms), data.draw(st.sampled_from([2, 4])),
                                  2**16)
             else:
-                fine, rmap = ctx.space.uniformize()
+                fine, rmap = ctx.space.uniformize(2**16)
                 ctx.apply_map(rmap, fine)
             check()
 

@@ -163,7 +163,7 @@ def _reference_pairing_construction(T1, T2, params, whole_space_tail=False):
     `whole_space_tail` it runs on the whole space, as before the tail moved
     onto the live atoms."""
     ctx = RefinementContext(T1.space, {"t1": T1, "t2": T2})
-    us, umap = ctx.space.uniformize()
+    us, umap = ctx.space.uniformize(params.refine_budget)
     ctx.apply_map(umap, us)
     assert ctx.space.n_atoms & (ctx.space.n_atoms - 1) == 0
     ac = check_absolute_continuity(ctx.op("t2"), params.delta)
@@ -572,6 +572,19 @@ class TestPairing:
         monkeypatch.setattr(pipelines, name, forged(getattr(pipelines, name)))
         with pytest.raises(StageFailed, match=f"^stage 1: {message}$"):
             _pairing_report()
+
+    @pytest.mark.parametrize("least, atoms", [(18, 262144), (40, 2**40)],
+                             ids=["2^-18", "2^-40"])
+    def test_uniformize_past_the_budget_is_refused(self, least, atoms):
+        # weights 2^-1, ..., 2^-least and a second 2^-least: down to 2^-18 a
+        # run at budget 64 used to build and certify all 2^18 atoms; down to
+        # 2^-40 the refusal comes from the weights alone, before any atom
+        space = MeasureSpace.from_weights(
+            [Fraction(1, 2**e) for e in range(1, least + 1)] + [Fraction(1, 2**least)])
+        z = DiscreteOperator(np.zeros((1, least + 1)), space, sup_norm(dim=1))
+        with pytest.raises(RefinementBudgetExceeded,
+                           match=f"^refinement to {atoms} atoms exceeds budget 64$"):
+            pairing_construction(z, z, PipelineParams(refine_budget=64))
 
     def test_determinism(self):
         t2 = build_l1_example(4)
@@ -1037,6 +1050,39 @@ class TestSumCompact:
         with pytest.raises(AdaptiveBudgetExhausted) as info:
             sum_compact_locally_convex(t1, t2, PipelineParams(epsilon=0.05))
         assert info.value.trace == [{"round": 1, "norm": 16.0, "image": [-16.0]}]
+
+
+class TestDyadicSpaces:
+    @settings(max_examples=60, deadline=None)
+    @given(nums=st.lists(st.integers(1, 256), min_size=2, max_size=64),
+           seed=st.integers(0, 2**16), rank=st.integers(0, 3),
+           log_scale=st.floats(-4.0, 0.5), sigma=st.floats(0.05, 1.0),
+           epsilon=st.floats(0.05, 1.0))
+    def test_each_pipeline_certifies_or_fails_with_a_package_error(
+            self, nums, seed, rank, log_scale, sigma, epsilon):
+        # atoms of any weights in (0, 1] over 2^8: every report revalidates,
+        # and the compact sum, which used to refuse all but power-of-two
+        # multiples of the least weight, never refuses the weights
+        space = MeasureSpace(8, nums)
+        t1 = random_narrow_operator(seed, None, 3, 0.5, space=space)
+        t2 = random_finite_rank(seed + 1, min(rank, len(nums)), None, 4,
+                                scale=10.0**log_scale, space=space)
+        runs = {
+            "finite-rank": (lambda: sum_finite_rank(t1, t2, sigma, epsilon),
+                            sigma, epsilon),
+            "compact": (lambda: sum_compact_locally_convex(
+                t1, t2, PipelineParams(epsilon=epsilon, seed=seed)),
+                        epsilon / 2, epsilon / 2),
+            "pairing": (lambda: pairing_construction(t1, t2, PipelineParams(
+                sigma=sigma, epsilon=epsilon, gamma=epsilon / 2)), sigma, epsilon),
+        }
+        for name, (run, t1_budget, t2_budget) in runs.items():
+            try:
+                rep = run()
+            except NarrowOpsError as exc:
+                assert not (name == "compact" and isinstance(exc, NonDyadic)), exc
+                continue
+            revalidate(rep, t1, t2, t1_budget, t2_budget)
 
 
 class TestExactImages:
