@@ -41,21 +41,21 @@ def _exact_total(nums: np.ndarray) -> int:
 
 
 def _check_split(total: int, parts: int) -> None:
-    """Refuse to split the atoms of a space of lowest-terms total numerator
-    `total` into `parts` children if that can leave the exact int64 range."""
-    if total << (parts.bit_length() - 1) >= _EXACT_LIMIT:
+    """Refuse a split into `parts` children that leaves the lowest-terms
+    total numerator `total` outside the exact int64 range."""
+    if total >= _EXACT_LIMIT:
         raise NonDyadic(f"refining into {parts} parts leaves the exact int64 range")
 
 
 def _split_in_two(total: int, num: int, d: int) -> tuple[int, int, int]:
     """(total, num, d) after splitting in two every atom of numerator `num`
-    in a space of lowest-terms total numerator `total` over 2^d, refused as
-    `_check_split` refuses it.  The split keeps the lowest terms: an odd
-    `num` doubles the total and the denominator, an even one is halved."""
+    in a space of lowest-terms total numerator `total` over 2^d, refused by
+    `_check_split` on the total it leaves.  The split keeps the lowest
+    terms: an odd `num` doubles the total and the denominator, an even one
+    is halved and keeps the total."""
+    total, num, d = (total << 1, num, d + 1) if num % 2 else (total, num >> 1, d)
     _check_split(total, 2)
-    if num % 2:
-        return total << 1, num, d + 1
-    return total, num >> 1, d
+    return total, num, d
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -233,7 +233,8 @@ class MeasureSpace:
     def refine_atoms(
         self, atoms: Iterable[int] | np.ndarray, parts: int
     ) -> tuple["MeasureSpace", RefineMap]:
-        """Split each listed atom into `parts` equal children in one pass."""
+        """Split each listed atom into `parts` equal children in one pass,
+        refused by `_check_split` on the lowest-terms total it leaves."""
         marked = _as_indices(atoms)
         # a MeasurableSet's indices are already strictly increasing
         if (marked[1:] <= marked[:-1]).any():
@@ -244,8 +245,11 @@ class MeasureSpace:
             raise InvalidAtom("parts must be >= 2")
         if not _is_power_of_two(parts):
             raise NonDyadic(f"parts={parts} is not a power of two")
-        _check_split(int(self.numerators.sum()), parts)
         t = parts.bit_length() - 1
+        # every refined numerator is at most total << t, so below 2^63 none wraps
+        total = int(self.numerators.sum()) << t
+        if total >= 2 * _EXACT_LIMIT:
+            _check_split(total, parts)
         # marked atoms keep their numerator over the finer denominator (each
         # child is 1/parts of the parent); unmarked ones scale up by parts
         counts = np.ones(self.n_atoms, dtype=np.int64)
@@ -253,6 +257,7 @@ class MeasureSpace:
         counts[marked], scale[marked] = parts, 1
         nums = np.repeat(self.numerators * scale, counts)
         space = object.__new__(MeasureSpace)._lowest_terms(self.denom_log2 + t, nums)
+        _check_split(total >> (self.denom_log2 + t - space.denom_log2), parts)
         return space, RefineMap._of_counts(counts)
 
     def _tile(self, denom_log2: int, pieces) -> tuple["MeasureSpace", RefineMap, list]:
@@ -384,10 +389,6 @@ class SignVector:
 
     def integral_numerator(self) -> int:
         return int(np.dot(self.values.astype(np.int64), self.space.numerators))
-
-    def is_sign_on(self, mset: MeasurableSet) -> bool:
-        """True iff support equals mset exactly (a 'sign on A' in the classical sense)."""
-        return np.array_equal(np.flatnonzero(self.values), mset.indices)
 
     def lift(self, rmap: RefineMap, space: MeasureSpace) -> "SignVector":
         return SignVector(space=space, values=rmap.lift_values(self.values))

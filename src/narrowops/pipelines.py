@@ -20,7 +20,6 @@ import numpy as np
 from .errors import (
     AdaptiveBudgetExhausted,
     NonDyadic,
-    NoSignFound,
     NotLocallyConvex,
     NoTruncationSmallEnough,
     PreconditionFailed,
@@ -272,16 +271,16 @@ def pairing_construction(
     (`measure._shares`), the exact shares ``ctx.shares`` would give on the
     whole space, computed once for both.
 
-    The tail search (`find_small_sign`) runs on a space of the live atoms
-    alone, with T1's columns on them (each input column times the atom's
-    exact power-of-two share), so no operator is refined; its T2 check uses
-    the same shares as the stages'.  Its `refine_budget` is the pipeline's
-    less the other atoms (at least 1), and it is capped where refining the
-    whole space would first leave the int64 range, which then raises
-    `NonDyadic`, so it refuses where a search on the whole space would.
-    It splits every atom of its set each round, so the tail's piece is
-    each live atom's 2^t equal children.  A tail `NoSignFound` carries its
-    `best_sign` on the live atoms' space.
+    The tail search (`find_small_sign`) runs on the live atoms, with T1's
+    columns on them (each input column times the atom's exact power-of-two
+    share), so no operator is refined; its T2 check uses the stages'
+    shares.  Its space stands for the whole one: one atom of zero T1 column
+    follows the live atoms with the rest of the total, and its budget is
+    the whole one's less the frozen atoms, plus one, so it refuses a split
+    where the whole space would, `NonDyadic` past the int64 range first.
+    It splits every atom of its set each round, so the tail's piece is each
+    live atom's 2^t equal children.  A tail `NoSignFound` carries its
+    `best_sign` on the search's space, the rest atom at 0.
     """
     if not params.gamma < params.epsilon:
         raise ValueError("pairing needs gamma < epsilon")
@@ -387,37 +386,30 @@ def pairing_construction(
         cuts = np.concatenate(([0], np.cumsum(~support)))[cuts]
         lefts = lefts[~support]
 
-    # the tail sign z on the live atoms, searched on a space of their own:
-    # each one's T1 column is its input atom's times its exact power-of-two
-    # share, the bits ctx.op("t1") gives it on the whole space
+    # the tail sign z on the live atoms, searched on a space that stands for
+    # the whole one: the live atoms, each with its input atom's T1 column
+    # times its exact power-of-two share (the bits ctx.op("t1") gives it),
+    # then one atom of zero column for the rest of the total.  Every frozen
+    # numerator is a multiple of num, so it has the whole space's lowest
+    # terms, and its atoms are the whole space's less the frozen ones plus
+    # one (an equal-weight input may start past the budget): its search
+    # refuses a split where the whole space's would
     n_live = lefts.size
     parent = np.repeat(np.arange(cuts.size - 1), np.diff(cuts))
-    live_t1 = DiscreteOperator(T1.matrix[:, parent] * (num / weights[parent]),
-                               MeasureSpace(d, np.full(n_live, num)), T1.target)
-    # the search splits every atom of its set each round.  The whole space
-    # would refuse a split past the int64 range first, then past the
-    # budget, which the other atoms share: cap the search at the last split
-    # within the range, and raise refine_atoms's NonDyadic where it stops
-    budget = max(1, params.refine_budget - (atoms - n_live))
-    split, cap = (int(weights.sum()), num, d), n_live
-    try:
-        while cap << 1 <= budget:
-            split = _split_in_two(*split)
-            cap <<= 1
-    except NonDyadic:
-        budget = cap
-    try:
-        res = find_small_sign(live_t1, live_t1.space.full_set(), params.sigma / 2**m + _TOL,
-                              refine_budget=budget)
-    except NoSignFound:
-        _split_in_two(*split)
-        raise
+    tail_t1 = DiscreteOperator(
+        np.hstack([T1.matrix[:, parent] * (num / weights[parent]),
+                   np.zeros((T1.target_dim, 1))]),
+        MeasureSpace(d, np.append(np.full(n_live, num), int(weights.sum()) - n_live * num)),
+        T1.target)
+    res = find_small_sign(tail_t1, MeasurableSet(tail_t1.space, np.arange(n_live)),
+                          params.sigma / 2**m + _TOL,
+                          refine_budget=max(params.refine_budget, atoms) - (atoms - n_live) + 1)
 
-    # each live atom has 2^t equal children in the search's space, of
-    # numerator num_t over 2^d_t; z's T2 image comes from its shares
-    # between the cuts, the exact shares ctx.shares gives on the whole space
-    sub, z = res.operator.space, res.sign.values
-    t = (sub.n_atoms // n_live).bit_length() - 1
+    # each live atom has 2^t equal children of numerator num_t over 2^d_t
+    # before the rest atom; z's T2 image comes from its shares between the
+    # cuts, the exact shares ctx.shares gives on the whole space
+    sub, z = res.operator.space, res.sign.values[:-1]
+    t = ((sub.n_atoms - 1) // n_live).bit_length() - 1
     d_t, num_t = sub.denom_log2, int(sub.numerators[0])
     t2z = fnorm(T2.target, T2.matrix @ _shares(
         cuts << t, num_t * z.astype(np.int64), weights << (d_t - d)))

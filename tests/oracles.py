@@ -24,6 +24,8 @@ claimed atoms; the library reads them with whole-matrix numpy calls.
 ``sup_fnorm_many`` is the weighted sup norm as one ``np.max`` reduction
 along the last axis; the library folds the weighted columns together with
 an elementwise maximum instead.
+
+``is_sign_on`` is the classical "sign on A": nonzero exactly on the set.
 """
 
 import numpy as np
@@ -278,3 +280,8 @@ def l1_example_cells(T) -> list:
 def sup_fnorm_many(weights: np.ndarray, ys) -> np.ndarray:
     """max_i w_i |y_i| along the last axis of `ys`, as one reduction."""
     return np.max(weights * np.abs(np.asarray(ys, dtype=float)), axis=-1)
+
+
+def is_sign_on(values, mset) -> bool:
+    """True iff the sign `values` is nonzero exactly on the atoms of `mset`."""
+    return np.array_equal(np.flatnonzero(values), mset.indices)

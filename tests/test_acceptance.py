@@ -37,7 +37,7 @@ from narrowops import (
 )
 from narrowops.instances import build_l1_example
 from narrowops.serialize import operator_to_json
-from oracles import brute_force_best_sign
+from oracles import brute_force_best_sign, is_sign_on
 from revalidation import revalidate
 
 
@@ -168,8 +168,8 @@ def test_criterion_4_pairing_pipeline():
             sign = SignVector.from_values(rep.space, rep.sign.values * (stage == j))
             assert sign.mean_zero
             assert sign.support_set().measure == total / 2**j  # exact Fraction
-        tail = SignVector.from_values(rep.space, rep.sign.values * (stage == m + 1))
-        assert tail.is_sign_on(rep.space.subset(np.flatnonzero(stage == m + 1)))
+        tail = rep.sign.values * (stage == m + 1)
+        assert is_sign_on(tail, rep.space.subset(np.flatnonzero(stage == m + 1)))
         successes += 1
     elapsed = time.perf_counter() - start
     _report(

@@ -26,7 +26,7 @@ from narrowops import (
     rademacher_signs,
     random_narrow_operator,
 )
-from narrowops.measure import _rademacher_blocks, _wave_sums
+from narrowops.measure import _rademacher_blocks, _split_in_two, _wave_sums
 from narrowops.operators import RefinementContext
 import oracles
 
@@ -563,8 +563,32 @@ class TestExactRange:
         assert SignVector.from_values(space, [1, 1]).integral_numerator() == 2**62 - 2
         assert SignVector.from_values(space, [1, -1]).mean_zero
 
-    @pytest.mark.parametrize("parts", [2, 2**8])
-    def test_refine_atoms_rejects_leaving_the_range(self, parts):
-        space = MeasureSpace.from_weights([2**60, 2**60])
-        with pytest.raises(NonDyadic):
+    @pytest.mark.parametrize("nums, denom_log2, parts", [
+        ([2**60 + 1] * 2, 61, 2), ([2**60] * 2, 0, 2**8)], ids=["2", "256"])
+    def test_refine_atoms_rejects_leaving_the_range(self, nums, denom_log2, parts):
+        # an odd numerator: halving an atom of 1 + 2^-60 in all needs a
+        # total of 2^62 + 4 over 2^62; 2^60 + 2^68 over 2^8 leaves the range
+        # in the lowest terms too
+        space = MeasureSpace(denom_log2, nums)
+        with pytest.raises(NonDyadic, match="^refining into "
+                                            f"{parts} parts leaves the exact int64 range$"):
             space.refine_atoms([0], parts)
+
+    @pytest.mark.parametrize("space, atoms, want", [
+        (MeasureSpace(0, [2**56] * 32), range(32), [2**55] * 64),
+        (MeasureSpace.from_weights([2**60, 2**60]), [0], [2**59, 2**59, 2**60])],
+        ids=["all-even", "one-of-two"])
+    def test_refine_atoms_keeps_a_total_in_range(self, space, atoms, want):
+        # halving even numerators keeps the total, 2^61 here, whose double
+        # would leave the range: the split is checked on the total it leaves
+        got, _ = space.refine_atoms(atoms, 2)
+        assert got.denom_log2 == 0 and got.numerators.tolist() == want
+
+    def test_a_split_in_two_is_checked_on_the_total_it_leaves(self):
+        # an even numerator is halved and keeps a total of 2^61; an odd one
+        # doubles it, to past 2^62 from 2^61 + 2
+        assert _split_in_two(2**61, 2**60, 0) == (2**61, 2**59, 0)
+        assert _split_in_two(3 << 59, 3, 5) == (3 << 60, 3, 6)
+        with pytest.raises(NonDyadic, match="^refining into 2 parts leaves the "
+                                            "exact int64 range$"):
+            _split_in_two(2**61 + 2, 2**60 + 1, 61)

@@ -243,7 +243,7 @@ def _reference_pairing_construction(T1, T2, params, whole_space_tail=False):
     t2z = fnorm(T2.target, ctx.image("t2", z))
     if t2z > params.gamma + _TOL:
         raise StageFailed(m + 1, f"tail sign T2-image {t2z} exceeds gamma")
-    assert SignVector(ctx.space, z).is_sign_on(tail)
+    assert oracles.is_sign_on(z, tail)
     ctx.arrays["stage"][tail.indices] = m + 1
     x, achieved = _certify(ctx, ctx.arrays["x"] + z,
                            {"t1": params.sigma, "t2": params.epsilon}, m + 1)
@@ -423,6 +423,53 @@ class TestPairing:
         assert sum(s.get("refinements", 0) for s in got[0]["stages"]) == 2
         assert got == _pairing_outcome(_reference_pairing_construction, z, z, params)
 
+    def test_a_retry_that_keeps_the_total_in_range(self):
+        # integer weights of 2^60: a retry halves the shared numerator and
+        # keeps the total of 2^61, whose double would leave the range
+        z = DiscreteOperator(np.zeros((1, 2)), MeasureSpace(0, [2**60] * 2),
+                             sup_norm(dim=1))
+        params = PipelineParams(delta=2.0**59)
+        got = _pairing_outcome(pairing_construction, z, z, params)
+        assert got[0]["status"] == "success"
+        assert [s.get("refinements") for s in got[0]["stages"]] == [1, 1, None]
+        assert got == _pairing_outcome(_reference_pairing_construction, z, z, params)
+
+    @pytest.mark.parametrize("refused", [False, True], ids=["no-split", "split"])
+    def test_a_space_past_the_budget_refuses_every_split(self, refused):
+        # uniformize keeps 64 equal atoms past a budget of 1: the stages and
+        # the tail run without a split, and a tail that needs one is refused
+        space = MeasureSpace.uniform(64)
+        z = DiscreteOperator(np.zeros((1, 64)), space, sup_norm(dim=1))
+        params = PipelineParams(delta=0.25, refine_budget=1)
+        outcomes = []
+        for pipeline in (pairing_construction, _whole_space_tail):
+            with _unrefined_set_refused(refused=refused):
+                outcomes.append(_pairing_outcome(pipeline, z, z, params))
+        got, want = outcomes
+        assert got == want
+        if refused:
+            assert got[:2] == (NoSignFound, f"no sign with image norm < "
+                                            f"{0.1 / 2**2 + _TOL} within the refinement budget")
+        else:
+            assert got[0]["stages"][-1]["strategy"] == "kernel_pairing"
+            assert got[2] == space
+
+    def test_the_tail_space_stands_for_the_whole_space(self, monkeypatch):
+        # the level-10 shape of the benchmark: the tail searches the 2,048
+        # live atoms of a space of the input space's total, whose one more
+        # atom holds the rest of it
+        calls = []
+        search = pipelines.find_small_sign
+        monkeypatch.setattr(pipelines, "find_small_sign", lambda T, mset, *args, **kw:
+                            calls.append((T, mset)) or search(T, mset, *args, **kw))
+        t2 = build_l1_example(10)
+        t1 = random_narrow_operator(1, None, 3, 0.5, space=t2.space)
+        pairing_construction(t1, t2, PipelineParams(delta=1 / 64))
+        [(T, mset)] = calls
+        assert T.space.total == t2.space.total and T.space.n_atoms == 2049
+        assert mset.indices.tolist() == list(range(2048))
+        assert not T.matrix[:, -1].any()
+
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), seed=st.integers(0, 2**16))
     def test_tail_matches_the_whole_space_tail(self, data, seed):
@@ -460,7 +507,8 @@ class TestPairing:
         # then pairs each atom's two children, or, where it may not, the
         # scan takes a level of nonzero T2 image (T1 a tenth as large lets
         # it pass a coarse one); else it raises NoSignFound, whose best sign
-        # lives on the live atoms' space
+        # lives on the search's space: the live atoms, then one atom for the
+        # rest of the total, at 0
         split = extra >= 128
         t2 = build_l1_example(6)
         t1 = random_narrow_operator(1, None, 3, 0.5, space=t2.space)
@@ -489,8 +537,10 @@ class TestPairing:
         sub, whole = (e.best_sign for e in errors)
         live = whole.values != 0
         assert whole.space.n_atoms == 896 and live.sum() == 128
-        assert sub.space == MeasureSpace(whole.space.denom_log2, whole.space.numerators[live])
-        assert sub.values.tolist() == whole.values[live].tolist()
+        assert sub.space == MeasureSpace(whole.space.denom_log2, np.append(
+            whole.space.numerators[live], whole.space.numerators[~live].sum()))
+        assert sub.values[:-1].tolist() == whole.values[live].tolist()
+        assert sub.values[-1] == 0
         assert errors[0].best_value == errors[1].best_value
 
     @pytest.mark.parametrize("num, denom_log2, splits", [
@@ -501,8 +551,8 @@ class TestPairing:
         # retry and leaves 16.  Splitting them doubles the whole space's
         # total while num is odd, 2^61 + 32 to past 2^62 here, which their
         # own total would not reach, and halves num while it is even and
-        # the denominator 1; the whole space refuses a split whose total
-        # doubled would reach 2^62 either way
+        # the denominator 1, which keeps the total, 2^61 here; the whole
+        # space refuses only a split whose total leaves the range
         space = MeasureSpace(denom_log2, [num] * 32)
         z = DiscreteOperator(np.zeros((1, 32)), space, sup_norm(dim=1))
         params = PipelineParams(delta=0.75 * float(space.total))
@@ -513,11 +563,14 @@ class TestPairing:
                 outcomes.append(_pairing_outcome(pipeline, z, z, params))
         got, want = outcomes
         assert got == want
-        if num >= 2**56:
+        if num % 2:
             assert got == (NonDyadic, "refining into 2 parts leaves the exact "
                                       "int64 range", None)
         else:
+            # the 16 frozen atoms keep num, the 16 live ones split in 2^splits
             assert got[2].denom_log2 == 0
+            assert sorted(got[2].numerators.tolist()) == sorted(
+                [num >> splits] * (16 << splits) + [num] * 16)
             assert sorted(got[2].numerators.tolist()) == sorted(
                 [num] * 16 + [num >> splits] * (16 << splits))
 
